@@ -3,17 +3,7 @@ distances, limit-measure evaluation, and rare-event estimators."""
 
 __version__ = "0.1.0"
 
-from .clusters import (
-    Cluster,
-    ClusterEvent,
-    Immigrant,
-    cluster_total,
-    gen_hawkes_cluster,
-    gen_mb_cluster,
-    sample_immigrants,
-    simulate_batch,
-    split_at_horizon,
-)
+from .clusters import BatchClusters, simulate_batch
 from .errors import ConfigurationError
 from .events import DkProxy, JumpCount, SupExceed, TerminalExceed, ValueAt, parse_event
 from .harness import (
@@ -24,7 +14,9 @@ from .harness import (
     check_remainder,
     check_tail_equivalence,
     crude_estimate,
+    draw_clusters,
     ldp_ratio,
+    replication_path,
     simulate_replication,
     splitting_estimate,
 )
@@ -34,7 +26,7 @@ from .measures import LimitMeasure, measure_for_model, mu_bar_tail, mu_sharp, mu
 from .paths import (
     CadlagPath,
     ScalingRule,
-    build_uncentered,
+    build_jump_path,
     centered_scaled_path,
     centering_hawkes,
     centering_mb,

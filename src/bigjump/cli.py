@@ -21,7 +21,7 @@ import numpy as np
 from scipy import stats
 
 from . import __version__
-from .clusters import gen_hawkes_cluster, gen_mb_cluster, sample_immigrants, write_clusters_csv
+from .clusters import write_clusters_csv
 from .errors import ConfigurationError
 from .events import format_event, parse_event
 from .harness import (
@@ -30,12 +30,14 @@ from .harness import (
     check_assumption6,
     check_remainder,
     check_tail_equivalence,
+    draw_clusters,
     ldp_ratio,
+    replication_path,
 )
 from .laws import PARETO, JointMarkSpec, TailLaw, WaitLaw
 from .m1 import m1_distance_bracket
 from .measures import measure_for_model, mu_bar_tail, mu_sharp, mu_tail
-from .paths import build_uncentered, centered_scaled_path, read_path_csv, write_path_csv
+from .paths import read_path_csv, write_path_csv
 from .streams import substream
 
 WORKERS_ENV = "BIGJUMP_WORKERS"
@@ -277,22 +279,16 @@ def _load_extras(path: str) -> dict[str, str]:
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    rng = substream(config.seed, "simulate")
-    imms = sample_immigrants(config.lam, config.T, config.spec.x_law, rng)
-    if config.model == "mb":
-        clusters = [gen_mb_cluster(i, config.spec, config.wait, rng) for i in imms]
-    else:
-        clusters = [gen_hawkes_cluster(i, config.spec, config.wait, rng, config.cap) for i in imms]
-    unc = build_uncentered(clusters, config.T)
-    path = centered_scaled_path(unc, centering_curve(config), config.scaling())
+    _, gammas, batch = draw_clusters(config, 1, substream(config.seed, "simulate"))
+    path = replication_path(config, gammas, batch, centering_curve(config))
     path_file = os.path.join(args.out, "path.csv")
     buf = io.StringIO()
     write_path_csv(path, buf)
     _atomic_write(path_file, buf.getvalue())
     clusters_file = os.path.join(args.out, "clusters.csv")
-    write_clusters_csv(clusters_file, clusters)
+    write_clusters_csv(clusters_file, batch)
     record = _write_record(_record(config, [path_file, clusters_file]), args.out, "simulate")
-    print(f"simulate: {len(clusters)} clusters, {path.n_nodes} path nodes -> {path_file}")
+    print(f"simulate: {batch.n} clusters, {path.n_nodes} path nodes -> {path_file}")
     print(f"record: {record}")
     return 0
 
@@ -503,7 +499,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_workers(args) -> int:
     env = os.environ.get(WORKERS_ENV)
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigurationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     if getattr(args, "workers", None):
         return max(1, args.workers)
     return 1
@@ -511,9 +510,9 @@ def _resolve_workers(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if hasattr(args, "workers"):
-        args.workers = _resolve_workers(args)
     try:
+        if hasattr(args, "workers"):
+            args.workers = _resolve_workers(args)
         return args.fn(args)
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,8 @@
-"""Immigrant streams and marked cluster generation.
+"""Marked cluster generation in flat arrays.
 
-Two lanes share the same model:
-
-* event-level generators (`gen_mb_cluster`, `gen_hawkes_cluster`) build one
-  cluster at a time with full parent/generation structure, drawing by
-  inverse CDF in a fixed breadth-first order;
-* the batch lane (`simulate_batch`) generates many clusters at once into
-  flat arrays, generation by generation, for the Monte Carlo estimators.
+`simulate_batch` generates many clusters at once, one row per event,
+generation by generation; every sampler in the package draws its clusters
+here.
 """
 from __future__ import annotations
 
@@ -16,18 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .laws import JointMarkSpec, TailLaw, WaitLaw, poisson_inverse
+from .laws import JointMarkSpec, WaitLaw
 
 __all__ = [
-    "Immigrant",
-    "ClusterEvent",
-    "Cluster",
     "BatchClusters",
-    "sample_immigrants",
-    "gen_mb_cluster",
-    "gen_hawkes_cluster",
-    "cluster_total",
-    "split_at_horizon",
     "simulate_batch",
     "write_clusters_csv",
 ]
@@ -38,138 +26,19 @@ MB = "mb"
 HAWKES = "hawkes"
 
 
-@dataclass(frozen=True)
-class Immigrant:
-    gamma: float  # arrival time in [0, T]
-    mark: float
-
-
-@dataclass(frozen=True)
-class ClusterEvent:
-    offset: float  # time since the immigrant arrival; 0 for the immigrant
-    mark: float
-    generation: int
-    parent: int  # index into the event list; the immigrant points at itself
-
-
-@dataclass(frozen=True)
-class Cluster:
-    immigrant: Immigrant
-    events: tuple[ClusterEvent, ...]
-    truncated: bool = False
-
-    def total(self) -> float:
-        return float(sum(e.mark for e in self.events))
-
-    def size(self) -> int:
-        return len(self.events)
-
-
-def sample_immigrants(lam: float, T: float, x_law: TailLaw, rng: np.random.Generator) -> list[Immigrant]:
-    """Poisson(lam*T) immigrants, sorted arrival times, i.i.d. marks."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if lam == 0.0:
-        return []
-    n = poisson_inverse(rng.random(), lam * T)
-    gammas = np.sort(T * rng.random(n))
-    marks = x_law.sample(rng, n) if n else np.empty(0)
-    return [Immigrant(float(g), float(m)) for g, m in zip(gammas, marks)]
-
-
-def gen_mb_cluster(
-    imm: Immigrant, spec: JointMarkSpec, wait: WaitLaw, rng: np.random.Generator
-) -> Cluster:
-    """Single-generation cluster: K offspring of the immigrant, K drawn jointly with its mark."""
-    k = spec.offspring_count(imm.mark, rng)
-    events = [ClusterEvent(0.0, imm.mark, 0, 0)]
-    for _ in range(k):
-        mark = float(spec.x_law.sample(rng))
-        w = float(wait.sample(rng, mark=imm.mark))
-        events.append(ClusterEvent(w, mark, 1, 0))
-    return Cluster(imm, tuple(events))
-
-
-def gen_hawkes_cluster(
-    imm: Immigrant,
-    spec: JointMarkSpec,
-    wait: WaitLaw,
-    rng: np.random.Generator,
-    cap: int = DEFAULT_CAP,
-) -> Cluster:
-    """Multi-generation cluster by breadth-first branching.
-
-    Every event with mark x spawns Poisson(phi*x) children; child waits are
-    drawn from the parent per the wait law.  Generation order fixes stream
-    consumption.  When ``cap`` events exist the recursion stops and the
-    cluster is flagged truncated.
-    """
-    if spec.phi > 0 and not spec.mean_fertility < 1.0:
-        raise ConfigurationError("supercritical fertility")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    events = [ClusterEvent(0.0, imm.mark, 0, 0)]
-    truncated = False
-    frontier = [0]
-    while frontier and not truncated:
-        next_frontier: list[int] = []
-        for parent_idx in frontier:
-            parent = events[parent_idx]
-            n_children = poisson_inverse(rng.random(), spec.phi * parent.mark)
-            for _ in range(n_children):
-                if len(events) >= cap:
-                    truncated = True
-                    break
-                mark = float(spec.x_law.sample(rng))
-                w = float(wait.sample(rng, mark=parent.mark))
-                events.append(
-                    ClusterEvent(parent.offset + w, mark, parent.generation + 1, parent_idx)
-                )
-                next_frontier.append(len(events) - 1)
-            if truncated:
-                break
-        frontier = next_frontier
-    return Cluster(imm, tuple(events), truncated)
-
-
-def cluster_total(cluster: Cluster) -> float:
-    """Sum of all event marks, immigrant included."""
-    return cluster.total()
-
-
-def split_at_horizon(cluster: Cluster, T: float) -> tuple[float, float, int]:
-    """(retained mass, mass arriving after T, count after T) for one cluster."""
-    gamma = cluster.immigrant.gamma
-    if gamma > T:
-        raise ValueError(f"immigrant arrival {gamma} is beyond the horizon {T}")
-    retained = 0.0
-    remainder = 0.0
-    count = 0
-    for e in cluster.events:
-        if gamma + e.offset <= T:
-            retained += e.mark
-        else:
-            remainder += e.mark
-            count += 1
-    return retained, remainder, count
-
-
-# ---------------------------------------------------------------------------
-# batch lane
-
-
 @dataclass
 class BatchClusters:
     """Flat-array view of ``n`` clusters: one row per event.
 
-    ``cid`` maps events to clusters; offsets are times since the cluster's
-    immigrant.  Event order within the batch is generation-major.
+    ``cid`` maps events to clusters and ``parent`` to the row of the parent
+    event; row ``i < n`` is the immigrant of cluster ``i`` and is its own
+    parent.  Offsets are times since the cluster's immigrant.  Event order
+    within the batch is generation-major, so a parent precedes its children.
     """
 
     n: int
     cid: np.ndarray
+    parent: np.ndarray
     offset: np.ndarray
     mark: np.ndarray
     generation: np.ndarray
@@ -201,11 +70,15 @@ def simulate_batch(
     """Generate ``n`` clusters into flat arrays.
 
     Counts use the generator's Poisson sampler (vectorized); marks and waits
-    use the same quantile transforms as the event-level lane.  ``x0`` forces
-    the immigrant marks (importance proposals); by default they are drawn.
+    are quantile transforms of uniforms.  ``x0`` forces the immigrant marks
+    (importance proposals); by default they are drawn.  A branching cluster
+    that would pass ``cap`` events loses the whole generation that crosses
+    it and is flagged truncated.
     """
     if model not in (MB, HAWKES):
         raise ConfigurationError(f"unknown model {model!r}")
+    if model == HAWKES and spec.phi > 0 and not spec.mean_fertility < 1.0:
+        raise ConfigurationError("supercritical fertility")
     if x0 is None:
         x0 = np.asarray(spec.x_law.sample(rng, n), dtype=float)
     else:
@@ -231,7 +104,10 @@ def simulate_batch(
             if with_offsets:
                 w = wait.sample(rng, mark=x0[cid], size=total)
                 offsets.append(np.asarray(w, dtype=float))
+        parent = cid = np.concatenate(cids)  # children point at their immigrant's row
     else:
+        parents = [cids[0]]
+        row0 = 0  # first row of the current parent generation
         parent_cid = cids[0]
         parent_mark = x0
         parent_off = np.zeros(n) if with_offsets else None
@@ -244,6 +120,7 @@ def simulate_batch(
             if total == 0:
                 break
             cid = np.repeat(parent_cid, k)
+            prow = np.repeat(np.arange(row0, row0 + parent_cid.size), k)
             # enforce the per-cluster cap at generation granularity
             counts += np.bincount(cid, minlength=n)
             over = counts > cap
@@ -252,6 +129,7 @@ def simulate_batch(
                 truncated |= newly
                 keep = ~over[cid]
                 cid = cid[keep]
+                prow = prow[keep]
                 k_keep = keep
             else:
                 k_keep = None
@@ -262,6 +140,7 @@ def simulate_batch(
             if k_keep is not None:
                 child_marks = child_marks[k_keep]
             cids.append(cid)
+            parents.append(prow)
             marks.append(child_marks)
             gens.append(np.full(m, gen, dtype=np.int16))
             if with_offsets:
@@ -273,16 +152,19 @@ def simulate_batch(
                 child_off = po + w
                 offsets.append(child_off)
                 parent_off = child_off
+            row0 += parent_cid.size
             parent_cid = cid
             parent_mark = child_marks
+        cid = np.concatenate(cids)
+        parent = np.concatenate(parents)
 
-    cid = np.concatenate(cids)
     mark = np.concatenate(marks)
     gen_arr = np.concatenate(gens)
     off = np.concatenate(offsets) if with_offsets else np.zeros_like(mark)
     return BatchClusters(
         n=n,
         cid=cid,
+        parent=parent,
         offset=off,
         mark=mark,
         generation=gen_arr,
@@ -291,11 +173,26 @@ def simulate_batch(
     )
 
 
-def write_clusters_csv(path, clusters: list[Cluster]) -> None:
-    """Line-oriented debugging dump, one row per event."""
+def write_clusters_csv(path, batch: BatchClusters) -> None:
+    """Debugging dump, one row per event, grouped by cluster.
+
+    Event ids count from 0 within a cluster in generation order; the
+    immigrant is event 0 and its own parent.
+    """
+    order = np.argsort(batch.cid, kind="stable")
+    cid = batch.cid[order]
+    rank = np.arange(order.size) - np.searchsorted(cid, cid)  # event id of each sorted row
+    event_id = np.empty_like(order)
+    event_id[order] = rank
+    rows = zip(
+        cid.tolist(),
+        rank.tolist(),
+        event_id[batch.parent[order]].tolist(),
+        batch.generation[order].tolist(),
+        batch.offset[order].tolist(),
+        batch.mark[order].tolist(),
+    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster_id", "event_id", "parent_id", "generation", "offset", "mark"])
-        for ci, cluster in enumerate(clusters):
-            for ei, e in enumerate(cluster.events):
-                writer.writerow([ci, ei, e.parent, e.generation, repr(e.offset), repr(e.mark)])
+        writer.writerows([c, e, p, g, repr(o), repr(m)] for c, e, p, g, o, m in rows)

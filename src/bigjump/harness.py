@@ -12,15 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import stats
 
-from .clusters import (
-    DEFAULT_CAP,
-    HAWKES,
-    MB,
-    gen_hawkes_cluster,
-    gen_mb_cluster,
-    sample_immigrants,
-    simulate_batch,
-)
+from .clusters import DEFAULT_CAP, HAWKES, MB, BatchClusters, simulate_batch
 from .errors import ConfigurationError
 from .events import DkProxy, JumpCount, PathEvent, SupExceed, TerminalExceed, ValueAt
 from .laws import COMONOTONE, JointMarkSpec, WaitLaw
@@ -29,7 +21,7 @@ from .paths import (
     DEFAULT_GRID_N,
     CadlagPath,
     ScalingRule,
-    build_uncentered,
+    build_jump_path,
     centered_scaled_path,
     centering_hawkes,
     centering_mb,
@@ -39,6 +31,8 @@ from .streams import lineage, substream
 __all__ = [
     "Estimate",
     "ExperimentConfig",
+    "draw_clusters",
+    "replication_path",
     "simulate_replication",
     "crude_estimate",
     "splitting_estimate",
@@ -132,21 +126,36 @@ def centering_curve(config: ExperimentConfig) -> CadlagPath:
     return path
 
 
+def draw_clusters(
+    config: ExperimentConfig, n_reps: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, BatchClusters]:
+    """Clusters of n_reps independent replications: the Poisson(lam T) cluster
+    count of each replication, uniform arrival times on [0, T] and the
+    clusters themselves, replication-major."""
+    counts = rng.poisson(config.lam * config.T, n_reps)
+    gammas = rng.random(int(counts.sum())) * config.T
+    batch = simulate_batch(config.model, gammas.size, config.spec, config.wait, rng, config.cap)
+    return counts, gammas, batch
+
+
+def replication_path(
+    config: ExperimentConfig, gammas: np.ndarray, batch: BatchClusters, centering: CadlagPath
+) -> CadlagPath:
+    """Centered scaled path of one replication's events landing in [0, T]."""
+    t_abs = gammas[batch.cid] + batch.offset
+    keep = t_abs <= config.T
+    jumps = build_jump_path(t_abs[keep] / config.T, batch.mark[keep])
+    return centered_scaled_path(jumps, centering, config.scaling())
+
+
 def simulate_replication(
     config: ExperimentConfig, rng: np.random.Generator, centering: CadlagPath | None = None
 ) -> tuple[CadlagPath, bool]:
-    """One full draw: immigrants -> clusters -> centered scaled path -> event."""
+    """One full draw: clusters -> centered scaled path -> event."""
     if centering is None:
         centering = centering_curve(config)
-    imms = sample_immigrants(config.lam, config.T, config.spec.x_law, rng)
-    if config.model == MB:
-        clusters = [gen_mb_cluster(i, config.spec, config.wait, rng) for i in imms]
-    else:
-        clusters = [
-            gen_hawkes_cluster(i, config.spec, config.wait, rng, config.cap) for i in imms
-        ]
-    unc = build_uncentered(clusters, config.T)
-    path = centered_scaled_path(unc, centering, config.scaling())
+    _, gammas, batch = draw_clusters(config, 1, rng)
+    path = replication_path(config, gammas, batch, centering)
     return path, config.event.decide(path)
 
 
@@ -215,11 +224,8 @@ def _eval_event_chunk(
 
 def _simulate_jump_arrays(config: ExperimentConfig, n_reps: int, rng: np.random.Generator):
     """Flat (rep, scaled time, mark) arrays for n_reps independent replications."""
-    counts = rng.poisson(config.lam * config.T, n_reps)
-    total = int(counts.sum())
+    counts, gammas, batch = draw_clusters(config, n_reps, rng)
     rep_of_cluster = np.repeat(np.arange(n_reps, dtype=np.int64), counts)
-    gammas = rng.random(total) * config.T
-    batch = simulate_batch(config.model, total, config.spec, config.wait, rng, config.cap)
     t_abs = gammas[batch.cid] + batch.offset
     keep = t_abs <= config.T
     return (
@@ -270,18 +276,28 @@ def crude_estimate(config: ExperimentConfig) -> Estimate:
 
 
 def _conditional_pool(
-    config: ExperimentConfig, rng: np.random.Generator, n_needed: int, u: float, big: bool
+    config: ExperimentConfig,
+    rng: np.random.Generator,
+    n_needed: int,
+    u: float,
+    big: bool = True,
+    xq: float | None = None,
 ):
     """Events of n_needed i.i.d. clusters conditioned on D > u (or D <= u).
 
-    Plain rejection: generate batches, keep qualifying clusters in draw
-    order.  Returns flat arrays with cluster ids remapped to 0..n_needed-1.
+    Rejection: generate batches, keep qualifying clusters in draw order.
+    Without ``xq`` the immigrant marks are drawn inside the batch and there
+    are no weights.  With ``xq`` they come from the defensive mixture tilted
+    above ``xq`` (`_tilted_marks`) and each kept cluster carries its
+    likelihood ratio.  Returns flat arrays with cluster ids remapped to
+    0..n_needed-1, the weights (None when untilted) and the count of
+    truncated clusters kept.
     """
-    got = 0
+    first_accept = 1.0 if xq is None else 0.25  # a guess of the acceptance rate
+    got = tried = accepted = trunc = 0
     cids, offs, marks = [], [], []
-    trunc = 0
-    tried = 0
-    accepted = 0
+    weights = None if xq is None else np.empty(n_needed)
+    x0 = None
     while got < n_needed:
         if tried >= 50_000_000 and accepted == 0:
             raise ConfigurationError(
@@ -289,28 +305,46 @@ def _conditional_pool(
                 f"in {tried} draws; threshold is outside the reachable range"
             )
         if tried == 0:
-            batch_n = max(min(n_needed, 4_000_000), 1024)
+            batch_n = int(max(min(n_needed / first_accept, 4e6), 1024))
         else:
             p_guess = max(accepted / tried, 1e-6)
             batch_n = int(min(4e6, max(1024, 1.2 * (n_needed - got) / p_guess)))
-        b = simulate_batch(config.model, batch_n, config.spec, config.wait, rng, config.cap)
+        if xq is not None:
+            uu = rng.random(batch_n)
+            tilt = rng.random(batch_n) < 0.5
+            x0, w = _tilted_marks(config.spec.x_law, xq, uu, tilt)
+        b = simulate_batch(config.model, batch_n, config.spec, config.wait, rng, config.cap, x0=x0)
         tot = b.totals()
         ok = tot > u if big else tot <= u
         tried += batch_n
         accepted += int(ok.sum())
         take = np.flatnonzero(ok)[: n_needed - got]
         if take.size:
-            sel = np.isin(b.cid, take)
+            ok[take[-1] + 1 :] = False  # clusters past the last one taken stay out
+            sel = ok[b.cid]
             remap = np.full(batch_n, -1, dtype=np.int64)
             remap[take] = got + np.arange(take.size)
             cids.append(remap[b.cid[sel]])
             offs.append(b.offset[sel])
             marks.append(b.mark[sel])
+            if weights is not None:
+                weights[got : got + take.size] = w[take]
             trunc += int(b.truncated[take].sum())
             got += take.size
     if cids:
-        return np.concatenate(cids), np.concatenate(offs), np.concatenate(marks), trunc
-    return np.empty(0, np.int64), np.empty(0), np.empty(0), trunc
+        return np.concatenate(cids), np.concatenate(offs), np.concatenate(marks), weights, trunc
+    return np.empty(0, np.int64), np.empty(0), np.empty(0), weights, trunc
+
+
+def _tilted_marks(law, xq: float, u: np.ndarray, tilt: np.ndarray):
+    """Defensive mixture for Pareto immigrant marks: where ``tilt`` is set
+    the mark is drawn from the law's tail above ``xq``, elsewhere from the
+    law itself, both from the uniforms ``u``.  Returns the marks and their
+    likelihood ratios (law over mixture), which keep estimates unbiased."""
+    pq = float(law.tail(xq))
+    x0 = np.where(tilt, xq * np.power(1.0 - u, -1.0 / law.alpha), law.quantile(u))
+    w = 1.0 / (0.5 + 0.5 * (x0 > xq).astype(float) / pq)
+    return x0, w
 
 
 def _stratum_chunk(
@@ -326,9 +360,9 @@ def _stratum_chunk(
     rng = substream(config.seed, "stratum", m, chunk_index)
     small_counts = rng.poisson(config.lam * config.T * (1.0 - p_big), n_reps)
     total_small = int(small_counts.sum())
-    s_cid, s_off, s_mark, s_trunc = _conditional_pool(config, rng, total_small, u, big=False)
+    s_cid, s_off, s_mark, _, s_trunc = _conditional_pool(config, rng, total_small, u, big=False)
     rep_small = np.repeat(np.arange(n_reps, dtype=np.int64), small_counts)
-    b_cid, b_off, b_mark, b_trunc = _conditional_pool(config, rng, m * n_reps, u, big=True)
+    b_cid, b_off, b_mark, _, b_trunc = _conditional_pool(config, rng, m * n_reps, u)
     rep_big = np.repeat(np.arange(n_reps, dtype=np.int64), np.full(n_reps, m))
 
     gam_small = rng.random(total_small) * config.T
@@ -550,11 +584,8 @@ def _remainder_chunk_boosted(config, T, x_T, b, rng):
     law = spec.x_law
     xq = 0.5 * x_T / (1.0 + spec.k_param * law.mean())
     xq = max(xq, law.scale * 1.0000001)
-    pq = float(law.tail(xq))
     tilt = rng.random(b) < 0.5
-    u = rng.random(b)
-    x0 = np.where(tilt, xq * np.power(1.0 - u, -1.0 / law.alpha), law.quantile(u))
-    w = 1.0 / (0.5 + 0.5 * (x0 > xq).astype(float) / pq)
+    x0, w = _tilted_marks(law, xq, rng.random(b), tilt)
     d, rem = _remainder_split(config, T, b, rng, x0=x0)
     acc = d > x_T
     hit = acc & (rem > x_T)
@@ -637,7 +668,7 @@ def check_tail_equivalence(config: ExperimentConfig, quantile_levels) -> list[di
 
 
 def _event_scale(event: PathEvent) -> float:
-    """Cluster-mass level (in x_T units) at which the event becomes likely."""
+    """Level of the cluster mass (in x_T units) at which the event becomes likely."""
     if isinstance(event, (TerminalExceed, SupExceed)):
         return max(event.c, 1e-6)
     if isinstance(event, ValueAt):
@@ -649,18 +680,14 @@ def _event_scale(event: PathEvent) -> float:
     raise TypeError(f"unsupported event {event!r}")
 
 
-def _big_pool_weighted(config: ExperimentConfig, rng: np.random.Generator, n_needed: int, u: float):
-    """Clusters conditioned on D > u with importance weights.
-
-    Half the proposals tilt the immigrant mark above the level at which a
-    cluster's asymptotic mass multiplier reaches u; the defensive untilted
-    half keeps the mixture unbiased for every hit route.
-    """
-    law = config.spec.x_law
+def _tilt_level(config: ExperimentConfig, u: float) -> float | None:
+    """Tilt level of the immigrant mark for conditioning on D > u: 0.7 times
+    the mark at which a cluster's asymptotic mass multiplier reaches u.
+    None unless the mark law is heavy; plain rejection is used then."""
     spec = config.spec
+    law = spec.x_law
     if not law.heavy:
-        cid, off, mark, _ = _conditional_pool(config, rng, n_needed, u, big=True)
-        return cid, off, mark, np.ones(n_needed)
+        return None
     if config.model == HAWKES:
         mult = 1.0 + spec.phi * law.mean() / (1.0 - spec.mean_fertility)
         target = u / mult
@@ -668,42 +695,7 @@ def _big_pool_weighted(config: ExperimentConfig, rng: np.random.Generator, n_nee
         target = u / (1.0 + spec.k_param * law.mean())
     else:
         target = u - spec.mean_offspring() * law.mean()
-    xq = max(0.7 * target, law.scale * 1.0000001)
-    pq = float(law.tail(xq))
-    got = 0
-    cids, offs, marks = [], [], []
-    weights = np.empty(n_needed)
-    tried = 0
-    accepted = 0
-    while got < n_needed:
-        if tried >= 50_000_000 and accepted == 0:
-            raise ConfigurationError(
-                f"conditioning event D > {u:.6g} not observed in {tried} draws"
-            )
-        if tried == 0:
-            batch_n = max(4 * n_needed, 1024)
-        else:
-            rate = max(accepted / tried, 1e-6)
-            batch_n = int(min(4e6, max(1024, 1.2 * (n_needed - got) / rate)))
-        uu = rng.random(batch_n)
-        tilt = rng.random(batch_n) < 0.5
-        x0 = np.where(tilt, xq * np.power(1.0 - uu, -1.0 / law.alpha), law.quantile(uu))
-        w = 1.0 / (0.5 + 0.5 * (x0 > xq).astype(float) / pq)
-        b = simulate_batch(config.model, batch_n, spec, config.wait, rng, config.cap, x0=x0)
-        ok = b.totals() > u
-        tried += batch_n
-        accepted += int(ok.sum())
-        take = np.flatnonzero(ok)[: n_needed - got]
-        if take.size:
-            sel = np.isin(b.cid, take)
-            remap = np.full(batch_n, -1, dtype=np.int64)
-            remap[take] = got + np.arange(take.size)
-            cids.append(remap[b.cid[sel]])
-            offs.append(b.offset[sel])
-            marks.append(b.mark[sel])
-            weights[got : got + take.size] = w[take]
-            got += take.size
-    return np.concatenate(cids), np.concatenate(offs), np.concatenate(marks), weights
+    return max(0.7 * target, law.scale * 1.0000001)
 
 
 def _weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
@@ -748,9 +740,9 @@ def big_jump_anatomy(config: ExperimentConfig, event: PathEvent | None = None) -
     rep_small = np.repeat(np.arange(n, dtype=np.int64), small_counts)
     bg = simulate_batch(config.model, total_small, config.spec, config.wait, rng, config.cap)
     s_cid, s_off, s_mark = bg.cid, bg.offset, bg.mark
-    b_cid, b_off, b_mark, b_w = _big_pool_weighted(config, rng, m * n, u)
+    b_cid, b_off, b_mark, b_w, _ = _conditional_pool(config, rng, m * n, u, xq=_tilt_level(config, u))
     rep_big = np.repeat(np.arange(n, dtype=np.int64), np.full(n, m))
-    rep_weight = np.prod(b_w.reshape(n, m), axis=1)
+    rep_weight = np.ones(n) if b_w is None else np.prod(b_w.reshape(n, m), axis=1)
 
     rep = np.concatenate([rep_small[s_cid], rep_big[b_cid]])
     gam_small = rng.random(total_small) * config.T

@@ -1,15 +1,16 @@
 """One-dimensional mark, offspring, and waiting-time laws.
 
-All sampling is by inverse CDF: each scalar draw consumes exactly one
-uniform, so stream consumption is deterministic and replications are
-reproducible draw-for-draw.
+Marks, waits and heavy offspring counts are sampled by inverse CDF, one
+uniform per value; Poisson counts use the generator's Poisson sampler.
+Stream consumption is deterministic, so replications are reproducible
+draw-for-draw.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import ConfigurationError
 
@@ -17,7 +18,6 @@ __all__ = [
     "TailLaw",
     "JointMarkSpec",
     "WaitLaw",
-    "poisson_inverse",
     "empirical_tail_ratio",
 ]
 
@@ -94,27 +94,6 @@ class TailLaw:
         return self.scale  # exponential mean and point mass both equal scale
 
 
-def poisson_inverse(u: float, mu: float) -> int:
-    """Smallest k with Poisson(mu) CDF >= u (single-uniform inversion)."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    if mu == 0.0:
-        return 0
-    if mu > 50.0:
-        # scan would be slow; scipy's ppf is the same inversion
-        return int(stats.poisson.ppf(u, mu))
-    k = 0
-    pmf = np.exp(-mu)
-    cdf = pmf
-    while cdf < u:
-        k += 1
-        pmf *= mu / k
-        cdf += pmf
-        if k > 10_000_000:  # unreachable for mu <= 50, guards FP stall
-            break
-    return k
-
-
 def ceil_count(eta: float, x) -> np.ndarray:
     """ceil(eta * x) as the comonotone offspring count."""
     return np.ceil(eta * np.asarray(x, dtype=float)).astype(np.int64)
@@ -173,16 +152,8 @@ class JointMarkSpec:
         k0 = max(1, int(np.ceil(c ** (1.0 / a))))  # below k0 the tail saturates at 1
         return (k0 - 1) + c * float(special.zeta(a, k0))
 
-    def offspring_count(self, x, rng: np.random.Generator) -> int:
-        """Draw K conditionally on the mark value ``x``."""
-        if self.dependence == COMONOTONE:
-            return int(ceil_count(self.k_param, x))
-        if self.dependence == INDEPENDENT_LIGHT_K:
-            return poisson_inverse(rng.random(), self.k_param)
-        return int(self._heavy_counts(rng.random()))
-
     def offspring_counts(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized K draws given marks ``x`` (batch lane)."""
+        """Vectorized K draws given marks ``x``."""
         x = np.asarray(x, dtype=float)
         if self.dependence == COMONOTONE:
             return ceil_count(self.k_param, x)
@@ -197,12 +168,6 @@ class JointMarkSpec:
             return np.zeros(np.shape(u), dtype=np.int64)
         y = np.power(c / (1.0 - np.asarray(u, dtype=float)), 1.0 / a)
         return np.floor(y).astype(np.int64)
-
-    def sample(self, rng: np.random.Generator) -> tuple[float, int, float]:
-        """One joint draw (X, K, kappa)."""
-        x = float(self.x_law.sample(rng))
-        k = self.offspring_count(x, rng)
-        return x, k, self.phi * x
 
 
 def mean_ceil(eta: float, law: TailLaw) -> float:

@@ -29,7 +29,6 @@ __all__ = [
     "CadlagPath",
     "ScalingRule",
     "build_jump_path",
-    "build_uncentered",
     "centering_mb",
     "mb_centering_values",
     "centering_hawkes",
@@ -47,7 +46,7 @@ DEFAULT_GRID_N = 1024
 
 @dataclass(frozen=True)
 class CadlagPath:
-    """Node table (t, left, right) with t strictly increasing over [0, 1]."""
+    """Node table (t, left, right) of finite values, t strictly increasing over [0, 1]."""
 
     t: np.ndarray
     left: np.ndarray
@@ -55,6 +54,10 @@ class CadlagPath:
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
+        if np.shape(self.left) != t.shape or np.shape(self.right) != t.shape:
+            raise ValueError("left and right need one value per node time")
+        if not (np.isfinite(t).all() and np.isfinite(self.left).all() and np.isfinite(self.right).all()):
+            raise ValueError("path values must be finite")
         if t.size < 2 or t[0] != 0.0 or t[-1] != 1.0:
             raise ValueError("path nodes must span [0, 1]")
         if np.any(np.diff(t) <= 0):
@@ -115,20 +118,6 @@ def build_jump_path(times: np.ndarray, sizes: np.ndarray) -> CadlagPath:
         left.append(total)
         right.append(total)
     return CadlagPath(np.array(t_nodes), np.array(left), np.array(right))
-
-
-def build_uncentered(clusters, T: float) -> CadlagPath:
-    """Jump path of all cluster events landing in [0, T], time rescaled by T."""
-    times = []
-    sizes = []
-    for c in clusters:
-        g = c.immigrant.gamma
-        for e in c.events:
-            at = g + e.offset
-            if at <= T:
-                times.append(at / T)
-                sizes.append(e.mark)
-    return build_jump_path(np.array(times), np.array(sizes))
 
 
 @dataclass(frozen=True)
@@ -354,9 +343,11 @@ def write_path_csv(path_obj: CadlagPath, file) -> None:
 
 def read_path_csv(file) -> CadlagPath:
     reader = csv.reader(file)
-    header = next(reader)
+    header = next(reader, None)
     if header != ["t", "left", "right"]:
         raise ValueError(f"not a path CSV, header was {header}")
     rows = [(float(a), float(b), float(c)) for a, b, c in reader]
+    if not rows:
+        raise ValueError("path CSV has no nodes")
     arr = np.array(rows)
     return CadlagPath(arr[:, 0], arr[:, 1], arr[:, 2])

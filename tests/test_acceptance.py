@@ -314,6 +314,22 @@ estimator = splitting
 """
 
 
+# frozen ldp row (wall_seconds excluded) of the run below under its fixed seed
+GOLDEN_C8 = {
+    "config_hash": "051606de2e070445",
+    "T": "50.0",
+    "eta": "0.8",
+    "k": "0",
+    "event": "terminal_exceed:1.0",
+    "estimate": "0.18631675681229654",
+    "stderr": "0.005370128600821828",
+    "limit_value": "1.0",
+    "ratio": "0.40742335127735596",
+    "n_reps": "3000",
+    "seed": "108",
+}
+
+
 def test_c8_worker_determinism(tmp_path):
     from bigjump.cli import main
 
@@ -331,13 +347,14 @@ def test_c8_worker_determinism(tmp_path):
     idx_wall = headers[0].index("wall_seconds")
     stripped = [tuple(v for i, v in enumerate(r) if i != idx_wall) for _, r in rows]
     ok = stripped[0] == stripped[1] == stripped[2]
+    golden_ok = dict(zip([h for h in headers[0] if h != "wall_seconds"], stripped[0])) == GOLDEN_C8
     _verdict(
         "8",
-        ok,
+        ok and golden_ok,
         "ldp result rows byte-identical for workers 1/2/8 "
-        "(wall_seconds excluded: timing is inherently nondeterministic)",
+        "(wall_seconds excluded: timing is inherently nondeterministic); golden row reproduced",
     )
-    assert ok
+    assert ok and golden_ok
 
 
 # frozen outputs of the two anatomy runs below under their fixed seeds

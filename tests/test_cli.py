@@ -188,3 +188,62 @@ def test_cli_simulate_branching_model(tmp_path):
     with open(os.path.join(out, "clusters.csv")) as fh:
         header = fh.readline().strip()
     assert header == "cluster_id,event_id,parent_id,generation,offset,mark"
+
+
+def test_cli_simulate_clusters_csv_structure(tmp_path):
+    text = BASE.replace("k_param = 0.0", "k_param = 0.0\nphi_fertility = 0.16666666666666666")
+    cfg = _write(tmp_path, text.replace("model = mb", "model = hawkes") + "n_centering = 20000\n")
+    out = str(tmp_path / "sout")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    rows = np.loadtxt(os.path.join(out, "clusters.csv"), delimiter=",", skiprows=1, ndmin=2)
+    cid, eid, pid, gen = rows[:, :4].astype(int).T
+    assert gen.max() >= 2
+    first = eid == 0
+    assert np.array_equal(np.flatnonzero(first), np.searchsorted(cid, np.unique(cid)))
+    assert np.all(pid[first] == 0) and np.all(gen[first] == 0)
+    assert np.all(np.diff(cid) >= 0) and np.all(eid[~first] == eid[np.flatnonzero(~first) - 1] + 1)
+    parent_row = np.flatnonzero(~first) - eid[~first] + pid[~first]
+    assert np.all(pid[~first] < eid[~first])
+    assert np.array_equal(gen[parent_row] + 1, gen[~first])
+    assert np.all(rows[parent_row, 4] < rows[~first, 4])
+
+
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_cli_m1_rejects_nonfinite_csv(tmp_path, capsys):
+    # a nan left value made the bracket loop run forever; a nan right value
+    # gave a silent distance of 0
+    good = str(tmp_path / "good.csv")
+    with open(good, "w") as fh:
+        fh.write("t,left,right\n0.0,0.0,0.0\n0.5,0.0,1.0\n1.0,1.0,1.0\n")
+    for node in ("0.5,nan,1.0", "0.5,0.0,nan"):
+        bad = str(tmp_path / "bad.csv")
+        with open(bad, "w") as fh:
+            fh.write(f"t,left,right\n0.0,0.0,0.0\n{node}\n1.0,1.0,1.0\n")
+        assert main(["m1", good, bad]) == 2
+        assert "finite" in _single_error_line(capsys)
+
+
+def test_cli_m1_rejects_header_only_csv(tmp_path, capsys):
+    good, empty = str(tmp_path / "good.csv"), str(tmp_path / "empty.csv")
+    with open(good, "w") as fh:
+        fh.write("t,left,right\n0.0,0.0,0.0\n1.0,0.0,0.0\n")
+    with open(empty, "w") as fh:
+        fh.write("t,left,right\n")
+    assert main(["m1", empty, good]) == 2
+    assert "no nodes" in _single_error_line(capsys)
+
+
+def test_cli_bad_worker_env(tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path, BASE)
+    out = str(tmp_path / "never")
+    monkeypatch.setenv("BIGJUMP_WORKERS", "abc")
+    assert main(["ldp", "--config", cfg, "--out", out]) == 2
+    assert "BIGJUMP_WORKERS" in _single_error_line(capsys)
+    assert not os.path.exists(out)

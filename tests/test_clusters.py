@@ -2,68 +2,97 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bigjump.clusters import (
-    Immigrant,
-    gen_hawkes_cluster,
-    gen_mb_cluster,
-    cluster_total,
-    sample_immigrants,
-    simulate_batch,
-    split_at_horizon,
-)
+from bigjump.clusters import simulate_batch
 from bigjump.errors import ConfigurationError
+from bigjump.events import TerminalExceed
+from bigjump.harness import ExperimentConfig, draw_clusters, replication_path
 from bigjump.laws import JointMarkSpec, TailLaw, WaitLaw
+from bigjump.paths import CadlagPath
 from bigjump.streams import substream
 
 
+def arrivals_config(x_law, lam, T):
+    return ExperimentConfig(
+        model="mb",
+        lam=lam,
+        T=T,
+        eta=0.8,
+        spec=JointMarkSpec(x_law),
+        wait=WaitLaw(TailLaw("exponential", 1.0)),
+        k=0,
+        event=TerminalExceed(1.0),
+        n_reps=100,
+        seed=0,
+    )
+
+
+def check_parent_invariants(b):
+    """Every event's parent row precedes it, belongs to the same cluster, is
+    one generation earlier and has an earlier offset; immigrants are their
+    own parents at offset 0."""
+    rows = np.arange(b.cid.size)
+    imm = rows < b.n
+    assert np.array_equal(b.cid[imm], rows[imm])
+    assert np.array_equal(b.parent[imm], rows[imm])
+    assert np.all(b.generation[imm] == 0) and np.all(b.offset[imm] == 0.0)
+    child, par = rows[~imm], b.parent[~imm]
+    assert np.all(par < child)
+    assert np.array_equal(b.cid[par], b.cid[child])
+    assert np.array_equal(b.generation[par] + 1, b.generation[child])
+    assert np.all(b.offset[child] > b.offset[par])
+
+
 def test_no_immigrants_at_zero_rate(pareto15):
-    assert sample_immigrants(0.0, 10.0, pareto15, substream(0, "i")) == []
+    counts, gammas, batch = draw_clusters(arrivals_config(pareto15, 0.0, 10.0), 5, substream(0, "i"))
+    assert np.all(counts == 0)
+    assert gammas.size == 0 and batch.n == 0 and batch.cid.size == 0
 
 
 def test_immigrant_count_mean(pareto15):
+    cfg = arrivals_config(pareto15, 2.0, 50.0)
     rng = substream(1, "i")
-    counts = np.array(
-        [len(sample_immigrants(2.0, 50.0, pareto15, rng)) for _ in range(100_000)], dtype=float
-    )
+    counts = np.concatenate([draw_clusters(cfg, 10_000, rng)[0] for _ in range(10)]).astype(float)
     se = counts.std() / np.sqrt(counts.size)
     assert abs(counts.mean() - 100.0) < 3 * se
 
 
 def test_immigrants_sorted_in_window(pareto15):
-    imms = sample_immigrants(3.0, 20.0, pareto15, substream(2, "i"))
-    gammas = [i.gamma for i in imms]
-    assert gammas == sorted(gammas)
-    assert all(0 <= g <= 20.0 for g in gammas)
+    cfg = arrivals_config(pareto15, 3.0, 20.0)
+    counts, gammas, batch = draw_clusters(cfg, 50, substream(2, "i"))
+    assert gammas.size == batch.n == counts.sum() > 0
+    assert np.all((0 <= gammas) & (gammas <= 20.0))
+    # clusters keep draw order; the path of a replication of immigrant-only
+    # clusters jumps at their sorted arrival times
+    _, gammas, batch = draw_clusters(cfg, 1, substream(2, "p"))
+    zero = CadlagPath(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
+    path = replication_path(cfg, gammas, batch, zero)
+    assert np.array_equal(path.t[path.jump_sizes() > 0], np.sort(gammas) / 20.0)
 
 
 def test_mb_cluster_immigrant_only(pareto15, exp_wait):
     spec = JointMarkSpec(pareto15, "independent_light_k", k_param=0.0)
-    c = gen_mb_cluster(Immigrant(1.0, 2.5), spec, exp_wait, substream(3, "c"))
-    assert c.size() == 1
-    assert cluster_total(c) == 2.5
+    b = simulate_batch("mb", 1, spec, exp_wait, substream(3, "c"), x0=np.array([2.5]))
+    assert b.sizes().tolist() == [1]
+    assert b.totals().tolist() == [2.5]
 
 
 def test_mb_cluster_mean_size(mb_spec_nu2, exp_wait):
-    rng = substream(4, "c")
-    sizes = np.array(
-        [gen_mb_cluster(Immigrant(0.0, 1.0), mb_spec_nu2, exp_wait, rng).size() for _ in range(100_000)],
-        dtype=float,
-    )
+    n = 100_000
+    sizes = simulate_batch("mb", n, mb_spec_nu2, exp_wait, substream(4, "c"), x0=np.ones(n)).sizes()
     se = sizes.std() / np.sqrt(sizes.size)
     assert abs(sizes.mean() - 3.0) < 3 * se
 
 
 def test_mb_comonotone_size_given_mark(pareto15, exp_wait):
     spec = JointMarkSpec(pareto15, "comonotone", k_param=1.0)
-    c = gen_mb_cluster(Immigrant(0.0, 2.4), spec, exp_wait, substream(5, "c"))
-    assert c.size() == 1 + 3  # 1 + ceil(2.4)
+    b = simulate_batch("mb", 1, spec, exp_wait, substream(5, "c"), x0=np.array([2.4]))
+    assert b.sizes().tolist() == [1 + 3]  # 1 + ceil(2.4)
 
 
 def test_mb_size_distribution_matches_poisson(mb_spec_nu2, exp_wait):
-    rng = substream(6, "chi")
-    sizes = np.array(
-        [gen_mb_cluster(Immigrant(0.0, 1.0), mb_spec_nu2, exp_wait, rng).size() - 1 for _ in range(100_000)]
-    )
+    n = 100_000
+    b = simulate_batch("mb", n, mb_spec_nu2, exp_wait, substream(6, "chi"), x0=np.ones(n))
+    sizes = b.sizes() - 1
     kmax = 10
     observed = np.bincount(np.minimum(sizes, kmax), minlength=kmax + 1)
     probs = stats.poisson.pmf(np.arange(kmax), 2.0)
@@ -74,52 +103,38 @@ def test_mb_size_distribution_matches_poisson(mb_spec_nu2, exp_wait):
 
 def test_hawkes_zero_fertility_is_immigrant_only(pareto15, exp_wait):
     spec = JointMarkSpec(pareto15, "independent_light_k", phi=0.0)
-    c = gen_hawkes_cluster(Immigrant(0.0, 1.0), spec, exp_wait, substream(7, "h"))
-    assert c.size() == 1 and not c.truncated
+    b = simulate_batch("hawkes", 100, spec, exp_wait, substream(7, "h"))
+    assert np.all(b.sizes() == 1) and not b.truncated.any()
 
 
 def test_hawkes_mean_size(hawkes_spec_half, exp_wait):
-    rng = substream(8, "h")
-    sizes = np.array(
-        [
-            gen_hawkes_cluster(
-                Immigrant(0.0, float(hawkes_spec_half.x_law.sample(rng))),
-                hawkes_spec_half,
-                exp_wait,
-                rng,
-            ).size()
-            for _ in range(20000)
-        ],
-        dtype=float,
-    )
+    sizes = simulate_batch("hawkes", 20_000, hawkes_spec_half, exp_wait, substream(8, "h")).sizes()
     se = sizes.std() / np.sqrt(sizes.size)
     assert abs(sizes.mean() - 2.0) < 3.5 * se
 
 
-def test_hawkes_structure_invariants(hawkes_spec_half, exp_wait):
-    rng = substream(9, "h")
-    for _ in range(200):
-        c = gen_hawkes_cluster(Immigrant(0.0, 1.0), hawkes_spec_half, exp_wait, rng)
-        assert c.events[0].offset == 0.0 and c.events[0].generation == 0 and c.events[0].parent == 0
-        for e in c.events[1:]:
-            parent = c.events[e.parent]
-            assert e.offset > parent.offset
-            assert e.generation == parent.generation + 1
+def test_hawkes_structure_invariants(hawkes_spec_half, mb_spec_nu2, exp_wait):
+    b = simulate_batch("hawkes", 2000, hawkes_spec_half, exp_wait, substream(9, "h"), x0=np.ones(2000))
+    assert b.generation.max() >= 2
+    check_parent_invariants(b)
+    mb = simulate_batch("mb", 2000, mb_spec_nu2, exp_wait, substream(9, "m"))
+    check_parent_invariants(mb)
+    assert mb.parent is mb.cid  # one generation: every child's parent row is its cluster id
 
 
 def test_hawkes_supercritical_refused(pareto15, exp_wait):
     spec = JointMarkSpec(pareto15, "independent_light_k", phi=0.0)
     object.__setattr__(spec, "phi", 0.5)  # bypass the constructor guard
     with pytest.raises(ConfigurationError):
-        gen_hawkes_cluster(Immigrant(0.0, 1.0), spec, exp_wait, substream(10, "h"))
+        simulate_batch("hawkes", 10, spec, exp_wait, substream(10, "h"))
 
 
 def test_hawkes_cap_truncates(pareto15, exp_wait):
     spec = JointMarkSpec(pareto15, "independent_light_k", phi=0.3)
-    rng = substream(11, "h")
-    caps = [gen_hawkes_cluster(Immigrant(0.0, 100.0), spec, exp_wait, rng, cap=10) for _ in range(50)]
-    assert any(c.truncated for c in caps)
-    assert all(c.size() <= 10 for c in caps)
+    b = simulate_batch("hawkes", 50, spec, exp_wait, substream(11, "h"), cap=10, x0=np.full(50, 100.0))
+    assert b.truncated.any()
+    assert np.all(b.sizes() <= 10)
+    check_parent_invariants(b)
 
 
 def test_generation_decay_matches_mean_fertility(hawkes_spec_half, exp_wait):
@@ -140,40 +155,40 @@ def test_truncation_frequency_reported(pareto15, exp_wait):
 
 
 def test_cluster_total_and_split(pareto15, exp_wait):
-    events = gen_mb_cluster(
-        Immigrant(5.0, 1.0), JointMarkSpec(pareto15, "independent_light_k", k_param=2.0), exp_wait, substream(14, "s")
-    )
-    total = cluster_total(events)
-    kept, after, n_after = split_at_horizon(events, 5.5)
-    assert kept + after == pytest.approx(total, rel=1e-12)
-    kept2, after2, _ = split_at_horizon(events, 5.0)  # only the immigrant is within
-    assert kept2 == events.immigrant.mark
-    assert after2 == pytest.approx(total - events.immigrant.mark)
-    with pytest.raises(ValueError):
-        split_at_horizon(events, 4.0)
+    spec = JointMarkSpec(pareto15, "independent_light_k", k_param=2.0)
+    b = simulate_batch("mb", 200, spec, exp_wait, substream(14, "s"))
+    gamma = 5.0
+    kept, after = b.remainder_totals(gamma + b.offset <= 5.5)
+    np.testing.assert_allclose(kept + after, b.totals(), rtol=1e-12)
+    kept2, after2 = b.remainder_totals(gamma + b.offset <= 5.0)  # only the immigrants are within
+    assert np.array_equal(kept2, b.immigrant_mark)
+    np.testing.assert_allclose(after2, b.totals() - b.immigrant_mark, rtol=1e-12, atol=1e-12)
 
 
 def test_split_conservation_random_hawkes(hawkes_spec_half, exp_wait):
-    rng = substream(15, "s")
-    for _ in range(10_000):
-        c = gen_hawkes_cluster(Immigrant(3.0, 1.0), hawkes_spec_half, exp_wait, rng)
-        kept, after, n_after = split_at_horizon(c, 4.0)
-        assert kept + after == pytest.approx(cluster_total(c), rel=1e-12)
-        assert n_after == sum(1 for e in c.events if 3.0 + e.offset > 4.0)
+    b = simulate_batch("hawkes", 10_000, hawkes_spec_half, exp_wait, substream(15, "s"), x0=np.ones(10_000))
+    within = 3.0 + b.offset <= 4.0
+    kept, after = b.remainder_totals(within)
+    np.testing.assert_allclose(kept + after, b.totals(), rtol=1e-12)
+    np.testing.assert_allclose(kept, np.bincount(b.cid, weights=b.mark * within, minlength=b.n), rtol=1e-12)
+    assert (after > 0).sum() == np.count_nonzero(np.bincount(b.cid[~within], minlength=b.n))
 
 
 def test_all_offsets_zero_has_no_remainder(pareto15):
     wait0 = WaitLaw(TailLaw("deterministic", 1e-12))
     spec = JointMarkSpec(pareto15, "independent_light_k", k_param=2.0)
-    c = gen_mb_cluster(Immigrant(1.0, 1.0), spec, wait0, substream(16, "z"))
-    kept, after, n_after = split_at_horizon(c, 2.0)
-    assert after == 0.0 and n_after == 0
+    b = simulate_batch("mb", 100, spec, wait0, substream(16, "z"))
+    kept, after = b.remainder_totals(1.0 + b.offset <= 2.0)
+    assert np.all(after == 0.0)
+    assert np.array_equal(kept, b.totals())
 
 
-def test_cluster_generation_deterministic(mb_spec_nu2, exp_wait):
-    a = gen_mb_cluster(Immigrant(0.0, 1.0), mb_spec_nu2, exp_wait, substream(17, "d"))
-    b = gen_mb_cluster(Immigrant(0.0, 1.0), mb_spec_nu2, exp_wait, substream(17, "d"))
-    assert a == b
+def test_cluster_generation_deterministic(mb_spec_nu2, hawkes_spec_half, exp_wait):
+    for model, spec in (("mb", mb_spec_nu2), ("hawkes", hawkes_spec_half)):
+        a = simulate_batch(model, 500, spec, exp_wait, substream(17, "d"))
+        b = simulate_batch(model, 500, spec, exp_wait, substream(17, "d"))
+        for name in ("cid", "parent", "offset", "mark", "generation", "truncated"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_batch_matches_model_moments(mb_spec_nu2, hawkes_spec_half, exp_wait):

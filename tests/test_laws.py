@@ -9,7 +9,6 @@ from bigjump.laws import (
     WaitLaw,
     empirical_tail_ratio,
     mean_ceil,
-    poisson_inverse,
 )
 from bigjump.streams import substream
 
@@ -94,14 +93,13 @@ def test_pareto_ks_against_analytic_cdf():
 def test_joint_spec_comonotone_rule(pareto15):
     spec = JointMarkSpec(pareto15, "comonotone", k_param=2.0)
     rng = substream(0, "j")
-    assert spec.offspring_count(1.5, rng) == 3
-    assert spec.offspring_count(2.0, rng) == 4
+    assert spec.offspring_counts(np.array([1.5, 2.0]), rng).tolist() == [3, 4]
 
 
 def test_joint_spec_independent(pareto15):
     spec0 = JointMarkSpec(pareto15, "independent_light_k", k_param=0.0)
     rng = substream(0, "k")
-    assert all(spec0.sample(rng)[1] == 0 for _ in range(50))
+    assert np.all(spec0.offspring_counts(pareto15.sample(rng, 50), rng) == 0)
     spec2 = JointMarkSpec(pareto15, "independent_light_k", k_param=2.0)
     ks = spec2.offspring_counts(np.ones(1_000_000), substream(1, "k"))
     se = ks.std() / np.sqrt(ks.size)
@@ -126,11 +124,18 @@ def test_subcriticality_rejected(pareto15):
     assert spec.mean_fertility == pytest.approx(0.3)
 
 
-def test_kappa_is_phi_times_mark(pareto15):
+def test_kappa_is_phi_times_mark(pareto15, exp_wait):
+    from bigjump.clusters import simulate_batch
+
     spec = JointMarkSpec(pareto15, "comonotone", k_param=1.0, phi=0.05)
-    x, k, kappa = spec.sample(substream(6, "s"))
-    assert kappa == pytest.approx(0.05 * x)
-    assert k == int(np.ceil(x))
+    rng = substream(6, "s")
+    x = pareto15.sample(rng, 1000)
+    assert np.array_equal(spec.offspring_counts(x, rng), np.ceil(x))
+    # branching: an event of mark 40 has Poisson(kappa = 0.05 * 40) children
+    n = 20_000
+    b = simulate_batch("hawkes", n, spec, exp_wait, rng, x0=np.full(n, 40.0))
+    kids = np.bincount(b.cid[b.generation == 1], minlength=n)
+    assert abs(kids.mean() - 2.0) < 4 * kids.std() / np.sqrt(n)
 
 
 def test_mean_ceil_matches_monte_carlo(pareto15):
@@ -139,15 +144,6 @@ def test_mean_ceil_matches_monte_carlo(pareto15):
     emp = np.ceil(eta * x)
     se = emp.std() / np.sqrt(emp.size)
     assert abs(mean_ceil(eta, pareto15) - emp.mean()) < 4 * se
-
-
-def test_poisson_inverse_matches_scipy():
-    rng = substream(8, "p")
-    assert poisson_inverse(0.7, 0.0) == 0
-    for mu in (0.3, 2.0, 17.5, 80.0):
-        for _ in range(30):
-            u = float(rng.random())
-            assert poisson_inverse(u, mu) == int(stats.poisson.ppf(u, mu))
 
 
 def test_wait_law_conditional():

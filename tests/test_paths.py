@@ -1,16 +1,18 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bigjump.clusters import Cluster, ClusterEvent, Immigrant
+from bigjump.clusters import BatchClusters
 from bigjump.errors import ConfigurationError
+from bigjump.events import TerminalExceed
+from bigjump.harness import ExperimentConfig, draw_clusters, replication_path
 from bigjump.laws import JointMarkSpec, TailLaw, WaitLaw
 from bigjump.paths import (
     CadlagPath,
     ScalingRule,
     build_jump_path,
-    build_uncentered,
     centered_scaled_path,
     centering_hawkes,
     centering_mb,
@@ -26,31 +28,51 @@ from bigjump.streams import substream
 from .oracles import quadrature_centering_oracle
 
 
-def one_cluster(gamma, offsets_marks):
-    events = [ClusterEvent(0.0, offsets_marks[0][1], 0, 0)] + [
-        ClusterEvent(o, m, 1, 0) for o, m in offsets_marks[1:]
-    ]
-    return Cluster(Immigrant(gamma, offsets_marks[0][1]), tuple(events))
+ZERO = CadlagPath(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
 
 
-def test_empty_build_is_zero():
-    p = build_uncentered([], 10.0)
+def uncentered_config(spec, wait, T):
+    # eta = 1: the replication path is the uncentered jump path divided by T
+    return ExperimentConfig(
+        model="mb", lam=1.0, T=T, eta=1.0, spec=spec, wait=wait, k=0,
+        event=TerminalExceed(1.0), n_reps=100, seed=0,
+    )
+
+
+def one_cluster(offsets_marks):
+    """Batch holding one single-generation cluster; the first (offset, mark)
+    pair is the immigrant."""
+    off, mark = np.array(offsets_marks, dtype=float).T
+    gen = np.minimum(np.arange(off.size), 1).astype(np.int16)
+    zero = np.zeros(off.size, dtype=np.int64)
+    return BatchClusters(1, zero, zero, off, mark, gen, np.zeros(1, dtype=bool), mark[:1])
+
+
+def test_empty_build_is_zero(mb_spec_nu0, exp_wait):
+    p = build_jump_path(np.empty(0), np.empty(0))
     assert terminal(p) == 0.0 and path_sup(p) == 0.0
     assert p.n_nodes == 2
+    cfg = uncentered_config(mb_spec_nu0, exp_wait, 10.0)
+    _, gammas, batch = draw_clusters(replace(cfg, lam=0.0), 1, substream(0, "e"))
+    q = replication_path(cfg, gammas, batch, ZERO)
+    assert terminal(q) == 0.0 and path_sup(q) == 0.0
+    assert q.n_nodes == 2
 
 
-def test_single_jump_build():
-    c = one_cluster(5.0, [(0.0, 3.0)])
-    p = build_uncentered([c], 10.0)
+def test_single_jump_build(mb_spec_nu0, exp_wait):
+    cfg = uncentered_config(mb_spec_nu0, exp_wait, 10.0)
+    p = replication_path(cfg, np.array([5.0]), one_cluster([(0.0, 3.0)]), ZERO)
     assert path_value(p, 0.499) == 0.0
-    assert path_value(p, 0.5) == 3.0
-    assert terminal(p) == 3.0
+    assert path_value(p, 0.5) == pytest.approx(3.0 / 10.0)
+    assert terminal(p) == pytest.approx(3.0 / 10.0)
 
 
-def test_events_after_horizon_excluded():
-    c = one_cluster(5.0, [(0.0, 3.0), (100.0, 7.0), (1.0, 2.0)])
-    p = build_uncentered([c], 10.0)
-    assert terminal(p) == pytest.approx(5.0)
+def test_events_after_horizon_excluded(mb_spec_nu0, exp_wait):
+    cfg = uncentered_config(mb_spec_nu0, exp_wait, 10.0)
+    c = one_cluster([(0.0, 3.0), (100.0, 7.0), (1.0, 2.0)])
+    p = replication_path(cfg, np.array([5.0]), c, ZERO)
+    assert terminal(p) == pytest.approx(5.0 / 10.0)
+    assert p.jump_sizes()[p.jump_sizes() > 0].tolist() == pytest.approx([0.3, 0.2])
 
 
 def test_equal_times_merge():
@@ -185,16 +207,30 @@ def test_scaling_homogeneity_factor_two():
 
 
 def test_terminal_equals_retained_mass(mb_spec_nu2, exp_wait):
-    from bigjump.clusters import gen_mb_cluster, sample_immigrants, split_at_horizon
-
+    cfg = uncentered_config(mb_spec_nu2, exp_wait, 10.0)
     rng = substream(5, "cons")
     for _ in range(1000):
         T = 5.0 + 10.0 * rng.random()
-        imms = sample_immigrants(1.0, T, mb_spec_nu2.x_law, rng)
-        clusters = [gen_mb_cluster(i, mb_spec_nu2, exp_wait, rng) for i in imms]
-        p = build_uncentered(clusters, T)
-        retained = sum(split_at_horizon(c, T)[0] for c in clusters)
-        assert terminal(p) == pytest.approx(retained, rel=1e-12, abs=1e-12)
+        cfg = replace(cfg, T=T)
+        _, gammas, batch = draw_clusters(cfg, 1, rng)
+        p = replication_path(cfg, gammas, batch, ZERO)
+        retained, _ = batch.remainder_totals(gammas[batch.cid] + batch.offset <= T)
+        assert terminal(p) * T == pytest.approx(retained.sum(), rel=1e-12, abs=1e-12)
+
+
+def test_path_rejects_nonfinite_and_ragged_values():
+    t = np.array([0.0, 0.5, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CadlagPath(t, np.array([0.0, bad, 1.0]), np.ones(3))
+        with pytest.raises(ValueError, match="finite"):
+            CadlagPath(t, np.ones(3), np.array([0.0, 1.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        CadlagPath(np.array([0.0, np.nan, 1.0]), np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="one value per node"):
+        CadlagPath(t, np.ones(2), np.ones(3))
+    with pytest.raises(ValueError, match="one value per node"):
+        CadlagPath(t, np.ones(3), np.ones(4))
 
 
 def test_csv_round_trip():
@@ -206,3 +242,10 @@ def test_csv_round_trip():
     assert np.array_equal(p.t, q.t)
     assert np.array_equal(p.left, q.left)
     assert np.array_equal(p.right, q.right)
+
+
+def test_read_path_csv_rejects_empty_tables():
+    with pytest.raises(ValueError, match="no nodes"):
+        read_path_csv(io.StringIO("t,left,right\n"))
+    with pytest.raises(ValueError, match="header"):
+        read_path_csv(io.StringIO(""))
