@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"delta must lie in (0, 1], got {self.delta}")
         if self.k < 0:
             raise ConfigurationError("k must be >= 0")
+        if self.cap < 1:
+            raise ConfigurationError(f"cluster_cap must be >= 1, got {self.cap}")
         if self.estimator not in ("crude", "splitting"):
             raise ConfigurationError(f"unknown estimator {self.estimator!r}")
         self.scaling().validate(self.spec.x_law)

@@ -62,6 +62,67 @@ def brute_force_m1(p1, p2, h: float = 0.02) -> tuple[float, float]:
     return discrete_frechet_linf(g1, g2), spacing
 
 
+def free_space_decision(g1: np.ndarray, g2: np.ndarray, eps: float) -> bool:
+    """Alt & Godau's decision "a monotone matching of the polylines stays
+    within eps" (max norm), cell by cell in plain Python."""
+
+    def cheb(p, q):
+        return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
+
+    def free(p, a, b):
+        """[lo, hi] of the s in [0, 1] with a + s (b - a) within eps of p."""
+        lo, hi = 0.0, 1.0
+        for c in (0, 1):
+            d = b[c] - a[c]
+            if d == 0.0:
+                if abs(a[c] - p[c]) > eps:
+                    return None
+                continue
+            s0, s1 = (p[c] - eps - a[c]) / d, (p[c] + eps - a[c]) / d
+            lo, hi = max(lo, min(s0, s1)), min(hi, max(s0, s1))
+        return (lo, hi) if lo <= hi else None
+
+    def reached(point, line):
+        """Number of leading boundary edges reached from the origin."""
+        count = 0
+        for a, b in zip(line[:-1], line[1:]):
+            iv = free(point, a, b)
+            if iv is None or iv[0] > 0.0:
+                break
+            count += 1
+            if iv[1] < 1.0:
+                break
+        return count
+
+    if cheb(g1[0], g2[0]) > eps or cheb(g1[-1], g2[-1]) > eps:
+        return False
+    if len(g1) == 1 or len(g2) == 1:
+        point, other = (g1[0], g2) if len(g1) == 1 else (g2[0], g1)
+        return all(cheb(point, q) <= eps for q in other)
+    n, m = len(g1) - 1, len(g2) - 1
+    # lower ends of the reached parts of the left and bottom edges of cell (i, j)
+    left = [[None] * m for _ in range(n + 1)]
+    bottom = [[None] * (m + 1) for _ in range(n)]
+    for j in range(reached(g1[0], g2)):
+        left[0][j] = 0.0
+    for i in range(reached(g2[0], g1)):
+        bottom[i][0] = 0.0
+    for i in range(n):
+        for j in range(m):
+            lft, bot = left[i][j], bottom[i][j]
+            if lft is None and bot is None:
+                continue
+            right = free(g1[i + 1], g2[j], g2[j + 1])
+            if right is not None:
+                lo = right[0] if bot is not None else max(right[0], lft)
+                left[i + 1][j] = lo if lo <= right[1] else None
+            top = free(g2[j + 1], g1[i], g1[i + 1])
+            if top is not None:
+                lo = top[0] if lft is not None else max(top[0], bot)
+                bottom[i][j + 1] = lo if lo <= top[1] else None
+    return left[n - 1][m - 1] is not None or bottom[n - 1][m - 1] is not None
+
+
 def quadrature_centering_oracle(lam, T, ex, nu, wait_cdf, ts, points: int = 5) -> np.ndarray:
     """Cumulative Gauss-Legendre integration of lam*ex*(1 + nu*F_W(s))."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(points)

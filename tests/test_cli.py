@@ -247,3 +247,26 @@ def test_cli_bad_worker_env(tmp_path, monkeypatch, capsys):
     assert main(["ldp", "--config", cfg, "--out", out]) == 2
     assert "BIGJUMP_WORKERS" in _single_error_line(capsys)
     assert not os.path.exists(out)
+
+
+def test_cli_m1_rejects_nonfinite_tol(tmp_path, capsys):
+    # a nan or inf tol skipped the bisection: distance 0.5, bracket [0, 1]
+    good = str(tmp_path / "good.csv")
+    with open(good, "w") as fh:
+        fh.write("t,left,right\n0.0,0.0,0.0\n0.5,0.0,1.0\n1.0,1.0,1.0\n")
+    for tol in ("nan", "inf"):
+        assert main(["m1", good, good, "--tol", tol]) == 2
+        assert "tol" in _single_error_line(capsys)
+
+
+def test_cli_simulate_rejects_cluster_cap_below_one(tmp_path, capsys):
+    # a cap of 0 cut every branching cluster to its immigrant and exited 0
+    text = BASE.replace("model = mb", "model = hawkes").replace(
+        "k_param = 0.0", "k_param = 0.0\nphi_fertility = 0.16666666666666666"
+    )
+    for cap in ("0", "-5"):
+        cfg = _write(tmp_path, text + f"n_centering = 20000\ncluster_cap = {cap}\n")
+        out = str(tmp_path / f"never{cap}")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 2
+        assert "cluster_cap" in _single_error_line(capsys)
+        assert not os.path.exists(out)

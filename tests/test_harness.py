@@ -9,6 +9,7 @@ from bigjump.events import DkProxy, JumpCount, SupExceed, TerminalExceed, ValueA
 from bigjump.harness import (
     ExperimentConfig,
     _eval_event_chunk,
+    _remainder_chunk_plain,
     _simulate_jump_arrays,
     big_jump_anatomy,
     centering_curve,
@@ -298,11 +299,18 @@ def test_check_remainder_comonotone_boost_consistent(pareto15, exp_wait):
     cfg = base_config(spec, exp_wait, seed=21)
     rows = check_remainder(cfg, [15.0], n_accept_target=4000)
     est_boost = rows[0]["estimate"]
-    # plain-rejection reference with an independent, larger run
-    ind_cfg = replace(cfg, spec=JointMarkSpec(pareto15, "comonotone", k_param=1.0), seed=22)
-    rows2 = check_remainder(replace(ind_cfg, spec=spec), [15.0], n_accept_target=4000)
-    est2 = rows2[0]["estimate"]
-    assert est_boost == pytest.approx(est2, abs=4 * (rows[0]["stderr"] + rows2[0]["stderr"]))
+    # plain-rejection reference: the same comonotone config, untilted draws
+    # from another seed, until as many clusters are accepted
+    x_T = 15.0**cfg.eta
+    rng = substream(22, "remainder", 0)
+    got = hits = 0
+    while got < 4000:
+        acc, hit = _remainder_chunk_plain(cfg, 15.0, x_T, 500_000, rng)
+        got += acc
+        hits += hit
+    est_plain = hits / got
+    se_plain = np.sqrt(est_plain * (1 - est_plain) / got)
+    assert est_boost == pytest.approx(est_plain, abs=4 * (rows[0]["stderr"] + se_plain))
 
 
 def test_check_assumption6_cases(exp_wait):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bigjump.m1 import (
+    _free_space_reachable,
     completed_graph,
     dk_skeleton,
     exceeds_dk_proxy,
@@ -13,7 +14,7 @@ from bigjump.m1 import (
 from bigjump.paths import CadlagPath, build_jump_path, path_sup
 from bigjump.streams import substream
 from .conftest import random_jump_path
-from .oracles import brute_force_m1
+from .oracles import brute_force_m1, free_space_decision
 
 
 def test_completed_graph_continuous():
@@ -119,6 +120,15 @@ def test_bracket_contains_distance():
         m1_distance(p1, p2, tol=0.0)
 
 
+def test_bracket_rejects_nonfinite_tol():
+    # a nan tol skipped the bisection and gave the bracket [0, 1]
+    p1 = build_jump_path(np.array([0.2]), np.array([1.0]))
+    p2 = build_jump_path(np.array([0.6]), np.array([1.2]))
+    for tol in (np.nan, np.inf, -np.inf, -1e-9):
+        with pytest.raises(ValueError, match="finite and positive"):
+            m1_distance_bracket(p1, p2, tol)
+
+
 def test_kth_largest_jump():
     p = build_jump_path(np.array([0.2, 0.5, 0.8]), np.array([3.0, 1.0, 2.0]))
     assert kth_largest_jump(p, 1) == 3.0
@@ -206,3 +216,94 @@ def test_oracle_agreement_signed_jumps():
         oracle, bound = brute_force_m1(p1, p2, h=0.02)
         assert d <= oracle + 1e-9
         assert abs(d - oracle) <= max(1e-6, bound)
+
+
+def _nearby_pair(seed: int = 2024, jumps: int = 100):
+    """Two centered jump paths of 500 and 480 graph vertices: the second
+    re-times and rescales the jumps of the first by a little."""
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(0.01, 0.99, jumps)
+    sizes = 1.0 + rng.pareto(1.5, jumps)
+    times2 = times + 3e-4 * rng.standard_normal(jumps)
+    sizes2 = sizes * (1.0 + 1e-2 * rng.standard_normal(jumps))
+
+    def path(jt, js, grid):
+        order = np.argsort(jt)
+        jt, js = jt[order], js[order]
+        t = np.union1d(np.linspace(0.0, 1.0, grid + 1), jt)
+        cum = np.r_[0.0, np.cumsum(js)]
+        drift = js.sum() * (0.7 * t + 0.3 * np.sin(0.5 * np.pi * t))
+        left = cum[np.searchsorted(jt, t, side="left")] - drift
+        right = cum[np.searchsorted(jt, t, side="right")] - drift
+        return CadlagPath(t, left, right)
+
+    return path(times, sizes, 299), path(times2, sizes2, 279)
+
+
+# m1_distance_bracket of _nearby_pair() at tol 1e-9, recorded before the
+# free-space decision became array code
+GOLDEN_NEARBY_BRACKET = "(0.2888385507753685, 0.2888385512787425)"
+
+
+def test_bracket_golden_on_nearby_pair():
+    p1, p2 = _nearby_pair()
+    assert (len(completed_graph(p1)), len(completed_graph(p2))) == (500, 480)
+    assert repr(m1_distance_bracket(p1, p2, 1e-9)) == GOLDEN_NEARBY_BRACKET
+
+
+def _just_below(x: float) -> float:
+    return float(np.nextafter(x, -np.inf))
+
+
+def test_decision_one_vertex_graph():
+    point = np.array([[0.5, 1.0]])
+    line = np.array([[0.0, 0.0], [0.3, 1.5], [1.0, 2.0]])
+    # the single vertex is matched with the whole polyline: the decision is
+    # the farthest vertex, here (1, 2) at max(0.5, 1) = 1
+    for g1, g2 in ((point, line), (line, point)):
+        assert _free_space_reachable(g1, g2, 1.0)
+        assert not _free_space_reachable(g1, g2, _just_below(1.0))
+    assert _free_space_reachable(point, point, 0.0)
+
+
+def test_decision_vertical_against_horizontal_only():
+    vertical = np.array([[0.5, 0.0], [0.5, 0.4], [0.5, 1.0]])
+    horizontal = np.array([[0.0, 0.5], [0.6, 0.5], [1.0, 0.5]])
+    # (0.5, s) matched with (s, 0.5) stays within 0.5, which the endpoints
+    # already need: every edge of the free space is flat in one coordinate
+    for g1, g2 in ((vertical, horizontal), (horizontal, vertical)):
+        assert _free_space_reachable(g1, g2, 0.5)
+        assert not _free_space_reachable(g1, g2, _just_below(0.5))
+
+
+def test_decision_at_endpoint_distance():
+    a = CadlagPath(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0]))
+    b = CadlagPath(np.array([0.0, 1.0]), np.array([1.5, 1.5]), np.array([1.5, 1.5]))
+    g1, g2 = completed_graph(a), completed_graph(b)
+    # eps equal to the endpoint gap is free on every edge, boundaries included
+    assert _free_space_reachable(g1, g2, 1.5)
+    assert not _free_space_reachable(g1, g2, _just_below(1.5))
+    # a path that leaves the band only in the interior: endpoints 1.5 apart,
+    # a dip 2 apart
+    c = CadlagPath(np.array([0.0, 0.5, 1.0]), np.array([0.0, -0.5, 0.0]), np.array([0.0, -0.5, 0.0]))
+    assert not _free_space_reachable(completed_graph(c), g2, 1.5)
+    assert _free_space_reachable(completed_graph(c), g2, 2.0)
+    assert m1_distance_bracket(a, b) == (1.5, 1.5)
+
+
+def _random_graph(rng: np.random.Generator) -> np.ndarray:
+    """Polyline with nondecreasing times on a coarse grid, so that vertical
+    and horizontal segments, repeated vertices and exact ties all occur."""
+    k = int(rng.integers(1, 9))
+    t = np.sort(rng.integers(0, 6, k)) / 5.0
+    z = rng.integers(-4, 5, k) / 4.0
+    return np.column_stack([t, z])
+
+
+def test_decision_matches_cell_by_cell_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(600):
+        g1, g2 = _random_graph(rng), _random_graph(rng)
+        gaps = np.abs(g1[:, None, :] - g2[None, :, :]).ravel()
+        for eps in np.r_[rng.choice(gaps, 4), rng.random(3) * 2.0, 1e-3]:
+            assert _free_space_reachable(g1, g2, eps) == free_space_decision(g1, g2, eps), (g1, g2, eps)
