@@ -21,7 +21,7 @@ from .harness import (
     splitting_estimate,
 )
 from .laws import JointMarkSpec, TailLaw, WaitLaw, empirical_tail_ratio
-from .m1 import completed_graph, dk_skeleton, exceeds_dk_proxy, kth_largest_jump, m1_distance
+from .m1 import completed_graph, dk_skeleton, kth_largest_jump, m1_distance
 from .measures import LimitMeasure, measure_for_model, mu_bar_tail, mu_sharp, mu_tail
 from .paths import (
     CadlagPath,

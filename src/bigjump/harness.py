@@ -14,7 +14,7 @@ from scipy import stats
 
 from .clusters import DEFAULT_CAP, HAWKES, MB, BatchClusters, simulate_batch
 from .errors import ConfigurationError
-from .events import DkProxy, JumpCount, PathEvent, SupExceed, TerminalExceed, ValueAt
+from .events import PathEvent
 from .laws import COMONOTONE, JointMarkSpec, WaitLaw
 from .measures import measure_for_model, mu_sharp
 from .paths import (
@@ -144,10 +144,8 @@ def replication_path(
     config: ExperimentConfig, gammas: np.ndarray, batch: BatchClusters, centering: CadlagPath
 ) -> CadlagPath:
     """Centered scaled path of one replication's events landing in [0, T]."""
-    t_abs = gammas[batch.cid] + batch.offset
-    keep = t_abs <= config.T
-    jumps = build_jump_path(t_abs[keep] / config.T, batch.mark[keep])
-    return centered_scaled_path(jumps, centering, config.scaling())
+    _, t, size = _flat_jumps(config.T, ([gammas.size], gammas, batch.cid, batch.offset, batch.mark))
+    return centered_scaled_path(build_jump_path(t, size), centering, config.scaling())
 
 
 def simulate_replication(
@@ -165,18 +163,20 @@ def simulate_replication(
 # vectorized event evaluation
 
 
-def _merge_by_time(rep: np.ndarray, t: np.ndarray, size: np.ndarray):
-    """Sum jump sizes at identical (rep, time) pairs (ties occur with
-    deterministic laws; continuous laws never produce them)."""
-    if rep.size == 0:
-        return rep, t, size
-    order = np.lexsort((t, rep))
-    rep, t, size = rep[order], t[order], size[order]
-    new = np.empty(rep.size, dtype=bool)
-    new[0] = True
-    new[1:] = (rep[1:] != rep[:-1]) | (t[1:] != t[:-1])
-    idx = np.cumsum(new) - 1
-    return rep[new], t[new], np.bincount(idx, weights=size)
+def _flat_jumps(T: float, *groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (rep, scaled time, mark) arrays of the events landing in [0, T], by
+    group: (clusters per replication, arrival per cluster, cid, offset, mark)."""
+    reps, ts, marks = [], [], []
+    for counts, gammas, cid, offset, mark in groups:
+        rep_of_cluster = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        t_abs = gammas[cid] + offset
+        keep = t_abs <= T
+        reps.append(rep_of_cluster[cid[keep]])
+        ts.append(t_abs[keep] / T)
+        marks.append(mark[keep])
+    if len(groups) == 1:  # no copy on the crude lane
+        return reps[0], ts[0], marks[0]
+    return np.concatenate(reps), np.concatenate(ts), np.concatenate(marks)
 
 
 def _eval_event_chunk(
@@ -194,48 +194,14 @@ def _eval_event_chunk(
     path: centering values interpolate the same grid curve.
     """
     cent = lambda ts: np.interp(ts, centering.t, centering.right)  # noqa: E731
-    if isinstance(event, TerminalExceed):
-        totals = np.bincount(rep, weights=size, minlength=n)
-        return (totals - cent(1.0)) / x_T > event.c
-    if isinstance(event, ValueAt):
-        mask = t <= event.s
-        vals = np.bincount(rep[mask], weights=size[mask], minlength=n)
-        return (vals - cent(event.s)) / x_T > event.c
-    if isinstance(event, SupExceed):
-        sup = np.zeros(n)  # the path starts at zero
-        if rep.size:
-            order = np.lexsort((t, rep))
-            r, ts, sz = rep[order], t[order], size[order]
-            cum = np.cumsum(sz)
-            starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-            cum = cum - np.repeat(np.r_[0.0, cum[starts[1:] - 1]], np.diff(np.r_[starts, r.size]))
-            vals = (cum - cent(ts)) / x_T
-            seg_max = np.maximum.reduceat(vals, starts)
-            np.maximum.at(sup, r[starts], seg_max)
-        return sup > event.c
-    if isinstance(event, (JumpCount, DkProxy)):
-        if isinstance(event, JumpCount):
-            need, thr = event.m, event.r
-        else:
-            need, thr = event.k + 1, 2.0 * event.r
-        rep, t, size = _merge_by_time(rep, t, size)
-        big = np.abs(size) / x_T > thr
-        return np.bincount(rep[big], minlength=n) >= need
-    raise TypeError(f"unsupported event {event!r}")
+    return event.decide_batch(rep, t, size, n, cent, x_T)
 
 
 def _simulate_jump_arrays(config: ExperimentConfig, n_reps: int, rng: np.random.Generator):
     """Flat (rep, scaled time, mark) arrays for n_reps independent replications."""
     counts, gammas, batch = draw_clusters(config, n_reps, rng)
-    rep_of_cluster = np.repeat(np.arange(n_reps, dtype=np.int64), counts)
-    t_abs = gammas[batch.cid] + batch.offset
-    keep = t_abs <= config.T
-    return (
-        rep_of_cluster[batch.cid[keep]],
-        t_abs[keep] / config.T,
-        batch.mark[keep],
-        int(batch.truncated.sum()),
-    )
+    rep, t, size = _flat_jumps(config.T, (counts, gammas, batch.cid, batch.offset, batch.mark))
+    return rep, t, size, int(batch.truncated.sum())
 
 
 def _crude_chunk(config: ExperimentConfig, chunk_index: int, chunk_size: int, centering: CadlagPath):
@@ -363,22 +329,15 @@ def _stratum_chunk(
     small_counts = rng.poisson(config.lam * config.T * (1.0 - p_big), n_reps)
     total_small = int(small_counts.sum())
     s_cid, s_off, s_mark, _, s_trunc = _conditional_pool(config, rng, total_small, u, big=False)
-    rep_small = np.repeat(np.arange(n_reps, dtype=np.int64), small_counts)
     b_cid, b_off, b_mark, _, b_trunc = _conditional_pool(config, rng, m * n_reps, u)
-    rep_big = np.repeat(np.arange(n_reps, dtype=np.int64), np.full(n_reps, m))
 
     gam_small = rng.random(total_small) * config.T
     gam_big = rng.random(m * n_reps) * config.T
-
-    rep = np.concatenate([rep_small[s_cid], rep_big[b_cid]]) if m else rep_small[s_cid]
-    t_abs = (
-        np.concatenate([gam_small[s_cid] + s_off, gam_big[b_cid] + b_off])
-        if m
-        else gam_small[s_cid] + s_off
+    rep, t, size = _flat_jumps(
+        config.T,
+        (small_counts, gam_small, s_cid, s_off, s_mark),
+        (np.full(n_reps, m), gam_big, b_cid, b_off, b_mark),
     )
-    size = np.concatenate([s_mark, b_mark]) if m else s_mark
-    keep = t_abs <= config.T
-    rep, t, size = rep[keep], t_abs[keep] / config.T, size[keep]
     hits = _eval_event_chunk(rep, t, size, n_reps, config.event, centering, config.scaling().x_T)
     return int(hits.sum()), s_trunc + b_trunc
 
@@ -669,19 +628,6 @@ def check_tail_equivalence(config: ExperimentConfig, quantile_levels) -> list[di
     return rows
 
 
-def _event_scale(event: PathEvent) -> float:
-    """Level of the cluster mass (in x_T units) at which the event becomes likely."""
-    if isinstance(event, (TerminalExceed, SupExceed)):
-        return max(event.c, 1e-6)
-    if isinstance(event, ValueAt):
-        return max(event.c, 1e-6)
-    if isinstance(event, JumpCount):
-        return event.r
-    if isinstance(event, DkProxy):
-        return 2.0 * event.r
-    raise TypeError(f"unsupported event {event!r}")
-
-
 def _tilt_level(config: ExperimentConfig, u: float) -> float | None:
     """Tilt level of the immigrant mark for conditioning on D > u: 0.7 times
     the mark at which a cluster's asymptotic mass multiplier reaches u.
@@ -722,7 +668,7 @@ def big_jump_anatomy(config: ExperimentConfig, event: PathEvent | None = None) -
     if sep is None:
         raise ConfigurationError("event must imply a jump-count proxy at this order")
     x_T = config.scaling().x_T
-    u = 0.8 * _event_scale(config.event) * x_T
+    u = 0.8 * config.event.scale() * x_T
     rng = substream(config.seed, "anatomy")
     if not config.spec.x_law.heavy:
         # bounded-support models: keep the conditioning level reachable
@@ -739,20 +685,17 @@ def big_jump_anatomy(config: ExperimentConfig, event: PathEvent | None = None) -
     # the event, so double-counting mass above u is immaterial here
     small_counts = rng.poisson(config.lam * config.T, n)
     total_small = int(small_counts.sum())
-    rep_small = np.repeat(np.arange(n, dtype=np.int64), small_counts)
     bg = simulate_batch(config.model, total_small, config.spec, config.wait, rng, config.cap)
-    s_cid, s_off, s_mark = bg.cid, bg.offset, bg.mark
     b_cid, b_off, b_mark, b_w, _ = _conditional_pool(config, rng, m * n, u, xq=_tilt_level(config, u))
-    rep_big = np.repeat(np.arange(n, dtype=np.int64), np.full(n, m))
     rep_weight = np.ones(n) if b_w is None else np.prod(b_w.reshape(n, m), axis=1)
 
-    rep = np.concatenate([rep_small[s_cid], rep_big[b_cid]])
     gam_small = rng.random(total_small) * config.T
     gam_big = rng.random(m * n) * config.T
-    t_abs = np.concatenate([gam_small[s_cid] + s_off, gam_big[b_cid] + b_off])
-    size = np.concatenate([s_mark, b_mark])
-    keep = t_abs <= config.T
-    rep, t, size = rep[keep], t_abs[keep] / config.T, size[keep]
+    rep, t, size = _flat_jumps(
+        config.T,
+        (small_counts, gam_small, bg.cid, bg.offset, bg.mark),
+        (np.full(n, m), gam_big, b_cid, b_off, b_mark),
+    )
     hits = _eval_event_chunk(rep, t, size, n, config.event, centering, x_T)
     hit_ids = np.flatnonzero(hits)
 

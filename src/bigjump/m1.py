@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .paths import CadlagPath, build_jump_path
+from .paths import CadlagPath, _left_right_at, build_jump_path
 
 __all__ = [
     "completed_graph",
@@ -25,7 +25,6 @@ __all__ = [
     "uniform_distance",
     "kth_largest_jump",
     "dk_skeleton",
-    "exceeds_dk_proxy",
 ]
 
 
@@ -174,29 +173,12 @@ def dk_skeleton(path: CadlagPath, k: int) -> CadlagPath:
     return build_jump_path(t, s)
 
 
-def exceeds_dk_proxy(path: CadlagPath, k: int, r: float) -> bool:
-    """Conservative event proxy: the (k+1)-th largest jump exceeds 2r."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    return kth_largest_jump(path, k + 1) > 2.0 * r
-
-
 def uniform_distance(p1: CadlagPath, p2: CadlagPath) -> float:
     """sup_t |p1(t) - p2(t)|; both paths are linear between merged nodes."""
     ts = np.union1d(p1.t, p2.t)
-    l1, r1 = _left_right(p1, ts)
-    l2, r2 = _left_right(p2, ts)
+    l1, r1 = _left_right_at(p1, ts)
+    l2, r2 = _left_right_at(p2, ts)
     return float(max(np.abs(l1 - l2).max(), np.abs(r1 - r2).max()))
-
-
-def _left_right(path: CadlagPath, ts: np.ndarray):
-    right = path.values_at(ts)
-    left = right.copy()
-    pos = np.searchsorted(path.t, ts)
-    pos_c = np.minimum(pos, path.n_nodes - 1)
-    at_node = path.t[pos_c] == ts
-    left[at_node] = path.left[pos_c[at_node]]
-    return left, right
 
 
 def m1_distance_bracket(p1: CadlagPath, p2: CadlagPath, tol: float = 1e-9) -> tuple[float, float]:

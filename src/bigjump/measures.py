@@ -9,13 +9,12 @@ measure's infinite mass at 0 would otherwise diverge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 from scipy import stats
 
 from .errors import ConfigurationError
-from .events import DkProxy, JumpCount, PathEvent, SupExceed, TerminalExceed, ValueAt
 from .laws import COMONOTONE, INDEPENDENT_LIGHT_K, JointMarkSpec, mean_ceil
 
 __all__ = [
@@ -164,44 +163,9 @@ def mu_bar_tail(
     return (val, pref * err) if return_error else val
 
 
-def mu_sharp(measure: LimitMeasure, lam: float, k: int, event: PathEvent) -> float:
-    """Limit mass of the path event under the (k+1)-jump product measure.
-
-    Time integrals factor out analytically for every supported event kind;
-    only sum-constrained spatial masses need quadrature (via mu_bar_tail).
-    Events that leave spatial coordinates unconstrained are evaluated on the
-    y0-truncated measure.
-    """
+def mu_sharp(measure: LimitMeasure, lam: float, k: int, event) -> float:
+    """Limit mass of the path event under the (k+1)-jump product measure, as
+    computed by the event's ``limit_mass`` (see ``bigjump.events``)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if isinstance(event, (TerminalExceed, SupExceed)):
-        # nonnegative jumps: the running sum peaks at the terminal value
-        return mu_bar_tail(measure, lam, k, event.c)
-    if isinstance(event, ValueAt):
-        M0 = measure.total_mass
-        pref = lam ** (k + 1) / factorial(k + 1)
-        s = event.s
-        total = 0.0
-        for j in range(0, k + 2):
-            w = comb(k + 1, j) * s**j * (1.0 - s) ** (k + 1 - j)
-            total += w * float(_excess_mass(measure, j, np.array([event.c]))[0]) * M0 ** (k + 1 - j)
-        return pref * total
-    if isinstance(event, DkProxy):
-        event = JumpCount(event.k + 1, 2.0 * event.r)
-    if isinstance(event, JumpCount):
-        pref = lam ** (k + 1) / factorial(k + 1)
-        if event.m > k + 1:
-            return 0.0
-        if event.m == k + 1:
-            # every limit jump is pinned above r: exact, no truncation needed
-            a = measure.constant * event.r ** (-measure.alpha)
-            return pref * a ** (k + 1)
-        # unpinned coordinates would carry infinite mass; use the y0 truncation
-        M0 = measure.total_mass
-        a = float(_excess_mass(measure, 1, np.array([event.r]))[0])
-        b = M0 - a
-        total = sum(
-            comb(k + 1, j) * a**j * b ** (k + 1 - j) for j in range(event.m, k + 2)
-        )
-        return pref * total
-    raise TypeError(f"unsupported event {event!r}")
+    return event.limit_mass(measure, lam, k)

@@ -270,3 +270,14 @@ def test_cli_simulate_rejects_cluster_cap_below_one(tmp_path, capsys):
         assert main(["simulate", "--config", cfg, "--out", out]) == 2
         assert "cluster_cap" in _single_error_line(capsys)
         assert not os.path.exists(out)
+
+
+def test_cli_rejects_nonfinite_event(tmp_path, capsys):
+    # a nan threshold ran to exit 0 with estimate 0.0 and ratio nan
+    cfg = _write(tmp_path, BASE.replace("event = terminal_exceed:1.0", "event = terminal_exceed:nan"))
+    out = str(tmp_path / "never")
+    assert main(["ldp", "--config", cfg, "--out", out]) == 2
+    assert "finite" in _single_error_line(capsys)
+    assert not os.path.exists(out)
+    assert main(["measure", "--config", cfg]) == 2
+    assert "finite" in _single_error_line(capsys)

@@ -34,6 +34,20 @@ def test_parse_errors():
         parse_event("value_at:1.5,2.0")  # time outside [0,1]
     with pytest.raises(ValueError):
         parse_event("jump_count:0,1.0")
+    for text in (
+        "terminal_exceed:nan",
+        "terminal_exceed:inf",
+        "value_at:0.5,nan",
+        "value_at:nan,1.0",
+        "sup_exceed:nan",
+        "sup_exceed:inf",
+        "jump_count:2,nan",
+        "jump_count:2,inf",
+        "dk_proxy:0,nan",
+        "dk_proxy:0,inf",
+    ):
+        with pytest.raises(ValueError, match="finite|lie in"):
+            parse_event(text)
 
 
 def test_decisions_on_simple_paths():

@@ -93,27 +93,38 @@ def test_replication_round_trip_through_csv(mb_spec_nu2, exp_wait):
         assert (terminal(again) > 0.3) == hit
 
 
-def test_fast_lane_matches_path_objects(mb_spec_nu2, exp_wait):
-    cfg = base_config(mb_spec_nu2, exp_wait, T=20.0)
-    cent = centering_curve(cfg)
-    scaling = cfg.scaling()
-    rng = substream(3, "fl")
-    rep, t, size, _ = _simulate_jump_arrays(cfg, 150, rng)
+def test_fast_lane_matches_path_objects(mb_spec_nu2, hawkes_spec_half, exp_wait):
+    # point-mass marks and waits: a cluster's offspring share one jump time
+    point_mass = JointMarkSpec(TailLaw("deterministic", 3.0), "independent_light_k", k_param=2.0)
+    configs = {
+        "mb": base_config(mb_spec_nu2, exp_wait, T=20.0),
+        "branching": base_config(hawkes_spec_half, exp_wait, model="hawkes", T=20.0),
+        "point_mass": base_config(point_mass, WaitLaw(TailLaw("deterministic", 1.0)), T=20.0),
+    }
     events = [
         TerminalExceed(0.3),
         ValueAt(0.6, 0.2),
+        ValueAt(1.0, 0.3),
         SupExceed(0.4),
+        SupExceed(0.0),
         JumpCount(2, 0.15),
+        JumpCount(1, 0.15),
         DkProxy(0, 0.2),
+        DkProxy(1, 0.1),
     ]
-    paths = []
-    for i in range(150):
-        mask = rep == i
-        paths.append(build_jump_path(t[mask], size[mask]))
-    for ev in events:
-        fast = _eval_event_chunk(rep, t, size, 150, ev, cent, scaling.x_T)
-        slow = np.array([ev.decide(centered_scaled_path(p, cent, scaling)) for p in paths])
-        assert np.array_equal(fast, slow), f"mismatch for {ev}"
+    for name, cfg in configs.items():
+        cent = centering_curve(cfg)
+        scaling = cfg.scaling()
+        rng = substream(3, "fl")
+        rep, t, size, _ = _simulate_jump_arrays(cfg, 150, rng)
+        paths = []
+        for i in range(150):
+            mask = rep == i
+            paths.append(build_jump_path(t[mask], size[mask]))
+        for ev in events:
+            fast = _eval_event_chunk(rep, t, size, 150, ev, cent, scaling.x_T)
+            slow = np.array([ev.decide(centered_scaled_path(p, cent, scaling)) for p in paths])
+            assert np.array_equal(fast, slow), f"mismatch for {ev} on {name}"
 
 
 def test_crude_poisson_void_oracle(exp_wait):
@@ -368,7 +379,7 @@ def test_big_jump_anatomy_requires_proxy(mb_spec_nu0, exp_wait):
 
 
 def test_merge_by_time_sums_colliding_jumps():
-    from bigjump.harness import _merge_by_time
+    from bigjump.events import _merge_by_time
 
     rep = np.array([0, 0, 0, 1, 1])
     t = np.array([0.5, 0.5, 0.2, 0.5, 0.5])

@@ -5,12 +5,12 @@ from bigjump.m1 import (
     _free_space_reachable,
     completed_graph,
     dk_skeleton,
-    exceeds_dk_proxy,
     kth_largest_jump,
     m1_distance,
     m1_distance_bracket,
     uniform_distance,
 )
+from bigjump.events import DkProxy
 from bigjump.paths import CadlagPath, build_jump_path, path_sup
 from bigjump.streams import substream
 from .conftest import random_jump_path
@@ -180,13 +180,13 @@ def test_skeleton_distance_bounded_by_dropped_mass():
 
 def test_dk_proxy():
     p = build_jump_path(np.array([0.5]), np.array([5.0]))
-    assert exceeds_dk_proxy(p, 0, 2.0)  # 5 > 4
-    assert not exceeds_dk_proxy(p, 0, 2.6)
+    assert DkProxy(0, 2.0).decide(p)  # 5 > 4
+    assert not DkProxy(0, 2.6).decide(p)
     continuous = CadlagPath(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     for k in (0, 1, 3):
-        assert not exceeds_dk_proxy(continuous, k, 0.1)
+        assert not DkProxy(k, 0.1).decide(continuous)
     with pytest.raises(ValueError):
-        exceeds_dk_proxy(p, 0, 0.0)
+        DkProxy(0, 0.0).decide(p)
 
 
 def test_proxy_consistent_with_skeleton_gap():
@@ -194,7 +194,7 @@ def test_proxy_consistent_with_skeleton_gap():
     for _ in range(300):
         p = random_jump_path(rng, max_jumps=6)
         for k in (0, 1):
-            if exceeds_dk_proxy(p, k, 0.3):
+            if DkProxy(k, 0.3).decide(p):
                 # more than k+1 meaningful jumps exist, so dropping to k leaves mass
                 assert kth_largest_jump(p, k + 1) > 0.6
                 assert m1_distance(p, dk_skeleton(p, k)) >= 0.0
