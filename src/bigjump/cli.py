@@ -7,6 +7,7 @@ Every run needs an explicit root seed; nothing defaults to the clock.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -239,10 +240,11 @@ def _atomic_write(path: str, content: str) -> None:
 
 def _append_csv(path: str, header: list[str], row: list[str]) -> None:
     new = not os.path.exists(path)
-    with open(path, "a") as fh:
+    with open(path, "a", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         if new:
-            fh.write(",".join(header) + "\n")
-        fh.write(",".join(row) + "\n")
+            writer.writerow(header)
+        writer.writerow(row)
         fh.flush()
 
 
@@ -309,16 +311,21 @@ def _cmd_measure(args) -> int:
     extras = _load_extras(args.config)
     measure = measure_for_model(config.model, config.spec)
     y = float(extras["mu_y"])
-    c = getattr(config.event, "c", None) or y
+    c = y if getattr(config.event, "c", None) is None else config.event.c
+    try:
+        bar = mu_bar_tail(measure, config.lam, config.k, c)
+        sharp = mu_sharp(measure, config.lam, config.k, config.event)
+    except ValueError as exc:
+        raise ConfigurationError(f"event {format_event(config.event)} at k={config.k}: {exc}") from None
     out = {
         "model": measure.model,
         "alpha": measure.alpha,
         "constant": measure.constant,
         "mu_tail": mu_tail(measure, y),
         "mu_tail_at": y,
-        "mu_bar_tail": mu_bar_tail(measure, config.lam, config.k, c),
+        "mu_bar_tail": bar,
         "mu_bar_at": c,
-        "mu_sharp": mu_sharp(measure, config.lam, config.k, config.event),
+        "mu_sharp": sharp,
         "event": format_event(config.event),
         "k": config.k,
     }

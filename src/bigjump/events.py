@@ -33,6 +33,7 @@ __all__ = [
     "DkProxy",
     "parse_event",
     "format_event",
+    "rep_time_order",
 ]
 
 
@@ -135,7 +136,7 @@ class SupExceed(PathEvent):
     def decide_batch(self, rep, t, size, n, cent, x_T):
         sup = np.zeros(n)  # the path starts at zero
         if rep.size:
-            order = np.lexsort((t, rep))
+            order = rep_time_order(rep, t)
             r, ts, sz = rep[order], t[order], size[order]
             cum = np.cumsum(sz)
             starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
@@ -232,12 +233,20 @@ class DkProxy(PathEvent):
         return self.jump_count.scale()
 
 
+def rep_time_order(rep: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Stable order of jumps by replication, then time.  The replication key
+    is narrowed to the smallest type holding its largest value (16 bits up
+    to 65535), which numpy sorts by radix; the permutation equals that of
+    the int64 key."""
+    return np.lexsort((t, rep.astype(np.min_scalar_type(rep.max(initial=0)))))
+
+
 def _merge_by_time(rep: np.ndarray, t: np.ndarray, size: np.ndarray):
     """Sum jump sizes at identical (rep, time) pairs (ties occur with
     deterministic laws; continuous laws never produce them)."""
     if rep.size == 0:
         return rep, t, size
-    order = np.lexsort((t, rep))
+    order = rep_time_order(rep, t)
     rep, t, size = rep[order], t[order], size[order]
     new = np.empty(rep.size, dtype=bool)
     new[0] = True

@@ -1,7 +1,7 @@
 """Rare-event Monte Carlo over cluster-process paths.
 
 Estimators never share streams: every task (replication chunk, stratum,
-centering run, conditioning run) derives its generator from the root seed
+conditioning run) derives its generator from the root seed
 and a label, so results are bit-identical for any worker count.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ from scipy import stats
 
 from .clusters import DEFAULT_CAP, HAWKES, MB, BatchClusters, simulate_batch
 from .errors import ConfigurationError
-from .events import PathEvent
+from .events import PathEvent, rep_time_order
 from .laws import COMONOTONE, JointMarkSpec, WaitLaw
 from .measures import measure_for_model, mu_sharp
 from .paths import (
@@ -82,7 +82,7 @@ class ExperimentConfig:
     delta: float = 0.5
     grid_n: int = DEFAULT_GRID_N
     cap: int = DEFAULT_CAP
-    n_centering: int = 200_000
+    n_centering: int = 200_000  # accepted and hashed, unused: the centering is exact
     n_pbig: int = 400_000
     n_strata: int = 4000
     estimator: str = "splitting"
@@ -113,19 +113,9 @@ class ExperimentConfig:
 
 
 def centering_curve(config: ExperimentConfig) -> CadlagPath:
-    """Deterministic mean path; Monte Carlo with a dedicated stream for branching."""
-    if config.model == MB:
-        return centering_mb(config.lam, config.T, config.spec, config.wait, config.grid_n)
-    path, _ = centering_hawkes(
-        config.lam,
-        config.T,
-        config.spec,
-        config.wait,
-        config.n_centering,
-        config.grid_n,
-        substream(config.seed, "centering"),
-    )
-    return path
+    """Deterministic mean path of the configured model on its grid."""
+    centering = centering_mb if config.model == MB else centering_hawkes
+    return centering(config.lam, config.T, config.spec, config.wait, config.grid_n)
 
 
 def draw_clusters(
@@ -699,7 +689,7 @@ def big_jump_anatomy(config: ExperimentConfig, event: PathEvent | None = None) -
     hits = _eval_event_chunk(rep, t, size, n, config.event, centering, x_T)
     hit_ids = np.flatnonzero(hits)
 
-    order = np.lexsort((t, rep))
+    order = rep_time_order(rep, t)
     rep_s, t_s, size_s = rep[order], t[order], size[order]
     bounds = np.searchsorted(rep_s, np.arange(n + 1))
     shares, top1, spreads, wts = [], [], [], []

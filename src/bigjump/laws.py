@@ -234,9 +234,9 @@ class WaitLaw:
         out = 1.0 - self.law.tail(s)
         return float(out) if np.ndim(out) == 0 else out
 
-    def tail(self, s):
-        t = 1.0 - self.cdf(s) if self.conditional_on_mark else self.law.tail(s)
-        return t
+    def tail(self, s, mark=None):
+        """P(W > s | mark)."""
+        return 1.0 - self.cdf(s, mark) if self.conditional_on_mark else self.law.tail(s)
 
 
 def empirical_tail_ratio(samples: np.ndarray, ref: TailLaw, x_grid) -> np.ndarray:

@@ -32,7 +32,6 @@ __all__ = [
     "centering_mb",
     "mb_centering_values",
     "centering_hawkes",
-    "hawkes_centering_values_exact",
     "centered_scaled_path",
     "path_value",
     "path_sup",
@@ -151,25 +150,24 @@ class ScalingRule:
 # centering curves
 
 
-def _integrated_wait_cdf(wait: WaitLaw, u, mark=None):
-    """H(u) = integral_0^u P(W <= s | mark) ds, closed form per family."""
+def _wait_tail_integral(wait: WaitLaw, u, mark=None):
+    """G(u) = integral_0^u P(W > s | mark) ds, closed form per family."""
     u = np.asarray(u, dtype=float)
     law = wait.law
     if wait.conditional_on_mark or law.family == EXPONENTIAL:
         sc = law.scale / (1.0 + np.asarray(mark, dtype=float)) if wait.conditional_on_mark else law.scale
-        return u - sc * -np.expm1(-u / sc)
+        return sc * -np.expm1(-u / sc)
     if law.family == DETERMINISTIC:
-        return np.maximum(u - law.scale, 0.0)
-    # Pareto tail integral: int_0^u tail = min(u, s0) + s0/(a-1) * (1 - (u/s0)^(1-a)) on u > s0
+        return np.minimum(u, law.scale)
+    # Pareto: min(u, s0) + s0/(a-1) * (1 - (u/s0)^(1-a)) on u > s0
     s0, a = law.scale, law.alpha
-    tail_int = np.where(
+    return np.where(
         u <= s0,
         u,
         s0 + (s0 / (a - 1.0)) * (1.0 - np.power(np.maximum(u, s0) / s0, 1.0 - a))
         if a != 1.0
         else s0 * (1.0 + np.log(np.maximum(u, s0) / s0)),
     )
-    return u - tail_int
 
 
 _GL_NODES = 256
@@ -197,16 +195,16 @@ def mb_centering_values(
     u = ts * T
     if spec.dependence in (INDEPENDENT_LIGHT_K, HEAVY_K_LIGHT_X) and not wait.conditional_on_mark:
         kmean = spec.mean_offspring()
-        return lam * ex * (u + kmean * _integrated_wait_cdf(wait, u))
+        return lam * ex * (u + kmean * (u - _wait_tail_integral(wait, u)))
     xs, ws = _mark_quadrature(spec.x_law)
     if spec.dependence == COMONOTONE:
         kx = ceil_count(spec.k_param, xs).astype(float)
     else:
         kx = np.full_like(xs, spec.mean_offspring())
     if wait.conditional_on_mark:
-        h = _integrated_wait_cdf(wait, u[:, None], mark=xs[None, :])
+        h = u[:, None] - _wait_tail_integral(wait, u[:, None], mark=xs[None, :])
     else:
-        h = np.broadcast_to(_integrated_wait_cdf(wait, u)[:, None], (u.size, xs.size))
+        h = np.broadcast_to((u - _wait_tail_integral(wait, u))[:, None], (u.size, xs.size))
     inner = h @ (kx * ws)
     return lam * ex * (u + inner)
 
@@ -226,68 +224,64 @@ def centering_mb(
     return CadlagPath(ts, vals, vals)
 
 
-def hawkes_centering_values_exact(
-    lam: float, T: float, spec: JointMarkSpec, wait: WaitLaw, ts: np.ndarray
-) -> np.ndarray:
-    """Closed-form branching centering (unconditional waits only)."""
+def _fertility_tail(spec: JointMarkSpec, wait: WaitLaw, u: np.ndarray):
+    """Mean number of children born after lag u, and its integral over [0, u]:
+    kappa P(W > u) for unconditional waits, E[phi X P(W > u | X)] by mark
+    quadrature for mark-conditional ones."""
     if wait.conditional_on_mark:
-        raise ConfigurationError("closed form requires an unconditional wait law")
-    ts = np.asarray(ts, dtype=float)
-    u = ts * T
-    ex = spec.x_law.mean()
-    kbar = spec.mean_fertility
-    sub_mean = ex / (1.0 - kbar)
-    return lam * (u * ex + kbar * sub_mean * _integrated_wait_cdf(wait, u))
+        xs, ws = _mark_quadrature(spec.x_law)
+        u, rate = u[:, None], spec.phi * xs * ws
+        return wait.tail(u, xs) @ rate, _wait_tail_integral(wait, u, xs) @ rate
+    kappa = spec.mean_fertility
+    return kappa * wait.tail(u), kappa * _wait_tail_integral(wait, u)
+
+
+def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    size = x.size + y.size - 1
+    n = 1 << (size - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(y, n), n)[:size]
+
+
+def _series_inverse(d: np.ndarray) -> np.ndarray:
+    """Coefficients of 1/d(z) up to the degree of d, by Newton's iteration
+    r <- r (2 - d r), which doubles the number of correct terms per pass."""
+    r = np.array([1.0 / d[0]])
+    while r.size < d.size:
+        k = min(2 * r.size, d.size)
+        e = -_convolve(d[:k], r)[:k]
+        e[0] += 2.0
+        r = _convolve(r, e)[:k]
+    return r
+
+
+_LAG_STEPS = 8192
 
 
 def centering_hawkes(
-    lam: float,
-    T: float,
-    spec: JointMarkSpec,
-    wait: WaitLaw,
-    n_mc: int,
-    grid_n: int,
-    rng: np.random.Generator,
-) -> tuple[CadlagPath, np.ndarray]:
-    """Monte Carlo centering curve for the branching model, with stderr band.
+    lam: float, T: float, spec: JointMarkSpec, wait: WaitLaw, grid_n: int = DEFAULT_GRID_N
+) -> CadlagPath:
+    """Mean cumulative mass of the branching model on a uniform grid.
 
-    Averages, over ``n_mc`` simulated immigrants, the expected mass of
-    first-generation subtrees whose roots enter before each grid time; the
-    arrival integral over the immigrant time is done analytically, leaving
-    sum_j D_j (tT - W_j)+ as the per-cluster statistic.
+    Every generation counts at its cumulative offset.  By the cluster
+    representation of Hawkes & Oakes (1974) the mean solves the renewal
+    equation m(u) = lam E[X] u + int_0^u m(u - w) k(dw), where k(dw) is the
+    mean number of children born at lag w (`_fertility_tail`).  Product
+    integration on a lag grid of at least _LAG_STEPS cells, a multiple of
+    grid_n, takes m linear on each cell and integrates k exactly against it;
+    the resulting lower-triangular Toeplitz system m = f + c * m is solved
+    as the power series m = f / (1 - c).
     """
-    from .clusters import HAWKES, simulate_batch  # local to keep deps one-way
-
-    if spec.phi > 0 and not spec.mean_fertility < 1.0:
-        raise ConfigurationError("supercritical fertility")
     ts = _uniform_grid(grid_n)
-    ex = spec.x_law.mean()
-    x0 = np.asarray(spec.x_law.sample(rng, n_mc), dtype=float)
-    n_children = rng.poisson(spec.phi * x0).astype(np.int64)
-    total = int(n_children.sum())
-    owner = np.repeat(np.arange(n_mc, dtype=np.int64), n_children)
-    if total:
-        waits = np.asarray(wait.sample(rng, mark=x0[owner], size=total), dtype=float)
-        subtrees = simulate_batch(HAWKES, total, spec, wait, rng, with_offsets=False)
-        d = subtrees.totals()
-    else:
-        waits = np.empty(0)
-        d = np.empty(0)
-    vals = np.empty(ts.size)
-    ses = np.empty(ts.size)
-    chunk = max(1, 8_000_000 // max(total, n_mc, 1))
-    for lo in range(0, ts.size, chunk):
-        hi = min(lo + chunk, ts.size)
-        u = ts[lo:hi] * T
-        contrib = d[None, :] * np.maximum(u[:, None] - waits[None, :], 0.0)
-        per_cluster = np.zeros((hi - lo, n_mc))
-        for r in range(hi - lo):
-            per_cluster[r] = np.bincount(owner, weights=contrib[r], minlength=n_mc)
-        mean = per_cluster.mean(axis=1)
-        sd = per_cluster.std(axis=1, ddof=1) if n_mc > 1 else np.zeros(hi - lo)
-        vals[lo:hi] = lam * (u * ex + mean)
-        ses[lo:hi] = lam * sd / np.sqrt(n_mc)
-    return CadlagPath(ts, vals, vals), ses
+    step = -(-_LAG_STEPS // grid_n)
+    u = np.linspace(0.0, T, grid_n * step + 1)
+    tail, tail_int = _fertility_tail(spec, wait, u)
+    cell_tail = np.diff(tail_int) / (T / (u.size - 1))  # mean of the tail over each cell
+    # weight of m(u_n - u_j): near end of cell j plus far end of cell j - 1
+    c = np.r_[tail[:-1] - cell_tail, 0.0] + np.r_[0.0, cell_tail - tail[1:]]
+    c[0] -= 1.0
+    vals = _convolve(lam * spec.x_law.mean() * u, _series_inverse(-c))[: u.size : step]
+    vals[0] = 0.0
+    return CadlagPath(ts, vals, vals)
 
 
 def centered_scaled_path(uncentered: CadlagPath, centering: CadlagPath, scaling: ScalingRule) -> CadlagPath:

@@ -134,3 +134,31 @@ def quadrature_centering_oracle(lam, T, ex, nu, wait_cdf, ts, points: int = 5) -
         s = mid + half * gl_x
         acc[i + 1] = acc[i] + half * float(np.dot(gl_w, lam * ex * (1.0 + nu * wait_cdf(s))))
     return acc
+
+
+def branching_path_mean(lam, T, spec, wait, ts, n, rng, chunk: int = 250_000):
+    """Mean of the uncentered branching path at times ts, with its standard
+    error, by brute force over n clusters.
+
+    `simulate_batch` places every generation at its cumulative offset from
+    the immigrant.  The immigrants' arrivals at rate lam on [0, T] are
+    integrated exactly, so a cluster contributes lam * sum mark * (tT - offset)+
+    over its events.
+    """
+    from bigjump.clusters import simulate_batch
+
+    u = np.asarray(ts, dtype=float) * T
+    s1 = np.zeros(u.size)
+    s2 = np.zeros(u.size)
+    done = 0
+    while done < n:
+        b = min(chunk, n - done)
+        batch = simulate_batch("hawkes", b, spec, wait, rng)
+        for i, ui in enumerate(u):
+            mass = batch.mark * np.maximum(ui - batch.offset, 0.0)
+            per_cluster = lam * np.bincount(batch.cid, weights=mass, minlength=b)
+            s1[i] += per_cluster.sum()
+            s2[i] += per_cluster @ per_cluster
+        done += b
+    mean = s1 / n
+    return mean, np.sqrt(np.maximum(s2 / n - mean**2, 0.0) / (n - 1))

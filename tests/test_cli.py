@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -112,6 +113,15 @@ def test_cli_measure_closed_form(tmp_path, capsys):
     assert "mu_bar_tail = 0.125" in out
 
 
+def test_cli_measure_rejects_zero_level(tmp_path, capsys):
+    # sup_exceed:0.0 was read as "no level" and fell back to mu_y; its limit
+    # mass then failed with a bare "c must be positive"
+    cfg = _write(tmp_path, BASE.replace("event = terminal_exceed:1.0", "event = sup_exceed:0.0"))
+    assert main(["measure", "--config", cfg]) == 2
+    line = _single_error_line(capsys)
+    assert "sup_exceed:0.0" in line and "k=0" in line
+
+
 def test_cli_m1_subcommand(tmp_path, capsys):
     from bigjump.paths import build_jump_path, write_path_csv
 
@@ -139,6 +149,18 @@ def test_cli_ldp_rows_identical_across_workers(tmp_path):
         cols.pop("wall_seconds")  # timing is the one nondeterministic column
         rows.append(cols)
     assert rows[0] == rows[1]
+
+
+def test_cli_ldp_row_quotes_multi_parameter_event(tmp_path):
+    # the comma inside value_at:0.5,0.5 used to split the row into 13 fields
+    cfg = _write(tmp_path, BASE.replace("event = terminal_exceed:1.0", "event = value_at:0.5,0.5"))
+    out = str(tmp_path / "out")
+    assert main(["ldp", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "results.csv"), newline="") as fh:
+        header, row = list(csv.reader(fh))
+    assert len(header) == len(row) == 12
+    cols = dict(zip(header, row))
+    assert cols["event"] == "value_at:0.5,0.5" and cols["seed"] == "4242"
 
 
 def test_cli_ldp_env_worker_override(tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from bigjump.paths import (
     centered_scaled_path,
     centering_hawkes,
     centering_mb,
-    hawkes_centering_values_exact,
     mb_centering_values,
     path_sup,
     path_value,
@@ -25,7 +24,7 @@ from bigjump.paths import (
     write_path_csv,
 )
 from bigjump.streams import substream
-from .oracles import quadrature_centering_oracle
+from .oracles import branching_path_mean, quadrature_centering_oracle
 
 
 ZERO = CadlagPath(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
@@ -159,19 +158,65 @@ def test_centering_grid_path_nondecreasing(mb_spec_nu2, exp_wait):
     assert path.right[0] == 0.0
 
 
-def test_centering_hawkes_matches_exact(hawkes_spec_half, exp_wait):
-    path, se = centering_hawkes(1.0, 50.0, hawkes_spec_half, exp_wait, 120_000, 16, substream(2, "hc"))
-    exact = hawkes_centering_values_exact(1.0, 50.0, hawkes_spec_half, exp_wait, path.t)
-    z = (path.right[1:] - exact[1:]) / se[1:]
-    assert np.abs(z).max() < 4.0
-    assert path.right[0] == 0.0
+def exponential_wait_mean_path(lam, ex, kappa, s, u):
+    """Branching mean path for Exp(mean s) waits: the renewal density of
+    kappa * Exp is (kappa / s) exp(-(1 - kappa) w / s)."""
+    r = (1.0 - kappa) / s
+    return lam * ex * (u + kappa / (1.0 - kappa) * (u + np.expm1(-r * u) / r))
+
+
+def test_centering_hawkes_exponential_closed_form(hawkes_spec_half):
+    lam, T = 1.3, 200.0
+    wait = WaitLaw(TailLaw("exponential", 2.0))
+    path = centering_hawkes(lam, T, hawkes_spec_half, wait, 1024)
+    exact = exponential_wait_mean_path(lam, 3.0, 0.5, 2.0, path.t * T)
+    assert np.abs(path.right - exact).max() < 1e-7 * exact[-1]
+    assert path.right[0] == 0.0 and np.array_equal(path.left, path.right)
+
+
+@pytest.mark.parametrize("s", [256 * 50.0 / 8192, 0.7371])  # on and off the lag grid
+def test_centering_hawkes_deterministic_waits(hawkes_spec_half, s):
+    # generation g arrives exactly g*s after its immigrant: m(u) = lam E[X] sum_g kappa^g (u - g s)+
+    T = 50.0
+    path = centering_hawkes(1.0, T, hawkes_spec_half, WaitLaw(TailLaw("deterministic", s)), 1024)
+    u = path.t * T
+    exact = 3.0 * sum(0.5**g * np.maximum(u - g * s, 0.0) for g in range(int(T / s) + 1))
+    assert np.abs(path.right - exact).max() < 1e-5 * exact[-1]
+
+
+@pytest.mark.parametrize("y", [0.5, 2.0])
+def test_centering_hawkes_mark_conditional_point_mass(y):
+    # a point-mass mark y makes mark-conditional waits Exp(mean s / (1 + y)) with kappa = phi y
+    lam, T, s, phi = 0.7, 100.0, 2.0, 0.2
+    spec = JointMarkSpec(TailLaw("deterministic", y), phi=phi)
+    wait = WaitLaw(TailLaw("exponential", s), conditional_on_mark=True)
+    path = centering_hawkes(lam, T, spec, wait, 1024)
+    exact = exponential_wait_mean_path(lam, y, phi * y, s / (1.0 + y), path.t * T)
+    assert np.abs(path.right - exact).max() < 1e-7 * exact[-1]
 
 
 def test_centering_hawkes_zero_fertility_linear(pareto15, exp_wait):
     spec = JointMarkSpec(pareto15, "independent_light_k", phi=0.0)
-    path, se = centering_hawkes(2.0, 10.0, spec, exp_wait, 1000, 8, substream(3, "hz"))
+    path = centering_hawkes(2.0, 10.0, spec, exp_wait, 8)
     np.testing.assert_allclose(path.right, 2.0 * path.t * 10.0 * 3.0, rtol=1e-12)
-    assert np.all(se == 0.0)
+    assert path.right[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "spec, wait",
+    [
+        (JointMarkSpec(TailLaw("deterministic", 3.0), phi=1.0 / 6.0), WaitLaw(TailLaw("exponential", 1.0))),
+        (JointMarkSpec(TailLaw("exponential", 2.0), phi=0.3), WaitLaw(TailLaw("pareto", 0.5, 1.5))),
+        (JointMarkSpec(TailLaw("exponential", 2.0), phi=0.3), WaitLaw(TailLaw("exponential", 2.0), True)),
+    ],
+    ids=["deterministic-marks", "pareto-waits", "mark-conditional-waits"],
+)
+def test_centering_hawkes_matches_simulated_path_mean(spec, wait):
+    # light marks keep the brute force's variance finite
+    lam, T, ts = 1.0, 20.0, np.array([0.25, 0.5, 1.0])
+    mean, se = branching_path_mean(lam, T, spec, wait, ts, 400_000, substream(5, "hpm"))
+    z = (centering_hawkes(lam, T, spec, wait, 1024).values_at(ts) - mean) / se
+    assert np.abs(z).max() < 3.0, z
 
 
 def test_centered_scaled_path_identities(mb_spec_nu0, exp_wait):
