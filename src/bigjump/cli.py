@@ -311,12 +311,14 @@ def _cmd_measure(args) -> int:
     extras = _load_extras(args.config)
     measure = measure_for_model(config.model, config.spec)
     y = float(extras["mu_y"])
+    if not 0.0 < y < np.inf:
+        raise ConfigurationError(f"mu_y must be positive and finite, got {y!r}")
     c = y if getattr(config.event, "c", None) is None else config.event.c
     try:
-        bar = mu_bar_tail(measure, config.lam, config.k, c)
         sharp = mu_sharp(measure, config.lam, config.k, config.event)
     except ValueError as exc:
         raise ConfigurationError(f"event {format_event(config.event)} at k={config.k}: {exc}") from None
+    bar = mu_bar_tail(measure, config.lam, config.k, c)  # an event's own c passed in mu_sharp
     out = {
         "model": measure.model,
         "alpha": measure.alpha,

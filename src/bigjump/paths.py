@@ -227,31 +227,29 @@ def centering_mb(
 def _fertility_tail(spec: JointMarkSpec, wait: WaitLaw, u: np.ndarray):
     """Mean number of children born after lag u, and its integral over [0, u]:
     kappa P(W > u) for unconditional waits, E[phi X P(W > u | X)] by mark
-    quadrature for mark-conditional ones."""
+    quadrature for mark-conditional ones.  The marks the quadrature misses (a
+    Pareto law's singular end) bear children at lag ~ 0: tail(0) is all kappa."""
     if wait.conditional_on_mark:
         xs, ws = _mark_quadrature(spec.x_law)
         u, rate = u[:, None], spec.phi * xs * ws
-        return wait.tail(u, xs) @ rate, _wait_tail_integral(wait, u, xs) @ rate
+        tail = np.r_[spec.mean_fertility, wait.tail(u[1:], xs) @ rate]
+        return tail, _wait_tail_integral(wait, u, xs) @ rate
     kappa = spec.mean_fertility
     return kappa * wait.tail(u), kappa * _wait_tail_integral(wait, u)
 
 
-def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    size = x.size + y.size - 1
-    n = 1 << (size - 1).bit_length()
-    return np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(y, n), n)[:size]
-
-
-def _series_inverse(d: np.ndarray) -> np.ndarray:
-    """Coefficients of 1/d(z) up to the degree of d, by Newton's iteration
-    r <- r (2 - d r), which doubles the number of correct terms per pass."""
+def _series_divide(f: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Coefficients of f(z) / d(z) up to the degree of d, 1/d by Newton's iteration
+    r <- r (2 - d r).  scipy.signal is imported here: at module level it would
+    add about 60 ms to the start-up of every command."""
+    from scipy.signal import fftconvolve
     r = np.array([1.0 / d[0]])
     while r.size < d.size:
         k = min(2 * r.size, d.size)
-        e = -_convolve(d[:k], r)[:k]
+        e = -fftconvolve(d[:k], r)[:k]
         e[0] += 2.0
-        r = _convolve(r, e)[:k]
-    return r
+        r = fftconvolve(r, e)[:k]
+    return fftconvolve(f, r)[: d.size]
 
 
 _LAG_STEPS = 8192
@@ -269,7 +267,7 @@ def centering_hawkes(
     integration on a lag grid of at least _LAG_STEPS cells, a multiple of
     grid_n, takes m linear on each cell and integrates k exactly against it;
     the resulting lower-triangular Toeplitz system m = f + c * m is solved
-    as the power series m = f / (1 - c).
+    as the power series m = f / (1 - c) (`_series_divide`).
     """
     ts = _uniform_grid(grid_n)
     step = -(-_LAG_STEPS // grid_n)
@@ -279,7 +277,7 @@ def centering_hawkes(
     # weight of m(u_n - u_j): near end of cell j plus far end of cell j - 1
     c = np.r_[tail[:-1] - cell_tail, 0.0] + np.r_[0.0, cell_tail - tail[1:]]
     c[0] -= 1.0
-    vals = _convolve(lam * spec.x_law.mean() * u, _series_inverse(-c))[: u.size : step]
+    vals = _series_divide(lam * spec.x_law.mean() * u, -c)[::step]
     vals[0] = 0.0
     return CadlagPath(ts, vals, vals)
 

@@ -122,6 +122,16 @@ def test_cli_measure_rejects_zero_level(tmp_path, capsys):
     assert "sup_exceed:0.0" in line and "k=0" in line
 
 
+def test_cli_measure_names_mu_y_when_it_is_refused(tmp_path, capsys):
+    # jump_count has no level of its own, so mu_bar_tail runs at mu_y; a bad
+    # mu_y is reported as such, not as a fault of the event
+    for y in ("0.0", "nan"):
+        text = BASE.replace("event = terminal_exceed:1.0", "event = jump_count:2,0.5") + f"mu_y = {y}\n"
+        assert main(["measure", "--config", _write(tmp_path, text)]) == 2
+        line = _single_error_line(capsys)
+        assert "mu_y" in line and "jump_count" not in line
+
+
 def test_cli_m1_subcommand(tmp_path, capsys):
     from bigjump.paths import build_jump_path, write_path_csv
 

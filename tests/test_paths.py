@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from bigjump.clusters import BatchClusters
 from bigjump.errors import ConfigurationError
@@ -193,6 +194,22 @@ def test_centering_hawkes_mark_conditional_point_mass(y):
     path = centering_hawkes(lam, T, spec, wait, 1024)
     exact = exponential_wait_mean_path(lam, y, phi * y, s / (1.0 + y), path.t * T)
     assert np.abs(path.right - exact).max() < 1e-7 * exact[-1]
+
+
+def test_centering_hawkes_mark_conditional_pareto_marks(pareto15):
+    # Pareto(1, 1.5) marks, whose singular tail the mark quadrature misses.  For
+    # large u, m(u) = lam E[X] / (1 - kappa) * (u - M1 / (1 - kappa)) up to terms
+    # decaying exponentially in u, with M1 = phi E[X E[W | X]] = phi E[X / (1 + X)].
+    lam, T, phi = 1.0, 200.0, 1.0 / 6.0
+    spec = JointMarkSpec(pareto15, phi=phi)
+    kappa, ex = phi * 3.0, 3.0
+    cond = centering_hawkes(lam, T, spec, WaitLaw(TailLaw("exponential", 1.0), True), 1024).right[-1]
+    uncond = centering_hawkes(lam, T, spec, WaitLaw(TailLaw("exponential", 1.0)), 1024).right[-1]
+    # waits of mean 1 / (1 + X) <= 1 bring mass earlier than Exp(1) waits
+    assert uncond < cond < lam * ex * T / (1.0 - kappa)
+    m1 = phi * integrate.quad(lambda x: x / (1.0 + x) * 1.5 * x**-2.5, 1.0, np.inf, epsrel=1e-12)[0]
+    exact = lam * ex / (1.0 - kappa) * (T - m1 / (1.0 - kappa))
+    assert abs(cond - exact) < 1e-9 * exact
 
 
 def test_centering_hawkes_zero_fertility_linear(pareto15, exp_wait):
