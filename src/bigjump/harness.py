@@ -1,8 +1,8 @@
 """Rare-event Monte Carlo over cluster-process paths.
 
-Estimators never share streams: every task (replication chunk, stratum,
-conditioning run) derives its generator from the root seed
-and a label, so results are bit-identical for any worker count.
+Estimators never share streams: every task (replication chunk, conditioning
+run) derives its generator from the root seed and a label, so results are
+bit-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -56,12 +56,18 @@ class Estimate:
     detail: dict = field(default_factory=dict, compare=False)
 
 
-def _estimate(value: float, stderr: float, n: int, lin: str, detail: dict | None = None) -> Estimate:
+def _estimate(
+    value: float, stderr: float, n: int, lin: str, detail: dict | None = None, ci95=None
+) -> Estimate:
+    """Estimate with the given 95% interval, by default value +- 1.96 stderr
+    with its lower end clipped at 0 (every estimate here is nonnegative)."""
+    if ci95 is None:
+        ci95 = (max(value - 1.96 * stderr, 0.0), value + 1.96 * stderr)
     return Estimate(
         value=float(value),
         stderr=float(stderr),
         n=int(n),
-        ci95=(float(value - 1.96 * stderr), float(value + 1.96 * stderr)),
+        ci95=(float(ci95[0]), float(ci95[1])),
         seed_lineage=lin,
         detail=detail or {},
     )
@@ -201,6 +207,14 @@ def _crude_chunk(config: ExperimentConfig, chunk_index: int, chunk_size: int, ce
     return int(hits.sum()), trunc
 
 
+def _chunk_sizes(n: int) -> list[int]:
+    """Replications per task: fixed CRUDE_CHUNK-sized chunks, one substream each."""
+    sizes = [CRUDE_CHUNK] * (n // CRUDE_CHUNK)
+    if n % CRUDE_CHUNK:
+        sizes.append(n % CRUDE_CHUNK)
+    return sizes
+
+
 def _run_tasks(fn, tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(*t) for t in tasks]
@@ -210,22 +224,22 @@ def _run_tasks(fn, tasks, workers: int):
 
 
 def crude_estimate(config: ExperimentConfig) -> Estimate:
-    """Plain hit frequency with binomial error."""
+    """Plain hit frequency with binomial error and the Wilson interval, which
+    keeps a positive upper end when no replication hits."""
     if config.n_reps < 100:
         raise ConfigurationError("crude estimation needs n_reps >= 100")
     centering = centering_curve(config)
-    sizes = [CRUDE_CHUNK] * (config.n_reps // CRUDE_CHUNK)
-    if config.n_reps % CRUDE_CHUNK:
-        sizes.append(config.n_reps % CRUDE_CHUNK)
-    tasks = [(config, i, s, centering) for i, s in enumerate(sizes)]
+    tasks = [(config, i, s, centering) for i, s in enumerate(_chunk_sizes(config.n_reps))]
     results = _run_tasks(_crude_chunk, tasks, config.workers)
     hits = sum(r[0] for r in results)
     trunc = sum(r[1] for r in results)
     n = config.n_reps
     p = hits / n
     se = np.sqrt(p * (1.0 - p) / n)
+    ci = stats.binomtest(hits, n).proportion_ci(method="wilson")
     return _estimate(
-        p, se, n, lineage(config.seed, "crude"), {"hits": hits, "truncated_clusters": trunc}
+        p, se, n, lineage(config.seed, "crude"), {"hits": hits, "truncated_clusters": trunc},
+        (ci.low, ci.high),
     )
 
 
@@ -248,8 +262,9 @@ def _conditional_pool(
     are no weights.  With ``xq`` they come from the defensive mixture tilted
     above ``xq`` (`_tilted_marks`) and each kept cluster carries its
     likelihood ratio.  Returns flat arrays with cluster ids remapped to
-    0..n_needed-1, the weights (None when untilted) and the count of
-    truncated clusters kept.
+    0..n_needed-1, the weights (None when untilted) and the counts
+    {"drawn", "accepted", "truncated"}: clusters simulated (the unused end of
+    the last batch included), clusters kept, and truncated clusters kept.
     """
     first_accept = 1.0 if xq is None else 0.25  # a guess of the acceptance rate
     got = tried = accepted = trunc = 0
@@ -289,9 +304,10 @@ def _conditional_pool(
                 weights[got : got + take.size] = w[take]
             trunc += int(b.truncated[take].sum())
             got += take.size
+    counts = {"drawn": tried, "accepted": got, "truncated": trunc}
     if cids:
-        return np.concatenate(cids), np.concatenate(offs), np.concatenate(marks), weights, trunc
-    return np.empty(0, np.int64), np.empty(0), np.empty(0), weights, trunc
+        return np.concatenate(cids), np.concatenate(offs), np.concatenate(marks), weights, counts
+    return np.empty(0, np.int64), np.empty(0), np.empty(0), weights, counts
 
 
 def _tilted_marks(law, xq: float, u: np.ndarray, tilt: np.ndarray):
@@ -307,29 +323,42 @@ def _tilted_marks(law, xq: float, u: np.ndarray, tilt: np.ndarray):
 
 def _stratum_chunk(
     config: ExperimentConfig,
-    m: int,
     chunk_index: int,
     n_reps: int,
     u: float,
     p_big: float,
+    m_max: int,
     centering: CadlagPath,
 ):
-    """Conditional hit count given exactly m big clusters, over n_reps draws."""
-    rng = substream(config.seed, "stratum", m, chunk_index)
+    """Event indicators H[r, m] of n_reps replications for every big-cluster
+    count m = 0..m_max.  Each replication draws one background of small
+    clusters (D <= u) and m_max big ones (D > u); stratum m adds the first m
+    big clusters to the background.  Returns H and the two pools' counts."""
+    rng = substream(config.seed, "stratum", chunk_index)
     small_counts = rng.poisson(config.lam * config.T * (1.0 - p_big), n_reps)
     total_small = int(small_counts.sum())
-    s_cid, s_off, s_mark, _, s_trunc = _conditional_pool(config, rng, total_small, u, big=False)
-    b_cid, b_off, b_mark, _, b_trunc = _conditional_pool(config, rng, m * n_reps, u)
+    s_cid, s_off, s_mark, _, small = _conditional_pool(config, rng, total_small, u, big=False)
+    b_cid, b_off, b_mark, _, big = _conditional_pool(config, rng, m_max * n_reps, u)
 
     gam_small = rng.random(total_small) * config.T
-    gam_big = rng.random(m * n_reps) * config.T
-    rep, t, size = _flat_jumps(
-        config.T,
-        (small_counts, gam_small, s_cid, s_off, s_mark),
-        (np.full(n_reps, m), gam_big, b_cid, b_off, b_mark),
+    gam_big = rng.random(m_max * n_reps) * config.T
+    rep_s, t_s, size_s = _flat_jumps(config.T, (small_counts, gam_small, s_cid, s_off, s_mark))
+    # one cluster per "replication", so the returned index is the big cluster's id
+    cid, t_b, size_b = _flat_jumps(
+        config.T, (np.ones(m_max * n_reps, np.int64), gam_big, b_cid, b_off, b_mark)
     )
-    hits = _eval_event_chunk(rep, t, size, n_reps, config.event, centering, config.scaling().x_T)
-    return int(hits.sum()), s_trunc + b_trunc
+    rep_b, rank = np.divmod(cid, m_max)
+    order = np.argsort(rank, kind="stable")
+    # background first, then big events by rank: stratum m is a prefix
+    rep = np.concatenate([rep_s, rep_b[order]])
+    t = np.concatenate([t_s, t_b[order]])
+    size = np.concatenate([size_s, size_b[order]])
+    ends = rep_s.size + np.searchsorted(rank[order], np.arange(m_max + 1))
+    x_T = config.scaling().x_T
+    hits = np.empty((n_reps, m_max + 1), dtype=bool)
+    for m, e in enumerate(ends):
+        hits[:, m] = _eval_event_chunk(rep[:e], t[:e], size[:e], n_reps, config.event, centering, x_T)
+    return hits, small, big
 
 
 def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, int]:
@@ -364,52 +393,61 @@ def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, i
 
 
 def _poisson_weights(rate: float, m_max: int) -> np.ndarray:
-    return stats.poisson.pmf(np.arange(m_max + 1), rate)
+    """Poisson(rate) pmf on 0..m_max with the tail beyond m_max added to m_max."""
+    w = stats.poisson.pmf(np.arange(m_max + 1), rate)
+    w[-1] += stats.poisson.sf(m_max, rate)
+    return w
 
 
 def splitting_estimate(config: ExperimentConfig) -> Estimate:
-    """Stratified estimator conditioning on the count of big clusters.
+    """Conditional Monte Carlo over the count of big clusters.
 
-    A cluster is big when its total mass exceeds delta * x_T; the big count
-    is Poisson(lam T P(D > u)).  Conditional hit probabilities are estimated
-    stratum by stratum; strata run to k+2 at least and extend until the
-    remaining Poisson tail is negligible, which is closed monotonically with
-    the last stratum's estimate (events only gain from extra big clusters).
+    A cluster is big when its total mass D exceeds u = delta * x_T; the big
+    count is Poisson(rate), rate = lam T P(D > u).  Each replication r draws
+    one background of small clusters and m_max big clusters, and decides the
+    event H[r, m] with the first m big ones for every m = 0..m_max (nested
+    strata, in the spirit of Chen, Blanchet, Rhee & Zwart 2019).  Its score
+    is Y_r = sum_m w[m] H[r, m] with the Poisson(rate) weights, the tail mass
+    beyond m_max on m_max; events only gain from extra big clusters, so that
+    closes the tail monotonically.  m_max is at least k+2 and grows until the
+    remaining tail is negligible.  The estimate is mean(Y); its stderr adds
+    sd(Y)/sqrt(n) and the delta-method error of the estimated rate.
     """
     u = config.delta * config.scaling().x_T
     if u <= config.spec.x_law.scale:
         raise ConfigurationError(
             f"splitting threshold {u:.6g} must exceed the mark scale {config.spec.x_law.scale}"
         )
+    if config.n_strata < 2:
+        raise ConfigurationError(f"splitting needs n_strata >= 2, got {config.n_strata}")
     p_big, se_p, raw_hits = _estimate_p_big(config, u)
     rate = config.lam * config.T * p_big
     m_max = max(config.k + 2, int(stats.poisson.ppf(1.0 - 1e-4, rate)))
     m_max = min(m_max, config.k + 2 + 120)
     centering = centering_curve(config)
 
-    tasks = [
-        (config, m, 0, config.n_strata, u, p_big, centering) for m in range(m_max + 1)
-    ]
-    results = _run_tasks(_stratum_chunk, tasks, config.workers)
-    p_m = np.array([r[0] / config.n_strata for r in results])
-    se_m = np.sqrt(p_m * (1.0 - p_m) / config.n_strata)
-    trunc = sum(r[1] for r in results)
+    sizes = _chunk_sizes(config.n_strata)
+    tasks = [(config, i, s, u, p_big, m_max, centering) for i, s in enumerate(sizes)]
+    hits, small, big = zip(*_run_tasks(_stratum_chunk, tasks, config.workers))
+    hits = np.concatenate(hits)
+    pools = {
+        name: {key: sum(c[key] for c in counts) for key in counts[0]}
+        for name, counts in (("small", small), ("big", big))
+    }
+    p_m = hits.mean(axis=0)
 
     def mixture(r: float) -> float:
-        w = _poisson_weights(r, m_max)
-        tail = stats.poisson.sf(m_max, r)
-        return float(w @ p_m + tail * p_m[-1])
+        return float(_poisson_weights(r, m_max) @ p_m)
 
-    w = _poisson_weights(rate, m_max)
     tail = float(stats.poisson.sf(m_max, rate))
-    value = mixture(rate)
-    w_eff = w.copy()
-    w_eff[-1] += tail
-    var_strata = float(w_eff**2 @ se_m**2)
+    y = hits @ _poisson_weights(rate, m_max)
+    n = config.n_strata
+    value = float(y.mean())
+    var_reps = float(y.var(ddof=1)) / n
     h = max(config.lam * config.T * se_p, 1e-12)
     dvalue = (mixture(rate + h) - mixture(max(rate - h, 0.0))) / (2 * h)
     var_rate = (dvalue * config.lam * config.T * se_p) ** 2
-    se = float(np.sqrt(var_strata + var_rate))
+    se = float(np.sqrt(var_reps + var_rate))
 
     detail = {
         "p_big": p_big,
@@ -423,10 +461,10 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
         "neglected_default_truncation": float(stats.poisson.sf(config.k + 2, rate)),
         "tail_closure_prob": tail,
         "tail_bound_width": tail * float(1.0 - p_m[-1]),
-        "truncated_clusters": trunc,
+        "truncated_clusters": pools["small"]["truncated"] + pools["big"]["truncated"],
+        "pools": pools,
     }
-    n_total = config.n_strata * (m_max + 1)
-    return _estimate(value, se, n_total, lineage(config.seed, "splitting"), detail)
+    return _estimate(value, se, n, lineage(config.seed, "splitting"), detail)
 
 
 def ldp_ratio(config: ExperimentConfig) -> tuple[Estimate, float]:
@@ -452,9 +490,10 @@ def ldp_ratio(config: ExperimentConfig) -> tuple[Estimate, float]:
     vp = config.scaling().speed_prime(config.spec.x_law) ** (config.k + 1)
     ratio = vp * est.value / limit_value
     se = vp * est.stderr / limit_value
+    ci = tuple(vp * end / limit_value for end in est.ci95)
     detail = dict(est.detail)
     detail.update({"probability": est.value, "probability_se": est.stderr, "v_prime_power": vp})
-    return _estimate(ratio, se, est.n, est.seed_lineage, detail), limit_value
+    return _estimate(ratio, se, est.n, est.seed_lineage, detail, ci), limit_value
 
 
 # ---------------------------------------------------------------------------

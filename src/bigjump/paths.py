@@ -17,8 +17,6 @@ from .laws import (
     COMONOTONE,
     DETERMINISTIC,
     EXPONENTIAL,
-    HEAVY_K_LIGHT_X,
-    INDEPENDENT_LIGHT_K,
     JointMarkSpec,
     TailLaw,
     WaitLaw,
@@ -186,27 +184,22 @@ def mb_centering_values(
 ) -> np.ndarray:
     """Mean cumulative mass m(t) for the single-generation model.
 
-    Exact when the offspring count is independent of the mark and the wait
-    law is unconditional; otherwise the mark expectation is evaluated by
-    256-point Gauss-Legendre on the quantile scale.
+    Exact when the wait law is unconditional: the mark expectation then
+    factorises into E[K].  Mark-conditional waits take it by 256-point
+    Gauss-Legendre on the quantile scale; the offspring the quadrature
+    misses (a Pareto law's singular end, whose children wait ~ 0) are
+    booked at lag 0.
     """
     ts = np.asarray(ts, dtype=float)
     ex = spec.x_law.mean()
     u = ts * T
-    if spec.dependence in (INDEPENDENT_LIGHT_K, HEAVY_K_LIGHT_X) and not wait.conditional_on_mark:
-        kmean = spec.mean_offspring()
+    kmean = spec.mean_offspring()
+    if not wait.conditional_on_mark:
         return lam * ex * (u + kmean * (u - _wait_tail_integral(wait, u)))
     xs, ws = _mark_quadrature(spec.x_law)
-    if spec.dependence == COMONOTONE:
-        kx = ceil_count(spec.k_param, xs).astype(float)
-    else:
-        kx = np.full_like(xs, spec.mean_offspring())
-    if wait.conditional_on_mark:
-        h = u[:, None] - _wait_tail_integral(wait, u[:, None], mark=xs[None, :])
-    else:
-        h = np.broadcast_to((u - _wait_tail_integral(wait, u))[:, None], (u.size, xs.size))
-    inner = h @ (kx * ws)
-    return lam * ex * (u + inner)
+    kx = ceil_count(spec.k_param, xs) if spec.dependence == COMONOTONE else np.full_like(xs, kmean)
+    h = u[:, None] - _wait_tail_integral(wait, u[:, None], mark=xs[None, :])
+    return lam * ex * (u + h @ (kx * ws) + u * (kmean - kx @ ws))
 
 
 def _uniform_grid(grid_n: int) -> np.ndarray:

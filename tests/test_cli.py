@@ -183,6 +183,19 @@ def test_cli_ldp_env_worker_override(tmp_path, monkeypatch):
     assert summary["probability"] > 0
 
 
+def test_cli_ldp_json_reports_pools(tmp_path):
+    text = BASE.replace("estimator = crude", "estimator = splitting")
+    cfg = _write(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main(["ldp", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, f"ldp_{config_hash(parse_config(text))}.json")) as fh:
+        summary = json.load(fh)
+    pools = summary["detail"]["pools"]
+    assert pools["big"]["accepted"] == summary["detail"]["m_max"] * 800
+    assert pools["small"]["drawn"] >= pools["small"]["accepted"] > 0
+    assert 0.0 <= summary["ratio_ci95"][0] < summary["ratio"] < summary["ratio_ci95"][1]
+
+
 def test_cli_check_assumption6(tmp_path):
     cfg = _write(tmp_path, BASE)
     out = str(tmp_path / "chk")

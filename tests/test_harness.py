@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bigjump.errors import ConfigurationError
 from bigjump.events import DkProxy, JumpCount, SupExceed, TerminalExceed, ValueAt
@@ -11,6 +12,7 @@ from bigjump.harness import (
     _eval_event_chunk,
     _remainder_chunk_plain,
     _simulate_jump_arrays,
+    _stratum_chunk,
     big_jump_anatomy,
     centering_curve,
     check_assumption6,
@@ -135,7 +137,10 @@ def test_crude_poisson_void_oracle(exp_wait):
     est = crude_estimate(cfg)
     want = 1.0 - np.exp(-0.5)
     assert abs(est.value - want) < 3 * est.stderr
-    assert est.ci95 == (pytest.approx(est.value - 1.96 * est.stderr), pytest.approx(est.value + 1.96 * est.stderr))
+    wilson = stats.binomtest(est.detail["hits"], est.n).proportion_ci(method="wilson")
+    assert est.ci95 == (wilson.low, wilson.high)
+    symmetric = (est.value - 1.96 * est.stderr, est.value + 1.96 * est.stderr)
+    assert est.ci95 == pytest.approx(symmetric, abs=1e-4)
 
 
 def test_crude_impossible_event(exp_wait):
@@ -146,6 +151,21 @@ def test_crude_impossible_event(exp_wait):
     est = crude_estimate(cfg)
     assert est.value == 0.0
     assert est.detail["hits"] == 0
+
+
+def test_reported_intervals_are_never_negative(mb_spec_nu0, exp_wait):
+    # zero crude hits: the Wilson interval starts at 0 and keeps a positive upper end
+    cfg = base_config(mb_spec_nu0, exp_wait, event=TerminalExceed(200.0), n_reps=1000, estimator="crude")
+    prob = crude_estimate(cfg)
+    assert prob.detail["hits"] == 0
+    assert prob.ci95[0] == 0.0 and prob.ci95[1] > 0.0
+    ratio, limit = ldp_ratio(cfg)
+    vp = ratio.detail["v_prime_power"]
+    assert ratio.ci95 == tuple(vp * end / limit for end in prob.ci95)
+    # a rare splitting event whose value - 1.96 se falls below 0
+    split = splitting_estimate(replace(cfg, event=TerminalExceed(20.0), n_strata=100))
+    assert split.value - 1.96 * split.stderr < 0.0
+    assert split.ci95 == (0.0, split.value + 1.96 * split.stderr)
 
 
 def test_crude_stderr_scales(mb_spec_nu0, exp_wait):
@@ -203,6 +223,52 @@ def test_splitting_crude_agreement_random_configs(pareto15, exp_wait):
         se_ = splitting_estimate(cfg)
         tol = 3.0 * np.hypot(ce.stderr, se_.stderr) + 1e-4
         assert abs(ce.value - se_.value) < tol, (trial, ce.value, se_.value)
+
+
+def test_splitting_terminal_strata_nondecreasing(mb_spec_nu2, exp_wait):
+    # stratum m + 1 adds one big cluster to the replications of stratum m, so
+    # no replication loses terminal mass and no hit is lost
+    cfg = base_config(mb_spec_nu2, exp_wait, T=100.0, n_strata=1500)
+    strata = splitting_estimate(cfg).detail["strata"]
+    vals = [strata[m] for m in range(len(strata))]
+    assert all(b >= a for a, b in zip(vals, vals[1:])), vals
+    u = cfg.delta * cfg.scaling().x_T
+    hits, _, _ = _stratum_chunk(cfg, 0, 500, u, 0.02, 6, centering_curve(cfg))
+    assert np.all(hits[:, 1:] >= hits[:, :-1])
+
+
+def test_splitting_worker_invariant(mb_spec_nu0, exp_wait):
+    cfg = base_config(mb_spec_nu0, exp_wait, n_strata=2500)  # three chunks
+    a = splitting_estimate(cfg)
+    b = splitting_estimate(replace(cfg, workers=3))
+    assert (a.value, a.stderr, a.ci95, a.n) == (b.value, b.stderr, b.ci95, b.n)
+    assert a.detail == b.detail
+
+
+def test_splitting_stderr_matches_seed_spread(mb_spec_nu0, exp_wait):
+    ests = [
+        splitting_estimate(base_config(mb_spec_nu0, exp_wait, n_strata=800, n_pbig=80_000, seed=s))
+        for s in range(20)
+    ]
+    sd = float(np.std([e.value for e in ests], ddof=1))
+    se = float(np.mean([e.stderr for e in ests]))
+    assert 0.7 * se <= sd <= 1.4 * se, (sd, se)
+
+
+def test_splitting_reports_pool_counts(mb_spec_nu0, exp_wait):
+    cfg = base_config(mb_spec_nu0, exp_wait, T=100.0, n_strata=1500)
+    d = splitting_estimate(cfg).detail
+    pools = d["pools"]
+    assert pools["big"]["accepted"] == d["m_max"] * cfg.n_strata
+    for pool in pools.values():
+        assert pool["drawn"] >= pool["accepted"] > 0
+    assert d["truncated_clusters"] == pools["small"]["truncated"] + pools["big"]["truncated"]
+
+
+def test_splitting_needs_two_replications(mb_spec_nu0, exp_wait):
+    cfg = base_config(mb_spec_nu0, exp_wait, n_strata=1)
+    with pytest.raises(ConfigurationError, match="n_strata"):
+        splitting_estimate(cfg)
 
 
 def test_splitting_threshold_validation(mb_spec_nu0, exp_wait):

@@ -9,7 +9,7 @@ from bigjump.clusters import BatchClusters
 from bigjump.errors import ConfigurationError
 from bigjump.events import TerminalExceed
 from bigjump.harness import ExperimentConfig, draw_clusters, replication_path
-from bigjump.laws import JointMarkSpec, TailLaw, WaitLaw
+from bigjump.laws import JointMarkSpec, TailLaw, WaitLaw, mean_ceil
 from bigjump.paths import (
     CadlagPath,
     ScalingRule,
@@ -151,6 +151,28 @@ def test_centering_mb_comonotone_against_crude_mc(pareto15, exp_wait):
     est = lam * T * totals.mean()
     se = lam * T * totals.std() / np.sqrt(n)
     assert abs(val - est) < 4 * se
+
+
+def test_centering_mb_comonotone_closed_form(pareto15, exp_wait):
+    # unconditional waits: m(T) = lam E[X] (T + E[ceil(eta X)] (T - G(T))), with
+    # G(T) = 1 - exp(-T) for Exp(1) waits; the 256-node mark quadrature would
+    # miss about 1.3% of E[ceil(eta X)] at the singular end of Pareto(1, 1.5)
+    spec = JointMarkSpec(pareto15, "comonotone", k_param=0.5)
+    lam, T = 1.0, 200.0
+    val = mb_centering_values(lam, T, spec, exp_wait, np.array([1.0]))[0]
+    exact = lam * 3.0 * (T + mean_ceil(0.5, pareto15) * (T + np.expm1(-T)))
+    assert abs(val - exact) <= 1e-12 * exact
+
+
+def test_centering_mb_comonotone_mark_conditional_waits(pareto15):
+    # waits of mean 1 / (1 + X) <= 1 bring mass earlier than Exp(1) waits (the
+    # closed form above), and no wait law brings more than lam E[X] (1 + E[K]) u
+    spec = JointMarkSpec(pareto15, "comonotone", k_param=0.5)
+    lam, T, kmean = 1.0, 200.0, mean_ceil(0.5, pareto15)
+    u = np.array([0.01, 0.1, 1.0]) * T
+    cond = mb_centering_values(lam, T, spec, WaitLaw(TailLaw("exponential", 1.0), True), u / T)
+    assert np.all(lam * 3.0 * (u + kmean * (u + np.expm1(-u))) < cond)
+    assert np.all(cond < lam * 3.0 * (1.0 + kmean) * u)
 
 
 def test_centering_grid_path_nondecreasing(mb_spec_nu2, exp_wait):
