@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .clusters import write_clusters_csv
@@ -424,7 +423,9 @@ def _cmd_check(args) -> int:
     if args.which == "remainder":
         rows = check_remainder(config, grid, n_accept_target=int(extras["check_n_accept"]))
         ests = [r["estimate"] for r in rows]
-        rho = float(stats.spearmanr(grid, ests).statistic) if len(grid) > 2 else np.nan
+        from scipy.stats import spearmanr
+
+        rho = float(spearmanr(grid, ests).statistic) if len(grid) > 2 else np.nan
         ok = bool(rho <= -0.9 and ests[-1] < 0.05 and not any(r["low_confidence"] for r in rows))
         verdict = {"check": "remainder", "spearman": rho, "final": ests[-1], "pass": ok}
         _write_table(os.path.join(args.out, "remainder.csv"), rows)

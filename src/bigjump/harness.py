@@ -10,7 +10,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from .clusters import DEFAULT_CAP, HAWKES, MB, BatchClusters, simulate_batch
 from .errors import ConfigurationError
@@ -236,11 +235,25 @@ def crude_estimate(config: ExperimentConfig) -> Estimate:
     n = config.n_reps
     p = hits / n
     se = np.sqrt(p * (1.0 - p) / n)
-    ci = stats.binomtest(hits, n).proportion_ci(method="wilson")
     return _estimate(
         p, se, n, lineage(config.seed, "crude"), {"hits": hits, "truncated_clusters": trunc},
-        (ci.low, ci.high),
+        _wilson_interval(hits, n),
     )
+
+
+_Z975 = 1.959963984540054  # ndtri(0.975), the two-sided 95% normal quantile
+
+
+def _wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval in Newcombe's (1998) form, as
+    scipy.stats.binomtest(hits, n).proportion_ci("wilson") computes it."""
+    p = hits / n
+    q = 1 - p
+    z = _Z975
+    denom = 2 * (n + z**2)
+    center = (2 * n * p + z**2) / denom
+    delta = z / denom * np.sqrt(4 * n * p * q + z**2)
+    return (0.0 if hits == 0 else center - delta, 1.0 if hits == n else center + delta)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +405,36 @@ def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, i
     return p, se, raw_hits
 
 
+# Poisson(rate) pmf, sf and ppf from the formulas scipy.stats.poisson uses, so
+# they agree with it to the bit; scipy.special is imported only by splitting.
+
+
+def _poisson_pmf(k: np.ndarray, rate: float) -> np.ndarray:
+    from scipy.special import gammaln, xlogy
+
+    return np.exp(xlogy(k, rate) - gammaln(k + 1) - rate)
+
+
+def _poisson_sf(m: int, rate: float) -> float:
+    """P(N > m)."""
+    from scipy.special import pdtrc
+
+    return float(pdtrc(float(m), rate))
+
+
+def _poisson_ppf(q: float, rate: float) -> int:
+    """Smallest m with P(N <= m) >= q."""
+    from scipy.special import pdtr, pdtrik
+
+    v = float(np.ceil(pdtrik(q, rate)))
+    v1 = max(v - 1.0, 0.0)
+    return int(v1 if pdtr(v1, rate) >= q else v)
+
+
 def _poisson_weights(rate: float, m_max: int) -> np.ndarray:
     """Poisson(rate) pmf on 0..m_max with the tail beyond m_max added to m_max."""
-    w = stats.poisson.pmf(np.arange(m_max + 1), rate)
-    w[-1] += stats.poisson.sf(m_max, rate)
+    w = _poisson_pmf(np.arange(m_max + 1), rate)
+    w[-1] += _poisson_sf(m_max, rate)
     return w
 
 
@@ -411,7 +450,9 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     beyond m_max on m_max; events only gain from extra big clusters, so that
     closes the tail monotonically.  m_max is at least k+2 and grows until the
     remaining tail is negligible.  The estimate is mean(Y); its stderr adds
-    sd(Y)/sqrt(n) and the delta-method error of the estimated rate.
+    sd(Y)/sqrt(n) and the delta-method error of the estimated rate.  When no
+    replication hits, the interval is [0, 1 - 0.025^(1/n)], the exact 97.5%
+    upper bound on P(Y > 0), which bounds E[Y] as 0 <= Y <= 1.
     """
     u = config.delta * config.scaling().x_T
     if u <= config.spec.x_law.scale:
@@ -422,7 +463,7 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
         raise ConfigurationError(f"splitting needs n_strata >= 2, got {config.n_strata}")
     p_big, se_p, raw_hits = _estimate_p_big(config, u)
     rate = config.lam * config.T * p_big
-    m_max = max(config.k + 2, int(stats.poisson.ppf(1.0 - 1e-4, rate)))
+    m_max = max(config.k + 2, _poisson_ppf(1.0 - 1e-4, rate))
     m_max = min(m_max, config.k + 2 + 120)
     centering = centering_curve(config)
 
@@ -439,7 +480,7 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     def mixture(r: float) -> float:
         return float(_poisson_weights(r, m_max) @ p_m)
 
-    tail = float(stats.poisson.sf(m_max, rate))
+    tail = _poisson_sf(m_max, rate)
     y = hits @ _poisson_weights(rate, m_max)
     n = config.n_strata
     value = float(y.mean())
@@ -458,13 +499,14 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
         "m_max": m_max,
         "strata": {m: float(p_m[m]) for m in range(m_max + 1)},
         "bias_probe_k_plus_2": float(p_m[min(config.k + 2, m_max)]),
-        "neglected_default_truncation": float(stats.poisson.sf(config.k + 2, rate)),
+        "neglected_default_truncation": _poisson_sf(config.k + 2, rate),
         "tail_closure_prob": tail,
         "tail_bound_width": tail * float(1.0 - p_m[-1]),
         "truncated_clusters": pools["small"]["truncated"] + pools["big"]["truncated"],
         "pools": pools,
     }
-    return _estimate(value, se, n, lineage(config.seed, "splitting"), detail)
+    ci95 = None if y.any() else (0.0, 1.0 - 0.025 ** (1.0 / n))
+    return _estimate(value, se, n, lineage(config.seed, "splitting"), detail, ci95)
 
 
 def ldp_ratio(config: ExperimentConfig) -> tuple[Estimate, float]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigurationError
 
@@ -149,8 +148,10 @@ class JointMarkSpec:
         c, a = self.k_param, self.k_alpha
         if c == 0.0:
             return 0.0
+        from scipy.special import zeta
+
         k0 = max(1, int(np.ceil(c ** (1.0 / a))))  # below k0 the tail saturates at 1
-        return (k0 - 1) + c * float(special.zeta(a, k0))
+        return (k0 - 1) + c * float(zeta(a, k0))
 
     def offspring_counts(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Vectorized K draws given marks ``x``."""
@@ -183,9 +184,11 @@ def mean_ceil(eta: float, law: TailLaw) -> float:
     a = law.alpha
     if a <= 1:
         return np.inf
+    from scipy.special import zeta
+
     k0 = max(1, int(np.ceil(eta * law.scale)))  # first k with k/eta >= scale
     head = k0  # terms k = 0..k0-1 have tail equal to 1
-    tail = (eta * law.scale) ** a * float(special.zeta(a, k0))
+    tail = (eta * law.scale) ** a * float(zeta(a, k0))
     return head + tail
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigurationError
 from .laws import COMONOTONE, INDEPENDENT_LIGHT_K, JointMarkSpec, mean_ceil
@@ -124,11 +123,13 @@ def _excess_mass(measure: LimitMeasure, j: int, c, n_gl: int = 256) -> np.ndarra
 
 def _excess_mass_qmc(measure: LimitMeasure, j: int, c: float, n_pow: int = 17) -> tuple[float, float]:
     """Quasi-random fallback for deep products, with an error estimate."""
+    from scipy.stats import qmc
+
     M0 = measure.total_mass
     C, a = measure.constant, measure.alpha
     estimates = []
     for rep in range(8):
-        eng = stats.qmc.Sobol(d=j - 1, scramble=True, seed=rep)
+        eng = qmc.Sobol(d=j - 1, scramble=True, seed=rep)
         u = eng.random(2**n_pow) * M0
         q = (C / np.maximum(u, 1e-300)) ** (1.0 / a)
         inner = _excess_mass(measure, 1, c - q.sum(axis=1))

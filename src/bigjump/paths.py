@@ -231,18 +231,43 @@ def _fertility_tail(spec: JointMarkSpec, wait: WaitLaw, u: np.ndarray):
     return kappa * wait.tail(u), kappa * _wait_tail_integral(wait, u)
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= n."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two 1-d float arrays by a real FFT padded to
+    a 5-smooth length; the same arithmetic as scipy.signal.fftconvolve, which
+    also multiplies directly when an input has one element."""
+    if a.size == 1 or b.size == 1:
+        return a * b
+    n = a.size + b.size - 1
+    m = _fast_len(n)
+    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
+
+
 def _series_divide(f: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Coefficients of f(z) / d(z) up to the degree of d, 1/d by Newton's iteration
-    r <- r (2 - d r).  scipy.signal is imported here: at module level it would
-    add about 60 ms to the start-up of every command."""
-    from scipy.signal import fftconvolve
+    r <- r (2 - d r)."""
     r = np.array([1.0 / d[0]])
     while r.size < d.size:
         k = min(2 * r.size, d.size)
-        e = -fftconvolve(d[:k], r)[:k]
+        e = -_convolve(d[:k], r)[:k]
         e[0] += 2.0
-        r = fftconvolve(r, e)[:k]
-    return fftconvolve(f, r)[: d.size]
+        r = _convolve(r, e)[:k]
+    return _convolve(f, r)[: d.size]
 
 
 _LAG_STEPS = 8192
@@ -327,12 +352,21 @@ def write_path_csv(path_obj: CadlagPath, file) -> None:
 
 
 def read_path_csv(file) -> CadlagPath:
+    """Read a path CSV; errors name the file (when it has a name) and the row."""
+    name = getattr(file, "name", "path CSV")
     reader = csv.reader(file)
     header = next(reader, None)
     if header != ["t", "left", "right"]:
-        raise ValueError(f"not a path CSV, header was {header}")
-    rows = [(float(a), float(b), float(c)) for a, b, c in reader]
+        raise ValueError(f"{name}: not a path CSV, header was {header}")
+    rows = []
+    for row in reader:
+        if len(row) != 3:
+            raise ValueError(f"{name} row {reader.line_num}: expected 3 fields, got {len(row)}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"{name} row {reader.line_num}: {exc}") from None
     if not rows:
-        raise ValueError("path CSV has no nodes")
+        raise ValueError(f"{name}: path CSV has no nodes")
     arr = np.array(rows)
     return CadlagPath(arr[:, 0], arr[:, 1], arr[:, 2])

@@ -285,6 +285,20 @@ def test_cli_m1_rejects_header_only_csv(tmp_path, capsys):
     assert "no nodes" in _single_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "node, message",
+    [("0.5,1.0", "expected 3 fields, got 2"), ("abc,0.0,1.0", "could not convert string to float: 'abc'")],
+)
+def test_cli_m1_names_file_and_row_of_a_bad_node(tmp_path, capsys, node, message):
+    good, bad = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    with open(good, "w") as fh:
+        fh.write("t,left,right\n0.0,0.0,0.0\n1.0,0.0,0.0\n")
+    with open(bad, "w") as fh:
+        fh.write(f"t,left,right\n0.0,0.0,0.0\n{node}\n1.0,1.0,1.0\n")
+    assert main(["m1", good, bad]) == 2
+    assert _single_error_line(capsys) == f"error: {bad} row 3: {message}"
+
+
 def test_cli_bad_worker_env(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, BASE)
     out = str(tmp_path / "never")

@@ -9,6 +9,10 @@ from bigjump.errors import ConfigurationError
 from bigjump.events import DkProxy, JumpCount, SupExceed, TerminalExceed, ValueAt
 from bigjump.harness import (
     ExperimentConfig,
+    _poisson_pmf,
+    _poisson_ppf,
+    _poisson_sf,
+    _wilson_interval,
     _eval_event_chunk,
     _remainder_chunk_plain,
     _simulate_jump_arrays,
@@ -143,6 +147,24 @@ def test_crude_poisson_void_oracle(exp_wait):
     assert est.ci95 == pytest.approx(symmetric, abs=1e-4)
 
 
+def test_wilson_interval_bit_identical_to_binomtest():
+    for n in (100, 1000, 20_000, 12_345):
+        for hits in (0, 1, n // 2, n - 1, n):
+            ci = stats.binomtest(hits, n).proportion_ci(method="wilson")
+            assert _wilson_interval(hits, n) == (ci.low, ci.high), (hits, n)
+
+
+def test_poisson_helpers_bit_identical_to_scipy():
+    rng = np.random.default_rng(3)
+    for rate in np.r_[0.0, 1e-9, rng.uniform(0.0, 150.0, 300)]:
+        k = np.arange(int(rate) + 40)
+        assert np.array_equal(_poisson_pmf(k, rate), stats.poisson.pmf(k, rate)), rate
+        for m in (0, 2, int(rate), int(rate) + 7):
+            assert _poisson_sf(m, rate) == float(stats.poisson.sf(m, rate)), (m, rate)
+        for q in (0.5, 1.0 - 1e-4):
+            assert _poisson_ppf(q, rate) == int(stats.poisson.ppf(q, rate)), (q, rate)
+
+
 def test_crude_impossible_event(exp_wait):
     det = TailLaw("deterministic", 3.0)
     spec = JointMarkSpec(det, "independent_light_k", k_param=0.0)
@@ -166,6 +188,15 @@ def test_reported_intervals_are_never_negative(mb_spec_nu0, exp_wait):
     split = splitting_estimate(replace(cfg, event=TerminalExceed(20.0), n_strata=100))
     assert split.value - 1.96 * split.stderr < 0.0
     assert split.ci95 == (0.0, split.value + 1.96 * split.stderr)
+
+
+def test_splitting_without_hits_reports_an_upper_bound(mb_spec_nu0, exp_wait):
+    # every Y_r is 0, so sd(Y) and the rate term are 0; the interval was [0, 0]
+    cfg = base_config(mb_spec_nu0, exp_wait, event=TerminalExceed(200.0), n_strata=100)
+    split = splitting_estimate(cfg)
+    assert split.value == 0.0 and split.stderr == 0.0
+    assert all(p == 0.0 for p in split.detail["strata"].values())
+    assert split.ci95 == (0.0, 1.0 - 0.025 ** (1.0 / 100))
 
 
 def test_crude_stderr_scales(mb_spec_nu0, exp_wait):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, signal
 
 from bigjump.clusters import BatchClusters
 from bigjump.errors import ConfigurationError
@@ -12,6 +12,7 @@ from bigjump.harness import ExperimentConfig, draw_clusters, replication_path
 from bigjump.laws import JointMarkSpec, TailLaw, WaitLaw, mean_ceil
 from bigjump.paths import (
     CadlagPath,
+    _convolve,
     ScalingRule,
     build_jump_path,
     centered_scaled_path,
@@ -232,6 +233,17 @@ def test_centering_hawkes_mark_conditional_pareto_marks(pareto15):
     m1 = phi * integrate.quad(lambda x: x / (1.0 + x) * 1.5 * x**-2.5, 1.0, np.inf, epsrel=1e-12)[0]
     exact = lam * ex / (1.0 - kappa) * (T - m1 / (1.0 - kappa))
     assert abs(cond - exact) < 1e-9 * exact
+
+
+def test_convolve_bit_identical_to_fftconvolve():
+    # the numpy convolution behind the branching centering repeats scipy's
+    # arithmetic exactly, the one-element shortcut included
+    rng = np.random.default_rng(7)
+    sizes = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 500), (700, 2), (8192, 8192)]
+    sizes += [tuple(rng.integers(1, 5000, 2)) for _ in range(120)]
+    for na, nb in sizes:
+        a, b = rng.standard_normal(na), rng.standard_normal(nb)
+        assert np.array_equal(_convolve(a, b), signal.fftconvolve(a, b)), (na, nb)
 
 
 def test_centering_hawkes_zero_fertility_linear(pareto15, exp_wait):
