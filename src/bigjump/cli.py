@@ -104,9 +104,12 @@ def _parse_items(text: str) -> dict[str, str]:
 
 def _get_float(items, key) -> float:
     try:
-        return float(items[key])
+        value = float(items[key])
     except ValueError as exc:
         raise ConfigurationError(f"key {key!r}: not a number ({items[key]!r})") from exc
+    if not np.isfinite(value):
+        raise ConfigurationError(f"key {key!r}: must be finite, got {items[key]!r}")
+    return value
 
 
 def _get_int(items, key) -> int:

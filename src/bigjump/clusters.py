@@ -89,7 +89,6 @@ def simulate_batch(
     offsets = [np.zeros(n)] if with_offsets else None
     marks = [x0]
     gens = [np.zeros(n, dtype=np.int16)]
-    counts = np.ones(n, dtype=np.int64)
     truncated = np.zeros(n, dtype=bool)
 
     if model == MB:
@@ -107,6 +106,11 @@ def simulate_batch(
         parent = cid = np.concatenate(cids)  # children point at their immigrant's row
     else:
         parents = [cids[0]]
+        # no cluster holds more events than the batch's rows, candidate
+        # generations included; the per-cluster counts are built only once
+        # that row count passes the cap
+        rows = n
+        counts = None
         row0 = 0  # first row of the current parent generation
         parent_cid = cids[0]
         parent_mark = x0
@@ -122,17 +126,20 @@ def simulate_batch(
             cid = np.repeat(parent_cid, k)
             prow = np.repeat(np.arange(row0, row0 + parent_cid.size), k)
             # enforce the per-cluster cap at generation granularity
-            counts += np.bincount(cid, minlength=n)
-            over = counts > cap
-            if over.any():
-                newly = over & ~truncated
-                truncated |= newly
-                keep = ~over[cid]
-                cid = cid[keep]
-                prow = prow[keep]
-                k_keep = keep
-            else:
-                k_keep = None
+            rows += total
+            k_keep = None
+            if counts is not None:
+                counts += np.bincount(cid, minlength=n)
+            elif rows > cap:
+                # nothing was dropped yet: the rows so far are the counts
+                counts = np.bincount(np.concatenate(cids + [cid]), minlength=n)
+            if counts is not None:
+                over = counts > cap
+                if over.any():
+                    truncated |= over
+                    k_keep = ~over[cid]
+                    cid = cid[k_keep]
+                    prow = prow[k_keep]
             m = cid.size
             if m == 0:
                 break

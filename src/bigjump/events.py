@@ -234,11 +234,24 @@ class DkProxy(PathEvent):
 
 
 def rep_time_order(rep: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Stable order of jumps by replication, then time.  The replication key
-    is narrowed to the smallest type holding its largest value (16 bits up
-    to 65535), which numpy sorts by radix; the permutation equals that of
-    the int64 key."""
-    return np.lexsort((t, rep.astype(np.min_scalar_type(rep.max(initial=0)))))
+    """Stable order of jumps by replication, then time: the permutation of
+    ``np.lexsort((t, rep))``.
+
+    With t in [0, 1], replication r owns the interval [2r, 2r + 1], and
+    float rounding is monotone, so the one float64 key 2r + t never orders
+    two jumps against (replication, time).  When all keys are distinct, one
+    argsort of that key is therefore the lexsort order exactly; equal keys
+    (shared jump times, or replication indices so large that t is rounded
+    away), t outside [0, 1] or NaN, and empty input fall back to lexsort."""
+    if rep.size and t.min() >= 0.0 and t.max() <= 1.0:
+        key = rep.astype(np.float64)
+        key *= 2.0
+        key += t
+        order = np.argsort(key)
+        key.sort()
+        if not np.any(key[1:] == key[:-1]):
+            return order
+    return np.lexsort((t, rep))
 
 
 def _merge_by_time(rep: np.ndarray, t: np.ndarray, size: np.ndarray):

@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ConfigurationError("k must be >= 0")
         if self.cap < 1:
             raise ConfigurationError(f"cluster_cap must be >= 1, got {self.cap}")
+        if self.n_pbig < 1:
+            raise ConfigurationError(f"n_pbig must be >= 1, got {self.n_pbig}")
         if self.estimator not in ("crude", "splitting"):
             raise ConfigurationError(f"unknown estimator {self.estimator!r}")
         self.scaling().validate(self.spec.x_law)

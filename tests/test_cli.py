@@ -340,3 +340,42 @@ def test_cli_rejects_nonfinite_event(tmp_path, capsys):
     assert not os.path.exists(out)
     assert main(["measure", "--config", cfg]) == 2
     assert "finite" in _single_error_line(capsys)
+
+
+def _with_key(text, key, value):
+    kept = [ln for ln in text.splitlines() if ln.partition("=")[0].strip() != key]
+    return "\n".join(kept + [f"{key} = {value}", ""])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("lambda_rate", "nan"),
+        ("lambda_rate", "inf"),
+        ("T_horizon", "nan"),
+        ("T_horizon", "inf"),
+        ("wait_scale", "nan"),
+        ("wait_scale", "inf"),
+        ("mark_scale", "nan"),
+    ],
+)
+def test_cli_rejects_nonfinite_float_key(tmp_path, capsys, key, value):
+    # these were read as floats and failed later, with "path values must be
+    # finite" or, for mark_scale, "supercritical fertility: phi*E[X] = nan"
+    cfg = _write(tmp_path, _with_key(BASE, key, value))
+    out = str(tmp_path / "never")
+    assert main(["ldp", "--config", cfg, "--out", out]) == 2
+    line = _single_error_line(capsys)
+    assert key in line and "finite" in line
+    assert not os.path.exists(out)
+
+
+def test_cli_splitting_rejects_n_pbig_below_one(tmp_path, capsys):
+    # n_pbig = 0 drew no p_big sample and was reported as "no cluster reached
+    # the splitting threshold"
+    for n_pbig in ("0", "-3"):
+        text = _with_key(BASE.replace("estimator = crude", "estimator = splitting"), "n_pbig", n_pbig)
+        out = str(tmp_path / f"never{n_pbig}")
+        assert main(["ldp", "--config", _write(tmp_path, text), "--out", out]) == 2
+        assert "n_pbig" in _single_error_line(capsys)
+        assert not os.path.exists(out)

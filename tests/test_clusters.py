@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -205,3 +207,32 @@ def test_batch_forced_immigrant_marks(mb_spec_nu2, exp_wait):
     b = simulate_batch("mb", 1000, mb_spec_nu2, exp_wait, substream(20, "f"), x0=x0)
     assert np.array_equal(b.immigrant_mark, x0)
     assert np.all(b.totals() >= 7.0)
+
+
+# sha256 prefixes of the six BatchClusters arrays, branching batches of 20
+# and 200 clusters at x0 = 10, phi = 0.3, seeds 0-3; caps 50-1000 are first
+# crossed only after generation 2
+CAP_GOLDEN = {
+    1: "ffef275e24bf0e23",
+    2: "aaeaf4f01830f33c",
+    5: "4160f5249633331a",
+    10: "1888c319bced9127",
+    50: "c64425a9b2ee6103",
+    60: "42c741595feb037f",
+    80: "c0b5a0cf1c40fd81",
+    120: "a0e873a20c9a69a9",
+    1000: "f0c70ef66593711b",
+    1_000_000: "c834d73f0e9b97b6",
+}
+
+
+@pytest.mark.parametrize("cap", sorted(CAP_GOLDEN))
+def test_hawkes_cap_truncation_golden(pareto15, exp_wait, cap):
+    spec = JointMarkSpec(pareto15, "independent_light_k", phi=0.3)
+    h = hashlib.sha256()
+    for seed in range(4):
+        for n in (20, 200):
+            b = simulate_batch("hawkes", n, spec, exp_wait, substream(seed, "cap-golden"), cap=cap, x0=np.full(n, 10.0))
+            for name in ("cid", "parent", "offset", "mark", "generation", "truncated"):
+                h.update(getattr(b, name).tobytes())
+    assert h.hexdigest()[:16] == CAP_GOLDEN[cap]

@@ -9,6 +9,7 @@ from bigjump.events import (
     ValueAt,
     format_event,
     parse_event,
+    rep_time_order,
 )
 from bigjump.paths import CadlagPath, build_jump_path
 
@@ -81,3 +82,42 @@ def test_dk_separation_rules():
     assert JumpCount(2, 0.5).dk_separation(2) is None
     assert DkProxy(1, 0.5).dk_separation(1) == pytest.approx(0.5)
     assert DkProxy(0, 0.5).dk_separation(1) is None
+
+
+def test_rep_time_order_matches_lexsort(monkeypatch):
+    rng = np.random.default_rng(0)
+    fallbacks = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: fallbacks.append(1) or lexsort(keys))
+
+    def check(rep, t, fallback):
+        rep, t = np.asarray(rep, dtype=np.int64), np.asarray(t, dtype=float)
+        fallbacks.clear()
+        got = rep_time_order(rep, t)
+        assert bool(fallbacks) == fallback
+        assert np.array_equal(got, lexsort((t, rep)))
+
+    n = 5000
+    rep = rng.integers(0, 1024, n)
+    check(rep, rng.random(n), fallback=False)
+    # the same times in other replications only: keys stay distinct
+    t = rng.random(64)
+    check(np.repeat(np.arange(50), 64), np.tile(t, 50), fallback=False)
+    # exact ties within a replication (and across)
+    check(rep, rng.choice([0.0, 0.25, 0.5, 1.0], n), fallback=True)
+    check([3, 3, 3, 1, 1], [0.5, 0.5, 0.2, 0.5, 0.5], fallback=True)
+    # t exactly 0 and 1 at the edges of neighbouring replications
+    check([1, 0, 2, 1, 0, 2], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0], fallback=False)
+    # replication indices past 16 bits
+    check(rng.integers(65_000, 70_000, n), rng.random(n), fallback=False)
+    # near 2**40 a key step is 2**-11, so nearby times tie and fall back
+    big = 2**40 + rng.integers(0, 3, n)
+    check(big, rng.random(n), fallback=True)
+    check([2**40, 2**40], [0.1, 0.1 + 1e-6], fallback=True)
+    check([2**62, 2**62 + 1, 2**62 - 1], [0.7, 0.2, 0.9], fallback=True)
+    # empty, one element, NaN and out-of-range times
+    check([], [], fallback=True)
+    check([7], [0.3], fallback=False)
+    check([0, 0, 1], [0.5, np.nan, 0.1], fallback=True)
+    check([0, 1], [1.5, 0.1], fallback=True)
+    check([0, 1], [0.2, -0.1], fallback=True)
