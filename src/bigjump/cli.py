@@ -418,7 +418,7 @@ def _jsonable(obj):
 
 
 def _cmd_check(args) -> int:
-    config = replace(_load_config(args.config), workers=args.workers)
+    config = _load_config(args.config)
     extras = _load_extras(args.config)
     os.makedirs(args.out, exist_ok=True)
     grid = [float(x) for x in extras["check_T_grid"].split(",")]
@@ -503,7 +503,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["remainder", "assumption6", "tails"])
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--band", type=float, default=0.3)
     p.set_defaults(fn=_cmd_check)
     return parser

@@ -242,11 +242,15 @@ def rep_time_order(rep: np.ndarray, t: np.ndarray) -> np.ndarray:
     two jumps against (replication, time).  When all keys are distinct, one
     argsort of that key is therefore the lexsort order exactly; equal keys
     (shared jump times, or replication indices so large that t is rounded
-    away), t outside [0, 1] or NaN, and empty input fall back to lexsort."""
+    away), t outside [0, 1] or NaN, and empty input fall back to lexsort.
+    Input already in that order with distinct keys is recognised in one pass
+    and not sorted again."""
     if rep.size and t.min() >= 0.0 and t.max() <= 1.0:
         key = rep.astype(np.float64)
         key *= 2.0
         key += t
+        if np.all(key[1:] > key[:-1]):
+            return np.arange(key.size)
         order = np.argsort(key)
         key.sort()
         if not np.any(key[1:] == key[:-1]):

@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ConfigurationError("k must be >= 0")
         if self.cap < 1:
             raise ConfigurationError(f"cluster_cap must be >= 1, got {self.cap}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed_root must be >= 0, got {self.seed}")
         if self.n_pbig < 1:
             raise ConfigurationError(f"n_pbig must be >= 1, got {self.n_pbig}")
         if self.estimator not in ("crude", "splitting"):
@@ -269,6 +271,7 @@ def _conditional_pool(
     u: float,
     big: bool = True,
     xq: float | None = None,
+    max_draws: int | None = None,
 ):
     """Events of n_needed i.i.d. clusters conditioned on D > u (or D <= u).
 
@@ -276,8 +279,10 @@ def _conditional_pool(
     Without ``xq`` the immigrant marks are drawn inside the batch and there
     are no weights.  With ``xq`` they come from the defensive mixture tilted
     above ``xq`` (`_tilted_marks`) and each kept cluster carries its
-    likelihood ratio.  Returns flat arrays with cluster ids remapped to
-    0..n_needed-1, the weights (None when untilted) and the counts
+    likelihood ratio.  At most ``max_draws`` clusters are simulated when it
+    is given; the pool then holds fewer than n_needed clusters if the budget
+    runs out first.  Returns flat arrays with cluster ids remapped to
+    0..accepted-1, the weights (None when untilted) and the counts
     {"drawn", "accepted", "truncated"}: clusters simulated (the unused end of
     the last batch included), clusters kept, and truncated clusters kept.
     """
@@ -286,7 +291,7 @@ def _conditional_pool(
     cids, offs, marks = [], [], []
     weights = None if xq is None else np.empty(n_needed)
     x0 = None
-    while got < n_needed:
+    while got < n_needed and (max_draws is None or tried < max_draws):
         if tried >= 50_000_000 and accepted == 0:
             raise ConfigurationError(
                 f"conditioning event D {'>' if big else '<='} {u:.6g} not observed "
@@ -297,6 +302,8 @@ def _conditional_pool(
         else:
             p_guess = max(accepted / tried, 1e-6)
             batch_n = int(min(4e6, max(1024, 1.2 * (n_needed - got) / p_guess)))
+        if max_draws is not None:
+            batch_n = min(batch_n, max_draws - tried)
         if xq is not None:
             uu = rng.random(batch_n)
             tilt = rng.random(batch_n) < 0.5
@@ -320,6 +327,8 @@ def _conditional_pool(
             trunc += int(b.truncated[take].sum())
             got += take.size
     counts = {"drawn": tried, "accepted": got, "truncated": trunc}
+    if weights is not None:
+        weights = weights[:got]
     if cids:
         return np.concatenate(cids), np.concatenate(offs), np.concatenate(marks), weights, counts
     return np.empty(0, np.int64), np.empty(0), np.empty(0), weights, counts
@@ -376,17 +385,21 @@ def _stratum_chunk(
     return hits, small, big
 
 
+def _offsetless_batches(config: ExperimentConfig, rng: np.random.Generator, n: int):
+    """n unconditioned clusters without event offsets, in batches of at most
+    2M clusters drawn in turn from rng."""
+    for start in range(0, n, 2_000_000):
+        b = min(n - start, 2_000_000)
+        yield simulate_batch(config.model, b, config.spec, config.wait, rng, config.cap, with_offsets=False)
+
+
 def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, int]:
     """P(D > u) by single-cluster Monte Carlo with the mark-tail control variate."""
-    rng = substream(config.seed, "pbig")
     n = config.n_pbig
     raw_hits = 0
     acc = 0.0
     acc2 = 0.0
-    done = 0
-    while done < n:
-        b = min(n - done, 2_000_000)
-        batch = simulate_batch(config.model, b, config.spec, config.wait, rng, config.cap, with_offsets=False)
+    for batch in _offsetless_batches(config, substream(config.seed, "pbig"), n):
         tot = batch.totals()
         ind_d = tot > u
         ind_x = batch.immigrant_mark > u
@@ -394,7 +407,6 @@ def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, i
         diff = ind_d.astype(float) - ind_x.astype(float)
         acc += float(diff.sum())
         acc2 += float((diff * diff).sum())
-        done += b
     if raw_hits == 0:
         raise ConfigurationError(
             f"no cluster reached the splitting threshold {u:.6g}; refusing to extrapolate"
@@ -549,81 +561,40 @@ def check_remainder(
 ) -> list[dict]:
     """Conditional probability that post-horizon mass itself crosses x_T.
 
-    For each horizon: P(D_after > x_T | D > x_T) by rejection, with a
-    defensive importance mixture on the immigrant mark in comonotone mode.
+    For each horizon: P(D_after > x_T | D > x_T) over n_accept_target
+    clusters conditioned on D > x_T by `_conditional_pool`, each given a
+    uniform arrival on [0, T]; at most max_sims clusters are simulated.
+    Comonotone specs tilt the immigrant mark (`_tilt_level`) and the share is
+    weight-normalised.  Other specs use plain rejection: their big clusters
+    are often child-driven, and those carry the remainder, so a tilt on the
+    immigrant alone would under-represent them.
     """
+    tilt = config.spec.dependence == COMONOTONE
     rows = []
     for idx, T in enumerate(T_grid):
         x_T = float(T) ** config.eta
         rng = substream(config.seed, "remainder", idx)
-        boost = config.spec.dependence == COMONOTONE
-        got = 0
-        hits = 0
-        sims = 0
-        wsum = whit = 0.0
-        while got < n_accept_target and sims < max_sims:
-            b = min(500_000, max_sims - sims)
-            if boost:
-                acc, hit, w_a, w_h = _remainder_chunk_boosted(config, T, x_T, b, rng)
-                wsum += w_a
-                whit += w_h
-            else:
-                acc, hit = _remainder_chunk_plain(config, T, x_T, b, rng)
-            got += acc
-            hits += hit
-            sims += b
-        if boost:
-            est = whit / wsum if wsum > 0 else np.nan
-        else:
-            est = hits / got if got else np.nan
+        xq = _tilt_level(config, x_T) if tilt else None
+        cid, off, mark, w, counts = _conditional_pool(
+            config, rng, n_accept_target, x_T, xq=xq, max_draws=max_sims
+        )
+        got = counts["accepted"]
+        late = rng.random(got)[cid] * T + off > T
+        hit = np.bincount(cid[late], weights=mark[late], minlength=got) > x_T
+        est = float(np.average(hit, weights=w)) if got else np.nan
         se = float(np.sqrt(est * (1 - est) / got)) if got else np.nan
         rows.append(
             {
                 "T": float(T),
                 "x_T": x_T,
-                "estimate": float(est),
+                "estimate": est,
                 "stderr": se,
                 "n_accepted": int(got),
-                "n_simulated": int(sims),
+                "n_simulated": int(counts["drawn"]),
                 "low_confidence": bool(got < 100),
             }
         )
     return rows
-
-
-def _remainder_split(config, T, b, rng, x0=None):
-    """Simulate b clusters (optionally with forced immigrant marks) and
-    return (total mass, post-horizon mass) with fresh uniform arrivals."""
-    if x0 is None:
-        x0 = np.asarray(config.spec.x_law.sample(rng, b), dtype=float)
-    gam = rng.random(b) * T
-    batch = simulate_batch(config.model, b, config.spec, config.wait, rng, config.cap, x0=x0)
-    d = batch.totals()
-    late = gam[batch.cid] + batch.offset > T
-    rem = np.bincount(batch.cid[late], weights=batch.mark[late], minlength=b)
-    return d, rem
-
-
-def _remainder_chunk_plain(config, T, x_T, b, rng):
-    d, rem = _remainder_split(config, T, b, rng)
-    acc = d > x_T
-    return int(acc.sum()), int((acc & (rem > x_T)).sum())
-
-
-def _remainder_chunk_boosted(config, T, x_T, b, rng):
-    """Defensive mixture: half the draws tilt the immigrant mark above the
-    level where a comonotone cluster reaches x_T; importance weights keep
-    the conditional estimate unbiased."""
-    spec = config.spec
-    law = spec.x_law
-    xq = 0.5 * x_T / (1.0 + spec.k_param * law.mean())
-    xq = max(xq, law.scale * 1.0000001)
-    tilt = rng.random(b) < 0.5
-    x0, w = _tilted_marks(law, xq, rng.random(b), tilt)
-    d, rem = _remainder_split(config, T, b, rng, x0=x0)
-    acc = d > x_T
-    hit = acc & (rem > x_T)
-    return int(acc.sum()), int(hit.sum()), float(w[acc].sum()), float(w[hit].sum())
 
 
 def check_assumption6(wait: WaitLaw, eta: float, epsilon: float, T_grid) -> tuple[list[dict], str]:
@@ -650,15 +621,13 @@ def check_tail_equivalence(config: ExperimentConfig, quantile_levels) -> list[di
     for q in quantile_levels:
         if not 0.9 < q < 1.0:
             raise ValueError("quantile levels must lie in (0.9, 1)")
-    rng = substream(config.seed, "tails")
     n = config.n_reps
     d_all = np.empty(n)
     k_all = np.empty(n)
     done = 0
     trunc = 0
-    while done < n:
-        b = min(n - done, 2_000_000)
-        batch = simulate_batch(config.model, b, config.spec, config.wait, rng, config.cap, with_offsets=False)
+    for batch in _offsetless_batches(config, substream(config.seed, "tails"), n):
+        b = batch.n
         d_all[done : done + b] = batch.totals()
         if config.model == MB:
             k_all[done : done + b] = batch.sizes() - 1
@@ -769,11 +738,11 @@ def big_jump_anatomy(config: ExperimentConfig, event: PathEvent | None = None) -
         (small_counts, gam_small, bg.cid, bg.offset, bg.mark),
         (np.full(n, m), gam_big, b_cid, b_off, b_mark),
     )
-    hits = _eval_event_chunk(rep, t, size, n, config.event, centering, x_T)
-    hit_ids = np.flatnonzero(hits)
-
+    # one sort serves the decision (its own sort sees ordered input) and the summary
     order = rep_time_order(rep, t)
     rep_s, t_s, size_s = rep[order], t[order], size[order]
+    hits = _eval_event_chunk(rep_s, t_s, size_s, n, config.event, centering, x_T)
+    hit_ids = np.flatnonzero(hits)
     bounds = np.searchsorted(rep_s, np.arange(n + 1))
     shares, top1, spreads, wts = [], [], [], []
     for rid in hit_ids:

@@ -162,3 +162,24 @@ def branching_path_mean(lam, T, spec, wait, ts, n, rng, chunk: int = 250_000):
         done += b
     mean = s1 / n
     return mean, np.sqrt(np.maximum(s2 / n - mean**2, 0.0) / (n - 1))
+
+
+def remainder_share_plain(config, T, n_accept, rng, chunk: int = 500_000):
+    """P(D_after > x_T | D > x_T), x_T = T**eta, by plain rejection straight
+    on `simulate_batch`: whole chunks of untilted clusters with uniform
+    arrivals on [0, T] until n_accept clusters have D > x_T.  Returns the
+    hit share and the number of accepted clusters."""
+    from bigjump.clusters import simulate_batch
+
+    x_T = T**config.eta
+    got = hits = 0
+    while got < n_accept:
+        x0 = np.asarray(config.spec.x_law.sample(rng, chunk), dtype=float)
+        gam = rng.random(chunk) * T
+        batch = simulate_batch(config.model, chunk, config.spec, config.wait, rng, config.cap, x0=x0)
+        late = gam[batch.cid] + batch.offset > T
+        rem = np.bincount(batch.cid[late], weights=batch.mark[late], minlength=chunk)
+        acc = batch.totals() > x_T
+        got += int(acc.sum())
+        hits += int((acc & (rem > x_T)).sum())
+    return hits / got, got

@@ -379,3 +379,35 @@ def test_cli_splitting_rejects_n_pbig_below_one(tmp_path, capsys):
         assert main(["ldp", "--config", _write(tmp_path, text), "--out", out]) == 2
         assert "n_pbig" in _single_error_line(capsys)
         assert not os.path.exists(out)
+
+
+def test_cli_rejects_negative_seed(tmp_path, capsys):
+    # numpy refused it later with "expected non-negative integer", naming no key
+    cfg = _write(tmp_path, BASE.replace("seed_root = 4242", "seed_root = -1"))
+    out = str(tmp_path / "never")
+    assert main(["ldp", "--config", cfg, "--out", out]) == 2
+    line = _single_error_line(capsys)
+    assert "seed_root" in line and "-1" in line
+    assert not os.path.exists(out)
+
+
+def test_cli_check_has_no_workers_flag(tmp_path):
+    # no check fans out, so the flag was accepted and did nothing
+    cfg = _write(tmp_path, BASE)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "assumption6", "--config", cfg, "--out", str(tmp_path / "chk"), "--workers", "2"])
+    assert exc.value.code == 2
+
+
+def test_cli_check_remainder_comonotone_light_marks(tmp_path, capsys):
+    # the comonotone tilt divided by the exponential law's alpha = None
+    text = BASE.replace("mark_family = pareto", "mark_family = exponential").replace(
+        "dependence = independent_light_k\nk_param = 0.0", "dependence = comonotone\nk_param = 1.0"
+    )
+    cfg = _write(tmp_path, text + "check_T_grid = 2,4,8\ncheck_n_accept = 200\n")
+    code = main(["check", "remainder", "--config", cfg, "--out", str(tmp_path / "chk")])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert "Traceback" not in captured.err
+    verdict = json.loads(captured.out.strip().splitlines()[-1])
+    assert verdict["check"] == "remainder" and verdict["pass"] == (code == 0)

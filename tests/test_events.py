@@ -115,6 +115,11 @@ def test_rep_time_order_matches_lexsort(monkeypatch):
     check(big, rng.random(n), fallback=True)
     check([2**40, 2**40], [0.1, 0.1 + 1e-6], fallback=True)
     check([2**62, 2**62 + 1, 2**62 - 1], [0.7, 0.2, 0.9], fallback=True)
+    # input already in order, as the anatomy summary passes it, with and without ties
+    t = rng.random(n)
+    order = lexsort((t, rep))
+    check(rep[order], t[order], fallback=False)
+    check([0, 0, 1], [0.5, 0.5, 0.1], fallback=True)
     # empty, one element, NaN and out-of-range times
     check([], [], fallback=True)
     check([7], [0.3], fallback=False)

@@ -14,7 +14,6 @@ from bigjump.harness import (
     _poisson_sf,
     _wilson_interval,
     _eval_event_chunk,
-    _remainder_chunk_plain,
     _simulate_jump_arrays,
     _stratum_chunk,
     big_jump_anatomy,
@@ -31,6 +30,8 @@ from bigjump.laws import JointMarkSpec, TailLaw, WaitLaw
 from bigjump.measures import measure_for_model, mu_sharp
 from bigjump.paths import build_jump_path, centered_scaled_path, read_path_csv, terminal, write_path_csv
 from bigjump.streams import substream
+
+from .oracles import remainder_share_plain
 
 
 def base_config(spec, wait, **kw):
@@ -409,14 +410,7 @@ def test_check_remainder_comonotone_boost_consistent(pareto15, exp_wait):
     est_boost = rows[0]["estimate"]
     # plain-rejection reference: the same comonotone config, untilted draws
     # from another seed, until as many clusters are accepted
-    x_T = 15.0**cfg.eta
-    rng = substream(22, "remainder", 0)
-    got = hits = 0
-    while got < 4000:
-        acc, hit = _remainder_chunk_plain(cfg, 15.0, x_T, 500_000, rng)
-        got += acc
-        hits += hit
-    est_plain = hits / got
+    est_plain, got = remainder_share_plain(cfg, 15.0, 4000, substream(22, "remainder", 0))
     se_plain = np.sqrt(est_plain * (1 - est_plain) / got)
     assert est_boost == pytest.approx(est_plain, abs=4 * (rows[0]["stderr"] + se_plain))
 
