@@ -51,11 +51,6 @@ class BatchClusters:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.cid, minlength=self.n)
 
-    def remainder_totals(self, within: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(retained, after-horizon) mass per cluster given per-event keep mask."""
-        kept = np.bincount(self.cid[within], weights=self.mark[within], minlength=self.n)
-        return kept, self.totals() - kept
-
 
 def simulate_batch(
     model: str,

@@ -156,35 +156,6 @@ def test_truncation_frequency_reported(pareto15, exp_wait):
     assert freq < 1e-2
 
 
-def test_cluster_total_and_split(pareto15, exp_wait):
-    spec = JointMarkSpec(pareto15, "independent_light_k", k_param=2.0)
-    b = simulate_batch("mb", 200, spec, exp_wait, substream(14, "s"))
-    gamma = 5.0
-    kept, after = b.remainder_totals(gamma + b.offset <= 5.5)
-    np.testing.assert_allclose(kept + after, b.totals(), rtol=1e-12)
-    kept2, after2 = b.remainder_totals(gamma + b.offset <= 5.0)  # only the immigrants are within
-    assert np.array_equal(kept2, b.immigrant_mark)
-    np.testing.assert_allclose(after2, b.totals() - b.immigrant_mark, rtol=1e-12, atol=1e-12)
-
-
-def test_split_conservation_random_hawkes(hawkes_spec_half, exp_wait):
-    b = simulate_batch("hawkes", 10_000, hawkes_spec_half, exp_wait, substream(15, "s"), x0=np.ones(10_000))
-    within = 3.0 + b.offset <= 4.0
-    kept, after = b.remainder_totals(within)
-    np.testing.assert_allclose(kept + after, b.totals(), rtol=1e-12)
-    np.testing.assert_allclose(kept, np.bincount(b.cid, weights=b.mark * within, minlength=b.n), rtol=1e-12)
-    assert (after > 0).sum() == np.count_nonzero(np.bincount(b.cid[~within], minlength=b.n))
-
-
-def test_all_offsets_zero_has_no_remainder(pareto15):
-    wait0 = WaitLaw(TailLaw("deterministic", 1e-12))
-    spec = JointMarkSpec(pareto15, "independent_light_k", k_param=2.0)
-    b = simulate_batch("mb", 100, spec, wait0, substream(16, "z"))
-    kept, after = b.remainder_totals(1.0 + b.offset <= 2.0)
-    assert np.all(after == 0.0)
-    assert np.array_equal(kept, b.totals())
-
-
 def test_cluster_generation_deterministic(mb_spec_nu2, hawkes_spec_half, exp_wait):
     for model, spec in (("mb", mb_spec_nu2), ("hawkes", hawkes_spec_half)):
         a = simulate_batch(model, 500, spec, exp_wait, substream(17, "d"))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import bigjump.m1
 from bigjump.m1 import (
     _free_space_reachable,
+    _FreeSpace,
     completed_graph,
     dk_skeleton,
     kth_largest_jump,
@@ -300,10 +302,90 @@ def _random_graph(rng: np.random.Generator) -> np.ndarray:
     return np.column_stack([t, z])
 
 
+def _check_corridors(g1: np.ndarray, g2: np.ndarray, epss: np.ndarray, expect: dict) -> int:
+    """Seed a space at each eps that decides "yes", then decide every lower
+    eps in it, cutting it to the cells each "yes" entered as the bracket
+    does; every answer must be the reference's.  Returns how many decisions
+    ran in a space cut at least twice."""
+    epss = sorted(set(epss.tolist()), reverse=True)
+    twice = 0
+    for k, top in enumerate(epss):
+        space = _FreeSpace(g1, g2)
+        if not _free_space_reachable(g1, g2, top, space):
+            continue
+        cuts, last = 0, True
+        for eps in epss[k + 1 :]:
+            rows = space.entered_rows() if last else None
+            if rows is not None:
+                space, cuts = _FreeSpace(g1, g2, rows), cuts + 1
+            last = _free_space_reachable(g1, g2, eps, space)
+            assert last == expect[eps], (g1, g2, top, eps, cuts)
+            twice += cuts >= 2
+    return twice
+
+
 def test_decision_matches_cell_by_cell_reference():
     rng = np.random.default_rng(31)
+    twice = 0
     for _ in range(600):
         g1, g2 = _random_graph(rng), _random_graph(rng)
         gaps = np.abs(g1[:, None, :] - g2[None, :, :]).ravel()
-        for eps in np.r_[rng.choice(gaps, 4), rng.random(3) * 2.0, 1e-3]:
-            assert _free_space_reachable(g1, g2, eps) == free_space_decision(g1, g2, eps), (g1, g2, eps)
+        epss = np.r_[rng.choice(gaps, 4), rng.random(3) * 2.0, 1e-3]
+        expect = {eps: free_space_decision(g1, g2, eps) for eps in epss.tolist()}
+        for eps in epss:
+            assert _free_space_reachable(g1, g2, eps) == expect[eps], (g1, g2, eps)
+        if min(len(g1), len(g2)) > 1:
+            twice += _check_corridors(g1, g2, epss, expect)
+    assert twice > 100  # spaces cut twice or more did occur
+
+
+def _spy_decisions(monkeypatch) -> list:
+    """Record (g1, g2, eps, answer, space) of every decision the bracket makes."""
+    calls = []
+    decide = bigjump.m1._free_space_reachable
+
+    def spy(g1, g2, eps, space=None):
+        answer = decide(g1, g2, eps, space)
+        calls.append((g1, g2, eps, answer, space))
+        if len(calls) > 500:
+            raise RuntimeError("the bisection does not end")
+        return answer
+
+    monkeypatch.setattr(bigjump.m1, "_free_space_reachable", spy)
+    return calls
+
+
+def test_bracket_decisions_match_reference(monkeypatch):
+    # every decision in a corridor cut by the bracket is the full decision
+    calls = _spy_decisions(monkeypatch)
+    rng = substream(101, "c1-pairs")
+    for _ in range(200):
+        p1 = random_jump_path(rng, max_jumps=4, height=5.0)
+        p2 = random_jump_path(rng, max_jumps=4, height=5.0)
+        m1_distance_bracket(p1, p2, 1e-9)
+    assert sum(space.cells < (len(g1) - 1) * (len(g2) - 1) for g1, g2, *_, space in calls) > 50
+    for g1, g2, eps, answer, _ in calls:
+        assert answer == free_space_decision(g1, g2, eps), (g1, g2, eps)
+
+
+def test_bracket_settles_at_lower_bound(monkeypatch):
+    # the distance is the endpoint gap 0.2 while the uniform distance is 1:
+    # a "yes" at the lower bound settles it, with no bisection
+    calls = _spy_decisions(monkeypatch)
+    p1 = build_jump_path(np.array([0.5]), np.array([1.0]))
+    p2 = build_jump_path(np.array([0.52]), np.array([1.2]))
+    lo, hi = m1_distance_bracket(p1, p2, 1e-9)
+    assert lo == hi == abs(1.2 - 1.0)
+    assert [eps for _, _, eps, *_ in calls] == [1.0, lo]
+
+
+def test_bracket_ends_below_float_spacing(monkeypatch):
+    # a tol below the spacing of floats at the distance used to bisect forever
+    calls = _spy_decisions(monkeypatch)
+    flat = CadlagPath(np.array([0.0, 0.5, 1.0]), np.zeros(3), np.zeros(3))
+    tent = CadlagPath(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.1, 0.0]), np.array([0.0, 0.1, 0.0]))
+    for tol in (1e-20, 1e-300):
+        calls.clear()
+        lo, hi = m1_distance_bracket(flat, tent, tol)
+        assert lo < hi == 0.1 and np.nextafter(lo, np.inf) == hi
+        assert len(calls) < 100

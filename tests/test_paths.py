@@ -310,7 +310,8 @@ def test_terminal_equals_retained_mass(mb_spec_nu2, exp_wait):
         cfg = replace(cfg, T=T)
         _, gammas, batch = draw_clusters(cfg, 1, rng)
         p = replication_path(cfg, gammas, batch, ZERO)
-        retained, _ = batch.remainder_totals(gammas[batch.cid] + batch.offset <= T)
+        within = gammas[batch.cid] + batch.offset <= T
+        retained = np.bincount(batch.cid[within], weights=batch.mark[within], minlength=batch.n)
         assert terminal(p) * T == pytest.approx(retained.sum(), rel=1e-12, abs=1e-12)
 
 
