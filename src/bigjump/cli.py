@@ -417,14 +417,30 @@ def _jsonable(obj):
     return obj
 
 
+def _positive_float(key: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigurationError(f"key {key!r}: not a number ({text!r})") from None
+    if not 0.0 < value < np.inf:
+        raise ConfigurationError(f"key {key!r}: must be finite and > 0, got {text!r}")
+    return value
+
+
 def _cmd_check(args) -> int:
     config = _load_config(args.config)
     extras = _load_extras(args.config)
+    grid = [_positive_float("check_T_grid", x) for x in extras["check_T_grid"].split(",")]
+    epsilon = _positive_float("check_epsilon", extras["check_epsilon"])
+    n_accept = _get_int(extras, "check_n_accept")
+    if n_accept < 1:
+        raise ConfigurationError(f"key 'check_n_accept': must be >= 1, got {n_accept}")
+    if not 0.0 < args.band < np.inf:
+        raise ConfigurationError(f"--band must be finite and > 0, got {args.band}")
     os.makedirs(args.out, exist_ok=True)
-    grid = [float(x) for x in extras["check_T_grid"].split(",")]
     ok = False
     if args.which == "remainder":
-        rows = check_remainder(config, grid, n_accept_target=int(extras["check_n_accept"]))
+        rows = check_remainder(config, grid, n_accept_target=n_accept)
         ests = [r["estimate"] for r in rows]
         from scipy.stats import spearmanr
 
@@ -433,7 +449,7 @@ def _cmd_check(args) -> int:
         verdict = {"check": "remainder", "spearman": rho, "final": ests[-1], "pass": ok}
         _write_table(os.path.join(args.out, "remainder.csv"), rows)
     elif args.which == "assumption6":
-        rows, word = check_assumption6(config.wait, config.eta, float(extras["check_epsilon"]), grid)
+        rows, word = check_assumption6(config.wait, config.eta, epsilon, grid)
         ok = word == "holds"
         verdict = {"check": "assumption6", "verdict": word, "pass": ok}
         _write_table(os.path.join(args.out, "assumption6.csv"), rows)

@@ -252,7 +252,7 @@ def rep_time_order(rep: np.ndarray, t: np.ndarray) -> np.ndarray:
         if np.all(key[1:] > key[:-1]):
             return np.arange(key.size)
         order = np.argsort(key)
-        key.sort()
+        key = key[order]
         if not np.any(key[1:] == key[:-1]):
             return order
     return np.lexsort((t, rep))

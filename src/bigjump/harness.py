@@ -14,7 +14,7 @@ import numpy as np
 from .clusters import DEFAULT_CAP, HAWKES, MB, BatchClusters, simulate_batch
 from .errors import ConfigurationError
 from .events import PathEvent, rep_time_order
-from .laws import COMONOTONE, JointMarkSpec, WaitLaw
+from .laws import COMONOTONE, INDEPENDENT_LIGHT_K, JointMarkSpec, WaitLaw, mb_mass_tail_bracket
 from .measures import measure_for_model, mu_sharp
 from .paths import (
     DEFAULT_GRID_N,
@@ -393,8 +393,53 @@ def _offsetless_batches(config: ExperimentConfig, rng: np.random.Generator, n: i
         yield simulate_batch(config.model, b, config.spec, config.wait, rng, config.cap, with_offsets=False)
 
 
-def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, int]:
-    """P(D > u) by single-cluster Monte Carlo with the mark-tail control variate."""
+_LATTICE_CELLS = (2**14, 2**18)  # first and largest lattice of the exact P(D > u)
+_LATTICE_GROUPS = 64  # the largest comonotone count below u: one transform per count
+
+
+def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, dict]:
+    """P(D > u), its standard error and the detail behind it.
+
+    MB clusters with Poisson counts, or with comonotone counts of at most
+    64 below u: the midpoint of the lattice bracket `mb_mass_tail_bracket`,
+    widened by its error bound, with the half-width as the error.  The
+    lattice starts at 2^14 cells and doubles until the width is at most 1e-3
+    of the midpoint or it has 2^18 cells.  Without offspring D = X, and the
+    mark tail is exact.  Other clusters: `_monte_carlo_p_big`.
+    """
+    spec = config.spec
+    lattice = config.model == MB and (
+        spec.dependence == INDEPENDENT_LIGHT_K
+        or spec.dependence == COMONOTONE and spec.k_param * u <= _LATTICE_GROUPS
+    )
+    if not lattice:
+        p, se, raw_hits = _monte_carlo_p_big(config, u)
+        return p, se, {"p_big_raw_hits": raw_hits}
+    if spec.k_param == 0.0:
+        lo = hi = float(spec.x_law.tail(u))
+    else:
+        m = _LATTICE_CELLS[0]
+        while True:
+            lo, hi, err = mb_mass_tail_bracket(spec, u, m)
+            lo, hi = max(lo - err, 0.0), min(hi + err, 1.0)
+            if hi - lo <= 0.5e-3 * (lo + hi) or m >= _LATTICE_CELLS[1]:
+                break
+            m *= 2
+    if lo <= 0.0:  # nothing is known above 0, or nothing clears the round-off
+        _refuse_threshold(u)
+    return 0.5 * (lo + hi), 0.5 * (hi - lo), {"p_big_bracket": (lo, hi)}
+
+
+def _refuse_threshold(u: float):
+    raise ConfigurationError(
+        f"no cluster reached the splitting threshold {u:.6g}; refusing to extrapolate"
+    )
+
+
+def _monte_carlo_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, int]:
+    """P(D > u) by single-cluster Monte Carlo with the mark-tail control
+    variate over config.n_pbig clusters: (estimate, its standard error,
+    clusters above u)."""
     n = config.n_pbig
     raw_hits = 0
     acc = 0.0
@@ -408,9 +453,7 @@ def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, i
         acc += float(diff.sum())
         acc2 += float((diff * diff).sum())
     if raw_hits == 0:
-        raise ConfigurationError(
-            f"no cluster reached the splitting threshold {u:.6g}; refusing to extrapolate"
-        )
+        _refuse_threshold(u)
     base = float(config.spec.x_law.tail(u))
     mean_diff = acc / n
     var_diff = max(acc2 / n - mean_diff**2, 0.0)
@@ -463,10 +506,15 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     is Y_r = sum_m w[m] H[r, m] with the Poisson(rate) weights, the tail mass
     beyond m_max on m_max; events only gain from extra big clusters, so that
     closes the tail monotonically.  m_max is at least k+2 and grows until the
-    remaining tail is negligible.  The estimate is mean(Y); its stderr adds
-    sd(Y)/sqrt(n) and the delta-method error of the estimated rate.  When no
-    replication hits, the interval is [0, 1 - 0.025^(1/n)], the exact 97.5%
-    upper bound on P(Y > 0), which bounds E[Y] as 0 <= Y <= 1.
+    remaining tail is negligible.  P(D > u) comes from `_estimate_p_big`:
+    a lattice bracket for MB clusters with Poisson counts or few comonotone
+    ones (the exact tail without offspring), single-cluster Monte Carlo
+    otherwise.  The estimate is mean(Y); its stderr adds sd(Y)/sqrt(n) in
+    quadrature to the delta-method error of the rate, which takes the
+    bracket's half-width, or the Monte Carlo standard error, as the error of
+    P(D > u).  When no replication hits, the interval is
+    [0, 1 - 0.025^(1/n)], the exact 97.5% upper bound on P(Y > 0), which
+    bounds E[Y] as 0 <= Y <= 1.
     """
     u = config.delta * config.scaling().x_T
     if u <= config.spec.x_law.scale:
@@ -475,7 +523,7 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
         )
     if config.n_strata < 2:
         raise ConfigurationError(f"splitting needs n_strata >= 2, got {config.n_strata}")
-    p_big, se_p, raw_hits = _estimate_p_big(config, u)
+    p_big, se_p, p_big_detail = _estimate_p_big(config, u)
     rate = config.lam * config.T * p_big
     m_max = max(config.k + 2, _poisson_ppf(1.0 - 1e-4, rate))
     m_max = min(m_max, config.k + 2 + 120)
@@ -507,7 +555,7 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     detail = {
         "p_big": p_big,
         "p_big_se": se_p,
-        "p_big_raw_hits": raw_hits,
+        **p_big_detail,
         "threshold": u,
         "rate": rate,
         "m_max": m_max,

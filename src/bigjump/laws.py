@@ -192,6 +192,61 @@ def mean_ceil(eta: float, law: TailLaw) -> float:
     return head + tail
 
 
+_TILT_AT_TOP = 1e-4  # theta^m, the exponential tilt at the lattice's top cell
+
+
+def mb_mass_tail_bracket(spec: JointMarkSpec, u: float, m: int) -> tuple[float, float, float]:
+    """(lo, hi, err): lo - err <= P(D > u) <= hi + err for the mass
+    D = X_0 + X_1 + ... + X_K of a single-generation cluster with Poisson or
+    comonotone counts, from its law on the lattice h{0..m}, h = u/m.
+
+    Every mark is rounded down to the lattice for lo and up for hi; D is
+    monotone in the marks, so the two sums bracket it.  A mark above u
+    makes D > u by itself, so only the law below u enters.  The law of the
+    lattice sum comes from a tilted transform pair of length 4m (Embrechts
+    & Frei 2009): its generating function is phi exp(nu (phi - 1)) for
+    Poisson(nu) counts; for comonotone counts K = ceil(eta X_0) the
+    immigrant's cells are grouped by K, and group k meets the k-fold power
+    of phi.  The tilt theta^j, theta^m = 1e-4, damps the wrap-around to
+    1e-16.  err adds to that a round-off allowance: eps log2(4m) for each
+    of the K + 2 factors of the transform, amplified by the untilt 1e4 and
+    accumulated over sqrt(m) cells, times 8.  Marks must be positive."""
+    if spec.dependence not in (INDEPENDENT_LIGHT_K, COMONOTONE):
+        raise ValueError(f"no lattice law for {spec.dependence} counts")
+    edges = np.linspace(0.0, u, m + 1)
+    steps = np.empty(0)  # the marks k / eta at which a comonotone count steps up to k + 1
+    if spec.dependence == COMONOTONE:
+        steps = np.arange(1, int(np.ceil(spec.k_param * u))) / spec.k_param
+        steps = steps[steps < u]
+    # the pieces (a, b] of (0, u] between lattice edges and count steps: the
+    # mark's mass on each, its cell j (the piece lies in (jh, (j+1)h]) and K
+    pts = np.sort(np.concatenate((edges, steps)))
+    pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
+    mass = spec.x_law.tail(pts[:-1]) - spec.x_law.tail(pts[1:])
+    cell = np.searchsorted(edges, pts[:-1], side="right") - 1
+    count = 1 + np.searchsorted(steps, pts[1:], side="left")
+    kmax = spec.k_param if spec.dependence == INDEPENDENT_LIGHT_K else int(count.max())
+    n_fft = 4 * m
+    untilt = np.power(_TILT_AT_TOP, -np.arange(m + 1) / m)
+    bounds = []
+    for shift in (0, 1):  # marks rounded down to jh, then up to (j+1)h
+        phi = np.fft.rfft(np.bincount(cell + shift, weights=mass, minlength=m + 1) / untilt, n_fft)
+        if spec.dependence == INDEPENDENT_LIGHT_K:
+            law = np.fft.irfft(phi * np.exp(spec.k_param * (phi - 1.0)), n_fft)[: m + 1]
+            below = float(law @ untilt)
+        else:
+            below, power = 0.0, np.ones_like(phi)
+            for k in range(1, kmax + 1):
+                power *= phi
+                group = count == k
+                if group.any():
+                    cdf = np.cumsum(np.fft.irfft(power, n_fft)[: m + 1] * untilt)
+                    below += float(mass[group] @ cdf[m - shift - cell[group]])
+        bounds.append(1.0 - below)
+    noise = 8.0 * np.finfo(float).eps * np.log2(n_fft) * (kmax + 2) * untilt[-1] * np.sqrt(m)
+    return bounds[0], bounds[1], float(_TILT_AT_TOP**4 + noise)
+
+
 @dataclass(frozen=True)
 class WaitLaw:
     """Offspring waiting-time law; optionally conditioned on the parent mark.

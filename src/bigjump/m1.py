@@ -272,9 +272,10 @@ def m1_distance_bracket(p1: CadlagPath, p2: CadlagPath, tol: float = 1e-9) -> tu
         nonlocal space
         if not _free_space_reachable(g1, g2, eps, space):
             return False
-        # a decision below eps can only reach cells this one entered
+        # a decision below eps can only reach cells this one entered; a
+        # corridor keeping more than 7/8 of the cells saves less than its build
         rows = space.entered_rows()
-        if rows is not None:
+        if rows is not None and 8 * int((rows[1] - rows[0]).sum()) <= 7 * space.cells:
             space = None  # free the wider space before the narrower one is built
             space = _FreeSpace(g1, g2, rows)
         return True

@@ -183,3 +183,35 @@ def remainder_share_plain(config, T, n_accept, rng, chunk: int = 500_000):
         got += int(acc.sum())
         hits += int((acc & (rem > x_T)).sum())
     return hits / got, got
+
+
+def lattice_cdf_oracle(spec, u, m, up: bool) -> float:
+    """P(S <= m) for the cluster mass of an MB spec on the lattice h{0..m},
+    h = u/m, with every mark rounded down (up=False) or up to the lattice
+    and marks above u dropped, by direct recursion in the space domain:
+    Panjer's (1981) recursion for Poisson(nu) counts, explicit convolution
+    powers for comonotone counts K = ceil(eta X_0).  O(m^2)."""
+    law = spec.x_law
+    e = u * np.arange(m + 1) / m
+    q = law.tail(e[:-1]) - law.tail(e[1:])  # mass of (jh, (j+1)h]
+    f = np.concatenate(([0.0], q)) if up else np.concatenate((q, [0.0]))
+    if spec.dependence == "independent_light_k":
+        nu = spec.k_param
+        g = np.empty(m + 1)  # Poisson(nu) sum of marks
+        g[0] = np.exp(nu * (f[0] - 1.0))
+        j = np.arange(1, m + 1)
+        for k in range(1, m + 1):
+            g[k] = nu / k * np.dot(j[:k] * f[1 : k + 1], g[k - 1 :: -1])
+        return float(np.convolve(f, g)[: m + 1].sum())
+    eta = spec.k_param
+    total = 0.0
+    power = np.zeros(m + 1)
+    power[0] = 1.0  # law of the sum of k child marks, k = 0 first
+    for k in range(1, int(np.ceil(eta * u)) + 1):
+        power = np.convolve(power, f)[: m + 1]
+        lo, hi = (k - 1) / eta, k / eta  # ceil(eta x) = k on (lo, hi]
+        a, b = np.maximum(e[:-1], lo), np.minimum(e[1:], hi)
+        x0 = np.where(a < b, law.tail(a) - law.tail(b), 0.0)  # immigrant in cell j with K = k
+        cells = np.arange(m) + (1 if up else 0)
+        total += float(x0 @ np.cumsum(power)[m - cells])
+    return total

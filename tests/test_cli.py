@@ -381,6 +381,16 @@ def test_cli_splitting_rejects_n_pbig_below_one(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("counts", ["independent_light_k", "comonotone"])
+def test_cli_splitting_refuses_threshold_beyond_reach(tmp_path, capsys, counts):
+    # at T = 1e300 the threshold is about 1e239 and no mass shows above it
+    text = BASE.replace("estimator = crude", "estimator = splitting").replace("T_horizon = 50.0", "T_horizon = 1e300")
+    text = _with_key(_with_key(text, "dependence", counts), "k_param", "2.0")
+    out = str(tmp_path / "never")
+    assert main(["ldp", "--config", _write(tmp_path, text), "--out", out]) == 2
+    assert "refusing" in _single_error_line(capsys)
+
+
 def test_cli_rejects_negative_seed(tmp_path, capsys):
     # numpy refused it later with "expected non-negative integer", naming no key
     cfg = _write(tmp_path, BASE.replace("seed_root = 4242", "seed_root = -1"))
@@ -397,6 +407,35 @@ def test_cli_check_has_no_workers_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["check", "assumption6", "--config", cfg, "--out", str(tmp_path / "chk"), "--workers", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "which, extra, argv, key",
+    [
+        # (-5) ** eta is complex: a TypeError traceback
+        ("assumption6", "check_T_grid = 25,-5", [], "check_T_grid"),
+        # a Spearman correlation of NaN
+        ("remainder", "check_T_grid = 25,-5\ncheck_n_accept = 200", [], "check_T_grid"),
+        # "holds", exit 0
+        ("assumption6", "check_T_grid = 0", [], "check_T_grid"),
+        # "violated" on a grid or an epsilon that means nothing
+        ("assumption6", "check_T_grid = inf", [], "check_T_grid"),
+        ("assumption6", "check_epsilon = nan", [], "check_epsilon"),
+        # final: NaN
+        ("remainder", "check_n_accept = 0", [], "check_n_accept"),
+        # the whole check ran, then failed against the band
+        ("tails", "", ["--band", "-1"], "--band"),
+        ("tails", "", ["--band", "nan"], "--band"),
+    ],
+    ids=["grid-negative", "grid-negative-remainder", "grid-zero", "grid-inf", "epsilon-nan",
+         "n-accept-zero", "band-negative", "band-nan"],
+)
+def test_cli_check_rejects_bad_inputs(tmp_path, capsys, which, extra, argv, key):
+    cfg = _write(tmp_path, BASE + extra + "\n")
+    out = str(tmp_path / "never")
+    assert main(["check", which, "--config", cfg, "--out", out, *argv]) == 2
+    assert key in _single_error_line(capsys)
+    assert not os.path.exists(out)
 
 
 def test_cli_check_remainder_comonotone_light_marks(tmp_path, capsys):

@@ -9,6 +9,8 @@ from bigjump.errors import ConfigurationError
 from bigjump.events import DkProxy, JumpCount, SupExceed, TerminalExceed, ValueAt
 from bigjump.harness import (
     ExperimentConfig,
+    _estimate_p_big,
+    _monte_carlo_p_big,
     _poisson_pmf,
     _poisson_ppf,
     _poisson_sf,
@@ -297,6 +299,22 @@ def test_splitting_reports_pool_counts(mb_spec_nu0, exp_wait):
     assert d["truncated_clusters"] == pools["small"]["truncated"] + pools["big"]["truncated"]
 
 
+@pytest.mark.parametrize("nu", [1.0, 2.0])
+def test_monte_carlo_p_big_matches_lattice(pareto15, exp_wait, nu):
+    # the Monte Carlo P(D > u) that branching and heavy-count specs keep,
+    # pinned on MB specs to the lattice value: unbiased, with an honest se
+    spec = JointMarkSpec(pareto15, "independent_light_k", k_param=nu)
+    cfg = base_config(spec, exp_wait, n_pbig=100_000)
+    u = cfg.delta * cfg.scaling().x_T
+    exact, half_width, _ = _estimate_p_big(cfg, u)
+    assert half_width < 1e-3 * exact
+    runs = [_monte_carlo_p_big(replace(cfg, seed=s), u) for s in range(20)]
+    ps = np.array([p for p, _, _ in runs])
+    se = float(np.mean([se for _, se, _ in runs]))
+    assert abs(ps.mean() - exact) <= 3 * se / np.sqrt(ps.size), (ps.mean(), exact, se)
+    assert 0.7 * se <= ps.std(ddof=1) <= 1.4 * se, (ps.std(ddof=1), se)
+
+
 def test_splitting_needs_two_replications(mb_spec_nu0, exp_wait):
     cfg = base_config(mb_spec_nu0, exp_wait, n_strata=1)
     with pytest.raises(ConfigurationError, match="n_strata"):
@@ -497,6 +515,17 @@ def test_splitting_detail_reports_truncation_bounds(mb_spec_nu0, exp_wait):
     assert d["m_max"] >= cfg.k + 2
     assert 0.0 <= d["neglected_default_truncation"] <= 1.0
     assert 0.0 <= d["tail_closure_prob"] <= 1e-3
-    assert d["p_big_raw_hits"] > 0
+    lo, hi = d["p_big_bracket"]
+    assert lo <= d["p_big"] <= hi
     assert "bias_probe_k_plus_2" in d
     assert est.seed_lineage.startswith("seed=1234/")
+    # branching, heavy-count and many-count comonotone clusters keep the
+    # Monte Carlo P(D > u)
+    light = TailLaw("exponential", 2.0)
+    for cfg in (
+        base_config(JointMarkSpec(mb_spec_nu0.x_law, phi=1.0 / 6.0), exp_wait, model="hawkes"),
+        base_config(JointMarkSpec(light, "heavy_k_light_x", k_param=1.0, k_alpha=1.5), exp_wait, eta=0.9),
+        base_config(JointMarkSpec(mb_spec_nu0.x_law, "comonotone", k_param=8.0), exp_wait),
+    ):
+        _, _, extra = _estimate_p_big(cfg, cfg.delta * cfg.scaling().x_T)
+        assert extra["p_big_raw_hits"] > 0 and "p_big_bracket" not in extra

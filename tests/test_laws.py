@@ -8,9 +8,12 @@ from bigjump.laws import (
     TailLaw,
     WaitLaw,
     empirical_tail_ratio,
+    mb_mass_tail_bracket,
     mean_ceil,
 )
 from bigjump.streams import substream
+
+from .oracles import lattice_cdf_oracle
 
 
 def test_pareto_quantile_examples():
@@ -181,3 +184,61 @@ def test_empirical_tail_ratio_below_support(pareto15):
     assert empirical_tail_ratio(x, pareto15, [0.5])[0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         empirical_tail_ratio(np.array([]), pareto15, [1.0])
+
+
+LATTICE_SPECS = [
+    (JointMarkSpec(TailLaw("pareto", 1.0, 1.5), "independent_light_k", k_param=1.0), 34.66),
+    (JointMarkSpec(TailLaw("pareto", 1.0, 1.5), "independent_light_k", k_param=2.0), 34.66),
+    (JointMarkSpec(TailLaw("exponential", 1.0), "independent_light_k", k_param=2.0), 12.0),
+    (JointMarkSpec(TailLaw("pareto", 1.0, 1.5), "comonotone", k_param=0.5), 34.66),
+    (JointMarkSpec(TailLaw("exponential", 1.0), "comonotone", k_param=2.0), 9.0),
+]
+
+
+@pytest.mark.parametrize("spec, u", LATTICE_SPECS)
+def test_lattice_bracket_matches_space_domain_oracle(spec, u):
+    # the transform pair against Panjer's recursion (Poisson counts) or
+    # explicit convolution powers (comonotone counts), rounding by rounding
+    for m in (512, 2048):
+        lo, hi, err = mb_mass_tail_bracket(spec, u, m)
+        want_lo = 1.0 - lattice_cdf_oracle(spec, u, m, up=False)
+        want_hi = 1.0 - lattice_cdf_oracle(spec, u, m, up=True)
+        assert abs(lo - want_lo) <= 1e-10 and abs(hi - want_hi) <= 1e-10, (m, lo, want_lo, hi, want_hi)
+        assert want_lo < want_hi and err < 1e-6
+
+
+@pytest.mark.parametrize("spec, u", LATTICE_SPECS)
+def test_lattice_brackets_nest_as_the_lattice_doubles(spec, u):
+    # the lattice of 2m cells refines that of m, so each rounding moves its
+    # marks toward the true ones and the brackets nest
+    prev = None
+    for m in (256, 512, 1024, 2048):
+        lo, hi, err = mb_mass_tail_bracket(spec, u, m)
+        if prev is not None:
+            assert prev[0] - err <= lo <= hi <= prev[1] + err, (m, prev, lo, hi)
+        prev = lo, hi
+    assert hi - lo < 0.03 * hi
+
+
+def test_lattice_bracket_contains_closed_forms():
+    # exponential marks: given N = n children, D is Gamma(n + 1, scale)
+    nu, scale, u = 2.0, 1.5, 20.0
+    spec = JointMarkSpec(TailLaw("exponential", scale), "independent_light_k", k_param=nu)
+    n = np.arange(200)
+    exact = float(stats.poisson.pmf(n, nu) @ stats.gamma.sf(u, n + 1, scale=scale))
+    lo, hi, err = mb_mass_tail_bracket(spec, u, 4096)
+    assert lo - err <= exact <= hi + err and hi - lo < 0.02 * exact, (lo, exact, hi)
+    # point-mass marks: D = 1.3 (N + 1) > 7 iff N >= 5
+    spec = JointMarkSpec(TailLaw("deterministic", 1.3), "independent_light_k", k_param=3.0)
+    lo, hi, err = mb_mass_tail_bracket(spec, 7.0, 1024)
+    assert lo - err <= float(stats.poisson.sf(4, 3.0)) <= hi + err
+    # comonotone point masses: D = 1.3 (1 + ceil(2 * 1.3)) = 5.2 exactly
+    spec = JointMarkSpec(TailLaw("deterministic", 1.3), "comonotone", k_param=2.0)
+    assert mb_mass_tail_bracket(spec, 5.0, 1024)[0] == pytest.approx(1.0, abs=1e-9)
+    assert mb_mass_tail_bracket(spec, 5.5, 1024)[1] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_lattice_bracket_refuses_heavy_counts():
+    spec = JointMarkSpec(TailLaw("exponential", 1.0), "heavy_k_light_x", k_param=2.0, k_alpha=1.5)
+    with pytest.raises(ValueError, match="heavy_k_light_x"):
+        mb_mass_tail_bracket(spec, 10.0, 512)
