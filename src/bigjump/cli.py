@@ -102,14 +102,20 @@ def _parse_items(text: str) -> dict[str, str]:
     return items
 
 
-def _get_float(items, key) -> float:
+def _parse_float(key: str, text: str, positive: bool = False) -> float:
     try:
-        value = float(items[key])
+        value = float(text)
     except ValueError as exc:
-        raise ConfigurationError(f"key {key!r}: not a number ({items[key]!r})") from exc
+        raise ConfigurationError(f"key {key!r}: not a number ({text!r})") from exc
     if not np.isfinite(value):
-        raise ConfigurationError(f"key {key!r}: must be finite, got {items[key]!r}")
+        raise ConfigurationError(f"key {key!r}: must be finite, got {text!r}")
+    if positive and not value > 0.0:
+        raise ConfigurationError(f"key {key!r}: must be > 0, got {text!r}")
     return value
+
+
+def _get_float(items, key) -> float:
+    return _parse_float(key, items[key])
 
 
 def _get_int(items, key) -> int:
@@ -417,21 +423,11 @@ def _jsonable(obj):
     return obj
 
 
-def _positive_float(key: str, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigurationError(f"key {key!r}: not a number ({text!r})") from None
-    if not 0.0 < value < np.inf:
-        raise ConfigurationError(f"key {key!r}: must be finite and > 0, got {text!r}")
-    return value
-
-
 def _cmd_check(args) -> int:
     config = _load_config(args.config)
     extras = _load_extras(args.config)
-    grid = [_positive_float("check_T_grid", x) for x in extras["check_T_grid"].split(",")]
-    epsilon = _positive_float("check_epsilon", extras["check_epsilon"])
+    grid = [_parse_float("check_T_grid", x, positive=True) for x in extras["check_T_grid"].split(",")]
+    epsilon = _parse_float("check_epsilon", extras["check_epsilon"], positive=True)
     n_accept = _get_int(extras, "check_n_accept")
     if n_accept < 1:
         raise ConfigurationError(f"key 'check_n_accept': must be >= 1, got {n_accept}")

@@ -393,24 +393,33 @@ def _offsetless_batches(config: ExperimentConfig, rng: np.random.Generator, n: i
         yield simulate_batch(config.model, b, config.spec, config.wait, rng, config.cap, with_offsets=False)
 
 
-_LATTICE_CELLS = (2**14, 2**18)  # first and largest lattice of the exact P(D > u)
-_LATTICE_GROUPS = 64  # the largest comonotone count below u: one transform per count
+_LATTICE_CELLS = 2**14  # the first lattice of the exact P(D > u)
+# the most cells the inverse transforms of one rounding may cover: a Poisson
+# lattice of 2^18 cells, or 16 comonotone counts at 2^14, at about the time
+# of the Monte Carlo over 400k clusters
+_LATTICE_WORK = 2**18
 
 
 def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, dict]:
     """P(D > u), its standard error and the detail behind it.
 
-    MB clusters with Poisson counts, or with comonotone counts of at most
-    64 below u: the midpoint of the lattice bracket `mb_mass_tail_bracket`,
-    widened by its error bound, with the half-width as the error.  The
-    lattice starts at 2^14 cells and doubles until the width is at most 1e-3
-    of the midpoint or it has 2^18 cells.  Without offspring D = X, and the
-    mark tail is exact.  Other clusters: `_monte_carlo_p_big`.
+    MB clusters with Poisson counts, or with at most 16 comonotone counts
+    below u (ceil(k_param u), one inverse transform each): the lattice
+    brackets `mb_mass_tail_bracket`, each widened by its error bound and
+    intersected, give the midpoint and, as the error, the half-width.  The
+    lattice starts at 2^14 cells and doubles until the width is at most
+    1e-3 of the midpoint, the widened width stops shrinking (round-off
+    grows with the lattice) or the counts times the cells would pass 2^18.
+    Without offspring D = X, and the mark tail is exact.  `cluster_cap`
+    truncates branching clusters only, so this is the law of the MB
+    clusters the pools draw.  Other clusters: `_monte_carlo_p_big`.
     """
     spec = config.spec
-    lattice = config.model == MB and (
-        spec.dependence == INDEPENDENT_LIGHT_K
-        or spec.dependence == COMONOTONE and spec.k_param * u <= _LATTICE_GROUPS
+    counts = 1.0 if spec.dependence == INDEPENDENT_LIGHT_K else float(np.ceil(spec.k_param * u))
+    lattice = (
+        config.model == MB
+        and spec.dependence in (INDEPENDENT_LIGHT_K, COMONOTONE)
+        and counts * _LATTICE_CELLS <= _LATTICE_WORK
     )
     if not lattice:
         p, se, raw_hits = _monte_carlo_p_big(config, u)
@@ -418,12 +427,14 @@ def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, d
     if spec.k_param == 0.0:
         lo = hi = float(spec.x_law.tail(u))
     else:
-        m = _LATTICE_CELLS[0]
+        lo, hi, width, m = 0.0, 1.0, np.inf, _LATTICE_CELLS
         while True:
-            lo, hi, err = mb_mass_tail_bracket(spec, u, m)
-            lo, hi = max(lo - err, 0.0), min(hi + err, 1.0)
-            if hi - lo <= 0.5e-3 * (lo + hi) or m >= _LATTICE_CELLS[1]:
+            a, b, err = mb_mass_tail_bracket(spec, u, m)
+            lo, hi = max(lo, a - err), min(hi, b + err)
+            done = hi - lo <= 0.5e-3 * (lo + hi) or 2 * m * counts > _LATTICE_WORK
+            if done or b - a + 2 * err >= width:  # round-off outgrows what the finer lattice gains
                 break
+            width = b - a + 2 * err
             m *= 2
     if lo <= 0.0:  # nothing is known above 0, or nothing clears the round-off
         _refuse_threshold(u)
@@ -507,14 +518,14 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     beyond m_max on m_max; events only gain from extra big clusters, so that
     closes the tail monotonically.  m_max is at least k+2 and grows until the
     remaining tail is negligible.  P(D > u) comes from `_estimate_p_big`:
-    a lattice bracket for MB clusters with Poisson counts or few comonotone
-    ones (the exact tail without offspring), single-cluster Monte Carlo
-    otherwise.  The estimate is mean(Y); its stderr adds sd(Y)/sqrt(n) in
-    quadrature to the delta-method error of the rate, which takes the
-    bracket's half-width, or the Monte Carlo standard error, as the error of
-    P(D > u).  When no replication hits, the interval is
-    [0, 1 - 0.025^(1/n)], the exact 97.5% upper bound on P(Y > 0), which
-    bounds E[Y] as 0 <= Y <= 1.
+    a lattice bracket for MB clusters with Poisson counts or at most 16
+    comonotone ones below u (the exact tail without offspring),
+    single-cluster Monte Carlo otherwise.  The estimate is mean(Y); its
+    stderr adds sd(Y)/sqrt(n) in quadrature to the delta-method error of
+    the rate, which takes the bracket's half-width, or the Monte Carlo
+    standard error, as the error of P(D > u).  When no replication hits,
+    the interval is [0, 1 - 0.025^(1/n)], the exact 97.5% upper bound on
+    P(Y > 0), which bounds E[Y] as 0 <= Y <= 1.
     """
     u = config.delta * config.scaling().x_T
     if u <= config.spec.x_law.scale:

@@ -139,6 +139,16 @@ def test_hawkes_cap_truncates(pareto15, exp_wait):
     check_parent_invariants(b)
 
 
+def test_mb_cap_does_not_truncate(mb_spec_nu2, exp_wait):
+    # the cap binds branching clusters only, so the lattice P(D > u) of the
+    # splitting estimator is the law of the MB clusters its pools draw
+    capped = simulate_batch("mb", 2000, mb_spec_nu2, exp_wait, substream(14, "m"), cap=1)
+    free = simulate_batch("mb", 2000, mb_spec_nu2, exp_wait, substream(14, "m"))
+    assert not capped.truncated.any() and capped.sizes().max() > 1
+    np.testing.assert_array_equal(capped.mark, free.mark)
+    np.testing.assert_array_equal(capped.cid, free.cid)
+
+
 def test_generation_decay_matches_mean_fertility(hawkes_spec_half, exp_wait):
     batch = simulate_batch("hawkes", 1_000_000, hawkes_spec_half, exp_wait, substream(12, "g"))
     counts = np.bincount(batch.generation)

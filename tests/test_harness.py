@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bigjump import harness
 from bigjump.errors import ConfigurationError
 from bigjump.events import DkProxy, JumpCount, SupExceed, TerminalExceed, ValueAt
 from bigjump.harness import (
@@ -313,6 +314,29 @@ def test_monte_carlo_p_big_matches_lattice(pareto15, exp_wait, nu):
     se = float(np.mean([se for _, se, _ in runs]))
     assert abs(ps.mean() - exact) <= 3 * se / np.sqrt(ps.size), (ps.mean(), exact, se)
     assert 0.7 * se <= ps.std(ddof=1) <= 1.4 * se, (ps.std(ddof=1), se)
+
+
+@pytest.mark.parametrize("u", [4480.0, 46400.0])
+def test_lattice_p_big_stops_when_round_off_dominates(pareto15, exp_wait, monkeypatch, u):
+    # P(D > u) about 1e-5 and 3e-7: the round-off allowance already passes
+    # the 1e-3 target at 2^14 cells and grows with the lattice, so the
+    # bracket stops after the first level that does not narrow it, is no
+    # wider than the 2^14 one and is not refused
+    spec = JointMarkSpec(pareto15, "independent_light_k", k_param=2.0)
+    cfg = base_config(spec, exp_wait)
+    bracket = harness.mb_mass_tail_bracket
+    a, b, err = bracket(spec, u, 2**14)
+    cells = []
+
+    def spy(spec, u, m):
+        cells.append(m)
+        return bracket(spec, u, m)
+
+    monkeypatch.setattr(harness, "mb_mass_tail_bracket", spy)
+    p, half_width, detail = _estimate_p_big(cfg, u)
+    assert cells == [2**14, 2**15]
+    assert half_width <= 0.5 * ((b + err) - (a - err))
+    assert detail["p_big_bracket"][0] > 0.0 and 0.9e-7 < p < 2e-5
 
 
 def test_splitting_needs_two_replications(mb_spec_nu0, exp_wait):
