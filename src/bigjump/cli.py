@@ -365,10 +365,10 @@ _LDP_HEADER = [
 
 def _cmd_ldp(args) -> int:
     config = replace(_load_config(args.config), workers=args.workers)
-    os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
     ratio_est, limit_value = ldp_ratio(config)
     wall = time.perf_counter() - t0
+    os.makedirs(args.out, exist_ok=True)  # only once there is a row: a refused run leaves none
     prob = ratio_est.detail["probability"]
     prob_se = ratio_est.detail["probability_se"]
     row = [

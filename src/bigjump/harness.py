@@ -13,7 +13,7 @@ import numpy as np
 
 from .clusters import DEFAULT_CAP, HAWKES, MB, BatchClusters, simulate_batch
 from .errors import ConfigurationError
-from .events import PathEvent, rep_time_order
+from .events import InterpCurve, PathEvent, rep_time_order
 from .laws import COMONOTONE, INDEPENDENT_LIGHT_K, JointMarkSpec, WaitLaw, mb_mass_tail_bracket
 from .measures import measure_for_model, mu_sharp
 from .paths import (
@@ -192,8 +192,7 @@ def _eval_event_chunk(
     Semantics match deciding the event on the materialized centered scaled
     path: centering values interpolate the same grid curve.
     """
-    cent = lambda ts: np.interp(ts, centering.t, centering.right)  # noqa: E731
-    return event.decide_batch(rep, t, size, n, cent, x_T)
+    return event.decide_batch(rep, t, size, n, InterpCurve(centering.t, centering.right), x_T)
 
 
 def _simulate_jump_arrays(config: ExperimentConfig, n_reps: int, rng: np.random.Generator):
@@ -797,7 +796,7 @@ def big_jump_anatomy(config: ExperimentConfig, event: PathEvent | None = None) -
         (small_counts, gam_small, bg.cid, bg.offset, bg.mark),
         (np.full(n, m), gam_big, b_cid, b_off, b_mark),
     )
-    # one sort serves the decision (its own sort sees ordered input) and the summary
+    # one sort serves the summary; the decision's own sorts see ordered input
     order = rep_time_order(rep, t)
     rep_s, t_s, size_s = rep[order], t[order], size[order]
     hits = _eval_event_chunk(rep_s, t_s, size_s, n, config.event, centering, x_T)

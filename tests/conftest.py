@@ -37,3 +37,19 @@ def random_jump_path(rng: np.random.Generator, max_jumps: int = 4, height: float
     times = rng.random(n)
     sizes = rng.random(n) * height
     return build_jump_path(times, sizes)
+
+
+@pytest.fixture
+def sup_exact_calls(monkeypatch):
+    """(replications, jumps) of every call into the sorted ``sup_exceed`` pass."""
+    from bigjump import events
+
+    calls = []
+    exact = events._sup_sorted
+
+    def spy(rep, t, size, n, cent, x_T):
+        calls.append((n, rep.size))
+        return exact(rep, t, size, n, cent, x_T)
+
+    monkeypatch.setattr(events, "_sup_sorted", spy)
+    return calls

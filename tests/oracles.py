@@ -215,3 +215,20 @@ def lattice_cdf_oracle(spec, u, m, up: bool) -> float:
         cells = np.arange(m) + (1 if up else 0)
         total += float(x0 @ np.cumsum(power)[m - cells])
     return total
+
+
+def sup_exceed_sorted(rep, t, size, n, cent, x_T) -> np.ndarray:
+    """Per-replication sup of flat jump arrays, by sorting; ``sup_exceed:c``
+    holds where it exceeds c.  Lexsort by (replication, time), one cumsum over
+    all jumps minus the replication's earlier total, and the max of 0 and the
+    centered scaled value after each jump."""
+    sup = np.zeros(n)
+    if rep.size:
+        order = np.lexsort((t, rep))
+        r, ts, sz = rep[order], t[order], size[order]
+        cum = np.cumsum(sz)
+        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        cum = cum - np.repeat(np.r_[0.0, cum[starts[1:] - 1]], np.diff(np.r_[starts, r.size]))
+        vals = (cum - cent(ts)) / x_T
+        np.maximum.at(sup, r[starts], np.maximum.reduceat(vals, starts))
+    return sup

@@ -391,6 +391,31 @@ def test_cli_splitting_refuses_threshold_beyond_reach(tmp_path, capsys, counts):
     assert "refusing" in _single_error_line(capsys)
 
 
+HAWKES_SUP = _with_key(
+    _with_key(BASE.replace("model = mb", "model = hawkes"), "phi_fertility", "0.16666666666666666"),
+    "event",
+    "sup_exceed:1.0",
+)
+
+
+@pytest.mark.parametrize(
+    "text, key, value, message",
+    [
+        (HAWKES_SUP, "grid_n", "1", "grid_n"),
+        (HAWKES_SUP, "lambda_rate", "0", "zero limit mass"),
+        (HAWKES_SUP, "n_reps", "0", "n_reps"),
+        (BASE.replace("estimator = crude", "estimator = splitting"), "T_horizon", "1e300", "refusing"),
+    ],
+    ids=["grid-one", "zero-rate", "no-replications", "splitting-beyond-reach"],
+)
+def test_cli_ldp_refused_during_estimation_leaves_no_out_dir(tmp_path, capsys, text, key, value, message):
+    # the output directory was created before estimation and left empty
+    out = str(tmp_path / "never")
+    assert main(["ldp", "--config", _write(tmp_path, _with_key(text, key, value)), "--out", out]) == 2
+    assert message in _single_error_line(capsys)
+    assert not os.path.exists(out)
+
+
 def test_cli_rejects_negative_seed(tmp_path, capsys):
     # numpy refused it later with "expected non-negative integer", naming no key
     cfg = _write(tmp_path, BASE.replace("seed_root = 4242", "seed_root = -1"))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from bigjump.events import (
+    SUP_BINS,
     DkProxy,
+    InterpCurve,
     JumpCount,
     SupExceed,
     TerminalExceed,
@@ -11,7 +13,9 @@ from bigjump.events import (
     parse_event,
     rep_time_order,
 )
-from bigjump.paths import CadlagPath, build_jump_path
+from bigjump.paths import CadlagPath, ScalingRule, build_jump_path, centered_scaled_path
+
+from .oracles import sup_exceed_sorted
 
 
 def test_parse_format_round_trip():
@@ -126,3 +130,109 @@ def test_rep_time_order_matches_lexsort(monkeypatch):
     check([0, 0, 1], [0.5, np.nan, 0.1], fallback=True)
     check([0, 1], [1.5, 0.1], fallback=True)
     check([0, 1], [0.2, -0.1], fallback=True)
+
+
+def test_sup_exceed_batch_matches_sorted_oracle_at_bin_edges(sup_exact_calls):
+    rng = np.random.default_rng(7)
+    n, B = 40, SUP_BINS
+    counts = rng.poisson(300.0, n)  # dense enough for the bins
+    counts[::9] = 0  # replications without jumps
+    rep = np.repeat(np.arange(n), counts)
+    m = rep.size
+    k = rng.integers(0, B, m)
+    # t = 0, 1, bin edges k/B, just below the next edge, and anywhere; the
+    # discrete choices repeat, so jumps share times within a replication
+    t = np.choose(
+        rng.integers(0, 5, m),
+        [np.zeros(m), np.ones(m), k / B, (k + 1) / B - 2.0**-40, rng.random(m)],
+    )
+    # dyadic sizes sum exactly in any order, so thresholds may sit on a sup
+    size = np.where(rng.random(m) < 0.5, 1.0, rng.integers(1, 64, m) / 16.0)
+    grid = np.linspace(0.0, 1.0, 1001)
+    trend = 1.5 * 300.0 * grid  # about the mean running sum
+    curves = {
+        # rises by about two jumps within a bin
+        "increasing": InterpCurve(grid, trend),
+        # nodes off the bin edges, and dips that the sparser bins miss
+        "non_monotone": InterpCurve(grid, trend + 60.0 * np.sin(40.0 * grid) + 30.0 * np.sin(333.0 * grid)),
+    }
+    for name, cent in curves.items():
+        sup = sup_exceed_sorted(rep, t, size, n, cent, 2.0)
+        # c = 0, quantiles, and thresholds that sit on a sup
+        cs = (0.0, *np.quantile(sup, [0.1, 0.5, 0.9]), *sup[rng.integers(0, n, 5)])
+        sup_exact_calls.clear()
+        for c in cs:
+            got = SupExceed(float(c)).decide_batch(rep, t, size, n, cent, 2.0)
+            assert np.array_equal(got, sup > c), (name, c)
+        assert sum(r for r, _ in sup_exact_calls) < len(cs) * n, name  # the bins settle some
+
+
+def test_sup_exceed_lower_bound_needs_a_jump_in_the_bin():
+    # a centering dip after the last jump: the bins there hold no path value
+    rng = np.random.default_rng(3)
+    rep = np.repeat(np.arange(2), SUP_BINS)
+    t = rng.uniform(0.0, 0.25, rep.size)
+    size = rng.integers(1, 16, rep.size) / 4.0
+    cent = InterpCurve(np.array([0.0, 0.5, 0.6, 1.0]), np.array([0.0, 0.0, -1e3, -1e3]))
+    sup = sup_exceed_sorted(rep, t, size, 2, cent, 1.0)
+    for c in (*(sup - 0.5), *(sup + 0.5), 0.0):
+        assert np.array_equal(SupExceed(c).decide_batch(rep, t, size, 2, cent, 1.0), sup > c)
+
+
+def test_sup_exceed_margin_covers_summation_order():
+    # within a bin the bins add sizes in input order, the sorted pass in time
+    # order: 1 + 2**-53 + 2**-53 rounds to 1, 2**-53 + 2**-53 + 1 does not;
+    # zero sizes later on make the replication dense enough for the bins
+    small = 2.0**-53
+    pad_t = 0.5 + np.arange(SUP_BINS) / (4 * SUP_BINS)
+    rep = np.zeros(3 + SUP_BINS, dtype=np.int64)
+    cent = InterpCurve(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+    cases = (
+        ([small, small, 1.0], [0.002, 0.003, 0.001], 1.0),
+        ([1.0, small, small], [0.003, 0.001, 0.002], 1.0 + 2 * small),
+    )
+    for size, t, want in cases:
+        size = np.concatenate([size, np.zeros(SUP_BINS)])
+        t = np.concatenate([t, pad_t])
+        assert sup_exceed_sorted(rep, t, size, 1, cent, 1.0)[0] == want
+        for c in (0.5, 1.0, 1.5):
+            assert SupExceed(c).decide_batch(rep, t, size, 1, cent, 1.0)[0] == (want > c)
+
+
+def test_sup_exceed_fallback_decides_all_replications_exactly(sup_exact_calls):
+    rng = np.random.default_rng(11)
+    x_T = 2.0
+    grid = np.linspace(0.0, 1.0, 65)
+    centering = CadlagPath(grid, 3.0 * grid**2, 3.0 * grid**2)
+    cent = InterpCurve(centering.t, centering.right)
+    scaling = ScalingRule(1.0, x_T)
+
+    def draw(n, m):
+        return rng.integers(0, n, m), rng.random(m), rng.normal(0.5, 1.0, m)
+
+    rep, t, signed = draw(2, 3 * SUP_BINS)
+    sparse = draw(60, 300)  # fewer than SUP_BINS jumps a replication
+    cases = {
+        "signed": (rep, t, signed, 2),
+        "sparse": (sparse[0], sparse[1], np.abs(sparse[2]), 60),
+        "empty": (rep[:0], t[:0], signed[:0], 2),
+    }
+    for name, (r, ts, sz, n) in cases.items():
+        paths = [build_jump_path(ts[r == i], sz[r == i]) for i in range(n)]
+        for c in (0.0, 0.4, 1.0):
+            sup_exact_calls.clear()
+            got = SupExceed(c).decide_batch(r, ts, sz, n, cent, x_T)
+            assert sup_exact_calls == [(n, r.size)], name
+            want = [SupExceed(c).decide(centered_scaled_path(p, centering, scaling)) for p in paths]
+            assert np.array_equal(got, want), (name, c)
+    # no path exists past [0, 1] or with an infinite jump; the sorted oracle decides
+    outside = np.where(rng.random(t.size) < 0.1, rng.uniform(-0.5, 1.5, t.size), t)
+    infinite = np.where(np.arange(t.size) == 7, np.inf, np.abs(signed))
+    for ts, sz in ((outside, np.abs(signed)), (t, infinite)):
+        for c in (0.0, 0.4, 1.0):
+            sup_exact_calls.clear()
+            with np.errstate(invalid="ignore"):  # inf - inf in the running sums
+                got = SupExceed(c).decide_batch(rep, ts, sz, 2, cent, x_T)
+                want = sup_exceed_sorted(rep, ts, sz, 2, cent, x_T) > c
+            assert sup_exact_calls == [(2, rep.size)]
+            assert np.array_equal(got, want)

@@ -7,7 +7,7 @@ from scipy import stats
 
 from bigjump import harness
 from bigjump.errors import ConfigurationError
-from bigjump.events import DkProxy, JumpCount, SupExceed, TerminalExceed, ValueAt
+from bigjump.events import DkProxy, InterpCurve, JumpCount, SupExceed, TerminalExceed, ValueAt
 from bigjump.harness import (
     ExperimentConfig,
     _estimate_p_big,
@@ -34,7 +34,7 @@ from bigjump.measures import measure_for_model, mu_sharp
 from bigjump.paths import build_jump_path, centered_scaled_path, read_path_csv, terminal, write_path_csv
 from bigjump.streams import substream
 
-from .oracles import remainder_share_plain
+from .oracles import remainder_share_plain, sup_exceed_sorted
 
 
 def base_config(spec, wait, **kw):
@@ -135,6 +135,36 @@ def test_fast_lane_matches_path_objects(mb_spec_nu2, hawkes_spec_half, exp_wait)
             fast = _eval_event_chunk(rep, t, size, 150, ev, cent, scaling.x_T)
             slow = np.array([ev.decide(centered_scaled_path(p, cent, scaling)) for p in paths])
             assert np.array_equal(fast, slow), f"mismatch for {ev} on {name}"
+
+
+def _branching_chunk(spec, wait, c=1.0):
+    """One 1024-replication T=200 branching chunk as the crude lane draws it,
+    with its centering and x_T."""
+    cfg = base_config(spec, wait, model="hawkes", T=200.0, event=SupExceed(c), grid_n=1024)
+    rep, t, size, _ = _simulate_jump_arrays(cfg, 1024, substream(cfg.seed, "crude", 0))
+    return cfg, rep, t, size, centering_curve(cfg), cfg.scaling().x_T
+
+
+def test_sup_exceed_matches_sorted_oracle_on_branching_chunks(hawkes_spec_half, exp_wait):
+    # point-mass marks and waits: offspring share jump times with their parent
+    point_mass = JointMarkSpec(TailLaw("deterministic", 3.0), "independent_light_k", phi=1.0 / 6.0)
+    det_wait = WaitLaw(TailLaw("deterministic", 1.0))
+    for spec, wait in ((hawkes_spec_half, exp_wait), (point_mass, det_wait)):
+        _, rep, t, size, centering, x_T = _branching_chunk(spec, wait)
+        sup = sup_exceed_sorted(rep, t, size, 1024, InterpCurve(centering.t, centering.right), x_T)
+        # thresholds where many replications straddle the bins' bounds
+        for c in (0.0, *np.quantile(sup, [0.1, 0.5, 0.9])):
+            hits = _eval_event_chunk(rep, t, size, 1024, SupExceed(float(c)), centering, x_T)
+            assert np.array_equal(hits, sup > c), (spec, c)
+
+
+def test_sup_exceed_sorts_only_unsettled_replications(hawkes_spec_half, exp_wait, sup_exact_calls):
+    cfg, rep, t, size, centering, x_T = _branching_chunk(hawkes_spec_half, exp_wait, c=1.0)
+    hits = _eval_event_chunk(rep, t, size, 1024, cfg.event, centering, x_T)
+    sup = sup_exceed_sorted(rep, t, size, 1024, InterpCurve(centering.t, centering.right), x_T)
+    assert np.array_equal(hits, sup > 1.0)
+    sorted_reps = sum(n for n, _ in sup_exact_calls)
+    assert sorted_reps <= 0.10 * 1024, sorted_reps
 
 
 def test_crude_poisson_void_oracle(exp_wait):
