@@ -2,7 +2,8 @@
 
 `simulate_batch` generates many clusters at once, one row per event,
 generation by generation; every sampler in the package draws its clusters
-here.
+there, except the splitting pool of big MB clusters with Poisson counts,
+which draws them from `superset_batch`.
 """
 from __future__ import annotations
 
@@ -12,11 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .laws import JointMarkSpec, WaitLaw
+from .laws import INDEPENDENT_LIGHT_K, JointMarkSpec, WaitLaw, poisson_pmf, poisson_sf
 
 __all__ = [
     "BatchClusters",
     "simulate_batch",
+    "superset_batch",
     "write_clusters_csv",
 ]
 
@@ -171,6 +173,98 @@ def simulate_batch(
         mark=mark,
         generation=gen_arr,
         truncated=truncated,
+        immigrant_mark=x0,
+    )
+
+
+def _superset_count_law(spec: JointMarkSpec, u: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The law of the offspring count K ~ Poisson(nu) tilted by
+    q_k = P(max_{0<=i<=k} X_i > u/(k+1)) = 1 - (1 - p_k)^(k+1), with
+    p_k = P(X > u/(k+1)), over k = 0..k_hi: (cumulative weights pmf(k) q_k,
+    p_k, q_k).  The last cumulative weight is the normalizer, the
+    probability of the superset event.  k_hi starts near nu + 10 sqrt(nu)
+    and doubles until P(K > k_hi) is at most half an ulp of the normalizer,
+    so the table drops only mass below the double rounding of its
+    normalizer.  A normalizer of 0 (no k can carry D > u) is refused."""
+    nu = spec.k_param
+    k_hi = int(nu + 10.0 * np.sqrt(nu)) + 16
+    while True:
+        k = np.arange(k_hi + 1)
+        p = spec.x_law.tail(u / (k + 1.0))
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives q = 1
+            q = -np.expm1((k + 1) * np.log1p(-p))
+        cdf = np.cumsum(poisson_pmf(k, nu) * q)
+        if poisson_sf(k_hi, nu) <= 0.5 * np.finfo(float).eps * cdf[-1]:
+            break
+        k_hi *= 2
+    if not cdf[-1] > 0.0:
+        raise ConfigurationError(
+            f"conditioning event D > {u:.6g} has probability 0 in double precision; "
+            "threshold is outside the reachable range"
+        )
+    return cdf, p, q
+
+
+def superset_batch(
+    n: int, spec: JointMarkSpec, wait: WaitLaw, rng: np.random.Generator, u: float
+) -> BatchClusters:
+    """The clusters with mass D > u among n MB clusters with Poisson counts
+    drawn given the superset event max_{0<=i<=K} X_i > u/(K+1), X_0 the
+    immigrant mark, which D > u implies.  Kept clusters follow the law of a
+    cluster given D > u exactly, without weights: conditioning on the
+    maximum (Asmussen & Kroese 2006).
+
+    Per candidate: K from its tilted law (`_superset_count_law`); the first
+    index J with X_J > l = u/(K+1) from P(J = j) proportional to
+    (1 - p)^j p on 0..K, p = P(X > l); the marks before J from X given
+    X <= l, the mark at J from X given X > l and the later ones freely, one
+    uniform each.  Child waits are drawn for the kept clusters only.  The
+    batch is laid out as `simulate_batch` lays out MB clusters, and each
+    cluster's mass sums its marks in the same order, so its totals are the
+    ones the keep decision saw.  With nu = 0 every candidate has X_0 > u
+    and is kept.
+    """
+    if spec.dependence != INDEPENDENT_LIGHT_K:
+        raise ValueError(f"no superset sampler for {spec.dependence} counts")
+    law = spec.x_law
+    cdf, p_table, q_table = _superset_count_law(spec, u)
+    k = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
+    with np.errstate(divide="ignore"):
+        log_miss = np.log1p(-p_table[k])  # -inf where every mark exceeds the level
+    first = np.floor(np.log1p(-rng.random(n) * q_table[k]) / log_miss)
+    first = np.minimum(first, k).astype(np.int64)
+
+    size = k + 1
+    start = np.cumsum(size) - size
+    cid = np.repeat(np.arange(n, dtype=np.int64), size)
+    index = np.arange(cid.size) - start[cid]  # 0 for the immigrant
+    level = u / size[cid]
+    rel = index - first[cid]
+    uu = rng.random(cid.size)
+    below, at, free = rel < 0, rel == 0, rel > 0
+    mark = np.empty(cid.size)
+    mark[below] = law.quantile_below(uu[below], level[below])
+    mark[at] = law.quantile_above(uu[at], level[at])
+    mark[free] = law.quantile(uu[free])
+
+    keep = np.bincount(cid, weights=mark, minlength=n) > u
+    kept = np.flatnonzero(keep)
+    m = kept.size
+    remap = np.full(n, -1, dtype=np.int64)
+    remap[kept] = np.arange(m)
+    x0 = mark[start[kept]]
+    child = (index > 0) & keep[cid]
+    child_cid = remap[cid[child]]
+    w = np.asarray(wait.sample(rng, mark=x0[child_cid], size=child_cid.size), dtype=float)
+    cids = np.concatenate([np.arange(m, dtype=np.int64), child_cid])
+    return BatchClusters(
+        n=m,
+        cid=cids,
+        parent=cids,
+        offset=np.concatenate([np.zeros(m), w]),
+        mark=np.concatenate([x0, mark[child]]),
+        generation=np.concatenate([np.zeros(m, np.int16), np.ones(child_cid.size, np.int16)]),
+        truncated=np.zeros(m, dtype=bool),
         immigrant_mark=x0,
     )
 

@@ -11,10 +11,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clusters import DEFAULT_CAP, HAWKES, MB, BatchClusters, simulate_batch
+from .clusters import DEFAULT_CAP, HAWKES, MB, BatchClusters, simulate_batch, superset_batch
 from .errors import ConfigurationError
 from .events import InterpCurve, PathEvent, rep_time_order
-from .laws import COMONOTONE, INDEPENDENT_LIGHT_K, JointMarkSpec, WaitLaw, mb_mass_tail_bracket
+from .laws import (
+    COMONOTONE,
+    INDEPENDENT_LIGHT_K,
+    JointMarkSpec,
+    WaitLaw,
+    mb_mass_tail_bracket,
+    poisson_pmf,
+    poisson_ppf,
+    poisson_sf,
+)
 from .measures import measure_for_model, mu_sharp
 from .paths import (
     DEFAULT_GRID_N,
@@ -43,6 +52,8 @@ __all__ = [
 ]
 
 CRUDE_CHUNK = 1024
+# numpy's Generator.poisson refuses a mean above int64 max - 10 sqrt(int64 max)
+_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
 
 @dataclass(frozen=True)
@@ -110,6 +121,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"n_pbig must be >= 1, got {self.n_pbig}")
         if self.estimator not in ("crude", "splitting"):
             raise ConfigurationError(f"unknown estimator {self.estimator!r}")
+        if not self.lam * self.T <= _POISSON_MEAN_MAX:  # also catches inf and nan
+            raise ConfigurationError(
+                f"refusing lambda_rate * T_horizon = {self.lam * self.T:.6g}: the Poisson "
+                f"cluster count needs a finite mean of at most {_POISSON_MEAN_MAX:.6g}"
+            )
         self.scaling().validate(self.spec.x_law)
 
     def scaling(self) -> ScalingRule:
@@ -271,6 +287,7 @@ def _conditional_pool(
     big: bool = True,
     xq: float | None = None,
     max_draws: int | None = None,
+    superset: bool = False,
 ):
     """Events of n_needed i.i.d. clusters conditioned on D > u (or D <= u).
 
@@ -278,12 +295,16 @@ def _conditional_pool(
     Without ``xq`` the immigrant marks are drawn inside the batch and there
     are no weights.  With ``xq`` they come from the defensive mixture tilted
     above ``xq`` (`_tilted_marks`) and each kept cluster carries its
-    likelihood ratio.  At most ``max_draws`` clusters are simulated when it
+    likelihood ratio.  With ``superset`` (D > u, no ``xq``, MB clusters with
+    Poisson counts) the candidates come from the exact, unweighted superset
+    sampler `superset_batch`, which returns only its clusters with D > u.
+    The remainder check and anatomy keep rejection.  At most ``max_draws`` clusters are simulated when it
     is given; the pool then holds fewer than n_needed clusters if the budget
     runs out first.  Returns flat arrays with cluster ids remapped to
     0..accepted-1, the weights (None when untilted) and the counts
-    {"drawn", "accepted", "truncated"}: clusters simulated (the unused end of
-    the last batch included), clusters kept, and truncated clusters kept.
+    {"drawn", "accepted", "truncated"}: clusters simulated (superset
+    candidates, and the unused end of the last batch, included), clusters
+    kept, and truncated clusters kept.
     """
     first_accept = 1.0 if xq is None else 0.25  # a guess of the acceptance rate
     got = tried = accepted = trunc = 0
@@ -307,7 +328,10 @@ def _conditional_pool(
             uu = rng.random(batch_n)
             tilt = rng.random(batch_n) < 0.5
             x0, w = _tilted_marks(config.spec.x_law, xq, uu, tilt)
-        b = simulate_batch(config.model, batch_n, config.spec, config.wait, rng, config.cap, x0=x0)
+        if superset:
+            b = superset_batch(batch_n, config.spec, config.wait, rng, u)
+        else:
+            b = simulate_batch(config.model, batch_n, config.spec, config.wait, rng, config.cap, x0=x0)
         tot = b.totals()
         ok = tot > u if big else tot <= u
         tried += batch_n
@@ -316,7 +340,7 @@ def _conditional_pool(
         if take.size:
             ok[take[-1] + 1 :] = False  # clusters past the last one taken stay out
             sel = ok[b.cid]
-            remap = np.full(batch_n, -1, dtype=np.int64)
+            remap = np.full(b.n, -1, dtype=np.int64)
             remap[take] = got + np.arange(take.size)
             cids.append(remap[b.cid[sel]])
             offs.append(b.offset[sel])
@@ -356,12 +380,14 @@ def _stratum_chunk(
     """Event indicators H[r, m] of n_reps replications for every big-cluster
     count m = 0..m_max.  Each replication draws one background of small
     clusters (D <= u) and m_max big ones (D > u); stratum m adds the first m
-    big clusters to the background.  Returns H and the two pools' counts."""
+    big clusters to the background.  Big MB clusters with Poisson counts
+    come from the superset sampler.  Returns H and the two pools' counts."""
     rng = substream(config.seed, "stratum", chunk_index)
     small_counts = rng.poisson(config.lam * config.T * (1.0 - p_big), n_reps)
     total_small = int(small_counts.sum())
     s_cid, s_off, s_mark, _, small = _conditional_pool(config, rng, total_small, u, big=False)
-    b_cid, b_off, b_mark, _, big = _conditional_pool(config, rng, m_max * n_reps, u)
+    superset = config.model == MB and config.spec.dependence == INDEPENDENT_LIGHT_K
+    b_cid, b_off, b_mark, _, big = _conditional_pool(config, rng, m_max * n_reps, u, superset=superset)
 
     gam_small = rng.random(total_small) * config.T
     gam_big = rng.random(m_max * n_reps) * config.T
@@ -472,36 +498,10 @@ def _monte_carlo_p_big(config: ExperimentConfig, u: float) -> tuple[float, float
     return p, se, raw_hits
 
 
-# Poisson(rate) pmf, sf and ppf from the formulas scipy.stats.poisson uses, so
-# they agree with it to the bit; scipy.special is imported only by splitting.
-
-
-def _poisson_pmf(k: np.ndarray, rate: float) -> np.ndarray:
-    from scipy.special import gammaln, xlogy
-
-    return np.exp(xlogy(k, rate) - gammaln(k + 1) - rate)
-
-
-def _poisson_sf(m: int, rate: float) -> float:
-    """P(N > m)."""
-    from scipy.special import pdtrc
-
-    return float(pdtrc(float(m), rate))
-
-
-def _poisson_ppf(q: float, rate: float) -> int:
-    """Smallest m with P(N <= m) >= q."""
-    from scipy.special import pdtr, pdtrik
-
-    v = float(np.ceil(pdtrik(q, rate)))
-    v1 = max(v - 1.0, 0.0)
-    return int(v1 if pdtr(v1, rate) >= q else v)
-
-
 def _poisson_weights(rate: float, m_max: int) -> np.ndarray:
     """Poisson(rate) pmf on 0..m_max with the tail beyond m_max added to m_max."""
-    w = _poisson_pmf(np.arange(m_max + 1), rate)
-    w[-1] += _poisson_sf(m_max, rate)
+    w = poisson_pmf(np.arange(m_max + 1), rate)
+    w[-1] += poisson_sf(m_max, rate)
     return w
 
 
@@ -516,7 +516,9 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     is Y_r = sum_m w[m] H[r, m] with the Poisson(rate) weights, the tail mass
     beyond m_max on m_max; events only gain from extra big clusters, so that
     closes the tail monotonically.  m_max is at least k+2 and grows until the
-    remaining tail is negligible.  P(D > u) comes from `_estimate_p_big`:
+    remaining tail is negligible.  Big MB clusters with Poisson counts come
+    from the exact superset sampler (`superset_batch`), other clusters from
+    rejection in `_conditional_pool`.  P(D > u) comes from `_estimate_p_big`:
     a lattice bracket for MB clusters with Poisson counts or at most 16
     comonotone ones below u (the exact tail without offspring),
     single-cluster Monte Carlo otherwise.  The estimate is mean(Y); its
@@ -535,7 +537,7 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
         raise ConfigurationError(f"splitting needs n_strata >= 2, got {config.n_strata}")
     p_big, se_p, p_big_detail = _estimate_p_big(config, u)
     rate = config.lam * config.T * p_big
-    m_max = max(config.k + 2, _poisson_ppf(1.0 - 1e-4, rate))
+    m_max = max(config.k + 2, poisson_ppf(1.0 - 1e-4, rate))
     m_max = min(m_max, config.k + 2 + 120)
     centering = centering_curve(config)
 
@@ -552,7 +554,7 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     def mixture(r: float) -> float:
         return float(_poisson_weights(r, m_max) @ p_m)
 
-    tail = _poisson_sf(m_max, rate)
+    tail = poisson_sf(m_max, rate)
     y = hits @ _poisson_weights(rate, m_max)
     n = config.n_strata
     value = float(y.mean())
@@ -571,7 +573,7 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
         "m_max": m_max,
         "strata": {m: float(p_m[m]) for m in range(m_max + 1)},
         "bias_probe_k_plus_2": float(p_m[min(config.k + 2, m_max)]),
-        "neglected_default_truncation": _poisson_sf(config.k + 2, rate),
+        "neglected_default_truncation": poisson_sf(config.k + 2, rate),
         "tail_closure_prob": tail,
         "tail_bound_width": tail * float(1.0 - p_m[-1]),
         "truncated_clusters": pools["small"]["truncated"] + pools["big"]["truncated"],

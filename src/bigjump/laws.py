@@ -85,6 +85,33 @@ class TailLaw:
         u = rng.random(size)
         return self.quantile(u)
 
+    def quantile_below(self, u, level):
+        """Quantile at u in [0, 1) of X given X <= level, elementwise;
+        requires P(X <= level) > 0.  The conditional CDF is inverted in
+        closed form, through expm1/log1p, so it stays exact when
+        P(X <= level) is tiny."""
+        u = np.asarray(u, dtype=float)
+        level = np.asarray(level, dtype=float)
+        if self.family == PARETO:
+            below = -np.expm1(-self.alpha * np.log(np.maximum(level, self.scale) / self.scale))
+            return self.scale * np.exp(-np.log1p(-u * below) / self.alpha)
+        if self.family == EXPONENTIAL:
+            below = -np.expm1(-np.maximum(level, 0.0) / self.scale)
+            return -self.scale * np.log1p(-u * below)
+        return np.full_like(u, self.scale)
+
+    def quantile_above(self, u, level):
+        """Quantile at u in [0, 1) of X given X > level, elementwise;
+        requires P(X > level) > 0.  Pareto and exponential tails restart at
+        the level, so no uniform is squeezed into [1 - P(X > level), 1)."""
+        u = np.asarray(u, dtype=float)
+        level = np.asarray(level, dtype=float)
+        if self.family == PARETO:
+            return np.maximum(level, self.scale) * np.power(1.0 - u, -1.0 / self.alpha)
+        if self.family == EXPONENTIAL:
+            return np.maximum(level, 0.0) - self.scale * np.log1p(-u)
+        return np.full_like(u, self.scale)
+
     def mean(self) -> float:
         if self.family == PARETO:
             if self.alpha <= 1:
@@ -190,6 +217,32 @@ def mean_ceil(eta: float, law: TailLaw) -> float:
     head = k0  # terms k = 0..k0-1 have tail equal to 1
     tail = (eta * law.scale) ** a * float(zeta(a, k0))
     return head + tail
+
+
+# Poisson(rate) pmf, sf and ppf from the formulas scipy.stats.poisson uses, so
+# they agree with it to the bit; scipy.special is imported only when they run.
+
+
+def poisson_pmf(k: np.ndarray, rate: float) -> np.ndarray:
+    from scipy.special import gammaln, xlogy
+
+    return np.exp(xlogy(k, rate) - gammaln(k + 1) - rate)
+
+
+def poisson_sf(m: int, rate: float) -> float:
+    """P(N > m)."""
+    from scipy.special import pdtrc
+
+    return float(pdtrc(float(m), rate))
+
+
+def poisson_ppf(q: float, rate: float) -> int:
+    """Smallest m with P(N <= m) >= q."""
+    from scipy.special import pdtr, pdtrik
+
+    v = float(np.ceil(pdtrik(q, rate)))
+    v1 = max(v - 1.0, 0.0)
+    return int(v1 if pdtr(v1, rate) >= q else v)
 
 
 _TILT_AT_TOP = 1e-4  # theta^m, the exponential tilt at the lattice's top cell

@@ -142,6 +142,11 @@ class ScalingRule:
             raise ConfigurationError(
                 f"eta={self.eta} must exceed max(1/alpha, 1/2) = {bound:.6g}"
             )
+        if law.heavy and not law.tail(self.x_T) > 1.0 / np.finfo(float).max:
+            raise ConfigurationError(
+                f"refusing mark_alpha = {law.alpha}: P(X > x_T) = {law.tail(self.x_T):.6g} at x_T = "
+                f"{self.x_T:.6g}, so the speed v(x_T) = 1/P(X > x_T) is not a finite double"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -232,3 +232,25 @@ def sup_exceed_sorted(rep, t, size, n, cent, x_T) -> np.ndarray:
         vals = (cum - cent(ts)) / x_T
         np.maximum.at(sup, r[starts], np.maximum.reduceat(vals, starts))
     return sup
+
+
+def big_pool_plain(spec, wait, u, n_accept, rng, chunk: int = 200_000):
+    """Clusters conditioned on D > u by plain rejection straight on
+    `simulate_batch`: whole MB chunks until n_accept clusters have D > u.
+    Returns the kept clusters' (K, D, immigrant mark, largest mark) in draw
+    order, cut to n_accept, and the number of clusters drawn."""
+    from bigjump.clusters import simulate_batch
+
+    kept, drawn = [], 0
+    got = 0
+    while got < n_accept:
+        batch = simulate_batch("mb", chunk, spec, wait, rng)
+        drawn += chunk
+        total = batch.totals()
+        largest = np.full(chunk, -np.inf)
+        np.maximum.at(largest, batch.cid, batch.mark)
+        ok = total > u
+        kept.append(np.stack([batch.sizes()[ok] - 1, total[ok], batch.immigrant_mark[ok], largest[ok]]))
+        got += int(ok.sum())
+    k, d, x0, top = np.concatenate(kept, axis=1)[:, :n_accept]
+    return k.astype(np.int64), d, x0, top, drawn

@@ -416,6 +416,33 @@ def test_cli_ldp_refused_during_estimation_leaves_no_out_dir(tmp_path, capsys, t
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("estimator", ["crude", "splitting"])
+def test_cli_refuses_mark_tail_underflow(tmp_path, capsys, estimator):
+    # at mark_alpha = 300, P(X > x_T) = 22.9^-300 underflows to 0: the run
+    # went through the whole estimate and died in ScalingRule.speed with a
+    # ZeroDivisionError traceback; 22.9^-200 is still a double
+    text = BASE.replace("estimator = crude", f"estimator = {estimator}")
+    out = str(tmp_path / "never")
+    assert main(["ldp", "--config", _write(tmp_path, _with_key(text, "mark_alpha", "300")), "--out", out]) == 2
+    assert "mark_alpha" in _single_error_line(capsys)
+    assert not os.path.exists(out)
+    ok = str(tmp_path / "ok")
+    assert main(["ldp", "--config", _write(tmp_path, _with_key(text, "mark_alpha", "200")), "--out", ok]) == 0
+
+
+@pytest.mark.parametrize("estimator", ["crude", "splitting"])
+@pytest.mark.parametrize("rate", ["1e308", "1e20"])
+def test_cli_refuses_cluster_count_mean_beyond_poisson_range(tmp_path, capsys, estimator, rate):
+    # lambda T = inf ended in "cannot convert float NaN to integer" or "path
+    # values must be finite", and 5e21 in numpy's "lam value too large"
+    text = _with_key(BASE.replace("estimator = crude", f"estimator = {estimator}"), "lambda_rate", rate)
+    out = str(tmp_path / "never")
+    assert main(["ldp", "--config", _write(tmp_path, text), "--out", out]) == 2
+    line = _single_error_line(capsys)
+    assert "lambda_rate" in line and "T_horizon" in line
+    assert not os.path.exists(out)
+
+
 def test_cli_rejects_negative_seed(tmp_path, capsys):
     # numpy refused it later with "expected non-negative integer", naming no key
     cfg = _write(tmp_path, BASE.replace("seed_root = 4242", "seed_root = -1"))

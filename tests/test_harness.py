@@ -6,15 +6,14 @@ import pytest
 from scipy import stats
 
 from bigjump import harness
+from bigjump.clusters import _superset_count_law, superset_batch
 from bigjump.errors import ConfigurationError
 from bigjump.events import DkProxy, InterpCurve, JumpCount, SupExceed, TerminalExceed, ValueAt
 from bigjump.harness import (
     ExperimentConfig,
+    _conditional_pool,
     _estimate_p_big,
     _monte_carlo_p_big,
-    _poisson_pmf,
-    _poisson_ppf,
-    _poisson_sf,
     _wilson_interval,
     _eval_event_chunk,
     _simulate_jump_arrays,
@@ -29,12 +28,12 @@ from bigjump.harness import (
     simulate_replication,
     splitting_estimate,
 )
-from bigjump.laws import JointMarkSpec, TailLaw, WaitLaw
+from bigjump.laws import JointMarkSpec, TailLaw, WaitLaw, poisson_pmf, poisson_ppf, poisson_sf
 from bigjump.measures import measure_for_model, mu_sharp
 from bigjump.paths import build_jump_path, centered_scaled_path, read_path_csv, terminal, write_path_csv
 from bigjump.streams import substream
 
-from .oracles import remainder_share_plain, sup_exceed_sorted
+from .oracles import big_pool_plain, remainder_share_plain, sup_exceed_sorted
 
 
 def base_config(spec, wait, **kw):
@@ -192,11 +191,11 @@ def test_poisson_helpers_bit_identical_to_scipy():
     rng = np.random.default_rng(3)
     for rate in np.r_[0.0, 1e-9, rng.uniform(0.0, 150.0, 300)]:
         k = np.arange(int(rate) + 40)
-        assert np.array_equal(_poisson_pmf(k, rate), stats.poisson.pmf(k, rate)), rate
+        assert np.array_equal(poisson_pmf(k, rate), stats.poisson.pmf(k, rate)), rate
         for m in (0, 2, int(rate), int(rate) + 7):
-            assert _poisson_sf(m, rate) == float(stats.poisson.sf(m, rate)), (m, rate)
+            assert poisson_sf(m, rate) == float(stats.poisson.sf(m, rate)), (m, rate)
         for q in (0.5, 1.0 - 1e-4):
-            assert _poisson_ppf(q, rate) == int(stats.poisson.ppf(q, rate)), (q, rate)
+            assert poisson_ppf(q, rate) == int(stats.poisson.ppf(q, rate)), (q, rate)
 
 
 def test_crude_impossible_event(exp_wait):
@@ -583,3 +582,95 @@ def test_splitting_detail_reports_truncation_bounds(mb_spec_nu0, exp_wait):
     ):
         _, _, extra = _estimate_p_big(cfg, cfg.delta * cfg.scaling().x_T)
         assert extra["p_big_raw_hits"] > 0 and "p_big_bracket" not in extra
+
+
+# (mark law, nu, threshold u), fixed before any run: P(D > u) between 1.4% and
+# 5%, except for point marks without offspring, where D = 1 > u always
+SUPERSET_CASES = [
+    (TailLaw("pareto", 1.0, 1.5), 0.0, 7.0),
+    (TailLaw("pareto", 1.0, 1.5), 0.5, 12.0),
+    (TailLaw("pareto", 1.0, 1.5), 2.0, 22.0),
+    (TailLaw("pareto", 1.0, 1.5), 50.0, 250.0),
+    (TailLaw("exponential", 2.0), 0.0, 6.0),
+    (TailLaw("exponential", 2.0), 0.5, 8.5),
+    (TailLaw("exponential", 2.0), 2.0, 14.5),
+    (TailLaw("exponential", 2.0), 50.0, 135.0),
+    (TailLaw("deterministic", 1.0), 0.0, 0.5),
+    (TailLaw("deterministic", 1.0), 0.5, 3.5),
+    (TailLaw("deterministic", 1.0), 2.0, 6.5),
+    (TailLaw("deterministic", 1.0), 50.0, 63.5),
+]
+SUPERSET_IDS = [f"{law.family}-nu{nu:g}" for law, nu, _ in SUPERSET_CASES]
+
+
+@pytest.mark.parametrize("law, nu, u", SUPERSET_CASES, ids=SUPERSET_IDS)
+def test_superset_pool_matches_plain_rejection(exp_wait, law, nu, u):
+    # the big pool's clusters against plain rejection on simulate_batch: K,
+    # D, the immigrant mark and the largest mark, by two-sample KS tests
+    spec = JointMarkSpec(law, "independent_light_k", k_param=nu)
+    cfg = base_config(spec, exp_wait)
+    n = 3000
+    cid, off, mark, w, counts = _conditional_pool(cfg, substream(5, "superset"), n, u, superset=True)
+    assert w is None and counts["accepted"] == n and counts["drawn"] >= n
+    first_row = np.unique(cid, return_index=True)[1]  # a cluster's first row is its immigrant
+    assert np.all(off[first_row] == 0.0)
+    k = np.bincount(cid, minlength=n) - 1
+    d = np.bincount(cid, weights=mark, minlength=n)
+    x0 = mark[first_row]
+    top = np.full(n, -np.inf)
+    np.maximum.at(top, cid, mark)
+    assert np.all(d > u)
+    plain = big_pool_plain(spec, exp_wait, u, n, substream(6, "plain"), chunk=100_000)
+    for name, a, b in zip(("K", "D", "X0", "max"), (k, d, x0, top), plain[:4]):
+        assert stats.ks_2samp(a, b).pvalue > 1e-3, name
+
+
+@pytest.mark.parametrize("law, nu, u", SUPERSET_CASES, ids=SUPERSET_IDS)
+def test_superset_acceptance_is_p_big_over_superset_probability(exp_wait, law, nu, u):
+    # D > u inside the superset event: the share of candidates kept is
+    # P(D > u) / P(superset), with P(D > u) from the exact lattice bracket
+    spec = JointMarkSpec(law, "independent_light_k", k_param=nu)
+    p_big, half_width, _ = _estimate_p_big(base_config(spec, exp_wait), u)
+    z = _superset_count_law(spec, u)[0][-1]
+    n = 40_000
+    kept = superset_batch(n, spec, exp_wait, substream(7, "superset"), u)
+    want = min(p_big / z, 1.0)  # point marks: the superset event can be D > u itself
+    se = np.hypot(np.sqrt(want * (1.0 - want) / n), half_width / z)
+    assert abs(kept.n / n - want) <= 4.0 * se + 1e-12, (kept.n / n, want, se)
+    assert np.all(kept.totals() > u)
+
+
+def test_superset_pool_keeps_every_draw_without_offspring(mb_spec_nu0, exp_wait):
+    # nu = 0: the superset event is X_0 > u itself
+    d = splitting_estimate(base_config(mb_spec_nu0, exp_wait, n_strata=1500)).detail
+    assert d["pools"]["big"]["drawn"] == d["pools"]["big"]["accepted"] == d["m_max"] * 1500
+
+
+def test_superset_pool_refuses_an_unreachable_threshold_at_once(exp_wait):
+    # point marks 0.2 with Poisson(2) counts: D > 100 needs K >= 500, whose
+    # Poisson mass underflows; rejection gave up only after 50M draws
+    spec = JointMarkSpec(TailLaw("deterministic", 0.2), "independent_light_k", k_param=2.0)
+    with pytest.raises(ConfigurationError, match="outside the reachable range"):
+        _conditional_pool(base_config(spec, exp_wait), substream(8, "superset"), 10, 100.0, superset=True)
+
+
+def test_splitting_runs_at_a_thousand_offspring(pareto15, exp_wait):
+    # a 1001-event cluster always passes u = 11.4, so one batch of 1024
+    # candidates fills the pool; the tilted count table stays near nu
+    spec = JointMarkSpec(pareto15, "independent_light_k", k_param=1000.0)
+    cfg = base_config(spec, exp_wait, lam=0.02, n_strata=2)
+    est = splitting_estimate(cfg)
+    big = est.detail["pools"]["big"]
+    assert big["accepted"] == 2 * est.detail["m_max"] and big["drawn"] == 1024
+    assert 0.0 <= est.value <= 1.0
+    assert _superset_count_law(spec, 0.5 * cfg.scaling().x_T)[0].size < 2000
+
+
+@pytest.mark.parametrize("counts", ["independent_light_k", "comonotone"])
+def test_splitting_refuses_threshold_beyond_reach_in_range(pareto15, exp_wait, counts):
+    # T = 1e12 keeps lam T and the speed in range, so the refusal comes from
+    # P(D > u) at u = 2e9: under the lattice's round-off or unseen by Monte Carlo
+    spec = JointMarkSpec(pareto15, counts, k_param=2.0)
+    cfg = base_config(spec, exp_wait, T=1e12, n_pbig=20_000)
+    with pytest.raises(ConfigurationError, match="refusing to extrapolate"):
+        splitting_estimate(cfg)

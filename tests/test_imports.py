@@ -63,8 +63,11 @@ def test_hawkes_crude_ldp_loads_no_scipy(tmp_path):
 
 
 def test_mb_splitting_ldp_loads_only_scipy_special(tmp_path):
-    cfg = _write(tmp_path, BASE.replace("estimator = crude", "estimator = splitting"))
-    modules = _scipy_modules(["ldp", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert "scipy.special" in modules
-    assert not {"scipy.stats", "scipy.signal"} & modules
+    # nu = 2 also builds the superset sampler's Poisson count table
+    for nu in ("0.0", "2.0"):
+        text = BASE.replace("estimator = crude", "estimator = splitting").replace("k_param = 0.0", f"k_param = {nu}")
+        cfg = _write(tmp_path, text, name=f"nu{nu}.cfg")
+        modules = _scipy_modules(["ldp", "--config", cfg, "--out", str(tmp_path / f"out{nu}")])
+        assert "scipy.special" in modules
+        assert not {"scipy.stats", "scipy.signal"} & modules
 

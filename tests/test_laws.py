@@ -242,3 +242,42 @@ def test_lattice_bracket_refuses_heavy_counts():
     spec = JointMarkSpec(TailLaw("exponential", 1.0), "heavy_k_light_x", k_param=2.0, k_alpha=1.5)
     with pytest.raises(ValueError, match="heavy_k_light_x"):
         mb_mass_tail_bracket(spec, 10.0, 512)
+
+
+@pytest.mark.parametrize(
+    "law, levels",
+    [
+        (TailLaw("pareto", 1.0, 1.5), [1.0, 1.7, 12.0, 400.0]),
+        (TailLaw("exponential", 2.0), [0.3, 2.0, 15.0]),
+    ],
+)
+def test_conditional_quantiles_invert_the_conditional_cdfs(law, levels):
+    # the conditional CDFs at the returned quantiles give back u
+    u = np.linspace(0.0, 0.999, 37)
+    for level in levels:
+        p = law.tail(level)
+        above = law.quantile_above(u, level)
+        assert np.all(above >= level)
+        np.testing.assert_allclose(law.tail(above) / p, 1.0 - u, rtol=0, atol=1e-12)
+        if p < 1.0:
+            below = law.quantile_below(u, level)
+            assert np.all(below <= level * (1 + 1e-15))
+            np.testing.assert_allclose((1.0 - law.tail(below)) / (1.0 - p), u, rtol=0, atol=1e-12)
+
+
+def test_conditional_quantiles_stay_exact_in_far_tails():
+    # P(X > l) = 1e-20 and P(X <= l) = 1.5e-12, where 1 - p + u p and
+    # u (1 - p) lose every digit: the medians of the conditional laws are
+    # closed forms (a Pareto or exponential tail restarts at the level; the
+    # Pareto CDF is linear in its first 1e-12 of support)
+    pareto = TailLaw("pareto", 1.0, 1.5)
+    far = 1e20 ** (1.0 / 1.5)
+    assert pareto.quantile_above(0.5, far) == pytest.approx(far * 2.0 ** (1.0 / 1.5), rel=1e-14)
+    assert TailLaw("exponential", 2.0).quantile_above(0.5, 92.1) == pytest.approx(92.1 + 2.0 * np.log(2.0), rel=1e-14)
+    near = 1.0 + 1e-12
+    x = pareto.quantile_below(np.array([0.0, 0.5, 0.999999]), near)
+    assert x[0] == 1.0 and np.all(np.diff(x) > 0) and x[-1] <= near
+    assert (x[1] - 1.0) == pytest.approx(0.5e-12, rel=1e-3)
+    point = TailLaw("deterministic", 3.0)
+    assert np.all(point.quantile_above(np.array([0.0, 0.7]), 2.0) == 3.0)
+    assert np.all(point.quantile_below(np.array([0.0, 0.7]), 5.0) == 3.0)
