@@ -19,6 +19,7 @@ __all__ = [
     "BatchClusters",
     "simulate_batch",
     "superset_batch",
+    "superset_probability",
     "write_clusters_csv",
 ]
 
@@ -203,6 +204,12 @@ def _superset_count_law(spec: JointMarkSpec, u: float) -> tuple[np.ndarray, np.n
             "threshold is outside the reachable range"
         )
     return cdf, p, q
+
+
+def superset_probability(spec: JointMarkSpec, u: float) -> float:
+    """P(max_{0<=i<=K} X_i > u/(K+1)) for Poisson counts K: the probability
+    of the superset event that `superset_batch` draws from."""
+    return float(_superset_count_law(spec, u)[0][-1])
 
 
 def superset_batch(

@@ -4,10 +4,12 @@ Each event kind is one frozen dataclass that defines everything about it:
 its name ``kind`` (its finite parameters are the dataclass fields); its
 decision on one centered scaled path in one node scan (``decide``) and on n
 replications given as flat (replication, time, unscaled size) jump arrays,
-centered by an ``InterpCurve`` and scaled by 1/x_T (``decide_batch``); the
-positive radius by which it stays away from the cone of paths with at most
-k jumps, or None when its order-k limit diverges and the ratio harness
-refuses it (``dk_separation``); its mass under the (k+1)-jump limit measure
+centered by an ``InterpCurve`` and scaled by 1/x_T (``decide_batch``), and
+on every prefix of such arrays at once (``decide_strata``: sum events keep
+one running sum, the others decide prefix by prefix); the positive radius
+by which it stays away from the cone of paths with at most k jumps, or None
+when its order-k limit diverges and the ratio harness refuses it
+(``dk_separation``); its mass under the (k+1)-jump limit measure
 (``limit_mass``); and the cluster mass, in x_T units, at which it becomes
 likely (``scale``).  ``DkProxy`` answers all but its separation as the
 ``JumpCount`` event it stands for.
@@ -85,6 +87,14 @@ class PathEvent:
     def decide_batch(self, rep, t, size, n: int, cent, x_T: float) -> np.ndarray:
         raise NotImplementedError
 
+    def decide_strata(self, rep, t, size, ends, n: int, cent, x_T: float) -> np.ndarray:
+        """(n, len(ends)) decisions: column i is ``decide_batch`` on the
+        prefix ``[:ends[i]]`` of the jump arrays (ends nondecreasing)."""
+        hits = np.empty((n, len(ends)), dtype=bool)
+        for i, e in enumerate(ends):
+            hits[:, i] = self.decide_batch(rep[:e], t[:e], size[:e], n, cent, x_T)
+        return hits
+
     def dk_separation(self, k: int) -> float | None:
         raise NotImplementedError
 
@@ -110,6 +120,9 @@ class TerminalExceed(PathEvent):
     def decide_batch(self, rep, t, size, n, cent, x_T):
         totals = np.bincount(rep, weights=size, minlength=n)
         return (totals - cent(1.0)) / x_T > self.c
+
+    def decide_strata(self, rep, t, size, ends, n, cent, x_T):
+        return (_prefix_sums(rep, size, ends, n) - cent(1.0)) / x_T > self.c
 
     def dk_separation(self, k: int) -> float | None:
         # a single limit jump must carry the whole excess; k >= 1 leaves
@@ -142,6 +155,11 @@ class ValueAt(PathEvent):
         mask = t <= self.s
         vals = np.bincount(rep[mask], weights=size[mask], minlength=n)
         return (vals - cent(self.s)) / x_T > self.c
+
+    def decide_strata(self, rep, t, size, ends, n, cent, x_T):
+        mask = t <= self.s
+        kept = np.concatenate(([0], np.cumsum(mask)))[ends]  # masked jumps in each prefix
+        return (_prefix_sums(rep[mask], size[mask], kept, n) - cent(self.s)) / x_T > self.c
 
     def dk_separation(self, k: int) -> float | None:
         return self.c / 2.0 if k == 0 else None
@@ -307,6 +325,20 @@ def rep_time_order(rep: np.ndarray, t: np.ndarray) -> np.ndarray:
         if not np.any(key[1:] == key[:-1]):
             return order
     return np.lexsort((t, rep))
+
+
+def _prefix_sums(rep, size, ends, n) -> np.ndarray:
+    """(n, len(ends)) per-replication sums of ``size`` over each prefix
+    ``[:ends[i]]``: one running sum, each jump added in array order, which
+    is the order ``np.bincount`` on the prefix adds it, so every column is
+    that bincount bit for bit."""
+    out = np.empty((n, len(ends)))
+    out[:, 0] = np.bincount(rep[: ends[0]], weights=size[: ends[0]], minlength=n)
+    acc = out[:, 0].copy()  # float even where an empty bincount is an integer array
+    for i in range(1, len(ends)):
+        np.add.at(acc, rep[ends[i - 1] : ends[i]], size[ends[i - 1] : ends[i]])
+        out[:, i] = acc
+    return out
 
 
 def _sup_bin_bounds(rep, t, size, n, cent, x_T, c):

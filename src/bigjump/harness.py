@@ -11,7 +11,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clusters import DEFAULT_CAP, HAWKES, MB, BatchClusters, simulate_batch, superset_batch
+from .clusters import (
+    DEFAULT_CAP,
+    HAWKES,
+    MB,
+    BatchClusters,
+    simulate_batch,
+    superset_batch,
+    superset_probability,
+)
 from .errors import ConfigurationError
 from .events import InterpCurve, PathEvent, rep_time_order
 from .laws import (
@@ -202,13 +210,18 @@ def _eval_event_chunk(
     event: PathEvent,
     centering: CadlagPath,
     x_T: float,
+    ends: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Event indicator per replication from flat jump arrays.
+    """Event indicator per replication from flat jump arrays; with ``ends``,
+    one column per prefix [:e] of the arrays (`PathEvent.decide_strata`).
 
     Semantics match deciding the event on the materialized centered scaled
     path: centering values interpolate the same grid curve.
     """
-    return event.decide_batch(rep, t, size, n, InterpCurve(centering.t, centering.right), x_T)
+    cent = InterpCurve(centering.t, centering.right)
+    if ends is None:
+        return event.decide_batch(rep, t, size, n, cent, x_T)
+    return event.decide_strata(rep, t, size, ends, n, cent, x_T)
 
 
 def _simulate_jump_arrays(config: ExperimentConfig, n_reps: int, rng: np.random.Generator):
@@ -288,6 +301,7 @@ def _conditional_pool(
     xq: float | None = None,
     max_draws: int | None = None,
     superset: bool = False,
+    accept: float | None = None,
 ):
     """Events of n_needed i.i.d. clusters conditioned on D > u (or D <= u).
 
@@ -298,15 +312,19 @@ def _conditional_pool(
     likelihood ratio.  With ``superset`` (D > u, no ``xq``, MB clusters with
     Poisson counts) the candidates come from the exact, unweighted superset
     sampler `superset_batch`, which returns only its clusters with D > u.
-    The remainder check and anatomy keep rejection.  At most ``max_draws`` clusters are simulated when it
-    is given; the pool then holds fewer than n_needed clusters if the budget
-    runs out first.  Returns flat arrays with cluster ids remapped to
-    0..accepted-1, the weights (None when untilted) and the counts
+    The remainder check and anatomy keep rejection.  ``accept``, the known
+    share of draws kept, sizes the first batch; without it the first batch
+    guesses.  Later batches follow the share kept so far.  At most
+    ``max_draws`` clusters are simulated when it is given; the pool then
+    holds fewer than n_needed clusters if the budget runs out first.
+    Returns flat arrays with cluster ids remapped to 0..accepted-1, the
+    weights (None when untilted) and the counts
     {"drawn", "accepted", "truncated"}: clusters simulated (superset
     candidates, and the unused end of the last batch, included), clusters
     kept, and truncated clusters kept.
     """
-    first_accept = 1.0 if xq is None else 0.25  # a guess of the acceptance rate
+    if accept is None:
+        accept = 1.0 if xq is None else 0.25  # a guess
     got = tried = accepted = trunc = 0
     cids, offs, marks = [], [], []
     weights = None if xq is None else np.empty(n_needed)
@@ -318,7 +336,7 @@ def _conditional_pool(
                 f"in {tried} draws; threshold is outside the reachable range"
             )
         if tried == 0:
-            batch_n = int(max(min(n_needed / first_accept, 4e6), 1024))
+            batch_n = int(max(min(n_needed / accept, 4e6), 1024))
         else:
             p_guess = max(accepted / tried, 1e-6)
             batch_n = int(min(4e6, max(1024, 1.2 * (n_needed - got) / p_guess)))
@@ -376,18 +394,28 @@ def _stratum_chunk(
     p_big: float,
     m_max: int,
     centering: CadlagPath,
+    cv_levels=None,
 ):
     """Event indicators H[r, m] of n_reps replications for every big-cluster
     count m = 0..m_max.  Each replication draws one background of small
     clusters (D <= u) and m_max big ones (D > u); stratum m adds the first m
     big clusters to the background.  Big MB clusters with Poisson counts
-    come from the superset sampler.  Returns H and the two pools' counts."""
+    come from the superset sampler.  Returns H, the control variates of
+    each replication (`_covariates`; None without ``cv_levels``) and the two
+    pools' counts."""
     rng = substream(config.seed, "stratum", chunk_index)
     small_counts = rng.poisson(config.lam * config.T * (1.0 - p_big), n_reps)
     total_small = int(small_counts.sum())
     s_cid, s_off, s_mark, _, small = _conditional_pool(config, rng, total_small, u, big=False)
-    superset = config.model == MB and config.spec.dependence == INDEPENDENT_LIGHT_K
-    b_cid, b_off, b_mark, _, big = _conditional_pool(config, rng, m_max * n_reps, u, superset=superset)
+    superset = _superset_scope(config)
+    accept = min(p_big / superset_probability(config.spec, u), 1.0) if superset else None
+    b_cid, b_off, b_mark, _, big = _conditional_pool(
+        config, rng, m_max * n_reps, u, superset=superset, accept=accept
+    )
+
+    covariates = None
+    if cv_levels is not None:
+        covariates = _covariates(cv_levels, small_counts, s_cid, s_mark, b_cid, b_mark)
 
     gam_small = rng.random(total_small) * config.T
     gam_big = rng.random(m_max * n_reps) * config.T
@@ -404,10 +432,29 @@ def _stratum_chunk(
     size = np.concatenate([size_s, size_b[order]])
     ends = rep_s.size + np.searchsorted(rank[order], np.arange(m_max + 1))
     x_T = config.scaling().x_T
-    hits = np.empty((n_reps, m_max + 1), dtype=bool)
-    for m, e in enumerate(ends):
-        hits[:, m] = _eval_event_chunk(rep[:e], t[:e], size[:e], n_reps, config.event, centering, x_T)
-    return hits, small, big
+    hits = _eval_event_chunk(rep, t, size, n_reps, config.event, centering, x_T, ends)
+    return hits, covariates, small, big
+
+
+def _covariates(cv_levels, small_counts, s_cid, s_mark, b_cid, b_mark) -> np.ndarray:
+    """Control variates per replication from its clusters' masses D, with
+    ``cv_levels`` = (small levels, big levels, rank weights): its small
+    count, its small clusters above each small level, and for each big level
+    the rank weights summed over its big clusters above it (`_cv_means`
+    gives their means).  Small clusters come replication by replication,
+    big ones m_max = len(rank weights) a replication in rank order."""
+    small_levels, big_levels, rank_weights = cv_levels
+    n_reps = small_counts.size
+    d_small = np.bincount(s_cid, weights=s_mark, minlength=int(small_counts.sum()))
+    rep_small = np.repeat(np.arange(n_reps), small_counts)
+    d_big = np.bincount(b_cid, weights=b_mark, minlength=n_reps * rank_weights.size)
+    d_big = d_big.reshape(n_reps, -1)
+    return np.column_stack(
+        [small_counts]
+        + [np.bincount(rep_small, weights=d_small > a, minlength=n_reps) for a in small_levels]
+        # summed without BLAS, whose order may differ in forked workers
+        + [((d_big > b) * rank_weights).sum(axis=1) for b in big_levels]
+    )
 
 
 def _offsetless_batches(config: ExperimentConfig, rng: np.random.Generator, n: int):
@@ -425,7 +472,7 @@ _LATTICE_CELLS = 2**14  # the first lattice of the exact P(D > u)
 _LATTICE_WORK = 2**18
 
 
-def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, dict]:
+def _estimate_p_big(config: ExperimentConfig, u: float, fractions=()) -> tuple[float, float, dict]:
     """P(D > u), its standard error and the detail behind it.
 
     MB clusters with Poisson counts, or with at most 16 comonotone counts
@@ -437,7 +484,10 @@ def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, d
     grows with the lattice) or the counts times the cells would pass 2^18.
     Without offspring D = X, and the mark tail is exact.  `cluster_cap`
     truncates branching clusters only, so this is the law of the MB
-    clusters the pools draw.  Other clusters: `_monte_carlo_p_big`.
+    clusters the pools draw.  On the lattice, ``fractions`` f (with 2^14 f
+    an integer) add the widened, intersected brackets of P(D > f u) from
+    the same transforms to the detail, as "tail_brackets" (lo, hi).  Other
+    clusters: `_monte_carlo_p_big`.
     """
     spec = config.spec
     counts = 1.0 if spec.dependence == INDEPENDENT_LIGHT_K else float(np.ceil(spec.k_param * u))
@@ -449,21 +499,26 @@ def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, d
     if not lattice:
         p, se, raw_hits = _monte_carlo_p_big(config, u)
         return p, se, {"p_big_raw_hits": raw_hits}
+    levels = np.array((1.0, *fractions))
     if spec.k_param == 0.0:
-        lo = hi = float(spec.x_law.tail(u))
+        lo = hi = np.array([float(spec.x_law.tail(f * u)) for f in levels])
     else:
-        lo, hi, width, m = 0.0, 1.0, np.inf, _LATTICE_CELLS
+        lo, hi, width, m = np.zeros(levels.size), np.ones(levels.size), np.inf, _LATTICE_CELLS
         while True:
-            a, b, err = mb_mass_tail_bracket(spec, u, m)
-            lo, hi = max(lo, a - err), min(hi, b + err)
-            done = hi - lo <= 0.5e-3 * (lo + hi) or 2 * m * counts > _LATTICE_WORK
-            if done or b - a + 2 * err >= width:  # round-off outgrows what the finer lattice gains
+            a, b, err = mb_mass_tail_bracket(spec, u, m, (m * levels).astype(np.int64))
+            lo, hi = np.maximum(lo, a - err), np.minimum(hi, b + err)
+            done = hi[0] - lo[0] <= 0.5e-3 * (lo[0] + hi[0]) or 2 * m * counts > _LATTICE_WORK
+            if done or b[0] - a[0] + 2 * err >= width:  # round-off outgrows what the finer lattice gains
                 break
-            width = b - a + 2 * err
+            width = b[0] - a[0] + 2 * err
             m *= 2
-    if lo <= 0.0:  # nothing is known above 0, or nothing clears the round-off
+    p_lo, p_hi = float(lo[0]), float(hi[0])
+    if p_lo <= 0.0:  # nothing is known above 0, or nothing clears the round-off
         _refuse_threshold(u)
-    return 0.5 * (lo + hi), 0.5 * (hi - lo), {"p_big_bracket": (lo, hi)}
+    detail = {"p_big_bracket": (p_lo, p_hi)}
+    if fractions:
+        detail["tail_brackets"] = (lo[1:], hi[1:])
+    return 0.5 * (p_lo + p_hi), 0.5 * (p_hi - p_lo), detail
 
 
 def _refuse_threshold(u: float):
@@ -498,6 +553,78 @@ def _monte_carlo_p_big(config: ExperimentConfig, u: float) -> tuple[float, float
     return p, se, raw_hits
 
 
+# Control variates of the splitting score (MB clusters with Poisson counts):
+# a replication's small-cluster count, its small clusters with D > a u for
+# each a in _CV_SMALL, and for each b in _CV_BIG its big clusters with
+# D > b u, weighted by P(M > rank), M the Poisson big count
+_CV_SMALL = (0.125, 0.25, 0.5, 0.75)
+_CV_BIG = (1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+# each parity fold fits 11 slopes and an intercept on at least 20
+# replications per coefficient: 480 replications
+_CV_FOLD_FLOOR = 2 * 20 * (2 + len(_CV_SMALL) + len(_CV_BIG))
+
+
+def _superset_scope(config: ExperimentConfig) -> bool:
+    """MB clusters with Poisson counts: the superset sampler draws their big
+    pool, and their cluster-mass law gives the control variates' means."""
+    return config.model == MB and config.spec.dependence == INDEPENDENT_LIGHT_K
+
+
+def _tail_brackets(spec: JointMarkSpec, top: float, fractions) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets of P(D > f top) for f in fractions (with 2^14 f an integer)
+    from one lattice of 2^14 cells on [0, top], each widened by its error
+    bound; without offspring the mark tail, exactly."""
+    f = np.asarray(fractions)
+    if spec.k_param == 0.0:
+        tail = spec.x_law.tail(f * top)
+        return tail, tail
+    cells = (_LATTICE_CELLS * f).astype(np.int64)
+    a, b, err = mb_mass_tail_bracket(spec, top, _LATTICE_CELLS, cells)
+    return np.maximum(a - err, 0.0), np.minimum(b + err, 1.0)
+
+
+def _cv_means(
+    config: ExperimentConfig, u: float, p_big: float, p_bracket, mid_tails, rank_weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means of the control variates of `_stratum_chunk` and the
+    half-widths of their brackets.  The small count is Poisson(lam T (1 -
+    p_big)), exactly as drawn.  A small cluster has D > a u with probability
+    (P(D > a u) - p)/(1 - p), p = P(D > u), a big one D > b u with
+    probability P(D > b u)/p; both are bracketed from the brackets of their
+    tails and of p.  P(D > a u) comes with p for a = 1/2, 3/4
+    (``mid_tails``) and from a lattice on [0, u/4], four times finer, for
+    a = 1/8, 1/4; P(D > b u) from a lattice on [0, 8u]."""
+    spec = config.spec
+    low = _tail_brackets(spec, 0.25 * u, np.array(_CV_SMALL[:2]) * 4.0)
+    t_lo, t_hi = (np.concatenate((a, b)) for a, b in zip(low, mid_tails))
+    big_lo, big_hi = _tail_brackets(spec, _CV_BIG[-1] * u, np.array(_CV_BIG) / _CV_BIG[-1])
+    p_lo, p_hi = p_bracket
+    n_small = config.lam * config.T * (1.0 - p_big)
+    # (t - p)/(1 - p) rises with t and falls with p
+    small_lo = n_small * np.clip((t_lo - p_hi) / max(1.0 - p_hi, 1e-300), 0.0, 1.0)
+    small_hi = n_small * np.clip((t_hi - p_lo) / max(1.0 - p_lo, 1e-300), 0.0, 1.0)
+    big_lo = rank_weights.sum() * np.clip(big_lo / p_hi, 0.0, 1.0)
+    big_hi = rank_weights.sum() * np.clip(big_hi / p_lo, 0.0, 1.0)
+    lo = np.concatenate(([n_small], small_lo, big_lo))
+    hi = np.concatenate(([n_small], small_hi, big_hi))
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def _cross_fit(y: np.ndarray, x: np.ndarray, means: np.ndarray):
+    """Control-variate scores y - (x - means) beta, with beta fitted by least
+    squares with an intercept on the other parity fold of the replications
+    (index mod 2), so each adjusted score is unbiased when the means are
+    exact (Avramidis & Wilson 1993).  Returns the adjusted scores and the
+    fold's coefficients, fold 0 first."""
+    fold = np.arange(y.size) % 2
+    betas = []
+    for f in (0, 1):
+        xf, yf = x[fold == f], y[fold == f]
+        betas.append(np.linalg.lstsq(xf - xf.mean(axis=0), yf - yf.mean(), rcond=None)[0])
+    other = np.array(betas)[1 - fold]
+    return y - ((x - means) * other).sum(axis=1), betas
+
+
 def _poisson_weights(rate: float, m_max: int) -> np.ndarray:
     """Poisson(rate) pmf on 0..m_max with the tail beyond m_max added to m_max."""
     w = poisson_pmf(np.arange(m_max + 1), rate)
@@ -524,7 +651,19 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     single-cluster Monte Carlo otherwise.  The estimate is mean(Y); its
     stderr adds sd(Y)/sqrt(n) in quadrature to the delta-method error of
     the rate, which takes the bracket's half-width, or the Monte Carlo
-    standard error, as the error of P(D > u).  When no replication hits,
+    standard error, as the error of P(D > u).
+
+    MB clusters with Poisson counts subtract control variates with known
+    means from Y (`_stratum_chunk`, `_cv_means`): the small count, the
+    small clusters with D > a u for a = 1/8, 1/4, 1/2, 3/4, and for b =
+    1.5, 2, 3, 4, 6, 8 the big clusters with D > b u weighted by P(M >
+    rank).  The coefficients are fitted on the other parity fold of the
+    replications (`_cross_fit`), so the estimate stays unbiased and the same
+    for every worker count; the stderr then takes sd of the adjusted scores
+    and adds sum_k |beta_k| times the half-width of mean k in quadrature.
+    They are off below 480 replications (20 per coefficient in each fold),
+    when every Y is the same, or when the adjusted mean leaves [0, 1];
+    ``detail["control_variates"]`` says which.  When no replication hits,
     the interval is [0, 1 - 0.025^(1/n)], the exact 97.5% upper bound on
     P(Y > 0), which bounds E[Y] as 0 <= Y <= 1.
     """
@@ -535,15 +674,20 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
         )
     if config.n_strata < 2:
         raise ConfigurationError(f"splitting needs n_strata >= 2, got {config.n_strata}")
-    p_big, se_p, p_big_detail = _estimate_p_big(config, u)
+    scope = _superset_scope(config)
+    p_big, se_p, p_big_detail = _estimate_p_big(config, u, _CV_SMALL[2:] if scope else ())
     rate = config.lam * config.T * p_big
     m_max = max(config.k + 2, poisson_ppf(1.0 - 1e-4, rate))
     m_max = min(m_max, config.k + 2 + 120)
     centering = centering_curve(config)
+    cv_levels = None
+    if scope:
+        rank_weights = np.cumsum(_poisson_weights(rate, m_max)[::-1])[::-1][1:]  # P(M > j), j < m_max
+        cv_levels = (np.array(_CV_SMALL) * u, np.array(_CV_BIG) * u, rank_weights)
 
     sizes = _chunk_sizes(config.n_strata)
-    tasks = [(config, i, s, u, p_big, m_max, centering) for i, s in enumerate(sizes)]
-    hits, small, big = zip(*_run_tasks(_stratum_chunk, tasks, config.workers))
+    tasks = [(config, i, s, u, p_big, m_max, centering, cv_levels) for i, s in enumerate(sizes)]
+    hits, covariates, small, big = zip(*_run_tasks(_stratum_chunk, tasks, config.workers))
     hits = np.concatenate(hits)
     pools = {
         name: {key: sum(c[key] for c in counts) for key in counts[0]}
@@ -562,7 +706,38 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     h = max(config.lam * config.T * se_p, 1e-12)
     dvalue = (mixture(rate + h) - mixture(max(rate - h, 0.0))) / (2 * h)
     var_rate = (dvalue * config.lam * config.T * se_p) ** 2
-    se = float(np.sqrt(var_reps + var_rate))
+    bias_bound = 0.0
+    cv = None
+    if scope:
+        means, half_widths = _cv_means(config, u, p_big, p_big_detail["p_big_bracket"],
+                                       p_big_detail.pop("tail_brackets"), rank_weights)
+        cv = {
+            "levels": {"small": cv_levels[0].tolist(), "big": cv_levels[1].tolist()},
+            "means": means.tolist(),
+            "mean_half_widths": half_widths.tolist(),
+            "fold_floor": _CV_FOLD_FLOOR,
+            "applied": False,
+            "off_reason": None,
+        }
+        if n < _CV_FOLD_FLOOR:
+            cv["off_reason"] = "below the fold floor"
+        elif not y.min() < y.max():
+            cv["off_reason"] = "constant scores"
+        else:
+            adj, betas = _cross_fit(y, np.concatenate(covariates), means)
+            n_odd = n // 2  # fold 1; fold 0 is adjusted with betas[1]
+            beta_mean = (betas[1] * (n - n_odd) + betas[0] * n_odd) / n
+            cv["beta"] = [b.tolist() for b in betas]
+            cv["variance_ratio"] = float(y.var(ddof=1) / adj.var(ddof=1))
+            cv["adjusted_estimate"] = float(adj.mean())
+            if 0.0 <= adj.mean() <= 1.0:
+                cv["applied"] = True
+                value = float(adj.mean())
+                var_reps = float(adj.var(ddof=1)) / n
+                bias_bound = float(np.abs(beta_mean) @ half_widths)  # from the means' brackets
+            else:
+                cv["off_reason"] = "adjusted mean outside [0, 1]"
+    se = float(np.sqrt(var_reps + var_rate + bias_bound**2))
 
     detail = {
         "p_big": p_big,
@@ -579,6 +754,8 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
         "truncated_clusters": pools["small"]["truncated"] + pools["big"]["truncated"],
         "pools": pools,
     }
+    if cv is not None:
+        detail["control_variates"] = cv
     ci95 = None if y.any() else (0.0, 1.0 - 0.025 ** (1.0 / n))
     return _estimate(value, se, n, lineage(config.seed, "splitting"), detail, ci95)
 

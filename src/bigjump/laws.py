@@ -248,17 +248,19 @@ def poisson_ppf(q: float, rate: float) -> int:
 _TILT_AT_TOP = 1e-4  # theta^m, the exponential tilt at the lattice's top cell
 
 
-def mb_mass_tail_bracket(spec: JointMarkSpec, u: float, m: int) -> tuple[float, float, float]:
+def mb_mass_tail_bracket(spec: JointMarkSpec, u: float, m: int, cells=None):
     """(lo, hi, err): lo - err <= P(D > u) <= hi + err for the mass
     D = X_0 + X_1 + ... + X_K of a single-generation cluster with Poisson or
-    comonotone counts, from its law on the lattice h{0..m}, h = u/m.
+    comonotone counts, from its law on the lattice h{0..m}, h = u/m.  With
+    ``cells``, lattice indices in 0..m, lo and hi are arrays of the same
+    bracket for P(D > jh) at each j in cells, from the same transforms.
 
     Every mark is rounded down to the lattice for lo and up for hi; D is
     monotone in the marks, so the two sums bracket it.  A mark above u
-    makes D > u by itself, so only the law below u enters.  The law of the
-    lattice sum comes from a tilted transform pair of length 4m (Embrechts
-    & Frei 2009): its generating function is phi exp(nu (phi - 1)) for
-    Poisson(nu) counts; for comonotone counts K = ceil(eta X_0) the
+    makes D > u >= jh by itself, so only the law below u enters.  The law
+    of the lattice sum comes from a tilted transform pair of length 4m
+    (Embrechts & Frei 2009): its generating function is phi exp(nu (phi -
+    1)) for Poisson(nu) counts; for comonotone counts K = ceil(eta X_0) the
     immigrant's cells are grouped by K, and group k meets the k-fold power
     of phi.  The tilt theta^j, theta^m = 1e-4, damps the wrap-around to
     1e-16.  err adds to that a round-off allowance: eps log2(4m) for each
@@ -266,6 +268,7 @@ def mb_mass_tail_bracket(spec: JointMarkSpec, u: float, m: int) -> tuple[float, 
     accumulated over sqrt(m) cells, times 8.  Marks must be positive."""
     if spec.dependence not in (INDEPENDENT_LIGHT_K, COMONOTONE):
         raise ValueError(f"no lattice law for {spec.dependence} counts")
+    levels = np.atleast_1d(np.asarray(m if cells is None else cells, dtype=np.int64))
     edges = np.linspace(0.0, u, m + 1)
     steps = np.empty(0)  # the marks k / eta at which a comonotone count steps up to k + 1
     if spec.dependence == COMONOTONE:
@@ -286,18 +289,24 @@ def mb_mass_tail_bracket(spec: JointMarkSpec, u: float, m: int) -> tuple[float, 
         phi = np.fft.rfft(np.bincount(cell + shift, weights=mass, minlength=m + 1) / untilt, n_fft)
         if spec.dependence == INDEPENDENT_LIGHT_K:
             law = np.fft.irfft(phi * np.exp(spec.k_param * (phi - 1.0)), n_fft)[: m + 1]
-            below = float(law @ untilt)
+            below = np.cumsum(law * untilt)[levels]
         else:
-            below, power = 0.0, np.ones_like(phi)
+            below, power = np.zeros(levels.size), np.ones_like(phi)
             for k in range(1, kmax + 1):
                 power *= phi
                 group = count == k
                 if group.any():
                     cdf = np.cumsum(np.fft.irfft(power, n_fft)[: m + 1] * untilt)
-                    below += float(mass[group] @ cdf[m - shift - cell[group]])
+                    for i, level in enumerate(levels):  # an immigrant above the level adds nothing
+                        idx = level - shift - cell[group]
+                        ok = idx >= 0
+                        below[i] += float(mass[group][ok] @ cdf[idx[ok]])
         bounds.append(1.0 - below)
     noise = 8.0 * np.finfo(float).eps * np.log2(n_fft) * (kmax + 2) * untilt[-1] * np.sqrt(m)
-    return bounds[0], bounds[1], float(_TILT_AT_TOP**4 + noise)
+    err = float(_TILT_AT_TOP**4 + noise)
+    if cells is None:
+        return float(bounds[0][0]), float(bounds[1][0]), err
+    return bounds[0], bounds[1], err
 
 
 @dataclass(frozen=True)

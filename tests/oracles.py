@@ -185,12 +185,13 @@ def remainder_share_plain(config, T, n_accept, rng, chunk: int = 500_000):
     return hits / got, got
 
 
-def lattice_cdf_oracle(spec, u, m, up: bool) -> float:
+def lattice_cdf_oracle(spec, u, m, up: bool, cells=None):
     """P(S <= m) for the cluster mass of an MB spec on the lattice h{0..m},
     h = u/m, with every mark rounded down (up=False) or up to the lattice
     and marks above u dropped, by direct recursion in the space domain:
     Panjer's (1981) recursion for Poisson(nu) counts, explicit convolution
-    powers for comonotone counts K = ceil(eta X_0).  O(m^2)."""
+    powers for comonotone counts K = ceil(eta X_0).  O(m^2).  With
+    ``cells`` (Poisson counts), the array of P(S <= j) for j in cells."""
     law = spec.x_law
     e = u * np.arange(m + 1) / m
     q = law.tail(e[:-1]) - law.tail(e[1:])  # mass of (jh, (j+1)h]
@@ -202,7 +203,8 @@ def lattice_cdf_oracle(spec, u, m, up: bool) -> float:
         j = np.arange(1, m + 1)
         for k in range(1, m + 1):
             g[k] = nu / k * np.dot(j[:k] * f[1 : k + 1], g[k - 1 :: -1])
-        return float(np.convolve(f, g)[: m + 1].sum())
+        law = np.convolve(f, g)[: m + 1]
+        return float(law.sum()) if cells is None else np.cumsum(law)[cells]
     eta = spec.k_param
     total = 0.0
     power = np.zeros(m + 1)

@@ -308,17 +308,21 @@ estimator = splitting
 # frozen ldp row (wall_seconds excluded) of the run below under its fixed seed;
 # re-recorded when the big pool moved to the superset sampler: over seeds
 # 3000-3019 the old and new estimators averaged 0.18549 and 0.18710 (gap 0.72
-# combined se), and the new seed-to-seed sd 0.00692 matches its mean se 0.00763
+# combined se), and the new seed-to-seed sd 0.00692 matches its mean se 0.00763;
+# re-recorded when splitting gained its control variates: over seeds
+# 6000-6019 the plain and adjusted estimators averaged 0.18418 and 0.18454
+# (gap 0.22 combined se), and the adjusted seed-to-seed sd 0.00295 matches
+# its mean se 0.00349
 GOLDEN_C8 = {
     "config_hash": "051606de2e070445",
     "T": "50.0",
     "eta": "0.8",
     "k": "0",
     "event": "terminal_exceed:1.0",
-    "estimate": "0.17470245940894302",
-    "stderr": "0.007039526221439214",
+    "estimate": "0.18275130547758278",
+    "stderr": "0.0033862962443953395",
     "limit_value": "1.0",
-    "ratio": "0.38202608668470667",
+    "ratio": "0.399626692745623",
     "n_reps": "3000",
     "seed": "108",
 }

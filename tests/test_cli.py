@@ -194,6 +194,9 @@ def test_cli_ldp_json_reports_pools(tmp_path):
     assert pools["big"]["accepted"] == summary["detail"]["m_max"] * 800
     assert pools["small"]["drawn"] >= pools["small"]["accepted"] > 0
     assert 0.0 <= summary["ratio_ci95"][0] < summary["ratio"] < summary["ratio_ci95"][1]
+    cv = summary["detail"]["control_variates"]
+    assert cv["applied"] and len(cv["means"]) == len(cv["beta"][0]) == 11
+    assert cv["variance_ratio"] > 1.0
 
 
 def test_cli_check_assumption6(tmp_path):

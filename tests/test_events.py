@@ -9,6 +9,7 @@ from bigjump.events import (
     SupExceed,
     TerminalExceed,
     ValueAt,
+    _prefix_sums,
     format_event,
     parse_event,
     rep_time_order,
@@ -236,3 +237,39 @@ def test_sup_exceed_fallback_decides_all_replications_exactly(sup_exact_calls):
                 want = sup_exceed_sorted(rep, ts, sz, 2, cent, x_T) > c
             assert sup_exact_calls == [(2, rep.size)]
             assert np.array_equal(got, want)
+
+
+def test_decide_strata_equals_prefix_decisions():
+    # a splitting chunk's layout: a background, then big jumps by rank, so
+    # stratum m is the prefix [:ends[m]]; strata without new jumps, a chunk
+    # without background, replications without jumps and jumps at t == s
+    rng = np.random.default_rng(17)
+    n = 50
+    counts = rng.poisson(20.0, n)
+    counts[::7] = 0
+    bg_rep = np.repeat(np.arange(n), counts)
+    ranks = [rng.integers(0, n, k) for k in (30, 0, 25, 0, 0, 40)]
+    rep = np.concatenate([bg_rep, *ranks])
+    m = rep.size
+    t = np.where(rng.random(m) < 0.2, 0.5, rng.random(m))
+    # sizes over twenty orders of magnitude, so the order of the additions shows
+    size = rng.pareto(1.5, m) * 10.0 ** rng.integers(-10, 10, m)
+    sizes = np.cumsum([bg_rep.size] + [r.size for r in ranks])
+    grid = np.linspace(0.0, 1.0, 33)
+    cent = InterpCurve(grid, 3.0 * np.sin(5.0 * grid))
+    big = slice(bg_rep.size, None)
+    cases = [
+        (rep, t, size, sizes),
+        (rep[big], t[big], size[big], sizes - bg_rep.size),
+        (rep, t, size, np.zeros(3, dtype=np.int64)),
+    ]
+    for r, ts, sz, ends in cases:
+        for e, col in zip(ends, _prefix_sums(r, sz, ends, n).T):
+            assert np.array_equal(col, np.bincount(r[:e], weights=sz[:e], minlength=n))
+        totals = np.bincount(r[: ends[-1]], weights=sz[: ends[-1]], minlength=n)
+        cs = (*np.quantile(totals, [0.3, 0.7]), *(totals[:5] - cent(1.0)), 1e-9)
+        events = [TerminalExceed(c) for c in cs if c > 0] + [ValueAt(0.5, c) for c in cs if c > 0]
+        events += [SupExceed(0.0), SupExceed(float(cs[0])), JumpCount(2, 1.0), DkProxy(0, 1.0)]
+        for ev in events:
+            want = np.column_stack([ev.decide_batch(r[:e], ts[:e], sz[:e], n, cent, 1.0) for e in ends])
+            assert np.array_equal(ev.decide_strata(r, ts, sz, ends, n, cent, 1.0), want), ev

@@ -6,14 +6,18 @@ import pytest
 from scipy import stats
 
 from bigjump import harness
-from bigjump.clusters import _superset_count_law, superset_batch
+from bigjump.clusters import _superset_count_law, superset_batch, superset_probability
 from bigjump.errors import ConfigurationError
 from bigjump.events import DkProxy, InterpCurve, JumpCount, SupExceed, TerminalExceed, ValueAt
 from bigjump.harness import (
+    _CV_BIG,
+    _CV_SMALL,
     ExperimentConfig,
     _conditional_pool,
+    _cv_means,
     _estimate_p_big,
     _monte_carlo_p_big,
+    _poisson_weights,
     _wilson_interval,
     _eval_event_chunk,
     _simulate_jump_arrays,
@@ -297,7 +301,7 @@ def test_splitting_terminal_strata_nondecreasing(mb_spec_nu2, exp_wait):
     vals = [strata[m] for m in range(len(strata))]
     assert all(b >= a for a, b in zip(vals, vals[1:])), vals
     u = cfg.delta * cfg.scaling().x_T
-    hits, _, _ = _stratum_chunk(cfg, 0, 500, u, 0.02, 6, centering_curve(cfg))
+    hits = _stratum_chunk(cfg, 0, 500, u, 0.02, 6, centering_curve(cfg))[0]
     assert np.all(hits[:, 1:] >= hits[:, :-1])
 
 
@@ -357,9 +361,9 @@ def test_lattice_p_big_stops_when_round_off_dominates(pareto15, exp_wait, monkey
     a, b, err = bracket(spec, u, 2**14)
     cells = []
 
-    def spy(spec, u, m):
+    def spy(spec, u, m, *levels):
         cells.append(m)
-        return bracket(spec, u, m)
+        return bracket(spec, u, m, *levels)
 
     monkeypatch.setattr(harness, "mb_mass_tail_bracket", spy)
     p, half_width, detail = _estimate_p_big(cfg, u)
@@ -674,3 +678,106 @@ def test_splitting_refuses_threshold_beyond_reach_in_range(pareto15, exp_wait, c
     cfg = base_config(spec, exp_wait, T=1e12, n_pbig=20_000)
     with pytest.raises(ConfigurationError, match="refusing to extrapolate"):
         splitting_estimate(cfg)
+
+
+@pytest.mark.parametrize("nu", [0.0, 2.0])
+def test_control_variate_means_match_the_covariates(pareto15, exp_wait, nu):
+    # the exact means against the covariates of 8192 replications: guards
+    # the small count's Poisson mean, the P(M > rank) weights and the
+    # conditional tails (P(D > a u) - p)/(1 - p) and P(D > b u)/p
+    spec = JointMarkSpec(pareto15, "independent_light_k", k_param=nu)
+    cfg = base_config(spec, exp_wait, T=100.0)
+    u = cfg.delta * cfg.scaling().x_T
+    p_big, _, d = _estimate_p_big(cfg, u, _CV_SMALL[2:])
+    m_max = 6
+    weights = np.cumsum(_poisson_weights(cfg.lam * cfg.T * p_big, m_max)[::-1])[::-1][1:]
+    levels = (np.array(_CV_SMALL) * u, np.array(_CV_BIG) * u, weights)
+    centering = centering_curve(cfg)
+    x = np.concatenate([_stratum_chunk(cfg, i, 1024, u, p_big, m_max, centering, levels)[1] for i in range(8)])
+    means, half_widths = _cv_means(cfg, u, p_big, d["p_big_bracket"], d["tail_brackets"], weights)
+    assert x.shape == (8192, 11) and np.all(half_widths < 1e-2 * means)
+    se = x.std(axis=0, ddof=1) / np.sqrt(x.shape[0])
+    assert np.all(np.abs(x.mean(axis=0) - means) <= 4.0 * se + half_widths), (x.mean(axis=0), means, se)
+
+
+# (value, stderr, ci95) of the parent estimator, which had no control
+# variates: branching, comonotone and heavy-count clusters are outside their
+# scope, and MB runs below the fold floor keep the plain mean; without
+# offspring the superset pool's first batch is sized as before
+PLAIN_ROWS = {
+    "hawkes": (0.24140452068023108, 0.010131702411252896, (0.2215463839541754, 0.26126265740628674)),
+    "comonotone": (0.2540515107685636, 0.00897248616310605, (0.23646543788887572, 0.2716375836482514)),
+    "heavy": (0.23904257901797255, 0.010435079891029962, (0.2185898224315538, 0.25949533560439125)),
+    "nu0-terminal-479": (0.20351497872261076, 0.010709773637321967, (0.1825238223934597, 0.2245061350517618)),
+    "nu0-sup-400": (0.35685231581517374, 0.01344762650344771, (0.33049496786841626, 0.3832096637619312)),
+}
+
+
+def test_splitting_rows_without_control_variates_are_unchanged(pareto15, exp_wait):
+    cases = {
+        "hawkes": base_config(JointMarkSpec(pareto15, phi=1.0 / 6.0), exp_wait, model="hawkes", n_pbig=50_000),
+        "comonotone": base_config(JointMarkSpec(pareto15, "comonotone", k_param=0.5), exp_wait),
+        "heavy": base_config(
+            JointMarkSpec(TailLaw("exponential", 2.0), "heavy_k_light_x", k_param=1.0, k_alpha=1.5),
+            exp_wait, eta=0.9, n_pbig=50_000,
+        ),
+        "nu0-terminal-479": base_config(JointMarkSpec(pareto15), exp_wait, n_strata=479),
+        "nu0-sup-400": base_config(JointMarkSpec(pareto15), exp_wait, event=SupExceed(1.0), n_strata=400),
+    }
+    for name, cfg in cases.items():
+        est = splitting_estimate(cfg)
+        assert (est.value, est.stderr, est.ci95) == PLAIN_ROWS[name], name
+        cv = est.detail.get("control_variates")
+        if name.startswith("nu0"):
+            assert not cv["applied"] and cv["off_reason"] == "below the fold floor", name
+        else:
+            assert cv is None, name
+
+
+def test_control_variates_report_the_plain_mean_outside_the_unit_interval(
+    mb_spec_nu2, exp_wait, monkeypatch
+):
+    cfg = base_config(mb_spec_nu2, exp_wait, n_strata=600)
+    plain = splitting_estimate(cfg)
+    assert plain.detail["control_variates"]["applied"]
+    fit = harness._cross_fit
+
+    def shifted(y, x, means):
+        adj, betas = fit(y, x, means)
+        return adj + 2.0, betas
+
+    monkeypatch.setattr(harness, "_cross_fit", shifted)
+    est = splitting_estimate(cfg)
+    d = est.detail
+    cv = d["control_variates"]
+    assert not cv["applied"] and cv["off_reason"] == "adjusted mean outside [0, 1]"
+    assert cv["adjusted_estimate"] == pytest.approx(plain.value + 2.0)
+    mean = _poisson_weights(d["rate"], d["m_max"]) @ np.array([d["strata"][m] for m in range(d["m_max"] + 1)])
+    assert est.value == pytest.approx(mean, rel=1e-12) and est.stderr > plain.stderr
+    assert 0.0 <= est.ci95[0] < est.value < est.ci95[1]
+
+
+def test_control_variates_keep_the_exact_bound_without_hits(mb_spec_nu2, exp_wait):
+    # every Y_r is 0 above the fold floor too: the plain mean and its exact bound
+    split = splitting_estimate(base_config(mb_spec_nu2, exp_wait, event=TerminalExceed(200.0), n_strata=500))
+    assert split.detail["control_variates"]["off_reason"] == "constant scores"
+    assert split.value == 0.0 and split.ci95 == (0.0, 1.0 - 0.025 ** (1.0 / 500))
+
+
+def test_superset_pool_sizes_its_first_batch_from_the_acceptance(pareto15, exp_wait, monkeypatch):
+    # P(D > u) / P(superset) is known, so the first batch draws n / accept
+    # candidates instead of n
+    spec = JointMarkSpec(pareto15, "independent_light_k", k_param=2.0)
+    calls = []
+    real = harness.superset_batch
+
+    def spy(n, *args):
+        calls.append(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(harness, "superset_batch", spy)
+    d = splitting_estimate(base_config(spec, exp_wait, n_strata=600)).detail
+    accept = d["p_big"] / superset_probability(spec, d["threshold"])
+    assert 0.1 < accept < 0.5
+    assert calls[0] == int(d["m_max"] * 600 / accept)
+    assert d["pools"]["big"]["drawn"] == sum(calls)

@@ -238,6 +238,34 @@ def test_lattice_bracket_contains_closed_forms():
     assert mb_mass_tail_bracket(spec, 5.5, 1024)[1] == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("nu", [0.5, 2.0])
+@pytest.mark.parametrize(
+    "law, u",
+    [
+        (TailLaw("pareto", 1.0, 1.5), 34.66),
+        (TailLaw("exponential", 1.0), 12.0),
+        (TailLaw("deterministic", 1.3), 7.0),
+    ],
+)
+def test_lattice_level_tails_match_panjer(law, u, nu):
+    # the control variates' tails: P(D > f top) at fractions f of the top of
+    # one lattice, as splitting takes them on [0, u/4], [0, u] and [0, 8u]
+    spec = JointMarkSpec(law, "independent_light_k", k_param=nu)
+    m = 1024
+    fractions = np.array([0.1875, 0.25, 0.375, 0.5, 0.75, 1.0])
+    cells = (m * fractions).astype(np.int64)
+    for top in (0.25 * u, u, 8.0 * u):
+        lo, hi, err = mb_mass_tail_bracket(spec, top, m, cells)
+        want_lo = 1.0 - lattice_cdf_oracle(spec, top, m, up=False, cells=cells)
+        want_hi = 1.0 - lattice_cdf_oracle(spec, top, m, up=True, cells=cells)
+        np.testing.assert_allclose(lo, want_lo, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(hi, want_hi, rtol=0, atol=1e-10)
+        assert np.all(lo <= hi + 1e-12) and err < 1e-6
+        # the top level is the one-level bracket
+        one = mb_mass_tail_bracket(spec, top, m)
+        assert abs(lo[-1] - one[0]) <= 1e-14 and abs(hi[-1] - one[1]) <= 1e-14
+
+
 def test_lattice_bracket_refuses_heavy_counts():
     spec = JointMarkSpec(TailLaw("exponential", 1.0), "heavy_k_light_x", k_param=2.0, k_alpha=1.5)
     with pytest.raises(ValueError, match="heavy_k_light_x"):
