@@ -40,8 +40,6 @@ from .measures import measure_for_model, mu_bar_tail, mu_sharp, mu_tail
 from .paths import read_path_csv, write_path_csv
 from .streams import substream
 
-WORKERS_ENV = "BIGJUMP_WORKERS"
-
 _DEFAULTS = {
     "mark_family": "pareto",
     "dependence": "independent_light_k",
@@ -318,9 +316,7 @@ def _cmd_measure(args) -> int:
     config = _load_config(args.config)
     extras = _load_extras(args.config)
     measure = measure_for_model(config.model, config.spec)
-    y = float(extras["mu_y"])
-    if not 0.0 < y < np.inf:
-        raise ConfigurationError(f"mu_y must be positive and finite, got {y!r}")
+    y = _parse_float("mu_y", extras["mu_y"], positive=True)
     c = y if getattr(config.event, "c", None) is None else config.event.c
     try:
         sharp = mu_sharp(measure, config.lam, config.k, config.event)
@@ -364,6 +360,8 @@ _LDP_HEADER = [
 
 
 def _cmd_ldp(args) -> int:
+    if args.workers < 1:
+        raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
     config = replace(_load_config(args.config), workers=args.workers)
     t0 = time.perf_counter()
     ratio_est, limit_value = ldp_ratio(config)
@@ -431,6 +429,9 @@ def _cmd_check(args) -> int:
     n_accept = _get_int(extras, "check_n_accept")
     if n_accept < 1:
         raise ConfigurationError(f"key 'check_n_accept': must be >= 1, got {n_accept}")
+    levels = [_parse_float("check_quantiles", x) for x in extras["check_quantiles"].split(",")]
+    if not all(0.9 < q < 1.0 for q in levels):
+        raise ConfigurationError(f"key 'check_quantiles': levels must lie in (0.9, 1), got {levels}")
     if not 0.0 < args.band < np.inf:
         raise ConfigurationError(f"--band must be finite and > 0, got {args.band}")
     os.makedirs(args.out, exist_ok=True)
@@ -450,7 +451,6 @@ def _cmd_check(args) -> int:
         verdict = {"check": "assumption6", "verdict": word, "pass": ok}
         _write_table(os.path.join(args.out, "assumption6.csv"), rows)
     elif args.which == "tails":
-        levels = [float(x) for x in extras["check_quantiles"].split(",")]
         rows = check_tail_equivalence(config, levels)
         last = rows[-1]
         ok = bool(abs(last["mark_over_d"] - last["mark_over_d_limit"]) <= args.band * last["mark_over_d_limit"])
@@ -508,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ldp", help="rare-event estimate and limit ratio")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_ldp)
 
     p = sub.add_parser("check", help="empirical assumption checks")
@@ -520,23 +520,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_workers(args) -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    return 1
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if hasattr(args, "workers"):
-            args.workers = _resolve_workers(args)
         return args.fn(args)
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

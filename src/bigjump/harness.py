@@ -121,6 +121,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"delta must lie in (0, 1], got {self.delta}")
         if self.k < 0:
             raise ConfigurationError("k must be >= 0")
+        if self.grid_n < 2:
+            raise ConfigurationError(f"grid_n must be >= 2, got {self.grid_n}")
         if self.cap < 1:
             raise ConfigurationError(f"cluster_cap must be >= 1, got {self.cap}")
         if self.seed < 0:
@@ -401,8 +403,9 @@ def _stratum_chunk(
     clusters (D <= u) and m_max big ones (D > u); stratum m adds the first m
     big clusters to the background.  Big MB clusters with Poisson counts
     come from the superset sampler.  Returns H, the control variates of
-    each replication (`_covariates`; None without ``cv_levels``) and the two
-    pools' counts."""
+    each replication (`_covariates`: its small clusters' summed mass and its
+    big-cluster levels; None without ``cv_levels``) and the two pools'
+    counts."""
     rng = substream(config.seed, "stratum", chunk_index)
     small_counts = rng.poisson(config.lam * config.T * (1.0 - p_big), n_reps)
     total_small = int(small_counts.sum())
@@ -438,20 +441,18 @@ def _stratum_chunk(
 
 def _covariates(cv_levels, small_counts, s_cid, s_mark, b_cid, b_mark) -> np.ndarray:
     """Control variates per replication from its clusters' masses D, with
-    ``cv_levels`` = (small levels, big levels, rank weights): its small
-    count, its small clusters above each small level, and for each big level
-    the rank weights summed over its big clusters above it (`_cv_means`
-    gives their means).  Small clusters come replication by replication,
-    big ones m_max = len(rank weights) a replication in rank order."""
-    small_levels, big_levels, rank_weights = cv_levels
+    ``cv_levels`` = (big levels, rank weights): the summed mass of its small
+    clusters, and for each big level the rank weights summed over its big
+    clusters above it (`_cv_means` gives their means).  Small clusters come
+    replication by replication, big ones m_max = len(rank weights) a
+    replication in rank order."""
+    big_levels, rank_weights = cv_levels
     n_reps = small_counts.size
-    d_small = np.bincount(s_cid, weights=s_mark, minlength=int(small_counts.sum()))
     rep_small = np.repeat(np.arange(n_reps), small_counts)
     d_big = np.bincount(b_cid, weights=b_mark, minlength=n_reps * rank_weights.size)
     d_big = d_big.reshape(n_reps, -1)
     return np.column_stack(
-        [small_counts]
-        + [np.bincount(rep_small, weights=d_small > a, minlength=n_reps) for a in small_levels]
+        [np.bincount(rep_small[s_cid], weights=s_mark, minlength=n_reps)]
         # summed without BLAS, whose order may differ in forked workers
         + [((d_big > b) * rank_weights).sum(axis=1) for b in big_levels]
     )
@@ -472,7 +473,7 @@ _LATTICE_CELLS = 2**14  # the first lattice of the exact P(D > u)
 _LATTICE_WORK = 2**18
 
 
-def _estimate_p_big(config: ExperimentConfig, u: float, fractions=()) -> tuple[float, float, dict]:
+def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, dict]:
     """P(D > u), its standard error and the detail behind it.
 
     MB clusters with Poisson counts, or with at most 16 comonotone counts
@@ -484,10 +485,7 @@ def _estimate_p_big(config: ExperimentConfig, u: float, fractions=()) -> tuple[f
     grows with the lattice) or the counts times the cells would pass 2^18.
     Without offspring D = X, and the mark tail is exact.  `cluster_cap`
     truncates branching clusters only, so this is the law of the MB
-    clusters the pools draw.  On the lattice, ``fractions`` f (with 2^14 f
-    an integer) add the widened, intersected brackets of P(D > f u) from
-    the same transforms to the detail, as "tail_brackets" (lo, hi).  Other
-    clusters: `_monte_carlo_p_big`.
+    clusters the pools draw.  Other clusters: `_monte_carlo_p_big`.
     """
     spec = config.spec
     counts = 1.0 if spec.dependence == INDEPENDENT_LIGHT_K else float(np.ceil(spec.k_param * u))
@@ -499,26 +497,21 @@ def _estimate_p_big(config: ExperimentConfig, u: float, fractions=()) -> tuple[f
     if not lattice:
         p, se, raw_hits = _monte_carlo_p_big(config, u)
         return p, se, {"p_big_raw_hits": raw_hits}
-    levels = np.array((1.0, *fractions))
     if spec.k_param == 0.0:
-        lo = hi = np.array([float(spec.x_law.tail(f * u)) for f in levels])
+        lo = hi = float(spec.x_law.tail(u))
     else:
-        lo, hi, width, m = np.zeros(levels.size), np.ones(levels.size), np.inf, _LATTICE_CELLS
+        lo, hi, width, m = 0.0, 1.0, np.inf, _LATTICE_CELLS
         while True:
-            a, b, err = mb_mass_tail_bracket(spec, u, m, (m * levels).astype(np.int64))
-            lo, hi = np.maximum(lo, a - err), np.minimum(hi, b + err)
-            done = hi[0] - lo[0] <= 0.5e-3 * (lo[0] + hi[0]) or 2 * m * counts > _LATTICE_WORK
-            if done or b[0] - a[0] + 2 * err >= width:  # round-off outgrows what the finer lattice gains
+            a, b, err = mb_mass_tail_bracket(spec, u, m)
+            lo, hi = max(lo, a - err), min(hi, b + err)
+            done = hi - lo <= 0.5e-3 * (lo + hi) or 2 * m * counts > _LATTICE_WORK
+            if done or b - a + 2 * err >= width:  # round-off outgrows what the finer lattice gains
                 break
-            width = b[0] - a[0] + 2 * err
+            width = b - a + 2 * err
             m *= 2
-    p_lo, p_hi = float(lo[0]), float(hi[0])
-    if p_lo <= 0.0:  # nothing is known above 0, or nothing clears the round-off
+    if lo <= 0.0:  # nothing is known above 0, or nothing clears the round-off
         _refuse_threshold(u)
-    detail = {"p_big_bracket": (p_lo, p_hi)}
-    if fractions:
-        detail["tail_brackets"] = (lo[1:], hi[1:])
-    return 0.5 * (p_lo + p_hi), 0.5 * (p_hi - p_lo), detail
+    return 0.5 * (lo + hi), 0.5 * (hi - lo), {"p_big_bracket": (lo, hi)}
 
 
 def _refuse_threshold(u: float):
@@ -554,14 +547,12 @@ def _monte_carlo_p_big(config: ExperimentConfig, u: float) -> tuple[float, float
 
 
 # Control variates of the splitting score (MB clusters with Poisson counts):
-# a replication's small-cluster count, its small clusters with D > a u for
-# each a in _CV_SMALL, and for each b in _CV_BIG its big clusters with
-# D > b u, weighted by P(M > rank), M the Poisson big count
-_CV_SMALL = (0.125, 0.25, 0.5, 0.75)
+# a replication's summed small-cluster mass, and for each b in _CV_BIG its
+# big clusters with D > b u, weighted by P(M > rank), M the Poisson big count
 _CV_BIG = (1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
-# each parity fold fits 11 slopes and an intercept on at least 20
-# replications per coefficient: 480 replications
-_CV_FOLD_FLOOR = 2 * 20 * (2 + len(_CV_SMALL) + len(_CV_BIG))
+# each parity fold fits 7 slopes and an intercept on at least 20
+# replications per coefficient: 320 replications
+_CV_FOLD_FLOOR = 2 * 20 * (2 + len(_CV_BIG))
 
 
 def _superset_scope(config: ExperimentConfig) -> bool:
@@ -570,43 +561,33 @@ def _superset_scope(config: ExperimentConfig) -> bool:
     return config.model == MB and config.spec.dependence == INDEPENDENT_LIGHT_K
 
 
-def _tail_brackets(spec: JointMarkSpec, top: float, fractions) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets of P(D > f top) for f in fractions (with 2^14 f an integer)
-    from one lattice of 2^14 cells on [0, top], each widened by its error
-    bound; without offspring the mark tail, exactly."""
-    f = np.asarray(fractions)
-    if spec.k_param == 0.0:
-        tail = spec.x_law.tail(f * top)
-        return tail, tail
-    cells = (_LATTICE_CELLS * f).astype(np.int64)
-    a, b, err = mb_mass_tail_bracket(spec, top, _LATTICE_CELLS, cells)
-    return np.maximum(a - err, 0.0), np.minimum(b + err, 1.0)
-
-
 def _cv_means(
-    config: ExperimentConfig, u: float, p_big: float, p_bracket, mid_tails, rank_weights: np.ndarray
+    config: ExperimentConfig, u: float, p_big: float, p_bracket, rank_weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Means of the control variates of `_stratum_chunk` and the
     half-widths of their brackets.  The small count is Poisson(lam T (1 -
-    p_big)), exactly as drawn.  A small cluster has D > a u with probability
-    (P(D > a u) - p)/(1 - p), p = P(D > u), a big one D > b u with
-    probability P(D > b u)/p; both are bracketed from the brackets of their
-    tails and of p.  P(D > a u) comes with p for a = 1/2, 3/4
-    (``mid_tails``) and from a lattice on [0, u/4], four times finer, for
-    a = 1/8, 1/4; P(D > b u) from a lattice on [0, 8u]."""
+    p_big)), exactly as drawn, and a small cluster's mean mass is (I - u
+    p)/(1 - p), p = P(D > u), I = E[min(D, u)].  With every mark rounded
+    down, then up, to the lattice h{0..m} of [0, u], I lies between h
+    sum_{j<m} P(D > jh) of the two sums.  A big cluster has D > b u with
+    probability P(D > b u)/p, from one lattice on [0, 8u].  Every tail is
+    widened by its lattice's error bound, and each mean is bracketed from
+    the brackets of its tails and of p."""
     spec = config.spec
-    low = _tail_brackets(spec, 0.25 * u, np.array(_CV_SMALL[:2]) * 4.0)
-    t_lo, t_hi = (np.concatenate((a, b)) for a, b in zip(low, mid_tails))
-    big_lo, big_hi = _tail_brackets(spec, _CV_BIG[-1] * u, np.array(_CV_BIG) / _CV_BIG[-1])
     p_lo, p_hi = p_bracket
+    m = 2 * _LATTICE_CELLS
+    a, b, err = mb_mass_tail_bracket(spec, u, m, np.arange(m))
+    i_lo, i_hi = (u / m * np.clip(t, 0.0, 1.0).sum() for t in (a - err, b + err))
     n_small = config.lam * config.T * (1.0 - p_big)
-    # (t - p)/(1 - p) rises with t and falls with p
-    small_lo = n_small * np.clip((t_lo - p_hi) / max(1.0 - p_hi, 1e-300), 0.0, 1.0)
-    small_hi = n_small * np.clip((t_hi - p_lo) / max(1.0 - p_lo, 1e-300), 0.0, 1.0)
-    big_lo = rank_weights.sum() * np.clip(big_lo / p_hi, 0.0, 1.0)
-    big_hi = rank_weights.sum() * np.clip(big_hi / p_lo, 0.0, 1.0)
-    lo = np.concatenate(([n_small], small_lo, big_lo))
-    hi = np.concatenate(([n_small], small_hi, big_hi))
+    # (I - u p)/(1 - p) rises with I and falls with p, as I <= u
+    mass_lo = n_small * (i_lo - u * p_hi) / max(1.0 - p_hi, 1e-300)
+    mass_hi = n_small * (i_hi - u * p_lo) / max(1.0 - p_lo, 1e-300)
+    cells = (_LATTICE_CELLS * np.array(_CV_BIG) / _CV_BIG[-1]).astype(np.int64)
+    a, b, err = mb_mass_tail_bracket(spec, _CV_BIG[-1] * u, _LATTICE_CELLS, cells)
+    big_lo = rank_weights.sum() * np.clip(np.maximum(a - err, 0.0) / p_hi, 0.0, 1.0)
+    big_hi = rank_weights.sum() * np.clip(np.minimum(b + err, 1.0) / p_lo, 0.0, 1.0)
+    lo = np.concatenate(([mass_lo], big_lo))
+    hi = np.concatenate(([mass_hi], big_hi))
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
@@ -654,15 +635,15 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     standard error, as the error of P(D > u).
 
     MB clusters with Poisson counts subtract control variates with known
-    means from Y (`_stratum_chunk`, `_cv_means`): the small count, the
-    small clusters with D > a u for a = 1/8, 1/4, 1/2, 3/4, and for b =
-    1.5, 2, 3, 4, 6, 8 the big clusters with D > b u weighted by P(M >
-    rank).  The coefficients are fitted on the other parity fold of the
-    replications (`_cross_fit`), so the estimate stays unbiased and the same
-    for every worker count; the stderr then takes sd of the adjusted scores
-    and adds sum_k |beta_k| times the half-width of mean k in quadrature.
-    They are off below 480 replications (20 per coefficient in each fold),
-    when every Y is the same, or when the adjusted mean leaves [0, 1];
+    means from Y (`_stratum_chunk`, `_cv_means`): the summed mass of the
+    small clusters, and for b = 1.5, 2, 3, 4, 6, 8 the big clusters with
+    D > b u weighted by P(M > rank).  The coefficients are fitted on the
+    other parity fold of the replications (`_cross_fit`), so the estimate
+    stays unbiased and the same for every worker count; the stderr then
+    takes sd of the adjusted scores and adds sum_k |beta_k| times the
+    half-width of mean k in quadrature.  They are off below 320
+    replications (20 per coefficient in each fold), when every Y is the
+    same, or when the adjusted mean leaves [0, 1];
     ``detail["control_variates"]`` says which.  When no replication hits,
     the interval is [0, 1 - 0.025^(1/n)], the exact 97.5% upper bound on
     P(Y > 0), which bounds E[Y] as 0 <= Y <= 1.
@@ -675,7 +656,7 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     if config.n_strata < 2:
         raise ConfigurationError(f"splitting needs n_strata >= 2, got {config.n_strata}")
     scope = _superset_scope(config)
-    p_big, se_p, p_big_detail = _estimate_p_big(config, u, _CV_SMALL[2:] if scope else ())
+    p_big, se_p, p_big_detail = _estimate_p_big(config, u)
     rate = config.lam * config.T * p_big
     m_max = max(config.k + 2, poisson_ppf(1.0 - 1e-4, rate))
     m_max = min(m_max, config.k + 2 + 120)
@@ -683,7 +664,7 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     cv_levels = None
     if scope:
         rank_weights = np.cumsum(_poisson_weights(rate, m_max)[::-1])[::-1][1:]  # P(M > j), j < m_max
-        cv_levels = (np.array(_CV_SMALL) * u, np.array(_CV_BIG) * u, rank_weights)
+        cv_levels = (np.array(_CV_BIG) * u, rank_weights)
 
     sizes = _chunk_sizes(config.n_strata)
     tasks = [(config, i, s, u, p_big, m_max, centering, cv_levels) for i, s in enumerate(sizes)]
@@ -709,10 +690,9 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     bias_bound = 0.0
     cv = None
     if scope:
-        means, half_widths = _cv_means(config, u, p_big, p_big_detail["p_big_bracket"],
-                                       p_big_detail.pop("tail_brackets"), rank_weights)
+        means, half_widths = _cv_means(config, u, p_big, p_big_detail["p_big_bracket"], rank_weights)
         cv = {
-            "levels": {"small": cv_levels[0].tolist(), "big": cv_levels[1].tolist()},
+            "levels": {"big": cv_levels[0].tolist()},
             "means": means.tolist(),
             "mean_half_widths": half_widths.tolist(),
             "fold_floor": _CV_FOLD_FLOOR,

@@ -17,7 +17,6 @@ __all__ = [
     "TailLaw",
     "JointMarkSpec",
     "WaitLaw",
-    "empirical_tail_ratio",
 ]
 
 PARETO = "pareto"
@@ -357,16 +356,3 @@ class WaitLaw:
     def tail(self, s, mark=None):
         """P(W > s | mark)."""
         return 1.0 - self.cdf(s, mark) if self.conditional_on_mark else self.law.tail(s)
-
-
-def empirical_tail_ratio(samples: np.ndarray, ref: TailLaw, x_grid) -> np.ndarray:
-    """Empirical tail of ``samples`` over the reference tail, per grid point."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("samples must be nonempty")
-    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    srt = np.sort(samples)
-    n = samples.size
-    exceed = n - np.searchsorted(srt, x_grid, side="right")
-    emp = exceed / n
-    return emp / ref.tail(x_grid)

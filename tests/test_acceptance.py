@@ -312,17 +312,20 @@ estimator = splitting
 # re-recorded when splitting gained its control variates: over seeds
 # 6000-6019 the plain and adjusted estimators averaged 0.18418 and 0.18454
 # (gap 0.22 combined se), and the adjusted seed-to-seed sd 0.00295 matches
-# its mean se 0.00349
+# its mean se 0.00349; re-recorded when the small-cluster covariates became
+# the summed small mass: over the same seeds the old and new adjusted
+# estimators averaged 0.18454 and 0.18450 (gap 0.03 combined se), and the
+# new seed-to-seed sd 0.00302 matches its mean se 0.00344
 GOLDEN_C8 = {
     "config_hash": "051606de2e070445",
     "T": "50.0",
     "eta": "0.8",
     "k": "0",
     "event": "terminal_exceed:1.0",
-    "estimate": "0.18275130547758278",
-    "stderr": "0.0033862962443953395",
+    "estimate": "0.18333302168293814",
+    "stderr": "0.00332119067717632",
     "limit_value": "1.0",
-    "ratio": "0.399626692745623",
+    "ratio": "0.4008987456190905",
     "n_reps": "3000",
     "seed": "108",
 }

@@ -125,7 +125,7 @@ def test_cli_measure_rejects_zero_level(tmp_path, capsys):
 def test_cli_measure_names_mu_y_when_it_is_refused(tmp_path, capsys):
     # jump_count has no level of its own, so mu_bar_tail runs at mu_y; a bad
     # mu_y is reported as such, not as a fault of the event
-    for y in ("0.0", "nan"):
+    for y in ("0.0", "nan", "abc"):
         text = BASE.replace("event = terminal_exceed:1.0", "event = jump_count:2,0.5") + f"mu_y = {y}\n"
         assert main(["measure", "--config", _write(tmp_path, text)]) == 2
         line = _single_error_line(capsys)
@@ -173,16 +173,6 @@ def test_cli_ldp_row_quotes_multi_parameter_event(tmp_path):
     assert cols["event"] == "value_at:0.5,0.5" and cols["seed"] == "4242"
 
 
-def test_cli_ldp_env_worker_override(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, BASE)
-    out = str(tmp_path / "env_out")
-    monkeypatch.setenv("BIGJUMP_WORKERS", "2")
-    assert main(["ldp", "--config", cfg, "--out", out]) == 0
-    with open(os.path.join(out, f"ldp_{config_hash(parse_config(BASE))}.json")) as fh:
-        summary = json.load(fh)
-    assert summary["probability"] > 0
-
-
 def test_cli_ldp_json_reports_pools(tmp_path):
     text = BASE.replace("estimator = crude", "estimator = splitting")
     cfg = _write(tmp_path, text)
@@ -195,7 +185,7 @@ def test_cli_ldp_json_reports_pools(tmp_path):
     assert pools["small"]["drawn"] >= pools["small"]["accepted"] > 0
     assert 0.0 <= summary["ratio_ci95"][0] < summary["ratio"] < summary["ratio_ci95"][1]
     cv = summary["detail"]["control_variates"]
-    assert cv["applied"] and len(cv["means"]) == len(cv["beta"][0]) == 11
+    assert cv["applied"] and len(cv["means"]) == len(cv["beta"][0]) == 7
     assert cv["variance_ratio"] > 1.0
 
 
@@ -302,13 +292,15 @@ def test_cli_m1_names_file_and_row_of_a_bad_node(tmp_path, capsys, node, message
     assert _single_error_line(capsys) == f"error: {bad} row 3: {message}"
 
 
-def test_cli_bad_worker_env(tmp_path, monkeypatch, capsys):
+def test_cli_ldp_rejects_workers_below_one(tmp_path, capsys):
+    # 0 and -3 ran silently with one worker
     cfg = _write(tmp_path, BASE)
-    out = str(tmp_path / "never")
-    monkeypatch.setenv("BIGJUMP_WORKERS", "abc")
-    assert main(["ldp", "--config", cfg, "--out", out]) == 2
-    assert "BIGJUMP_WORKERS" in _single_error_line(capsys)
-    assert not os.path.exists(out)
+    for workers in ("0", "-3"):
+        out = str(tmp_path / f"never{workers}")
+        assert main(["ldp", "--config", cfg, "--out", out, "--workers", workers]) == 2
+        line = _single_error_line(capsys)
+        assert "--workers" in line and workers in line
+        assert not os.path.exists(out)
 
 
 def test_cli_m1_rejects_nonfinite_tol(tmp_path, capsys):
@@ -332,6 +324,15 @@ def test_cli_simulate_rejects_cluster_cap_below_one(tmp_path, capsys):
         assert main(["simulate", "--config", cfg, "--out", out]) == 2
         assert "cluster_cap" in _single_error_line(capsys)
         assert not os.path.exists(out)
+
+
+def test_cli_simulate_rejects_grid_n_below_two(tmp_path, capsys):
+    # refused by the centering only after --out was made, which stayed empty
+    cfg = _write(tmp_path, BASE.replace("grid_n = 256", "grid_n = 1"))
+    out = str(tmp_path / "never")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 2
+    assert "grid_n" in _single_error_line(capsys)
+    assert not os.path.exists(out)
 
 
 def test_cli_rejects_nonfinite_event(tmp_path, capsys):
@@ -481,9 +482,13 @@ def test_cli_check_has_no_workers_flag(tmp_path):
         # the whole check ran, then failed against the band
         ("tails", "", ["--band", "-1"], "--band"),
         ("tails", "", ["--band", "nan"], "--band"),
+        # "could not convert string to float", naming no key; an empty --out left behind
+        ("tails", "check_quantiles = 0.999,x", [], "check_quantiles"),
+        # refused by the check itself, after --out was made
+        ("tails", "check_quantiles = 0.5", [], "check_quantiles"),
     ],
     ids=["grid-negative", "grid-negative-remainder", "grid-zero", "grid-inf", "epsilon-nan",
-         "n-accept-zero", "band-negative", "band-nan"],
+         "n-accept-zero", "band-negative", "band-nan", "quantile-not-a-number", "quantile-below-range"],
 )
 def test_cli_check_rejects_bad_inputs(tmp_path, capsys, which, extra, argv, key):
     cfg = _write(tmp_path, BASE + extra + "\n")

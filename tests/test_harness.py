@@ -11,7 +11,6 @@ from bigjump.errors import ConfigurationError
 from bigjump.events import DkProxy, InterpCurve, JumpCount, SupExceed, TerminalExceed, ValueAt
 from bigjump.harness import (
     _CV_BIG,
-    _CV_SMALL,
     ExperimentConfig,
     _conditional_pool,
     _cv_means,
@@ -683,21 +682,57 @@ def test_splitting_refuses_threshold_beyond_reach_in_range(pareto15, exp_wait, c
 @pytest.mark.parametrize("nu", [0.0, 2.0])
 def test_control_variate_means_match_the_covariates(pareto15, exp_wait, nu):
     # the exact means against the covariates of 8192 replications: guards
-    # the small count's Poisson mean, the P(M > rank) weights and the
-    # conditional tails (P(D > a u) - p)/(1 - p) and P(D > b u)/p
+    # the small clusters' summed mass, the P(M > rank) weights and the
+    # conditional tails P(D > b u)/p
     spec = JointMarkSpec(pareto15, "independent_light_k", k_param=nu)
     cfg = base_config(spec, exp_wait, T=100.0)
     u = cfg.delta * cfg.scaling().x_T
-    p_big, _, d = _estimate_p_big(cfg, u, _CV_SMALL[2:])
+    p_big, _, d = _estimate_p_big(cfg, u)
     m_max = 6
     weights = np.cumsum(_poisson_weights(cfg.lam * cfg.T * p_big, m_max)[::-1])[::-1][1:]
-    levels = (np.array(_CV_SMALL) * u, np.array(_CV_BIG) * u, weights)
+    levels = (np.array(_CV_BIG) * u, weights)
     centering = centering_curve(cfg)
     x = np.concatenate([_stratum_chunk(cfg, i, 1024, u, p_big, m_max, centering, levels)[1] for i in range(8)])
-    means, half_widths = _cv_means(cfg, u, p_big, d["p_big_bracket"], d["tail_brackets"], weights)
-    assert x.shape == (8192, 11) and np.all(half_widths < 1e-2 * means)
+    means, half_widths = _cv_means(cfg, u, p_big, d["p_big_bracket"], weights)
+    assert x.shape == (8192, 7) and np.all(half_widths < 1e-2 * means)
     se = x.std(axis=0, ddof=1) / np.sqrt(x.shape[0])
     assert np.all(np.abs(x.mean(axis=0) - means) <= 4.0 * se + half_widths), (x.mean(axis=0), means, se)
+
+
+# (mark law, nu, threshold u), fixed before any run: exponential marks, where
+# D given K = n is Gamma(n + 1, scale), and point marks 1.3, where D = 1.3 (K + 1)
+MASS_MEAN_CASES = [
+    (TailLaw("exponential", 2.0), 0.0, 6.0),
+    (TailLaw("exponential", 2.0), 2.0, 14.5),
+    (TailLaw("deterministic", 1.3), 0.5, 3.0),
+    (TailLaw("deterministic", 1.3), 2.0, 5.5),
+    (TailLaw("deterministic", 1.3), 2.0, 7.0),
+]
+MASS_MEAN_IDS = [f"{law.family}-nu{nu:g}-u{u:g}" for law, nu, u in MASS_MEAN_CASES]
+
+
+@pytest.mark.parametrize("law, nu, u", MASS_MEAN_CASES, ids=MASS_MEAN_IDS)
+def test_small_mass_mean_brackets_the_closed_form(exp_wait, law, nu, u):
+    # lam T (1 - p_big) (I - u p)/(1 - p), with p = P(D > u) and I = E[min(D, u)]
+    # exact, inside the first mean of _cv_means plus or minus its half-width
+    spec = JointMarkSpec(law, "independent_light_k", k_param=nu)
+    cfg = base_config(spec, exp_wait)
+    p_big, _, d = _estimate_p_big(cfg, u)
+    n = np.arange(200)
+    pk = stats.poisson.pmf(n, nu)
+    if law.family == "exponential":
+        s = law.scale
+        tail = stats.gamma.sf(u, n + 1, scale=s)
+        p = float(pk @ tail)
+        i = float(pk @ ((n + 1) * s * stats.gamma.cdf(u, n + 2, scale=s) + u * tail))
+    else:
+        mass = law.scale * (n + 1)
+        p = float(pk @ (mass > u))
+        i = float(pk @ np.minimum(mass, u))
+    want = cfg.lam * cfg.T * (1.0 - p_big) * (i - u * p) / (1.0 - p)
+    means, half_widths = _cv_means(cfg, u, p_big, d["p_big_bracket"], np.ones(3))
+    assert abs(means[0] - want) <= half_widths[0], (means[0], want, half_widths[0])
+    assert half_widths[0] <= 1e-3 * means[0]
 
 
 # (value, stderr, ci95) of the parent estimator, which had no control
@@ -708,8 +743,8 @@ PLAIN_ROWS = {
     "hawkes": (0.24140452068023108, 0.010131702411252896, (0.2215463839541754, 0.26126265740628674)),
     "comonotone": (0.2540515107685636, 0.00897248616310605, (0.23646543788887572, 0.2716375836482514)),
     "heavy": (0.23904257901797255, 0.010435079891029962, (0.2185898224315538, 0.25949533560439125)),
-    "nu0-terminal-479": (0.20351497872261076, 0.010709773637321967, (0.1825238223934597, 0.2245061350517618)),
-    "nu0-sup-400": (0.35685231581517374, 0.01344762650344771, (0.33049496786841626, 0.3832096637619312)),
+    "nu0-terminal-319": (0.19346079499770388, 0.01174572752661378, (0.17043916904554088, 0.2164824209498669)),
+    "nu0-sup-300": (0.32546936307517677, 0.015524840476637988, (0.2950406757409663, 0.3558980504093872)),
 }
 
 
@@ -721,8 +756,8 @@ def test_splitting_rows_without_control_variates_are_unchanged(pareto15, exp_wai
             JointMarkSpec(TailLaw("exponential", 2.0), "heavy_k_light_x", k_param=1.0, k_alpha=1.5),
             exp_wait, eta=0.9, n_pbig=50_000,
         ),
-        "nu0-terminal-479": base_config(JointMarkSpec(pareto15), exp_wait, n_strata=479),
-        "nu0-sup-400": base_config(JointMarkSpec(pareto15), exp_wait, event=SupExceed(1.0), n_strata=400),
+        "nu0-terminal-319": base_config(JointMarkSpec(pareto15), exp_wait, n_strata=319),
+        "nu0-sup-300": base_config(JointMarkSpec(pareto15), exp_wait, event=SupExceed(1.0), n_strata=300),
     }
     for name, cfg in cases.items():
         est = splitting_estimate(cfg)

@@ -30,7 +30,6 @@ print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy
 
 def _scipy_modules(argv) -> set[str]:
     env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("BIGJUMP_WORKERS", None)
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, json.dumps(argv)],
         capture_output=True, text=True, env=env, timeout=300,

@@ -7,7 +7,6 @@ from bigjump.laws import (
     JointMarkSpec,
     TailLaw,
     WaitLaw,
-    empirical_tail_ratio,
     mb_mass_tail_bracket,
     mean_ceil,
 )
@@ -165,27 +164,6 @@ def test_wait_integrability_flag():
     assert WaitLaw(TailLaw("pareto", 1.0, 2.5)).integrable
 
 
-def test_empirical_tail_ratio_self_consistency(pareto15):
-    x = pareto15.sample(substream(12, "r"), 400_000)
-    grid = np.array([2.0, 4.0, 8.0])
-    ratios = empirical_tail_ratio(x, pareto15, grid)
-    np.testing.assert_allclose(ratios, 1.0, rtol=0.05)
-
-
-def test_empirical_tail_ratio_scaling(pareto15):
-    x = 2.0 * pareto15.sample(substream(13, "r2"), 400_000)
-    grid = np.array([4.0, 8.0])
-    ratios = empirical_tail_ratio(x, pareto15, grid)
-    np.testing.assert_allclose(ratios, 2.0**1.5, rtol=0.05)
-
-
-def test_empirical_tail_ratio_below_support(pareto15):
-    x = pareto15.sample(substream(14, "r3"), 1000)
-    assert empirical_tail_ratio(x, pareto15, [0.5])[0] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        empirical_tail_ratio(np.array([]), pareto15, [1.0])
-
-
 LATTICE_SPECS = [
     (JointMarkSpec(TailLaw("pareto", 1.0, 1.5), "independent_light_k", k_param=1.0), 34.66),
     (JointMarkSpec(TailLaw("pareto", 1.0, 1.5), "independent_light_k", k_param=2.0), 34.66),
@@ -248,12 +226,12 @@ def test_lattice_bracket_contains_closed_forms():
     ],
 )
 def test_lattice_level_tails_match_panjer(law, u, nu):
-    # the control variates' tails: P(D > f top) at fractions f of the top of
-    # one lattice, as splitting takes them on [0, u/4], [0, u] and [0, 8u]
+    # the control variates' tails: P(D > jh) at every cell j of one lattice,
+    # as splitting takes them on [0, u] for the small clusters' mean mass and
+    # at six cells of [0, 8u] for the big levels; [0, u/4] is a finer lattice
     spec = JointMarkSpec(law, "independent_light_k", k_param=nu)
     m = 1024
-    fractions = np.array([0.1875, 0.25, 0.375, 0.5, 0.75, 1.0])
-    cells = (m * fractions).astype(np.int64)
+    cells = np.arange(m + 1)
     for top in (0.25 * u, u, 8.0 * u):
         lo, hi, err = mb_mass_tail_bracket(spec, top, m, cells)
         want_lo = 1.0 - lattice_cdf_oracle(spec, top, m, up=False, cells=cells)
