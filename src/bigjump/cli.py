@@ -520,7 +520,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt(3) parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc keep freed heap for reuse rather than return it to the
+    kernel, which zero-fills the pages again when the next estimator chunk
+    allocates them.  Blocks up to 32 MiB (glibc's 64-bit maximum) come from
+    the heap, which is trimmed only past 256 MiB free at its top.  Setting
+    either threshold switches off glibc's dynamic one, so both are set: the
+    trim threshold alone leaves large blocks to fresh mmaps, which fault
+    more.  Forked workers inherit the setting.  A no-op where libc has no
+    mallopt."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

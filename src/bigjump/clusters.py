@@ -117,7 +117,7 @@ def simulate_batch(
         while parent_cid.size:
             gen += 1
             lam = spec.phi * parent_mark
-            k = rng.poisson(lam).astype(np.int64)
+            k = rng.poisson(lam).astype(np.int64, copy=False)
             total = int(k.sum())
             if total == 0:
                 break
@@ -149,11 +149,12 @@ def simulate_batch(
             marks.append(child_marks)
             gens.append(np.full(m, gen, dtype=np.int16))
             if with_offsets:
-                pm = np.repeat(parent_mark, k)
+                # only mark-conditional waits read the parent marks
+                pm = np.repeat(parent_mark, k) if wait.conditional_on_mark else None
                 po = np.repeat(parent_off, k)
                 w = np.asarray(wait.sample(rng, mark=pm, size=total), dtype=float)
                 if k_keep is not None:
-                    pm, po, w = pm[k_keep], po[k_keep], w[k_keep]
+                    po, w = po[k_keep], w[k_keep]
                 child_off = po + w
                 offsets.append(child_off)
                 parent_off = child_off

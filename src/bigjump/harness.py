@@ -427,6 +427,8 @@ def _stratum_chunk(
     cid, t_b, size_b = _flat_jumps(
         config.T, (np.ones(m_max * n_reps, np.int64), gam_big, b_cid, b_off, b_mark)
     )
+    # the concatenation below is the chunk's memory peak: free its inputs first
+    del s_cid, s_off, s_mark, b_cid, b_off, b_mark, gam_small, gam_big
     rep_b, rank = np.divmod(cid, m_max)
     order = np.argsort(rank, kind="stable")
     # background first, then big events by rank: stratum m is a prefix

@@ -16,9 +16,11 @@ anti-diagonal however few cells it holds: about 13 ms over the 1,080
 anti-diagonals of graphs of 561 and 521 vertices.  The free space grows with
 eps, so a decision below a "yes" can only reach cells that "yes" entered;
 after each "yes" the bisection cuts the space to the rows those cells span
-on each anti-diagonal (the corridor).  On two nearby centered paths of 561
-and 521 vertices, the first decision covers all 291,200 cells (about 0.1 s
-with building the space), the corridor is down to about 2,100 cells after
+on each anti-diagonal (the corridor).  A bracket first decides at its lower
+bound, the endpoint gap, on the full space: a "yes" there settles the pair
+before any corridor is built.  On two nearby centered paths of 561 and 521
+vertices, the first decisions cover all 291,200 cells (about 0.1 s with
+building the space), the corridor is down to about 2,100 cells after
 eight decisions, and the 32 decisions of a bracket at tol 1e-9 take about
 0.6 s, most of it the per-anti-diagonal floor.  The bisection adds a
 log(initial bracket / tol) factor.
@@ -249,9 +251,9 @@ def m1_distance_bracket(p1: CadlagPath, p2: CadlagPath, tol: float = 1e-9) -> tu
     """Bracket [lo, hi] with hi - lo <= tol containing the M1 distance.
 
     lo starts at the gap between the endpoints, a lower bound, and hi at
-    the uniform distance, an upper bound.  After the first decision at hi,
-    one decision at lo settles a pair whose distance is that bound as
-    [lo, lo]; otherwise bisection follows.  When tol is below the spacing of
+    the uniform distance, an upper bound.  The first decision, at lo on the
+    full free space, settles a pair whose distance is that bound as
+    [lo, lo]; otherwise decisions at hi and bisection follow.  When tol is below the spacing of
     floats at the distance, the bisection stops at two adjacent floats,
     wider than tol.
     """
@@ -280,11 +282,13 @@ def m1_distance_bracket(p1: CadlagPath, p2: CadlagPath, tol: float = 1e-9) -> tu
             space = _FreeSpace(g1, g2, rows)
         return True
 
+    # a pair whose distance is the endpoint gap settles before any corridor is
+    # built; a "no" at lo is the same on the full space as in a corridor
+    if _free_space_reachable(g1, g2, lo, space):
+        return lo, lo
     # guard against boundary effects of the decision at exactly hi
     while not decide(hi):
         hi = max(hi * (1.0 + 1e-12), hi + 1e-15)
-    if decide(lo):
-        return lo, lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

@@ -1,10 +1,15 @@
 import csv
+import ctypes
+import importlib
 import json
 import os
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import bigjump
 from bigjump.cli import (
     config_hash,
     emit_config,
@@ -132,7 +137,7 @@ def test_cli_measure_names_mu_y_when_it_is_refused(tmp_path, capsys):
         assert "mu_y" in line and "jump_count" not in line
 
 
-def test_cli_m1_subcommand(tmp_path, capsys):
+def _m1_argv(tmp_path) -> list[str]:
     from bigjump.paths import build_jump_path, write_path_csv
 
     p1 = build_jump_path(np.array([0.5]), np.array([1.0]))
@@ -141,10 +146,45 @@ def test_cli_m1_subcommand(tmp_path, capsys):
     for f, p in ((f1, p1), (f2, p2)):
         with open(f, "w") as fh:
             write_path_csv(p, fh)
-    assert main(["m1", f1, f2, "--tol", "1e-9"]) == 0
+    return ["m1", f1, f2, "--tol", "1e-9"]
+
+
+def test_cli_m1_subcommand(tmp_path, capsys):
+    assert main(_m1_argv(tmp_path)) == 0
     out = capsys.readouterr().out
     assert "m1_distance = 1.0" in out
     assert "bracket" in out
+
+
+def test_cli_keeps_freed_heap(tmp_path, monkeypatch, capsys):
+    # main sets glibc's mmap threshold (-3) to 32 MiB and trim threshold (-1)
+    # to 256 MiB; importing the module opens no library
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda *args: calls.append(args))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: calls.append(name) or libc)
+    monkeypatch.delitem(sys.modules, "bigjump.cli")
+    monkeypatch.setattr(bigjump, "cli", bigjump.cli)
+    fresh = importlib.import_module("bigjump.cli")
+    assert calls == []
+    assert fresh.main(_m1_argv(tmp_path)) == 0
+    assert calls == [None, (-3, 32 << 20), (-1, 256 << 20)]
+    assert "m1_distance = 1.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("libc", ["raises", "no_mallopt"])
+def test_cli_runs_without_mallopt(tmp_path, monkeypatch, capsys, libc):
+    argv = _m1_argv(tmp_path)
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def cdll(name):
+        if libc == "raises":
+            raise OSError("no libc")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_cli_ldp_rows_identical_across_workers(tmp_path):

@@ -207,13 +207,28 @@ CAP_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("cap", sorted(CAP_GOLDEN))
-def test_hawkes_cap_truncation_golden(pareto15, exp_wait, cap):
-    spec = JointMarkSpec(pareto15, "independent_light_k", phi=0.3)
+def _golden_prefix(x_law, wait, cap) -> str:
+    spec = JointMarkSpec(x_law, "independent_light_k", phi=0.3)
     h = hashlib.sha256()
     for seed in range(4):
         for n in (20, 200):
-            b = simulate_batch("hawkes", n, spec, exp_wait, substream(seed, "cap-golden"), cap=cap, x0=np.full(n, 10.0))
+            b = simulate_batch("hawkes", n, spec, wait, substream(seed, "cap-golden"), cap=cap, x0=np.full(n, 10.0))
             for name in ("cid", "parent", "offset", "mark", "generation", "truncated"):
                 h.update(getattr(b, name).tobytes())
-    assert h.hexdigest()[:16] == CAP_GOLDEN[cap]
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("cap", sorted(CAP_GOLDEN))
+def test_hawkes_cap_truncation_golden(pareto15, exp_wait, cap):
+    assert _golden_prefix(pareto15, exp_wait, cap) == CAP_GOLDEN[cap]
+
+
+# the same batches with mark-conditional exponential waits, the one path on
+# which the parent marks reach the wait sampler; cap 10 also drops children
+CONDITIONAL_WAIT_GOLDEN = {10: "4c2148f3ce7cade4", 1_000_000: "b58681f2401560ae"}
+
+
+@pytest.mark.parametrize("cap", sorted(CONDITIONAL_WAIT_GOLDEN))
+def test_hawkes_conditional_wait_golden(pareto15, cap):
+    wait = WaitLaw(TailLaw("exponential", 1.0), conditional_on_mark=True)
+    assert _golden_prefix(pareto15, wait, cap) == CONDITIONAL_WAIT_GOLDEN[cap]

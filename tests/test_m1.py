@@ -370,13 +370,13 @@ def test_bracket_decisions_match_reference(monkeypatch):
 
 def test_bracket_settles_at_lower_bound(monkeypatch):
     # the distance is the endpoint gap 0.2 while the uniform distance is 1:
-    # a "yes" at the lower bound settles it, with no bisection
+    # the first decision, a "yes" at the lower bound, settles it
     calls = _spy_decisions(monkeypatch)
     p1 = build_jump_path(np.array([0.5]), np.array([1.0]))
     p2 = build_jump_path(np.array([0.52]), np.array([1.2]))
     lo, hi = m1_distance_bracket(p1, p2, 1e-9)
     assert lo == hi == abs(1.2 - 1.0)
-    assert [eps for _, _, eps, *_ in calls] == [1.0, lo]
+    assert [eps for _, _, eps, *_ in calls] == [lo]
 
 
 def test_bracket_ends_below_float_spacing(monkeypatch):
