@@ -15,15 +15,17 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import replace
 from datetime import datetime, timezone
+from operator import attrgetter
 
 import numpy as np
 
 from . import __version__
 from .clusters import write_clusters_csv
 from .errors import ConfigurationError
-from .events import format_event, parse_event
+from .events import PathEvent, format_event, parse_event
 from .harness import (
     ExperimentConfig,
     centering_curve,
@@ -40,22 +42,44 @@ from .measures import measure_for_model, mu_bar_tail, mu_sharp, mu_tail
 from .paths import read_path_csv, write_path_csv
 from .streams import substream
 
+# experiment key -> (ExperimentConfig attribute path, kind): the one
+# definition of the config format, read by parse_config and emit_config
+_KEYS = {
+    "model": ("model", str),
+    "lambda_rate": ("lam", float),
+    "T_horizon": ("T", float),
+    "eta_exponent": ("eta", float),
+    "mark_family": ("spec.x_law.family", str),
+    "mark_scale": ("spec.x_law.scale", float),
+    "mark_alpha": ("spec.x_law.alpha", float),
+    "dependence": ("spec.dependence", str),
+    "k_param": ("spec.k_param", float),
+    "phi_fertility": ("spec.phi", float),
+    "k_alpha": ("spec.k_alpha", float),
+    "wait_family": ("wait.law.family", str),
+    "wait_scale": ("wait.law.scale", float),
+    "wait_alpha": ("wait.law.alpha", float),
+    "wait_conditional": ("wait.conditional_on_mark", bool),
+    "k_order": ("k", int),
+    "event": ("event", PathEvent),
+    "n_reps": ("n_reps", int),
+    "seed_root": ("seed", int),
+    "delta_split": ("delta", float),
+    "grid_n": ("grid_n", int),
+    "cluster_cap": ("cap", int),
+    "n_centering": ("n_centering", int),
+    "n_pbig": ("n_pbig", int),
+    "n_strata": ("n_strata", int),
+    "estimator": ("estimator", str),
+}
+
+# defaults of the keys whose objects have none of their own; any other key
+# left out takes its dataclass default
 _DEFAULTS = {
     "mark_family": "pareto",
-    "dependence": "independent_light_k",
-    "k_param": "0.0",
-    "phi_fertility": "0.0",
     "wait_family": "exponential",
     "wait_scale": "1.0",
-    "wait_conditional": "0",
     "k_order": "0",
-    "delta_split": "0.5",
-    "grid_n": "1024",
-    "cluster_cap": "1000000",
-    "n_centering": "200000",
-    "n_pbig": "400000",
-    "n_strata": "4000",
-    "estimator": "splitting",
 }
 
 _REQUIRED = [
@@ -69,8 +93,6 @@ _REQUIRED = [
     "seed_root",
 ]
 
-_OPTIONAL = {"mark_alpha", "k_alpha", "wait_alpha"}
-
 _EXTRAS = {
     "check_T_grid": "25,50,100,200",
     "check_epsilon": "0.1",
@@ -79,7 +101,7 @@ _EXTRAS = {
     "mu_y": "1.0",
 }
 
-_KNOWN = set(_DEFAULTS) | set(_REQUIRED) | _OPTIONAL | set(_EXTRAS)
+_KNOWN = set(_KEYS) | set(_EXTRAS)
 
 
 def _parse_items(text: str) -> dict[str, str]:
@@ -112,26 +134,27 @@ def _parse_float(key: str, text: str, positive: bool = False) -> float:
     return value
 
 
-def _get_float(items, key) -> float:
-    return _parse_float(key, items[key])
-
-
-def _get_int(items, key) -> int:
+def _parse_int(key: str, text: str) -> int:
     try:
-        return int(items[key])
+        return int(text)
     except ValueError as exc:
-        raise ConfigurationError(f"key {key!r}: not an integer ({items[key]!r})") from exc
+        raise ConfigurationError(f"key {key!r}: not an integer ({text!r})") from exc
 
 
-def _law_from(items, prefix: str) -> TailLaw:
-    family = items[f"{prefix}_family"]
-    scale = _get_float(items, f"{prefix}_scale")
-    alpha = None
-    if family == PARETO:
-        if f"{prefix}_alpha" not in items:
-            raise ConfigurationError(f"missing key {prefix}_alpha (required for pareto)")
-        alpha = _get_float(items, f"{prefix}_alpha")
-    return TailLaw(family, scale, alpha)
+def _parse_value(key: str, kind, text: str):
+    if kind is float:
+        return _parse_float(key, text)
+    if kind is int or kind is bool:
+        return kind(_parse_int(key, text))
+    return parse_event(text) if kind is PathEvent else text
+
+
+def _format_value(kind, value) -> str:
+    if kind is float:
+        return repr(value)
+    if kind is bool:
+        return str(int(value))
+    return format_event(value) if kind is PathEvent else str(value)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -140,39 +163,20 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in _REQUIRED:
         if key not in items:
             raise ConfigurationError(f"missing required config key {key!r}")
-    merged = dict(_DEFAULTS)
-    merged.update(items)
-    if "wait_family" in merged and merged["wait_family"] == PARETO and "wait_alpha" not in merged:
-        raise ConfigurationError("missing key wait_alpha (required for pareto waits)")
-    x_law = _law_from(merged, "mark")
-    k_alpha = _get_float(merged, "k_alpha") if "k_alpha" in merged else None
-    spec = JointMarkSpec(
-        x_law=x_law,
-        dependence=merged["dependence"],
-        k_param=_get_float(merged, "k_param"),
-        phi=_get_float(merged, "phi_fertility"),
-        k_alpha=k_alpha,
-    )
-    wait = WaitLaw(_law_from(merged, "wait"), conditional_on_mark=bool(_get_int(merged, "wait_conditional")))
-    return ExperimentConfig(
-        model=merged["model"],
-        lam=_get_float(merged, "lambda_rate"),
-        T=_get_float(merged, "T_horizon"),
-        eta=_get_float(merged, "eta_exponent"),
-        spec=spec,
-        wait=wait,
-        k=_get_int(merged, "k_order"),
-        event=parse_event(merged["event"]),
-        n_reps=_get_int(merged, "n_reps"),
-        seed=_get_int(merged, "seed_root"),
-        delta=_get_float(merged, "delta_split"),
-        grid_n=_get_int(merged, "grid_n"),
-        cap=_get_int(merged, "cluster_cap"),
-        n_centering=_get_int(merged, "n_centering"),
-        n_pbig=_get_int(merged, "n_pbig"),
-        n_strata=_get_int(merged, "n_strata"),
-        estimator=merged["estimator"],
-    )
+    items = {**_DEFAULTS, **items}
+    for prefix, law in (("wait", "pareto waits"), ("mark", "pareto")):
+        if items[f"{prefix}_family"] != PARETO:
+            items.pop(f"{prefix}_alpha", None)  # only a Pareto law reads its alpha
+        elif f"{prefix}_alpha" not in items:
+            raise ConfigurationError(f"missing key {prefix}_alpha (required for {law})")
+    fields = defaultdict(dict)  # owner's attribute path -> {field name: parsed value}
+    for key, (path, kind) in _KEYS.items():
+        if key in items:
+            owner, _, name = path.rpartition(".")
+            fields[owner][name] = _parse_value(key, kind, items[key])
+    spec = JointMarkSpec(TailLaw(**fields["spec.x_law"]), **fields["spec"])
+    wait = WaitLaw(TailLaw(**fields["wait.law"]), **fields["wait"])
+    return ExperimentConfig(spec=spec, wait=wait, **fields[""])
 
 
 def parse_extras(text: str) -> dict[str, str]:
@@ -183,52 +187,16 @@ def parse_extras(text: str) -> dict[str, str]:
 
 def emit_config(config: ExperimentConfig) -> str:
     """Canonical key=value emission (sorted keys; config-hash input)."""
-    spec, wait = config.spec, config.wait
-    items = {
-        "model": config.model,
-        "lambda_rate": repr(config.lam),
-        "T_horizon": repr(config.T),
-        "eta_exponent": repr(config.eta),
-        "mark_family": spec.x_law.family,
-        "mark_scale": repr(spec.x_law.scale),
-        "dependence": spec.dependence,
-        "k_param": repr(spec.k_param),
-        "phi_fertility": repr(spec.phi),
-        "wait_family": wait.law.family,
-        "wait_scale": repr(wait.law.scale),
-        "wait_conditional": str(int(wait.conditional_on_mark)),
-        "k_order": str(config.k),
-        "event": format_event(config.event),
-        "n_reps": str(config.n_reps),
-        "seed_root": str(config.seed),
-        "delta_split": repr(config.delta),
-        "grid_n": str(config.grid_n),
-        "cluster_cap": str(config.cap),
-        "n_centering": str(config.n_centering),
-        "n_pbig": str(config.n_pbig),
-        "n_strata": str(config.n_strata),
-        "estimator": config.estimator,
-    }
-    if spec.x_law.alpha is not None:
-        items["mark_alpha"] = repr(spec.x_law.alpha)
-    if spec.k_alpha is not None:
-        items["k_alpha"] = repr(spec.k_alpha)
-    if wait.law.alpha is not None:
-        items["wait_alpha"] = repr(wait.law.alpha)
-    return "\n".join(f"{k} = {items[k]}" for k in sorted(items)) + "\n"
+    lines = []
+    for key, (path, kind) in sorted(_KEYS.items()):
+        value = attrgetter(path)(config)
+        if value is not None:
+            lines.append(f"{key} = {_format_value(kind, value)}")
+    return "\n".join(lines) + "\n"
 
 
 def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(emit_config(config).encode()).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    config_hash: str
-    timestamp: str
-    version: str
-    outputs: tuple[str, ...]
-    seed: int
 
 
 def _atomic_write(path: str, content: str) -> None:
@@ -254,30 +222,22 @@ def _append_csv(path: str, header: list[str], row: list[str]) -> None:
         fh.flush()
 
 
-def _record(config: ExperimentConfig, outputs: list[str]) -> RunRecord:
-    return RunRecord(
-        config_hash=config_hash(config),
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        version=__version__,
-        outputs=tuple(outputs),
-        seed=config.seed,
-    )
-
-
-def _write_record(record: RunRecord, out_dir: str, name: str) -> str:
-    path = os.path.join(out_dir, f"record_{name}_{record.config_hash}.json")
-    _atomic_write(path, json.dumps(record.__dict__, indent=2) + "\n")
+def _write_record(config: ExperimentConfig, outputs: list[str], out_dir: str, name: str) -> str:
+    record = {
+        "config_hash": config_hash(config),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "version": __version__,
+        "outputs": outputs,
+        "seed": config.seed,
+    }
+    path = os.path.join(out_dir, f"record_{name}_{record['config_hash']}.json")
+    _atomic_write(path, json.dumps(record, indent=2) + "\n")
     return path
 
 
-def _load_config(path: str) -> ExperimentConfig:
+def _read(path: str) -> str:
     with open(path) as fh:
-        return parse_config(fh.read())
-
-
-def _load_extras(path: str) -> dict[str, str]:
-    with open(path) as fh:
-        return parse_extras(fh.read())
+        return fh.read()
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +245,7 @@ def _load_extras(path: str) -> dict[str, str]:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+    config = parse_config(_read(args.config))
     os.makedirs(args.out, exist_ok=True)
     _, gammas, batch = draw_clusters(config, 1, substream(config.seed, "simulate"))
     path = replication_path(config, gammas, batch, centering_curve(config))
@@ -295,7 +255,7 @@ def _cmd_simulate(args) -> int:
     _atomic_write(path_file, buf.getvalue())
     clusters_file = os.path.join(args.out, "clusters.csv")
     write_clusters_csv(clusters_file, batch)
-    record = _write_record(_record(config, [path_file, clusters_file]), args.out, "simulate")
+    record = _write_record(config, [path_file, clusters_file], args.out, "simulate")
     print(f"simulate: {batch.n} clusters, {path.n_nodes} path nodes -> {path_file}")
     print(f"record: {record}")
     return 0
@@ -313,8 +273,9 @@ def _cmd_m1(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    config = _load_config(args.config)
-    extras = _load_extras(args.config)
+    text = _read(args.config)
+    config = parse_config(text)
+    extras = parse_extras(text)
     measure = measure_for_model(config.model, config.spec)
     y = _parse_float("mu_y", extras["mu_y"], positive=True)
     c = y if getattr(config.event, "c", None) is None else config.event.c
@@ -362,7 +323,7 @@ _LDP_HEADER = [
 def _cmd_ldp(args) -> int:
     if args.workers < 1:
         raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
-    config = replace(_load_config(args.config), workers=args.workers)
+    config = replace(parse_config(_read(args.config)), workers=args.workers)
     t0 = time.perf_counter()
     ratio_est, limit_value = ldp_ratio(config)
     wall = time.perf_counter() - t0
@@ -401,7 +362,7 @@ def _cmd_ldp(args) -> int:
     }
     summary_path = os.path.join(args.out, f"ldp_{config_hash(config)}.json")
     _atomic_write(summary_path, json.dumps(summary, indent=2) + "\n")
-    _write_record(_record(config, [log, summary_path]), args.out, "ldp")
+    _write_record(config, [log, summary_path], args.out, "ldp")
     print(
         f"ldp: P={prob:.6g} (se {prob_se:.2g}), ratio={ratio_est.value:.4g} "
         f"vs limit {limit_value:.6g} -> {log}"
@@ -422,11 +383,12 @@ def _jsonable(obj):
 
 
 def _cmd_check(args) -> int:
-    config = _load_config(args.config)
-    extras = _load_extras(args.config)
+    text = _read(args.config)
+    config = parse_config(text)
+    extras = parse_extras(text)
     grid = [_parse_float("check_T_grid", x, positive=True) for x in extras["check_T_grid"].split(",")]
     epsilon = _parse_float("check_epsilon", extras["check_epsilon"], positive=True)
-    n_accept = _get_int(extras, "check_n_accept")
+    n_accept = _parse_int("check_n_accept", extras["check_n_accept"])
     if n_accept < 1:
         raise ConfigurationError(f"key 'check_n_accept': must be >= 1, got {n_accept}")
     levels = [_parse_float("check_quantiles", x) for x in extras["check_quantiles"].split(",")]
@@ -466,7 +428,7 @@ def _cmd_check(args) -> int:
         raise ConfigurationError(f"unknown check {args.which!r}")
     verdict_path = os.path.join(args.out, f"check_{args.which}.json")
     _atomic_write(verdict_path, json.dumps(_jsonable(verdict), indent=2) + "\n")
-    _write_record(_record(config, [verdict_path]), args.out, f"check_{args.which}")
+    _write_record(config, [verdict_path], args.out, f"check_{args.which}")
     print(json.dumps(_jsonable(verdict)))
     return 0 if ok else 1
 

@@ -8,7 +8,7 @@ which draws them from `superset_batch`.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class BatchClusters:
     mark: np.ndarray
     generation: np.ndarray
     truncated: np.ndarray  # bool per cluster
-    immigrant_mark: np.ndarray = field(default=None)
 
     def totals(self) -> np.ndarray:
         return np.bincount(self.cid, weights=self.mark, minlength=self.n)
@@ -175,7 +174,6 @@ def simulate_batch(
         mark=mark,
         generation=gen_arr,
         truncated=truncated,
-        immigrant_mark=x0,
     )
 
 
@@ -273,7 +271,6 @@ def superset_batch(
         mark=np.concatenate([x0, mark[child]]),
         generation=np.concatenate([np.zeros(m, np.int16), np.ones(child_cid.size, np.int16)]),
         truncated=np.zeros(m, dtype=bool),
-        immigrant_mark=x0,
     )
 
 

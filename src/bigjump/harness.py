@@ -383,7 +383,7 @@ def _tilted_marks(law, xq: float, u: np.ndarray, tilt: np.ndarray):
     law itself, both from the uniforms ``u``.  Returns the marks and their
     likelihood ratios (law over mixture), which keep estimates unbiased."""
     pq = float(law.tail(xq))
-    x0 = np.where(tilt, xq * np.power(1.0 - u, -1.0 / law.alpha), law.quantile(u))
+    x0 = np.where(tilt, law.quantile_above(u, xq), law.quantile(u))
     w = 1.0 / (0.5 + 0.5 * (x0 > xq).astype(float) / pq)
     return x0, w
 
@@ -533,7 +533,7 @@ def _monte_carlo_p_big(config: ExperimentConfig, u: float) -> tuple[float, float
     for batch in _offsetless_batches(config, substream(config.seed, "pbig"), n):
         tot = batch.totals()
         ind_d = tot > u
-        ind_x = batch.immigrant_mark > u
+        ind_x = batch.mark[: batch.n] > u
         raw_hits += int(ind_d.sum())
         diff = ind_d.astype(float) - ind_x.astype(float)
         acc += float(diff.sum())

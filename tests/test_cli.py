@@ -21,6 +21,8 @@ from bigjump.errors import ConfigurationError
 from bigjump.events import TerminalExceed
 from bigjump.paths import read_path_csv
 
+from .test_acceptance import CFG_TEXT
+
 BASE = """
 model = mb
 lambda_rate = 1.0
@@ -550,3 +552,270 @@ def test_cli_check_remainder_comonotone_light_marks(tmp_path, capsys):
     assert "Traceback" not in captured.err
     verdict = json.loads(captured.out.strip().splitlines()[-1])
     assert verdict["check"] == "remainder" and verdict["pass"] == (code == 0)
+
+
+# A config that names every experiment key, so that removing any one of them
+# either falls back to a default or is a fault of its own.
+FULL = """
+model = mb
+lambda_rate = 1.0
+T_horizon = 50.0
+eta_exponent = 0.8
+mark_family = pareto
+mark_scale = 1.0
+mark_alpha = 1.5
+dependence = independent_light_k
+k_param = 2.0
+phi_fertility = 0.1
+k_alpha = 1.5
+wait_family = pareto
+wait_scale = 1.0
+wait_alpha = 2.5
+wait_conditional = 0
+k_order = 0
+event = terminal_exceed:1.0
+n_reps = 2000
+seed_root = 4242
+delta_split = 0.5
+grid_n = 256
+cluster_cap = 1000
+n_centering = 20000
+n_pbig = 60000
+n_strata = 800
+estimator = crude
+"""
+
+# perfbench's two ldp configs at seed 7
+PERFBENCH_MB = """model = mb
+lambda_rate = 1.0
+T_horizon = 200.0
+eta_exponent = 0.8
+mark_family = pareto
+mark_alpha = 1.5
+mark_scale = 1.0
+dependence = independent_light_k
+k_param = 2.0
+wait_family = exponential
+wait_scale = 1.0
+k_order = 0
+event = terminal_exceed:1.0
+n_reps = 20000
+seed_root = 7
+delta_split = 0.5
+grid_n = 8192
+n_pbig = 400000
+n_strata = 4000
+estimator = splitting
+"""
+
+PERFBENCH_HAWKES = """model = hawkes
+lambda_rate = 1.0
+T_horizon = 200.0
+eta_exponent = 0.8
+mark_family = pareto
+mark_alpha = 1.5
+mark_scale = 1.0
+dependence = independent_light_k
+k_param = 0.0
+phi_fertility = 0.16666666666666666
+wait_family = exponential
+wait_scale = 1.0
+k_order = 0
+event = sup_exceed:1.0
+n_reps = 20000
+seed_root = 7
+grid_n = 1024
+n_centering = 200000
+estimator = crude
+"""
+
+
+def _format_cases() -> dict[str, str]:
+    cases = {
+        "base": BASE,
+        "hawkes-sup": HAWKES_SUP,
+        "c8": CFG_TEXT,
+        "full": FULL,
+        "perfbench-mb": PERFBENCH_MB,
+        "perfbench-hawkes": PERFBENCH_HAWKES,
+        "heavy-wait": BASE + "wait_family = pareto\nwait_alpha = 0.5\nwait_scale = 1.0\n",
+        "comonotone-light": BASE.replace("mark_family = pareto", "mark_family = exponential").replace(
+            "dependence = independent_light_k\nk_param = 0.0", "dependence = comonotone\nk_param = 1.0"
+        ),
+        "conditional-wait": _with_key(_with_key(FULL, "wait_family", "exponential"), "wait_conditional", "2"),
+        # an alpha is read only for a Pareto law
+        "light-marks-alpha-inf": _with_key(_with_key(FULL, "mark_family", "exponential"), "mark_alpha", "inf"),
+        "light-waits-alpha-nan": _with_key(_with_key(FULL, "wait_family", "exponential"), "wait_alpha", "nan"),
+        "pareto-waits-no-alpha": BASE + "wait_family = pareto\n",
+        "pareto-marks-no-alpha": BASE.replace("mark_alpha = 1.5\n", ""),
+    }
+    for ln in FULL.strip().splitlines():
+        key = ln.partition("=")[0].strip()
+        cases[f"{key}-removed"] = "\n".join(x for x in FULL.splitlines() if x != ln) + "\n"
+        for label, value in (("abc", "abc"), ("non-integer", "1.5"), ("inf", "inf"), ("nan", "nan")):
+            cases[f"{key}-{label}"] = _with_key(FULL, key, value)
+    return cases
+
+
+_FORMAT_CASES = _format_cases()
+
+# config_hash of each valid case, and the one error line of each refused one,
+# recorded before the config format was read from a single key table
+CONFIG_FORMAT = {
+    'T_horizon-abc': "error: key 'T_horizon': not a number ('abc')",
+    'T_horizon-inf': "error: key 'T_horizon': must be finite, got 'inf'",
+    'T_horizon-nan': "error: key 'T_horizon': must be finite, got 'nan'",
+    'T_horizon-non-integer': '1e8f566c9b602b51',
+    'T_horizon-removed': "error: missing required config key 'T_horizon'",
+    'base': '64a6c07c4d7d03a5',
+    'c8': '051606de2e070445',
+    'cluster_cap-abc': "error: key 'cluster_cap': not an integer ('abc')",
+    'cluster_cap-inf': "error: key 'cluster_cap': not an integer ('inf')",
+    'cluster_cap-nan': "error: key 'cluster_cap': not an integer ('nan')",
+    'cluster_cap-non-integer': "error: key 'cluster_cap': not an integer ('1.5')",
+    'cluster_cap-removed': '852b3ce46ce5def6',
+    'comonotone-light': 'ab87c0b67e16b205',
+    'conditional-wait': 'bd7fb0bade006c5e',
+    'delta_split-abc': "error: key 'delta_split': not a number ('abc')",
+    'delta_split-inf': "error: key 'delta_split': must be finite, got 'inf'",
+    'delta_split-nan': "error: key 'delta_split': must be finite, got 'nan'",
+    'delta_split-non-integer': 'error: delta must lie in (0, 1], got 1.5',
+    'delta_split-removed': '4a682b0d477984c7',
+    'dependence-abc': "error: unknown dependence 'abc'",
+    'dependence-inf': "error: unknown dependence 'inf'",
+    'dependence-nan': "error: unknown dependence 'nan'",
+    'dependence-non-integer': "error: unknown dependence '1.5'",
+    'dependence-removed': '4a682b0d477984c7',
+    'estimator-abc': "error: unknown estimator 'abc'",
+    'estimator-inf': "error: unknown estimator 'inf'",
+    'estimator-nan': "error: unknown estimator 'nan'",
+    'estimator-non-integer': "error: unknown estimator '1.5'",
+    'estimator-removed': '910f6a72716233d7',
+    'eta_exponent-abc': "error: key 'eta_exponent': not a number ('abc')",
+    'eta_exponent-inf': "error: key 'eta_exponent': must be finite, got 'inf'",
+    'eta_exponent-nan': "error: key 'eta_exponent': must be finite, got 'nan'",
+    'eta_exponent-non-integer': 'c4540e3bcd89d3f9',
+    'eta_exponent-removed': "error: missing required config key 'eta_exponent'",
+    'event-abc': "error: unknown event kind 'abc'; choices: ['dk_proxy', 'jump_count', 'sup_exceed', 'terminal_exceed', 'value_at']",
+    'event-inf': "error: unknown event kind 'inf'; choices: ['dk_proxy', 'jump_count', 'sup_exceed', 'terminal_exceed', 'value_at']",
+    'event-nan': "error: unknown event kind 'nan'; choices: ['dk_proxy', 'jump_count', 'sup_exceed', 'terminal_exceed', 'value_at']",
+    'event-non-integer': "error: unknown event kind '1.5'; choices: ['dk_proxy', 'jump_count', 'sup_exceed', 'terminal_exceed', 'value_at']",
+    'event-removed': "error: missing required config key 'event'",
+    'full': '4a682b0d477984c7',
+    'grid_n-abc': "error: key 'grid_n': not an integer ('abc')",
+    'grid_n-inf': "error: key 'grid_n': not an integer ('inf')",
+    'grid_n-nan': "error: key 'grid_n': not an integer ('nan')",
+    'grid_n-non-integer': "error: key 'grid_n': not an integer ('1.5')",
+    'grid_n-removed': '4b5eefb62c2e7ca6',
+    'hawkes-sup': '079fa2909055e88a',
+    'heavy-wait': 'bed2d0e96871fe04',
+    'k_alpha-abc': "error: key 'k_alpha': not a number ('abc')",
+    'k_alpha-inf': "error: key 'k_alpha': must be finite, got 'inf'",
+    'k_alpha-nan': "error: key 'k_alpha': must be finite, got 'nan'",
+    'k_alpha-non-integer': '4a682b0d477984c7',
+    'k_alpha-removed': '2d706895082dc6a3',
+    'k_order-abc': "error: key 'k_order': not an integer ('abc')",
+    'k_order-inf': "error: key 'k_order': not an integer ('inf')",
+    'k_order-nan': "error: key 'k_order': not an integer ('nan')",
+    'k_order-non-integer': "error: key 'k_order': not an integer ('1.5')",
+    'k_order-removed': '4a682b0d477984c7',
+    'k_param-abc': "error: key 'k_param': not a number ('abc')",
+    'k_param-inf': "error: key 'k_param': must be finite, got 'inf'",
+    'k_param-nan': "error: key 'k_param': must be finite, got 'nan'",
+    'k_param-non-integer': 'e98a73ba87595dc9',
+    'k_param-removed': 'e96f507b9f343ba0',
+    'lambda_rate-abc': "error: key 'lambda_rate': not a number ('abc')",
+    'lambda_rate-inf': "error: key 'lambda_rate': must be finite, got 'inf'",
+    'lambda_rate-nan': "error: key 'lambda_rate': must be finite, got 'nan'",
+    'lambda_rate-non-integer': '797d9cba02c35138',
+    'lambda_rate-removed': "error: missing required config key 'lambda_rate'",
+    'light-marks-alpha-inf': 'ca63592c5eaf7944',
+    'light-waits-alpha-nan': '7abd57ab4e2a2ff3',
+    'mark_alpha-abc': "error: key 'mark_alpha': not a number ('abc')",
+    'mark_alpha-inf': "error: key 'mark_alpha': must be finite, got 'inf'",
+    'mark_alpha-nan': "error: key 'mark_alpha': must be finite, got 'nan'",
+    'mark_alpha-non-integer': '4a682b0d477984c7',
+    'mark_alpha-removed': 'error: missing key mark_alpha (required for pareto)',
+    'mark_family-abc': "error: unknown law family 'abc'",
+    'mark_family-inf': "error: unknown law family 'inf'",
+    'mark_family-nan': "error: unknown law family 'nan'",
+    'mark_family-non-integer': "error: unknown law family '1.5'",
+    'mark_family-removed': '4a682b0d477984c7',
+    'mark_scale-abc': "error: key 'mark_scale': not a number ('abc')",
+    'mark_scale-inf': "error: key 'mark_scale': must be finite, got 'inf'",
+    'mark_scale-nan': "error: key 'mark_scale': must be finite, got 'nan'",
+    'mark_scale-non-integer': '2a4dfb2d5ef88a9a',
+    'mark_scale-removed': "error: missing required config key 'mark_scale'",
+    'model-abc': "error: unknown model 'abc'",
+    'model-inf': "error: unknown model 'inf'",
+    'model-nan': "error: unknown model 'nan'",
+    'model-non-integer': "error: unknown model '1.5'",
+    'model-removed': "error: missing required config key 'model'",
+    'n_centering-abc': "error: key 'n_centering': not an integer ('abc')",
+    'n_centering-inf': "error: key 'n_centering': not an integer ('inf')",
+    'n_centering-nan': "error: key 'n_centering': not an integer ('nan')",
+    'n_centering-non-integer': "error: key 'n_centering': not an integer ('1.5')",
+    'n_centering-removed': 'c7bc964b4c71509d',
+    'n_pbig-abc': "error: key 'n_pbig': not an integer ('abc')",
+    'n_pbig-inf': "error: key 'n_pbig': not an integer ('inf')",
+    'n_pbig-nan': "error: key 'n_pbig': not an integer ('nan')",
+    'n_pbig-non-integer': "error: key 'n_pbig': not an integer ('1.5')",
+    'n_pbig-removed': 'a2c3bde9c252f96e',
+    'n_reps-abc': "error: key 'n_reps': not an integer ('abc')",
+    'n_reps-inf': "error: key 'n_reps': not an integer ('inf')",
+    'n_reps-nan': "error: key 'n_reps': not an integer ('nan')",
+    'n_reps-non-integer': "error: key 'n_reps': not an integer ('1.5')",
+    'n_reps-removed': "error: missing required config key 'n_reps'",
+    'n_strata-abc': "error: key 'n_strata': not an integer ('abc')",
+    'n_strata-inf': "error: key 'n_strata': not an integer ('inf')",
+    'n_strata-nan': "error: key 'n_strata': not an integer ('nan')",
+    'n_strata-non-integer': "error: key 'n_strata': not an integer ('1.5')",
+    'n_strata-removed': 'ca0a2982ab54f140',
+    'pareto-marks-no-alpha': 'error: missing key mark_alpha (required for pareto)',
+    'pareto-waits-no-alpha': 'error: missing key wait_alpha (required for pareto waits)',
+    'perfbench-hawkes': 'dc1c1dddfc356d45',
+    'perfbench-mb': '0f16ba4fcc21b448',
+    'phi_fertility-abc': "error: key 'phi_fertility': not a number ('abc')",
+    'phi_fertility-inf': "error: key 'phi_fertility': must be finite, got 'inf'",
+    'phi_fertility-nan': "error: key 'phi_fertility': must be finite, got 'nan'",
+    'phi_fertility-non-integer': 'error: supercritical fertility: phi*E[X] = 4.5 >= 1',
+    'phi_fertility-removed': 'b3df72d33f3b23e0',
+    'seed_root-abc': "error: key 'seed_root': not an integer ('abc')",
+    'seed_root-inf': "error: key 'seed_root': not an integer ('inf')",
+    'seed_root-nan': "error: key 'seed_root': not an integer ('nan')",
+    'seed_root-non-integer': "error: key 'seed_root': not an integer ('1.5')",
+    'seed_root-removed': "error: missing required config key 'seed_root'",
+    'wait_alpha-abc': "error: key 'wait_alpha': not a number ('abc')",
+    'wait_alpha-inf': "error: key 'wait_alpha': must be finite, got 'inf'",
+    'wait_alpha-nan': "error: key 'wait_alpha': must be finite, got 'nan'",
+    'wait_alpha-non-integer': '34eba8f7c363766d',
+    'wait_alpha-removed': 'error: missing key wait_alpha (required for pareto waits)',
+    'wait_conditional-abc': "error: key 'wait_conditional': not an integer ('abc')",
+    'wait_conditional-inf': "error: key 'wait_conditional': not an integer ('inf')",
+    'wait_conditional-nan': "error: key 'wait_conditional': not an integer ('nan')",
+    'wait_conditional-non-integer': "error: key 'wait_conditional': not an integer ('1.5')",
+    'wait_conditional-removed': '4a682b0d477984c7',
+    'wait_family-abc': "error: unknown law family 'abc'",
+    'wait_family-inf': "error: unknown law family 'inf'",
+    'wait_family-nan': "error: unknown law family 'nan'",
+    'wait_family-non-integer': "error: unknown law family '1.5'",
+    'wait_family-removed': '7abd57ab4e2a2ff3',
+    'wait_scale-abc': "error: key 'wait_scale': not a number ('abc')",
+    'wait_scale-inf': "error: key 'wait_scale': must be finite, got 'inf'",
+    'wait_scale-nan': "error: key 'wait_scale': must be finite, got 'nan'",
+    'wait_scale-non-integer': '57e892ac7edba939',
+    'wait_scale-removed': '4a682b0d477984c7',
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORMAT_CASES))
+def test_config_format_is_pinned(tmp_path, capsys, case):
+    expected = CONFIG_FORMAT[case]
+    text = _FORMAT_CASES[case]
+    if not expected.startswith("error: "):
+        assert config_hash(parse_config(text)) == expected
+        return
+    out = str(tmp_path / "never")
+    assert main(["ldp", "--config", _write(tmp_path, text), "--out", out]) == 2
+    assert _single_error_line(capsys) == expected
+    assert not os.path.exists(out)

@@ -186,7 +186,7 @@ def test_batch_matches_model_moments(mb_spec_nu2, hawkes_spec_half, exp_wait):
 def test_batch_forced_immigrant_marks(mb_spec_nu2, exp_wait):
     x0 = np.full(1000, 7.0)
     b = simulate_batch("mb", 1000, mb_spec_nu2, exp_wait, substream(20, "f"), x0=x0)
-    assert np.array_equal(b.immigrant_mark, x0)
+    assert np.array_equal(b.mark[: b.n], x0)
     assert np.all(b.totals() >= 7.0)
 
 

@@ -46,7 +46,7 @@ def one_cluster(offsets_marks):
     off, mark = np.array(offsets_marks, dtype=float).T
     gen = np.minimum(np.arange(off.size), 1).astype(np.int16)
     zero = np.zeros(off.size, dtype=np.int64)
-    return BatchClusters(1, zero, zero, off, mark, gen, np.zeros(1, dtype=bool), mark[:1])
+    return BatchClusters(1, zero, zero, off, mark, gen, np.zeros(1, dtype=bool))
 
 
 def test_empty_build_is_zero(mb_spec_nu0, exp_wait):
