@@ -122,11 +122,20 @@ def _parse_items(text: str) -> dict[str, str]:
     return items
 
 
-def _parse_float(key: str, text: str, positive: bool = False) -> float:
+def _parse_number(key: str, text: str, kind=int):
+    """``kind(text)``; the digit separator ``_`` that Python's number syntax
+    takes is refused."""
     try:
-        value = float(text)
+        if "_" in text:
+            raise ValueError(text)
+        return kind(text)
     except ValueError as exc:
-        raise ConfigurationError(f"key {key!r}: not a number ({text!r})") from exc
+        what = "a number" if kind is float else "an integer"
+        raise ConfigurationError(f"key {key!r}: not {what} ({text!r})") from exc
+
+
+def _parse_float(key: str, text: str, positive: bool = False) -> float:
+    value = _parse_number(key, text, float)
     if not np.isfinite(value):
         raise ConfigurationError(f"key {key!r}: must be finite, got {text!r}")
     if positive and not value > 0.0:
@@ -134,18 +143,14 @@ def _parse_float(key: str, text: str, positive: bool = False) -> float:
     return value
 
 
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"key {key!r}: not an integer ({text!r})") from exc
-
-
 def _parse_value(key: str, kind, text: str):
     if kind is float:
         return _parse_float(key, text)
     if kind is int or kind is bool:
-        return kind(_parse_int(key, text))
+        value = _parse_number(key, text)
+        if kind is bool and text not in ("0", "1"):
+            raise ConfigurationError(f"key {key!r}: must be 0 or 1, got {text!r}")
+        return kind(value)
     return parse_event(text) if kind is PathEvent else text
 
 
@@ -388,7 +393,7 @@ def _cmd_check(args) -> int:
     extras = parse_extras(text)
     grid = [_parse_float("check_T_grid", x, positive=True) for x in extras["check_T_grid"].split(",")]
     epsilon = _parse_float("check_epsilon", extras["check_epsilon"], positive=True)
-    n_accept = _parse_int("check_n_accept", extras["check_n_accept"])
+    n_accept = _parse_number("check_n_accept", extras["check_n_accept"])
     if n_accept < 1:
         raise ConfigurationError(f"key 'check_n_accept': must be >= 1, got {n_accept}")
     levels = [_parse_float("check_quantiles", x) for x in extras["check_quantiles"].split(",")]

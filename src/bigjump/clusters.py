@@ -64,17 +64,20 @@ def simulate_batch(
     with_offsets: bool = True,
     x0: np.ndarray | None = None,
 ) -> BatchClusters:
-    """Generate ``n`` clusters into flat arrays.
+    """Generate ``n`` clusters into flat arrays, one generation per pass.
 
-    Counts use the generator's Poisson sampler (vectorized); marks and waits
-    are quantile transforms of uniforms.  ``x0`` forces the immigrant marks
-    (importance proposals); by default they are drawn.  A branching cluster
-    that would pass ``cap`` events loses the whole generation that crosses
-    it and is flagged truncated.
+    A pass draws the last generation's offspring counts, then their marks,
+    then their waits.  Branching counts are Poisson(phi * parent mark); an
+    MB cluster is the first pass alone, its counts from the joint mark law.
+    Marks and waits are quantile transforms of uniforms.  ``x0`` forces the
+    immigrant marks (importance proposals); by default they are drawn.  The
+    cap binds branching clusters only: one that would pass ``cap`` events
+    loses the whole generation that crosses it and is flagged truncated.
     """
     if model not in (MB, HAWKES):
         raise ConfigurationError(f"unknown model {model!r}")
-    if model == HAWKES and spec.phi > 0 and not spec.mean_fertility < 1.0:
+    branching = model == HAWKES
+    if branching and spec.phi > 0 and not spec.mean_fertility < 1.0:
         raise ConfigurationError("supercritical fertility")
     if x0 is None:
         x0 = np.asarray(spec.x_law.sample(rng, n), dtype=float)
@@ -83,48 +86,37 @@ def simulate_batch(
         if x0.shape != (n,):
             raise ValueError("x0 must have one mark per cluster")
     cids = [np.arange(n, dtype=np.int64)]
+    parents = [cids[0]]
     offsets = [np.zeros(n)] if with_offsets else None
     marks = [x0]
     gens = [np.zeros(n, dtype=np.int16)]
     truncated = np.zeros(n, dtype=bool)
-
-    if model == MB:
-        k = spec.offspring_counts(x0, rng)
+    # no cluster holds more events than the batch's rows, candidate
+    # generations included; the per-cluster counts are built only once
+    # that row count passes the cap
+    rows = n
+    counts = None
+    row0 = 0  # first row of the current parent generation
+    parent_cid = cids[0]
+    parent_mark = x0
+    parent_off = offsets[0] if with_offsets else None
+    gen = 0
+    while parent_cid.size and (branching or gen == 0):  # an MB cluster is one generation
+        gen += 1
+        if branching:
+            k = rng.poisson(spec.phi * parent_mark).astype(np.int64, copy=False)
+        else:
+            k = spec.offspring_counts(parent_mark, rng)
         total = int(k.sum())
-        if total:
-            cid = np.repeat(np.arange(n, dtype=np.int64), k)
-            child_marks = np.asarray(spec.x_law.sample(rng, total), dtype=float)
-            cids.append(cid)
-            marks.append(child_marks)
-            gens.append(np.ones(total, dtype=np.int16))
-            if with_offsets:
-                w = wait.sample(rng, mark=x0[cid], size=total)
-                offsets.append(np.asarray(w, dtype=float))
-        parent = cid = np.concatenate(cids)  # children point at their immigrant's row
-    else:
-        parents = [cids[0]]
-        # no cluster holds more events than the batch's rows, candidate
-        # generations included; the per-cluster counts are built only once
-        # that row count passes the cap
-        rows = n
-        counts = None
-        row0 = 0  # first row of the current parent generation
-        parent_cid = cids[0]
-        parent_mark = x0
-        parent_off = np.zeros(n) if with_offsets else None
-        gen = 0
-        while parent_cid.size:
-            gen += 1
-            lam = spec.phi * parent_mark
-            k = rng.poisson(lam).astype(np.int64, copy=False)
-            total = int(k.sum())
-            if total == 0:
-                break
-            cid = np.repeat(parent_cid, k)
-            prow = np.repeat(np.arange(row0, row0 + parent_cid.size), k)
-            # enforce the per-cluster cap at generation granularity
+        if total == 0:
+            break
+        cid = np.repeat(parent_cid, k)
+        # the immigrants' rows are their cluster ids
+        prow = cid if gen == 1 else np.repeat(np.arange(row0, row0 + parent_cid.size), k)
+        # enforce the per-cluster cap at generation granularity
+        k_keep = None
+        if branching:
             rows += total
-            k_keep = None
             if counts is not None:
                 counts += np.bincount(cid, minlength=n)
             elif rows > cap:
@@ -137,31 +129,32 @@ def simulate_batch(
                     k_keep = ~over[cid]
                     cid = cid[k_keep]
                     prow = prow[k_keep]
-            m = cid.size
-            if m == 0:
-                break
-            child_marks = np.asarray(spec.x_law.sample(rng, total), dtype=float)
+        m = cid.size
+        if m == 0:
+            break
+        child_marks = np.asarray(spec.x_law.sample(rng, total), dtype=float)
+        if k_keep is not None:
+            child_marks = child_marks[k_keep]
+        cids.append(cid)
+        parents.append(prow)
+        marks.append(child_marks)
+        gens.append(np.full(m, gen, dtype=np.int16))
+        if with_offsets:
+            # only mark-conditional waits read the parent marks
+            pm = np.repeat(parent_mark, k) if wait.conditional_on_mark else None
+            po = np.repeat(parent_off, k)
+            w = np.asarray(wait.sample(rng, mark=pm, size=total), dtype=float)
             if k_keep is not None:
-                child_marks = child_marks[k_keep]
-            cids.append(cid)
-            parents.append(prow)
-            marks.append(child_marks)
-            gens.append(np.full(m, gen, dtype=np.int16))
-            if with_offsets:
-                # only mark-conditional waits read the parent marks
-                pm = np.repeat(parent_mark, k) if wait.conditional_on_mark else None
-                po = np.repeat(parent_off, k)
-                w = np.asarray(wait.sample(rng, mark=pm, size=total), dtype=float)
-                if k_keep is not None:
-                    po, w = po[k_keep], w[k_keep]
-                child_off = po + w
-                offsets.append(child_off)
-                parent_off = child_off
-            row0 += parent_cid.size
-            parent_cid = cid
-            parent_mark = child_marks
-        cid = np.concatenate(cids)
-        parent = np.concatenate(parents)
+                po, w = po[k_keep], w[k_keep]
+            child_off = po + w
+            offsets.append(child_off)
+            parent_off = child_off
+        row0 += parent_cid.size
+        parent_cid = cid
+        parent_mark = child_marks
+    cid = np.concatenate(cids)
+    # up to generation 1 every parent row is the cluster id
+    parent = cid if len(cids) <= 2 else np.concatenate(parents)
 
     mark = np.concatenate(marks)
     gen_arr = np.concatenate(gens)

@@ -195,10 +195,10 @@ class SupExceed(PathEvent):
         [0, 1] or NaN, and fewer than SUP_BINS jumps a replication go
         through it whole.
 
-        A settled decision is the one ``_sup_sorted`` makes on the whole
-        chunk.  An open replication's running sum is summed over fewer jumps
-        than there, so the two can differ only where its sup lies within
-        round-off of c, which continuous laws make a null event."""
+        Every decision is the one ``_sup_sorted`` makes on the whole chunk:
+        a settled one by the margin of the bounds, an open one because each
+        replication's running sum starts from zero whatever else the chunk
+        holds."""
         # sparser input sorts faster (1024 replications of 16 jumps: 2.4 ms
         # sorted, 6.8 ms binned; of 128 jumps: 17 and 7 ms), and its n x
         # SUP_BINS table would outgrow the jump arrays
@@ -351,11 +351,11 @@ def _sup_bin_bounds(rep, t, size, n, cent, x_T, c):
     bin, every path value in bin i is at most (P_i - lo_i)/x_T, and a nonempty
     bin has one at least (P_i - hi_i)/x_T.  A bound settles the replication
     only when it clears c by ``tol``.  With u = eps/2 and s = (sum of sizes
-    + max |centering|)/x_T, ``_sup_sorted`` errs by at most (2N + 16) u s,
-    since its cumsum runs over all N jumps of the chunk and summing
-    nonnegative terms errs by at most N u times their sum; the bound errs by
-    at most (N + B + 16) u s; tol = 8 (N + B) u s covers both.  Non-finite
-    sizes leave every replication open."""
+    + max |centering|)/x_T, ``_sup_sorted`` errs by at most (N + 16) u s,
+    since it sums each replication's at most N jumps from zero and summing
+    m nonnegative terms errs by at most m u times their sum; the bound errs
+    by at most (N + B + 16) u s; tol = 8 (N + B) u s covers both.
+    Non-finite sizes leave every replication open."""
     B = SUP_BINS
     key = (t * B).astype(np.int64)
     np.minimum(key, B - 1, out=key)  # t = 1 closes the last bin
@@ -374,15 +374,19 @@ def _sup_bin_bounds(rep, t, size, n, cent, x_T, c):
 
 def _sup_sorted(rep, t, size, n, cent, x_T) -> np.ndarray:
     """Per replication, the max of 0 and the centered scaled running sum
-    after each of its jumps in (replication, time) order: one sort, one
-    cumsum over all jumps, and a segmented max."""
+    after each of its jumps in (replication, time) order: one sort, each
+    replication's cumsum from zero, and a segmented max.  The replications
+    with m jumps are summed together as the rows of one (count, m) table."""
     sup = np.zeros(n)  # the path starts at zero
     if rep.size:
         order = rep_time_order(rep, t)
         r, ts, sz = rep[order], t[order], size[order]
-        cum = np.cumsum(sz)
         starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-        cum = cum - np.repeat(np.r_[0.0, cum[starts[1:] - 1]], np.diff(np.r_[starts, r.size]))
+        lens = np.diff(np.r_[starts, r.size])
+        cum = np.empty(r.size)
+        for m in np.unique(lens).tolist():
+            rows = starts[lens == m][:, None] + np.arange(m)
+            cum[rows] = np.cumsum(sz[rows], axis=1)
         vals = (cum - cent(ts)) / x_T
         seg_max = np.maximum.reduceat(vals, starts)
         np.maximum.at(sup, r[starts], seg_max)
@@ -410,6 +414,8 @@ def parse_event(text: str) -> PathEvent:
     if kind not in kinds:
         raise ValueError(f"unknown event kind {kind!r}; choices: {sorted(kinds)}")
     params = fields(kinds[kind])
+    if "_" in rest:  # Python's number syntax takes digit separators; events do not
+        raise ValueError(f"event {kind!r}: parameters take no '_', got {rest!r}")
     parts = [p for p in rest.split(",") if p != ""]
     if len(parts) != len(params):
         raise ValueError(f"event {kind!r} takes {len(params)} parameters, got {len(parts)}")

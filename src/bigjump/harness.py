@@ -848,23 +848,17 @@ def check_tail_equivalence(config: ExperimentConfig, quantile_levels) -> list[di
     for batch in _offsetless_batches(config, substream(config.seed, "tails"), n):
         b = batch.n
         d_all[done : done + b] = batch.totals()
-        if config.model == MB:
-            k_all[done : done + b] = batch.sizes() - 1
-        else:
-            first_gen = batch.generation == 1
-            k_all[done : done + b] = np.bincount(batch.cid[first_gen], minlength=b)
+        k_all[done : done + b] = np.bincount(batch.cid[batch.generation == 1], minlength=b)
         trunc += int(batch.truncated.sum())
         done += b
     measure = measure_for_model(config.model, config.spec)
     law = config.spec.x_law
-    alpha = law.alpha
-    if config.model == MB:
-        if config.spec.dependence == COMONOTONE:
-            k_limit = config.spec.k_param**alpha / measure.constant
-        else:
-            k_limit = 0.0
+    # K ~ (children per unit of parent mark) * X: phi, or eta for comonotone counts
+    if config.model == HAWKES:
+        per_mark = config.spec.phi
     else:
-        k_limit = config.spec.phi**alpha / measure.constant
+        per_mark = config.spec.k_param if config.spec.dependence == COMONOTONE else 0.0
+    k_limit = per_mark**law.alpha / measure.constant
     mark_limit = 1.0 / measure.constant
     d_sorted = np.sort(d_all)
     k_sorted = np.sort(k_all)

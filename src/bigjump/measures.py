@@ -44,29 +44,27 @@ class LimitMeasure:
         return self.constant * self.y0 ** (-self.alpha)
 
 
-def measure_for_model(model: str, spec: JointMarkSpec, y0: float | None = None) -> LimitMeasure:
+def measure_for_model(model: str, spec: JointMarkSpec) -> LimitMeasure:
     """Closed-form limit constant for the configured cluster model."""
     law = spec.x_law
     if not law.heavy:
         raise ConfigurationError("limit measures require a regularly varying mark law")
     alpha = law.alpha
     ex = law.mean()
-    if y0 is None:
-        y0 = law.scale
     if model == "hawkes":
         kbar = spec.mean_fertility
         if not kbar < 1.0:
             raise ConfigurationError("supercritical fertility")
         mult = 1.0 + spec.phi * ex / (1.0 - kbar)
         c = mult**alpha / (1.0 - kbar)
-        return LimitMeasure(alpha, c, HAWKES_COMONOTONE, y0)
+        return LimitMeasure(alpha, c, HAWKES_COMONOTONE, law.scale)
     if model == "mb":
         if spec.dependence == INDEPENDENT_LIGHT_K:
-            return LimitMeasure(alpha, 1.0 + spec.k_param, MB_INDEPENDENT, y0)
+            return LimitMeasure(alpha, 1.0 + spec.k_param, MB_INDEPENDENT, law.scale)
         if spec.dependence == COMONOTONE:
             eta = spec.k_param
             c = (1.0 + eta * ex) ** alpha + mean_ceil(eta, law)
-            return LimitMeasure(alpha, c, MB_COMONOTONE, y0)
+            return LimitMeasure(alpha, c, MB_COMONOTONE, law.scale)
         raise ConfigurationError(
             "no closed-form limit constant for heavy_k_light_x offspring"
         )

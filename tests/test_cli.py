@@ -132,7 +132,7 @@ def test_cli_measure_rejects_zero_level(tmp_path, capsys):
 def test_cli_measure_names_mu_y_when_it_is_refused(tmp_path, capsys):
     # jump_count has no level of its own, so mu_bar_tail runs at mu_y; a bad
     # mu_y is reported as such, not as a fault of the event
-    for y in ("0.0", "nan", "abc"):
+    for y in ("0.0", "nan", "abc", "1_0"):
         text = BASE.replace("event = terminal_exceed:1.0", "event = jump_count:2,0.5") + f"mu_y = {y}\n"
         assert main(["measure", "--config", _write(tmp_path, text)]) == 2
         line = _single_error_line(capsys)
@@ -528,9 +528,14 @@ def test_cli_check_has_no_workers_flag(tmp_path):
         ("tails", "check_quantiles = 0.999,x", [], "check_quantiles"),
         # refused by the check itself, after --out was made
         ("tails", "check_quantiles = 0.5", [], "check_quantiles"),
+        # Python's digit separators, which float() and int() take
+        ("tails", "check_quantiles = 0.99_9", [], "check_quantiles"),
+        ("assumption6", "check_T_grid = 2_5,50", [], "check_T_grid"),
+        ("remainder", "check_n_accept = 2_00", [], "check_n_accept"),
     ],
     ids=["grid-negative", "grid-negative-remainder", "grid-zero", "grid-inf", "epsilon-nan",
-         "n-accept-zero", "band-negative", "band-nan", "quantile-not-a-number", "quantile-below-range"],
+         "n-accept-zero", "band-negative", "band-nan", "quantile-not-a-number", "quantile-below-range",
+         "quantile-separator", "grid-separator", "n-accept-separator"],
 )
 def test_cli_check_rejects_bad_inputs(tmp_path, capsys, which, extra, argv, key):
     cfg = _write(tmp_path, BASE + extra + "\n")
@@ -642,7 +647,14 @@ def _format_cases() -> dict[str, str]:
         "comonotone-light": BASE.replace("mark_family = pareto", "mark_family = exponential").replace(
             "dependence = independent_light_k\nk_param = 0.0", "dependence = comonotone\nk_param = 1.0"
         ),
-        "conditional-wait": _with_key(_with_key(FULL, "wait_family", "exponential"), "wait_conditional", "2"),
+        "conditional-wait": _with_key(_with_key(FULL, "wait_family", "exponential"), "wait_conditional", "1"),
+        # a bool is 0 or 1, and no number takes Python's digit separator _
+        "wait_conditional-2": _with_key(FULL, "wait_conditional", "2"),
+        "wait_conditional-minus-3": _with_key(FULL, "wait_conditional", "-3"),
+        "wait_conditional-01": _with_key(FULL, "wait_conditional", "01"),
+        "T_horizon-separator": _with_key(FULL, "T_horizon", "1_50.0"),
+        "n_reps-separator": _with_key(FULL, "n_reps", "2_000"),
+        "event-separator": _with_key(FULL, "event", "terminal_exceed:1_0"),
         # an alpha is read only for a Pareto law
         "light-marks-alpha-inf": _with_key(_with_key(FULL, "mark_family", "exponential"), "mark_alpha", "inf"),
         "light-waits-alpha-nan": _with_key(_with_key(FULL, "wait_family", "exponential"), "wait_alpha", "nan"),
@@ -805,6 +817,13 @@ CONFIG_FORMAT = {
     'wait_scale-nan': "error: key 'wait_scale': must be finite, got 'nan'",
     'wait_scale-non-integer': '57e892ac7edba939',
     'wait_scale-removed': '4a682b0d477984c7',
+    # faults refused since bools take 0 or 1 only and numbers take no _
+    'T_horizon-separator': "error: key 'T_horizon': not a number ('1_50.0')",
+    'event-separator': "error: event 'terminal_exceed': parameters take no '_', got '1_0'",
+    'n_reps-separator': "error: key 'n_reps': not an integer ('2_000')",
+    'wait_conditional-01': "error: key 'wait_conditional': must be 0 or 1, got '01'",
+    'wait_conditional-2': "error: key 'wait_conditional': must be 0 or 1, got '2'",
+    'wait_conditional-minus-3': "error: key 'wait_conditional': must be 0 or 1, got '-3'",
 }
 
 

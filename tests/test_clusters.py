@@ -232,3 +232,44 @@ CONDITIONAL_WAIT_GOLDEN = {10: "4c2148f3ce7cade4", 1_000_000: "b58681f2401560ae"
 def test_hawkes_conditional_wait_golden(pareto15, cap):
     wait = WaitLaw(TailLaw("exponential", 1.0), conditional_on_mark=True)
     assert _golden_prefix(pareto15, wait, cap) == CONDITIONAL_WAIT_GOLDEN[cap]
+
+
+# sha256 prefixes of the six BatchClusters arrays, MB batches of 20 and 200
+# clusters at seeds 0-3, one per count law and wait law; each prefix covers
+# drawn and forced (x0 = 3) immigrant marks, with offsets and without;
+# recorded while MB clusters still had a sampling branch of their own
+MB_COUNTS = {
+    "poisson-0": JointMarkSpec(TailLaw("pareto", 1.0, 1.5), "independent_light_k", k_param=0.0),
+    "poisson-2": JointMarkSpec(TailLaw("pareto", 1.0, 1.5), "independent_light_k", k_param=2.0),
+    "comonotone-0.5": JointMarkSpec(TailLaw("pareto", 1.0, 1.5), "comonotone", k_param=0.5),
+    "heavy-1.5": JointMarkSpec(TailLaw("exponential", 1.0), "heavy_k_light_x", k_param=1.0, k_alpha=1.5),
+}
+MB_GOLDEN = {
+    ("poisson-0", False): "8f7346305c5bffb5",
+    ("poisson-0", True): "8f7346305c5bffb5",
+    ("poisson-2", False): "c2c001e92b6e48f6",
+    ("poisson-2", True): "fee135fa841f522b",
+    ("comonotone-0.5", False): "3dd9173eef034cfc",
+    ("comonotone-0.5", True): "e0faffaee7120d19",
+    ("heavy-1.5", False): "9a2b3b77b743a7a5",
+    ("heavy-1.5", True): "dbd909d9866d81d0",
+}
+
+
+def _mb_golden_prefix(counts: str, conditional: bool) -> str:
+    wait = WaitLaw(TailLaw("exponential", 1.0), conditional_on_mark=conditional)
+    h = hashlib.sha256()
+    for seed in range(4):
+        for n in (20, 200):
+            for x0 in (None, np.full(n, 3.0)):
+                for with_offsets in (True, False):
+                    rng = substream(seed, "mb-golden")
+                    b = simulate_batch("mb", n, MB_COUNTS[counts], wait, rng, with_offsets=with_offsets, x0=x0)
+                    for name in ("cid", "parent", "offset", "mark", "generation", "truncated"):
+                        h.update(getattr(b, name).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("counts, conditional", sorted(MB_GOLDEN))
+def test_mb_batch_golden(counts, conditional):
+    assert _mb_golden_prefix(counts, conditional) == MB_GOLDEN[counts, conditional]

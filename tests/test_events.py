@@ -226,7 +226,8 @@ def test_sup_exceed_fallback_decides_all_replications_exactly(sup_exact_calls):
             assert sup_exact_calls == [(n, r.size)], name
             want = [SupExceed(c).decide(centered_scaled_path(p, centering, scaling)) for p in paths]
             assert np.array_equal(got, want), (name, c)
-    # no path exists past [0, 1] or with an infinite jump; the sorted oracle decides
+    # no path exists past [0, 1] or with an infinite jump; the sorted oracle
+    # decides, on each replication's own jumps
     outside = np.where(rng.random(t.size) < 0.1, rng.uniform(-0.5, 1.5, t.size), t)
     infinite = np.where(np.arange(t.size) == 7, np.inf, np.abs(signed))
     for ts, sz in ((outside, np.abs(signed)), (t, infinite)):
@@ -234,9 +235,23 @@ def test_sup_exceed_fallback_decides_all_replications_exactly(sup_exact_calls):
             sup_exact_calls.clear()
             with np.errstate(invalid="ignore"):  # inf - inf in the running sums
                 got = SupExceed(c).decide_batch(rep, ts, sz, 2, cent, x_T)
-                want = sup_exceed_sorted(rep, ts, sz, 2, cent, x_T) > c
+                want = [sup_exceed_sorted(rep[rep == i] - i, ts[rep == i], sz[rep == i], 1, cent, x_T)[0] > c
+                        for i in range(2)]
             assert sup_exact_calls == [(2, rep.size)]
             assert np.array_equal(got, want)
+
+
+def test_sup_exceed_sums_each_replication_from_zero():
+    # one cumsum over the sorted chunk, less each replication's starting
+    # total, loses the unit jumps that follow a 2**53 jump: sup [2**53, 0, 0]
+    rep = np.array([0, 1, 1, 2])
+    t = np.array([0.5, 0.25, 0.75, 0.5])
+    size = np.array([2.0**53, 1.0, 1.0, 1.0])
+    cent = InterpCurve(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+    for c in (0.5, 1.5, 2.5):
+        want = [SupExceed(c).decide(build_jump_path(t[rep == i], size[rep == i])) for i in range(3)]
+        assert want == [True, c < 2.0, c < 1.0]
+        assert SupExceed(c).decide_batch(rep, t, size, 3, cent, 1.0).tolist() == want
 
 
 def test_decide_strata_equals_prefix_decisions():
