@@ -123,10 +123,10 @@ def _parse_items(text: str) -> dict[str, str]:
 
 
 def _parse_number(key: str, text: str, kind=int):
-    """``kind(text)``; the digit separator ``_`` that Python's number syntax
-    takes is refused."""
+    """``kind(text)``; the digit separator ``_`` and the non-ASCII digits
+    that Python's number syntax takes are refused."""
     try:
-        if "_" in text:
+        if "_" in text or not text.isascii():
             raise ValueError(text)
         return kind(text)
     except ValueError as exc:

@@ -419,8 +419,17 @@ def parse_event(text: str) -> PathEvent:
     parts = [p for p in rest.split(",") if p != ""]
     if len(parts) != len(params):
         raise ValueError(f"event {kind!r} takes {len(params)} parameters, got {len(parts)}")
-    # annotations are strings here (postponed evaluation)
-    return kinds[kind](*(int(raw) if f.type == "int" else float(raw) for f, raw in zip(params, parts)))
+    values = []
+    for f, raw in zip(params, parts):
+        integer = f.type == "int"  # annotations are strings here (postponed evaluation)
+        try:
+            if not raw.isascii():  # nor the non-ASCII digits that int and float take
+                raise ValueError(raw)
+            values.append(int(raw) if integer else float(raw))
+        except ValueError:
+            what = "an integer" if integer else "a number"
+            raise ValueError(f"event {kind!r}: parameter {f.name!r} is not {what} ({raw!r})") from None
+    return kinds[kind](*values)
 
 
 def format_event(event: PathEvent) -> str:

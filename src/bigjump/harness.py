@@ -660,8 +660,7 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     scope = _superset_scope(config)
     p_big, se_p, p_big_detail = _estimate_p_big(config, u)
     rate = config.lam * config.T * p_big
-    m_max = max(config.k + 2, poisson_ppf(1.0 - 1e-4, rate))
-    m_max = min(m_max, config.k + 2 + 120)
+    m_max = max(config.k + 2, poisson_ppf(1.0 - 1e-4, rate, m_cap=config.k + 2 + 120))
     centering = centering_curve(config)
     cv_levels = None
     if scope:

@@ -655,6 +655,13 @@ def _format_cases() -> dict[str, str]:
         "T_horizon-separator": _with_key(FULL, "T_horizon", "1_50.0"),
         "n_reps-separator": _with_key(FULL, "n_reps", "2_000"),
         "event-separator": _with_key(FULL, "event", "terminal_exceed:1_0"),
+        # nor the non-ASCII digits that Python's int and float take
+        "n_reps-fullwidth": _with_key(FULL, "n_reps", "\uff12\uff10\uff10\uff10"),
+        "T_horizon-fullwidth": _with_key(FULL, "T_horizon", "\uff15\uff10.0"),
+        "event-fullwidth": _with_key(FULL, "event", "terminal_exceed:\uff11.0"),
+        # an event parameter that is not a number names the kind and parameter
+        "event-parameter-abc": _with_key(FULL, "event", "terminal_exceed:abc"),
+        "event-count-non-integer": _with_key(FULL, "event", "jump_count:1.5,0.5"),
         # an alpha is read only for a Pareto law
         "light-marks-alpha-inf": _with_key(_with_key(FULL, "mark_family", "exponential"), "mark_alpha", "inf"),
         "light-waits-alpha-nan": _with_key(_with_key(FULL, "wait_family", "exponential"), "wait_alpha", "nan"),
@@ -824,6 +831,13 @@ CONFIG_FORMAT = {
     'wait_conditional-01': "error: key 'wait_conditional': must be 0 or 1, got '01'",
     'wait_conditional-2': "error: key 'wait_conditional': must be 0 or 1, got '2'",
     'wait_conditional-minus-3': "error: key 'wait_conditional': must be 0 or 1, got '-3'",
+    # faults refused since numbers take ASCII digits only and event parameters
+    # name their event and parameter
+    'T_horizon-fullwidth': "error: key 'T_horizon': not a number ('\uff15\uff10.0')",
+    'event-count-non-integer': "error: event 'jump_count': parameter 'm' is not an integer ('1.5')",
+    'event-fullwidth': "error: event 'terminal_exceed': parameter 'c' is not a number ('\uff11.0')",
+    'event-parameter-abc': "error: event 'terminal_exceed': parameter 'c' is not a number ('abc')",
+    'n_reps-fullwidth': "error: key 'n_reps': not an integer ('\uff12\uff10\uff10\uff10')",
 }
 
 

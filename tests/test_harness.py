@@ -31,7 +31,7 @@ from bigjump.harness import (
     simulate_replication,
     splitting_estimate,
 )
-from bigjump.laws import JointMarkSpec, TailLaw, WaitLaw, poisson_pmf, poisson_ppf, poisson_sf
+from bigjump.laws import JointMarkSpec, TailLaw, WaitLaw
 from bigjump.measures import measure_for_model, mu_sharp
 from bigjump.paths import build_jump_path, centered_scaled_path, read_path_csv, terminal, write_path_csv
 from bigjump.streams import substream
@@ -188,17 +188,6 @@ def test_wilson_interval_bit_identical_to_binomtest():
         for hits in (0, 1, n // 2, n - 1, n):
             ci = stats.binomtest(hits, n).proportion_ci(method="wilson")
             assert _wilson_interval(hits, n) == (ci.low, ci.high), (hits, n)
-
-
-def test_poisson_helpers_bit_identical_to_scipy():
-    rng = np.random.default_rng(3)
-    for rate in np.r_[0.0, 1e-9, rng.uniform(0.0, 150.0, 300)]:
-        k = np.arange(int(rate) + 40)
-        assert np.array_equal(poisson_pmf(k, rate), stats.poisson.pmf(k, rate)), rate
-        for m in (0, 2, int(rate), int(rate) + 7):
-            assert poisson_sf(m, rate) == float(stats.poisson.sf(m, rate)), (m, rate)
-        for q in (0.5, 1.0 - 1e-4):
-            assert poisson_ppf(q, rate) == int(stats.poisson.ppf(q, rate)), (q, rate)
 
 
 def test_crude_impossible_event(exp_wait):
@@ -738,13 +727,18 @@ def test_small_mass_mean_brackets_the_closed_form(exp_wait, law, nu, u):
 # (value, stderr, ci95) of the parent estimator, which had no control
 # variates: branching, comonotone and heavy-count clusters are outside their
 # scope, and MB runs below the fold floor keep the plain mean; without
-# offspring the superset pool's first batch is sized as before
+# offspring the superset pool's first batch is sized as before.  Re-recorded
+# when the Poisson weights and the Hurwitz zeta left scipy for numpy: all but
+# "heavy" moved in their last bits (|change| <= 2.3e-16), and over seeds
+# 5000-5019 of these five configs and an MB nu = 2 one with control variates
+# the old and new estimates, stderrs and interval ends differed by at most
+# 2.8e-16
 PLAIN_ROWS = {
-    "hawkes": (0.24140452068023108, 0.010131702411252896, (0.2215463839541754, 0.26126265740628674)),
-    "comonotone": (0.2540515107685636, 0.00897248616310605, (0.23646543788887572, 0.2716375836482514)),
+    "hawkes": (0.24140452068023108, 0.01013170241125289, (0.22154638395417542, 0.26126265740628674)),
+    "comonotone": (0.2540515107685638, 0.008972486163106053, (0.23646543788887595, 0.2716375836482517)),
     "heavy": (0.23904257901797255, 0.010435079891029962, (0.2185898224315538, 0.25949533560439125)),
-    "nu0-terminal-319": (0.19346079499770388, 0.01174572752661378, (0.17043916904554088, 0.2164824209498669)),
-    "nu0-sup-300": (0.32546936307517677, 0.015524840476637988, (0.2950406757409663, 0.3558980504093872)),
+    "nu0-terminal-319": (0.19346079499770397, 0.011745727526613783, (0.17043916904554096, 0.21648242094986697)),
+    "nu0-sup-300": (0.3254693630751768, 0.01552484047663799, (0.2950406757409664, 0.35589805040938727)),
 }
 
 

@@ -1,4 +1,4 @@
-"""Start-up stays numpy-only: each command loads scipy only where it needs it.
+"""Start-up stays numpy-only: no run of `m1`, `ldp` or `simulate` loads scipy.
 
 Each case runs in a fresh interpreter, because the test session itself has
 scipy loaded already.
@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import bigjump
 
@@ -61,12 +63,23 @@ def test_hawkes_crude_ldp_loads_no_scipy(tmp_path):
     assert _scipy_modules(["ldp", "--config", cfg, "--out", str(tmp_path / "out")]) == set()
 
 
-def test_mb_splitting_ldp_loads_only_scipy_special(tmp_path):
+SPLITTING = {
     # nu = 2 also builds the superset sampler's Poisson count table
-    for nu in ("0.0", "2.0"):
-        text = BASE.replace("estimator = crude", "estimator = splitting").replace("k_param = 0.0", f"k_param = {nu}")
-        cfg = _write(tmp_path, text, name=f"nu{nu}.cfg")
-        modules = _scipy_modules(["ldp", "--config", cfg, "--out", str(tmp_path / f"out{nu}")])
-        assert "scipy.special" in modules
-        assert not {"scipy.stats", "scipy.signal"} & modules
+    "mb-nu0": BASE,
+    "mb-nu2": BASE.replace("k_param = 0.0", "k_param = 2.0"),
+    # the comonotone limit constant and centering take a Hurwitz zeta
+    "comonotone": BASE.replace("independent_light_k\nk_param = 0.0", "comonotone\nk_param = 0.5"),
+}
 
+
+@pytest.mark.parametrize("case", sorted(SPLITTING))
+def test_splitting_ldp_loads_no_scipy(tmp_path, case):
+    cfg = _write(tmp_path, SPLITTING[case].replace("estimator = crude", "estimator = splitting"))
+    assert _scipy_modules(["ldp", "--config", cfg, "--out", str(tmp_path / "out")]) == set()
+
+
+def test_heavy_k_centering_loads_no_scipy(tmp_path):
+    # ldp refuses heavy-count offspring (no closed-form limit constant), so
+    # `simulate` reaches their mean count, a Hurwitz zeta, via the centering
+    text = BASE.replace("independent_light_k\nk_param = 0.0", "heavy_k_light_x\nk_param = 1.0\nk_alpha = 2.5")
+    assert _scipy_modules(["simulate", "--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == set()

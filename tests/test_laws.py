@@ -1,14 +1,20 @@
+import math
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from bigjump.errors import ConfigurationError
 from bigjump.laws import (
     JointMarkSpec,
     TailLaw,
     WaitLaw,
+    hurwitz_zeta,
     mb_mass_tail_bracket,
     mean_ceil,
+    poisson_pmf,
+    poisson_ppf,
+    poisson_sf,
 )
 from bigjump.streams import substream
 
@@ -287,3 +293,45 @@ def test_conditional_quantiles_stay_exact_in_far_tails():
     point = TailLaw("deterministic", 3.0)
     assert np.all(point.quantile_above(np.array([0.0, 0.7]), 2.0) == 3.0)
     assert np.all(point.quantile_below(np.array([0.0, 0.7]), 5.0) == 3.0)
+
+
+def test_poisson_helpers_within_stated_bounds_of_scipy():
+    # scipy.stats.poisson is the oracle; each helper's docstring bound is
+    # 4 eps (|k log rate| + lgamma(k + 1) + rate + 1) for the pmf, that at
+    # k = m + 1 plus (sqrt(rate) + 8) eps for the sf.  The scipy pmf has the
+    # same cancellation in its exponent, which this bound scales with
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(3)
+
+    def pmf_bound(k, rate):
+        log_rate = abs(math.log(rate)) if rate > 0.0 else 0.0
+        lgam = np.array([math.lgamma(v + 1.0) for v in np.atleast_1d(k)])
+        return 4.0 * eps * (np.abs(k) * log_rate + lgam + rate + 1.0)
+
+    for rate in np.r_[0.0, 1e-9, rng.uniform(0.0, 150.0, 300), 1e3, 1e4]:
+        k = np.arange(int(rate + 12.0 * np.sqrt(rate)) + 40)
+        want = stats.poisson.pmf(k, rate)
+        assert np.all(np.abs(poisson_pmf(k, rate) - want) <= pmf_bound(k, rate) * want), rate
+        # sf relative to itself from m = 0 down to the last m with sf >= 1e-300
+        ms = np.arange(int(rate + 40.0 * np.sqrt(rate)) + 700)
+        sfs = stats.poisson.sf(ms, rate)
+        last = int(ms[sfs >= 1e-300].max()) if rate > 0.0 else 0
+        grid = np.unique(np.r_[np.linspace(0, last, 60).astype(int), int(rate), int(rate) + 7, last])
+        for m in grid.tolist():
+            want = float(sfs[m])
+            bound = float(pmf_bound(m + 1, rate)[0]) + (np.sqrt(rate) + 8.0) * eps
+            assert abs(poisson_sf(m, rate) - want) <= bound * want, (m, rate)
+        assert rate == 0.0 or float(sfs[last]) < 1e-290  # the grid reached the far tail
+        for q in (0.01, 0.5, 0.9, 1.0 - 1e-4):
+            got, want = poisson_ppf(q, rate, m_cap=10**6), int(stats.poisson.ppf(q, rate))
+            near = abs(stats.poisson.cdf(want, rate) - q) <= float(pmf_bound(want + 1, rate)[0]) + np.sqrt(rate) * eps
+            assert got == want or near, (q, rate, got, want)
+            assert poisson_ppf(q, rate, m_cap=5) == min(got, 5)
+
+
+def test_hurwitz_zeta_within_1e14_of_scipy():
+    rng = np.random.default_rng(11)
+    for a in np.r_[1.0 + 1e-6, 1.001, 1.5, 2.0, rng.uniform(1.0, 12.0, 40), 12.0]:
+        for q in (*range(1, 21), 50, 100, 1000, 12_345, 10**5, 10**6):
+            want = float(special.zeta(a, q))
+            assert abs(hurwitz_zeta(a, q) - want) <= 1e-14 * want, (a, q)
