@@ -6,7 +6,6 @@ bit-identical for any worker count.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -251,6 +250,8 @@ def _chunk_sizes(n: int) -> list[int]:
 def _run_tasks(fn, tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(*t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # only a fan-out loads the pool
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *t) for t in tasks]
         return [f.result() for f in futures]

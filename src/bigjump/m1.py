@@ -16,14 +16,25 @@ anti-diagonal however few cells it holds: about 13 ms over the 1,080
 anti-diagonals of graphs of 561 and 521 vertices.  The free space grows with
 eps, so a decision below a "yes" can only reach cells that "yes" entered;
 after each "yes" the bisection cuts the space to the rows those cells span
-on each anti-diagonal (the corridor).  A bracket first decides at its lower
-bound, the endpoint gap, on the full space: a "yes" there settles the pair
-before any corridor is built.  On two nearby centered paths of 561 and 521
-vertices, the first decisions cover all 291,200 cells (about 0.1 s with
-building the space), the corridor is down to about 2,100 cells after
-eight decisions, and the 32 decisions of a bracket at tol 1e-9 take about
-0.6 s, most of it the per-anti-diagonal floor.  The bisection adds a
-log(initial bracket / tol) factor.
+on each anti-diagonal (the corridor).
+
+A bracket starts from [endpoint gap, uniform distance] and first decides at
+its lower bound on the full space: a "yes" there settles the pair before
+any corridor is built.  Otherwise it decides once at the discrete Frechet
+distance of the two vertex sequences (Eiter & Mannila 1994), an upper bound
+computed by a coupling DP in about 16 ms at 561 x 521 vertices, before the
+space is built so that its table is freed first.  The smallest eps that has
+answered "yes" settles every eps at or above it without a sweep.  That
+changes no answer: every free-interval end is a monotone function of eps
+under IEEE rounding, and the sweep only takes min, max and compares, so
+the decision is monotone in eps.  The bisection keeps its start and its
+midpoints, so every bracket is bit-identical to the bisection's without the
+bound.  On two nearby centered paths of 561 and 521 vertices, whose uniform
+distance is about 1 and M1 distance about 0.01, a bracket at tol 1e-9
+makes 13-29 decisions in place of 32 and takes a median 0.31 s in place of
+0.41 s.  The corridor after the bound's "yes" holds about 2,200 cells, and
+each decision in it costs 7-10 ms, nearly all of it the per-anti-diagonal
+floor.  The bisection adds a log(initial bracket / tol) factor.
 """
 from __future__ import annotations
 
@@ -247,19 +258,56 @@ def uniform_distance(p1: CadlagPath, p2: CadlagPath) -> float:
     return float(max(np.abs(l1 - l2).max(), np.abs(r1 - r2).max()))
 
 
+def _discrete_frechet(g1: np.ndarray, g2: np.ndarray) -> float:
+    """Discrete Frechet distance of the two vertex sequences under the max
+    norm (Eiter & Mannila 1994): the coupling DP D[i, j] = max(cost(i, j),
+    min(D[i-1, j], D[i, j-1], D[i-1, j-1])), run one anti-diagonal at a
+    time on strided views of one table padded by a row and a column of inf.
+    Linear interpolation between coupled vertices is a monotone matching
+    whose gap is convex on each step, so this bounds the M1 distance of the
+    graphs from above."""
+    n1, n2 = len(g1), len(g2)
+    cols = n2 + 1
+    table = np.full((n1 + 1, cols), np.inf)
+    cost = table[1:, 1:]
+    np.abs(np.subtract.outer(g1[:, 0], g2[:, 0], out=cost), out=cost)
+    np.maximum(cost, np.abs(np.subtract.outer(g1[:, 1], g2[:, 1])), out=cost)
+    table[0, 0] = -np.inf  # so that D[0, 0] is its own cost
+    flat, step, low = table.ravel(), cols - 1, np.empty(min(n1, n2))
+    for k in range(2, n1 + n2 + 1):  # padded rows r and columns k - r
+        r0, r1 = max(1, k - n2), min(n1, k - 1)
+        at = r0 * cols + k - r0
+        end = at + (r1 - r0) * step + 1
+        best = low[: r1 - r0 + 1]
+        np.minimum(flat[at - cols : end - cols : step], flat[at - 1 : end - 1 : step], out=best)
+        np.minimum(best, flat[at - cols - 1 : end - cols - 1 : step], out=best)
+        np.maximum(flat[at:end:step], best, out=flat[at:end:step])
+    return float(table[n1, n2])
+
+
+# Largest |path value| accepted: every point +/- eps - start and every
+# vertex gap then stays finite
+_VALUE_LIMIT = np.finfo(float).max / 4
+
+
 def m1_distance_bracket(p1: CadlagPath, p2: CadlagPath, tol: float = 1e-9) -> tuple[float, float]:
     """Bracket [lo, hi] with hi - lo <= tol containing the M1 distance.
 
     lo starts at the gap between the endpoints, a lower bound, and hi at
     the uniform distance, an upper bound.  The first decision, at lo on the
     full free space, settles a pair whose distance is that bound as
-    [lo, lo]; otherwise decisions at hi and bisection follow.  When tol is below the spacing of
-    floats at the distance, the bisection stops at two adjacent floats,
-    wider than tol.
+    [lo, lo].  Otherwise one decision at the discrete Frechet bound, when
+    it lies inside the bracket, settles every eps at or above it, and the
+    bisection runs from [lo, hi] as it would without the bound.  When tol
+    is below the spacing of floats at the distance, the bisection stops at
+    two adjacent floats, wider than tol.  Paths with a value beyond a
+    quarter of the largest float are refused.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     g1, g2 = completed_graph(p1), completed_graph(p2)
+    if max(np.abs(g1[:, 1]).max(), np.abs(g2[:, 1]).max()) > _VALUE_LIMIT:
+        raise ValueError(f"path values must lie within +/-{_VALUE_LIMIT:.5g}, a quarter of the largest float")
     if g2.tobytes() < g1.tobytes():
         g1, g2 = g2, g1  # canonical order makes the result exactly symmetric
     lo = max(_cheb(g1[0], g2[0]), _cheb(g1[-1], g2[-1]))
@@ -268,12 +316,17 @@ def m1_distance_bracket(p1: CadlagPath, p2: CadlagPath, tol: float = 1e-9) -> tu
         hi = lo
     if hi - lo <= tol:
         return lo, hi
+    bound = _discrete_frechet(g1, g2)  # before the space, so its table is freed first
     space = _FreeSpace(g1, g2)  # a path's graph has at least two vertices
+    settled = np.inf  # the smallest eps decided "yes"
 
     def decide(eps: float) -> bool:
-        nonlocal space
+        nonlocal space, settled
+        if eps >= settled:
+            return True  # the decision is monotone in eps, rounding included
         if not _free_space_reachable(g1, g2, eps, space):
             return False
+        settled = eps
         # a decision below eps can only reach cells this one entered; a
         # corridor keeping more than 7/8 of the cells saves less than its build
         rows = space.entered_rows()
@@ -286,6 +339,8 @@ def m1_distance_bracket(p1: CadlagPath, p2: CadlagPath, tol: float = 1e-9) -> tu
     # built; a "no" at lo is the same on the full space as in a corridor
     if _free_space_reachable(g1, g2, lo, space):
         return lo, lo
+    if lo < bound < hi:
+        decide(bound)
     # guard against boundary effects of the decision at exactly hi
     while not decide(hi):
         hi = max(hi * (1.0 + 1e-12), hi + 1e-15)

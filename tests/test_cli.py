@@ -3,7 +3,9 @@ import ctypes
 import importlib
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -308,6 +310,24 @@ def test_cli_m1_rejects_nonfinite_csv(tmp_path, capsys):
             fh.write(f"t,left,right\n0.0,0.0,0.0\n{node}\n1.0,1.0,1.0\n")
         assert main(["m1", good, bad]) == 2
         assert "finite" in _single_error_line(capsys)
+
+
+def test_cli_m1_refuses_values_near_float_max(tmp_path):
+    # two finite paths at +/-1e308 overflowed to three RuntimeWarnings and a
+    # bracket of [inf, inf] with exit 0; a fresh interpreter shows the whole stderr
+    files = []
+    for name, value in (("up.csv", "1e308"), ("down.csv", "-1e308")):
+        p = tmp_path / name
+        p.write_text(f"t,left,right\n0.0,0.0,0.0\n0.5,0.0,{value}\n1.0,{value},{value}\n")
+        files.append(str(p))
+    env = dict(os.environ, PYTHONPATH=str(Path(bigjump.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bigjump", "m1", *files], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: path values must lie within +/-4.4942e+307, a quarter of the largest float\n"
+    )
 
 
 def test_cli_m1_rejects_header_only_csv(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 import bigjump.m1
 from bigjump.m1 import (
+    _discrete_frechet,
     _free_space_reachable,
     _FreeSpace,
     completed_graph,
@@ -16,7 +17,7 @@ from bigjump.events import DkProxy
 from bigjump.paths import CadlagPath, build_jump_path, path_sup
 from bigjump.streams import substream
 from .conftest import random_jump_path
-from .oracles import brute_force_m1, free_space_decision
+from .oracles import brute_force_m1, discrete_frechet_linf, free_space_decision
 
 
 def test_completed_graph_continuous():
@@ -334,6 +335,10 @@ def test_decision_matches_cell_by_cell_reference():
         expect = {eps: free_space_decision(g1, g2, eps) for eps in epss.tolist()}
         for eps in epss:
             assert _free_space_reachable(g1, g2, eps) == expect[eps], (g1, g2, eps)
+        # the discrete Frechet bound is the oracle's DP, and the M1 decision holds at it
+        bound = _discrete_frechet(g1, g2)
+        assert bound == discrete_frechet_linf(g1, g2), (g1, g2)
+        assert free_space_decision(g1, g2, bound), (g1, g2, bound)
         if min(len(g1), len(g2)) > 1:
             twice += _check_corridors(g1, g2, epss, expect)
     assert twice > 100  # spaces cut twice or more did occur
@@ -389,3 +394,45 @@ def test_bracket_ends_below_float_spacing(monkeypatch):
         lo, hi = m1_distance_bracket(flat, tent, tol)
         assert lo < hi == 0.1 and np.nextafter(lo, np.inf) == hi
         assert len(calls) < 100
+
+
+def test_frechet_bound_leaves_brackets_unchanged(monkeypatch):
+    # settling every eps at or above the bound changes no bracket: the same
+    # brackets come out with the bound disabled (inf, the bisection alone)
+    rng = substream(101, "c1-pairs")
+    pairs = [(random_jump_path(rng, max_jumps=4, height=5.0), random_jump_path(rng, max_jumps=4, height=5.0))
+             for _ in range(200)]
+    pairs.append(_nearby_pair())
+    with_bound = [m1_distance_bracket(p1, p2, 1e-9) for p1, p2 in pairs]
+    monkeypatch.setattr(bigjump.m1, "_discrete_frechet", lambda g1, g2: np.inf)
+    assert [m1_distance_bracket(p1, p2, 1e-9) for p1, p2 in pairs] == with_bound
+
+
+def test_frechet_bound_settles_decisions_above_it(monkeypatch):
+    events = []
+    frechet, init = bigjump.m1._discrete_frechet, _FreeSpace.__init__
+
+    def bound_spy(g1, g2):
+        events.append(("bound", frechet(g1, g2)))
+        return events[-1][1]
+
+    def init_spy(self, *args, **kwargs):
+        events.append(("space", None))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bigjump.m1, "_discrete_frechet", bound_spy)
+    monkeypatch.setattr(_FreeSpace, "__init__", init_spy)
+    calls = _spy_decisions(monkeypatch)
+    p1, p2 = _nearby_pair()
+    m1_distance_bracket(p1, p2, 1e-9)
+    # the bound's table is freed before the first space is built
+    assert [kind for kind, _ in events[:2]] == ["bound", "space"]
+    assert [kind for kind, _ in events].count("bound") == 1
+    bound = events[0][1]
+    above = [eps for _, _, eps, *_ in calls if eps >= bound]
+    assert above == [bound]  # one real decision at the bound, then none above it
+    decisions = len(calls)
+    calls.clear()
+    monkeypatch.setattr(bigjump.m1, "_discrete_frechet", lambda g1, g2: np.inf)
+    m1_distance_bracket(p1, p2, 1e-9)
+    assert decisions < len(calls)
