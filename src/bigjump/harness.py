@@ -26,7 +26,7 @@ from .laws import (
     INDEPENDENT_LIGHT_K,
     JointMarkSpec,
     WaitLaw,
-    mb_mass_tail_bracket,
+    mass_tail_bracket,
     poisson_pmf,
     poisson_ppf,
     poisson_sf,
@@ -106,7 +106,7 @@ class ExperimentConfig:
     grid_n: int = DEFAULT_GRID_N
     cap: int = DEFAULT_CAP
     n_centering: int = 200_000  # accepted and hashed, unused: the centering is exact
-    n_pbig: int = 400_000
+    n_pbig: int = 400_000  # accepted and hashed, unused: P(D > u) is a lattice bracket
     n_strata: int = 4000
     estimator: str = "splitting"
     workers: int = 1
@@ -470,83 +470,42 @@ def _offsetless_batches(config: ExperimentConfig, rng: np.random.Generator, n: i
 
 
 _LATTICE_CELLS = 2**14  # the first lattice of the exact P(D > u)
-# the most cells the inverse transforms of one rounding may cover: a Poisson
-# lattice of 2^18 cells, or 16 comonotone counts at 2^14, at about the time
-# of the Monte Carlo over 400k clusters
-_LATTICE_WORK = 2**18
+_LATTICE_CAP = 2**18  # the finest
 
 
 def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, dict]:
     """P(D > u), its standard error and the detail behind it.
 
-    MB clusters with Poisson counts, or with at most 16 comonotone counts
-    below u (ceil(k_param u), one inverse transform each): the lattice
-    brackets `mb_mass_tail_bracket`, each widened by its error bound and
-    intersected, give the midpoint and, as the error, the half-width.  The
-    lattice starts at 2^14 cells and doubles until the width is at most
-    1e-3 of the midpoint, the widened width stops shrinking (round-off
-    grows with the lattice) or the counts times the cells would pass 2^18.
+    The lattice brackets `mass_tail_bracket`, each widened by its error
+    bound and intersected, give the midpoint and, as the error, the
+    half-width.  The lattice starts at 2^14 cells and doubles until the
+    width is at most 1e-3 of the midpoint, the widened width stops
+    shrinking (round-off grows with the lattice) or it has 2^18 cells.
     Without offspring D = X, and the mark tail is exact.  `cluster_cap`
-    truncates branching clusters only, so this is the law of the MB
-    clusters the pools draw.  Other clusters: `_monte_carlo_p_big`.
+    lowers the mass of branching clusters of more than cap events, so the
+    lower end drops by Markov's P(size > cap) <= 1/((1 - kappa) cap).
     """
     spec = config.spec
-    counts = 1.0 if spec.dependence == INDEPENDENT_LIGHT_K else float(np.ceil(spec.k_param * u))
-    lattice = (
-        config.model == MB
-        and spec.dependence in (INDEPENDENT_LIGHT_K, COMONOTONE)
-        and counts * _LATTICE_CELLS <= _LATTICE_WORK
-    )
-    if not lattice:
-        p, se, raw_hits = _monte_carlo_p_big(config, u)
-        return p, se, {"p_big_raw_hits": raw_hits}
-    if spec.k_param == 0.0:
+    branching = config.model == HAWKES
+    if (spec.phi if branching else spec.k_param) == 0.0:
         lo = hi = float(spec.x_law.tail(u))
     else:
         lo, hi, width, m = 0.0, 1.0, np.inf, _LATTICE_CELLS
         while True:
-            a, b, err = mb_mass_tail_bracket(spec, u, m)
+            a, b, err = mass_tail_bracket(spec, u, m, branching=branching)
             lo, hi = max(lo, a - err), min(hi, b + err)
-            done = hi - lo <= 0.5e-3 * (lo + hi) or 2 * m * counts > _LATTICE_WORK
+            done = hi - lo <= 0.5e-3 * (lo + hi) or 2 * m > _LATTICE_CAP
             if done or b - a + 2 * err >= width:  # round-off outgrows what the finer lattice gains
                 break
             width = b - a + 2 * err
             m *= 2
     if lo <= 0.0:  # nothing is known above 0, or nothing clears the round-off
-        _refuse_threshold(u)
+        raise ConfigurationError(
+            f"no cluster reached the splitting threshold {u:.6g}; refusing to extrapolate"
+        )
+    if branching:
+        lo = max(lo - 1.0 / ((1.0 - spec.mean_fertility) * config.cap), 0.0)
     return 0.5 * (lo + hi), 0.5 * (hi - lo), {"p_big_bracket": (lo, hi)}
-
-
-def _refuse_threshold(u: float):
-    raise ConfigurationError(
-        f"no cluster reached the splitting threshold {u:.6g}; refusing to extrapolate"
-    )
-
-
-def _monte_carlo_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, int]:
-    """P(D > u) by single-cluster Monte Carlo with the mark-tail control
-    variate over config.n_pbig clusters: (estimate, its standard error,
-    clusters above u)."""
-    n = config.n_pbig
-    raw_hits = 0
-    acc = 0.0
-    acc2 = 0.0
-    for batch in _offsetless_batches(config, substream(config.seed, "pbig"), n):
-        tot = batch.totals()
-        ind_d = tot > u
-        ind_x = batch.mark[: batch.n] > u
-        raw_hits += int(ind_d.sum())
-        diff = ind_d.astype(float) - ind_x.astype(float)
-        acc += float(diff.sum())
-        acc2 += float((diff * diff).sum())
-    if raw_hits == 0:
-        _refuse_threshold(u)
-    base = float(config.spec.x_law.tail(u))
-    mean_diff = acc / n
-    var_diff = max(acc2 / n - mean_diff**2, 0.0)
-    p = min(max(mean_diff + base, 1e-300), 1.0)
-    se = float(np.sqrt(var_diff / n))
-    return p, se, raw_hits
 
 
 # Control variates of the splitting score (MB clusters with Poisson counts):
@@ -579,14 +538,14 @@ def _cv_means(
     spec = config.spec
     p_lo, p_hi = p_bracket
     m = 2 * _LATTICE_CELLS
-    a, b, err = mb_mass_tail_bracket(spec, u, m, np.arange(m))
+    a, b, err = mass_tail_bracket(spec, u, m, np.arange(m))
     i_lo, i_hi = (u / m * np.clip(t, 0.0, 1.0).sum() for t in (a - err, b + err))
     n_small = config.lam * config.T * (1.0 - p_big)
     # (I - u p)/(1 - p) rises with I and falls with p, as I <= u
     mass_lo = n_small * (i_lo - u * p_hi) / max(1.0 - p_hi, 1e-300)
     mass_hi = n_small * (i_hi - u * p_lo) / max(1.0 - p_lo, 1e-300)
     cells = (_LATTICE_CELLS * np.array(_CV_BIG) / _CV_BIG[-1]).astype(np.int64)
-    a, b, err = mb_mass_tail_bracket(spec, _CV_BIG[-1] * u, _LATTICE_CELLS, cells)
+    a, b, err = mass_tail_bracket(spec, _CV_BIG[-1] * u, _LATTICE_CELLS, cells)
     big_lo = rank_weights.sum() * np.clip(np.maximum(a - err, 0.0) / p_hi, 0.0, 1.0)
     big_hi = rank_weights.sum() * np.clip(np.minimum(b + err, 1.0) / p_lo, 0.0, 1.0)
     lo = np.concatenate(([mass_lo], big_lo))
@@ -629,13 +588,11 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     closes the tail monotonically.  m_max is at least k+2 and grows until the
     remaining tail is negligible.  Big MB clusters with Poisson counts come
     from the exact superset sampler (`superset_batch`), other clusters from
-    rejection in `_conditional_pool`.  P(D > u) comes from `_estimate_p_big`:
-    a lattice bracket for MB clusters with Poisson counts or at most 16
-    comonotone ones below u (the exact tail without offspring),
-    single-cluster Monte Carlo otherwise.  The estimate is mean(Y); its
-    stderr adds sd(Y)/sqrt(n) in quadrature to the delta-method error of
-    the rate, which takes the bracket's half-width, or the Monte Carlo
-    standard error, as the error of P(D > u).
+    rejection in `_conditional_pool`.  P(D > u) comes from `_estimate_p_big`,
+    a lattice bracket of the cluster-mass law for every model (the exact
+    tail without offspring).  The estimate is mean(Y); its stderr adds
+    sd(Y)/sqrt(n) in quadrature to the delta-method error of the rate,
+    which takes the bracket's half-width as the error of P(D > u).
 
     MB clusters with Poisson counts subtract control variates with known
     means from Y (`_stratum_chunk`, `_cv_means`): the summed mass of the

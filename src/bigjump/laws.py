@@ -327,33 +327,39 @@ def hurwitz_zeta(a: float, q: float) -> float:
 
 
 _TILT_AT_TOP = 1e-4  # theta^m, the exponential tilt at the lattice's top cell
+_TRUNCATION = 1e-16  # a sum of powers stops once the bound on its rest is below this
+_MAX_POWERS = 128  # or at this power
 
 
-def mb_mass_tail_bracket(spec: JointMarkSpec, u: float, m: int, cells=None):
-    """(lo, hi, err): lo - err <= P(D > u) <= hi + err for the mass
-    D = X_0 + X_1 + ... + X_K of a single-generation cluster with Poisson or
-    comonotone counts, from its law on the lattice h{0..m}, h = u/m.  With
-    ``cells``, lattice indices in 0..m, lo and hi are arrays of the same
-    bracket for P(D > jh) at each j in cells, from the same transforms.
+def mass_tail_bracket(spec: JointMarkSpec, u: float, m: int, cells=None, branching: bool = False):
+    """(lo, hi, err): lo - err <= P(D > u) <= hi + err for the mass D of a
+    cluster (single-generation, or branching with ``branching``) from its
+    law on the lattice h{0..m}, h = u/m.  With ``cells``, lattice indices in
+    0..m, lo and hi are arrays of the bracket of P(D > jh) at each j.
 
-    Every mark is rounded down to the lattice for lo and up for hi; D is
-    monotone in the marks, so the two sums bracket it.  A mark above u
-    makes D > u >= jh by itself, so only the law below u enters.  The law
-    of the lattice sum comes from a tilted transform pair of length 4m
-    (Embrechts & Frei 2009): its generating function is phi exp(nu (phi -
-    1)) for Poisson(nu) counts; for comonotone counts K = ceil(eta X_0) the
-    immigrant's cells are grouped by K, and group k meets the k-fold power
-    of phi.  The tilt theta^j, theta^m = 1e-4, damps the wrap-around to
-    1e-16.  err adds to that a round-off allowance: eps log2(4m) for each
-    of the K + 2 factors of the transform, amplified by the untilt 1e4 and
-    accumulated over sqrt(m) cells, times 8.  Marks must be positive."""
-    if spec.dependence not in (INDEPENDENT_LIGHT_K, COMONOTONE):
-        raise ValueError(f"no lattice law for {spec.dependence} counts")
+    Every mark is rounded down to the lattice for lo and up for hi (rounded
+    fertilities give a coupled subtree and supertree); D is monotone in the
+    marks, and a mark above u passes every level alone.  With Phi the
+    tilted transform, of length 4m, of one mark's lattice law (Embrechts &
+    Frei 2009), the lattice law of D is the inverse transform of
+    Phi exp(nu (Phi - 1)) for Poisson(nu) counts; of sum_k G_k Phi^k for
+    comonotone counts, G_k the immigrant's cells with K = ceil(eta X_0) = k;
+    of sum_k P(K = k) Phi^(k+1) for heavy counts; and for branching
+    clusters the sum over n of the inverse transform of Phi^n times the
+    cell weight (1/n) P(N(phi y) = n - 1), y = jh (the hitting-time
+    theorem, Dwass 1969).  The tilt theta^j, theta^m = 1e-4, damps the
+    wrap-around to 1e-16.  err adds the bound on the powers left out
+    (`_power_sum`) and a round-off allowance: eps log2(4m) for each of K + 2
+    factors, times the untilt 1e4, sqrt(m) cells and 8, with K = nu
+    (Poisson), the last power (comonotone, heavy) or 1 (branching, whose
+    weights times n sum to at most 1).  Marks must be positive."""
+    poisson = not branching and spec.dependence == INDEPENDENT_LIGHT_K
+    comonotone = not branching and spec.dependence == COMONOTONE
     levels = np.atleast_1d(np.asarray(m if cells is None else cells, dtype=np.int64))
     edges = np.linspace(0.0, u, m + 1)
-    steps = np.empty(0)  # the marks k / eta at which a comonotone count steps up to k + 1
-    if spec.dependence == COMONOTONE:
-        steps = np.arange(1, int(np.ceil(spec.k_param * u))) / spec.k_param
+    steps = np.empty(0)  # the marks k / eta where a comonotone count steps up to k + 1, k <= 128
+    if comonotone:
+        steps = np.arange(1, min(np.ceil(spec.k_param * u), _MAX_POWERS + 1)) / spec.k_param
         steps = steps[steps < u]
     # the pieces (a, b] of (0, u] between lattice edges and count steps: the
     # mark's mass on each, its cell j (the piece lies in (jh, (j+1)h]) and K
@@ -362,32 +368,66 @@ def mb_mass_tail_bracket(spec: JointMarkSpec, u: float, m: int, cells=None):
     mass = spec.x_law.tail(pts[:-1]) - spec.x_law.tail(pts[1:])
     cell = np.searchsorted(edges, pts[:-1], side="right") - 1
     count = 1 + np.searchsorted(steps, pts[1:], side="left")
-    kmax = spec.k_param if spec.dependence == INDEPENDENT_LIGHT_K else int(count.max())
     n_fft = 4 * m
     untilt = np.power(_TILT_AT_TOP, -np.arange(m + 1) / m)
-    bounds = []
+    kmax, rest, bounds = (spec.k_param if poisson else 1), 0.0, []
     for shift in (0, 1):  # marks rounded down to jh, then up to (j+1)h
         phi = np.fft.rfft(np.bincount(cell + shift, weights=mass, minlength=m + 1) / untilt, n_fft)
-        if spec.dependence == INDEPENDENT_LIGHT_K:
+        if poisson:
             law = np.fft.irfft(phi * np.exp(spec.k_param * (phi - 1.0)), n_fft)[: m + 1]
-            below = np.cumsum(law * untilt)[levels]
         else:
-            below, power = np.zeros(levels.size), np.ones_like(phi)
-            for k in range(1, kmax + 1):
-                power *= phi
-                group = count == k
-                if group.any():
-                    cdf = np.cumsum(np.fft.irfft(power, n_fft)[: m + 1] * untilt)
-                    for i, level in enumerate(levels):  # an immigrant above the level adds nothing
-                        idx = level - shift - cell[group]
-                        ok = idx >= 0
-                        below[i] += float(mass[group][ok] @ cdf[idx[ok]])
+            immigrant = (count, cell + shift, mass) if comonotone else None
+            low = shift + np.min(cell[mass > 0], initial=m)  # the lowest cell a rounded mark takes
+            law, n, left = _power_sum(spec, u, phi, untilt, low, branching, immigrant)
+            kmax, rest = (1 if branching else max(kmax, n)), max(rest, left)
+        below = np.cumsum(law * untilt)[levels]
         bounds.append(1.0 - below)
     noise = 8.0 * np.finfo(float).eps * np.log2(n_fft) * (kmax + 2) * untilt[-1] * np.sqrt(m)
-    err = float(_TILT_AT_TOP**4 + noise)
+    err = float(_TILT_AT_TOP**4 + noise) + rest
     if cells is None:
         return float(bounds[0][0]), float(bounds[1][0]), err
     return bounds[0], bounds[1], err
+
+
+def _power_sum(spec, u, phi, untilt, low, branching, immigrant):
+    """(law, last power, bound on the powers left out): the tilted lattice
+    law of D on 0..m from the powers Phi^n, n = 1, 2, ..., of ``phi``
+    (`mass_tail_bracket`); ``low`` is the lowest cell of a rounded mark and
+    ``immigrant`` the comonotone immigrant's (count, cell, mass) or None.
+    The sum stops once that bound is below 1e-16, or at n = 128.  It is the
+    weight left (the immigrant's mass with counts above n; P(K >= n); or
+    P(N(phi u) >= n)/(n + 1) once n >= phi u, where each weight rises with
+    y <= u) times P(S_(n+1) <= u): 0 once n + 1 marks of the lowest cell
+    pass u, else at most Phi(0)^(n+1) theta^-m (Chernoff)."""
+    m = untilt.size - 1
+    n_fft = 2 * (phi.size - 1)
+    power, total, law = np.ones_like(phi), np.zeros_like(phi), np.zeros(m + 1)
+    rate, lam, tail = spec.phi * u, spec.phi * u * np.arange(m + 1) / m, 1.0  # lam: phi y at each cell
+    with np.errstate(divide="ignore"):  # log 0 = -inf: no children at y = 0
+        log_lam, log_w = np.log(lam), -lam  # log_w: the log weight of n = 1
+    for n in range(1, _MAX_POWERS + 1):
+        power *= phi
+        if immigrant is not None:
+            count, cell, mass = immigrant
+            group = count == n
+            if group.any():
+                g = np.bincount(cell[group], weights=mass[group], minlength=m + 1)
+                total += np.fft.rfft(g / untilt, n_fft) * power
+            left = float(mass[np.searchsorted(count, n, side="right") :].sum())
+        elif branching:
+            law += np.exp(log_w) * np.fft.irfft(power, n_fft)[: m + 1]
+            log_w = log_w + log_lam - math.log(n + 1)
+            left = poisson_sf(n - 1, rate) / (n + 1) if n >= rate else 1.0
+        else:  # tail is P(K >= n - 1), left P(K >= n)
+            left = min(1.0, spec.k_param * n**-spec.k_alpha)
+            total += (tail - left) * power
+            tail = left
+        below = 0.0 if (n + 1) * low > m else min(1.0, float(phi[0].real) ** (n + 1) * untilt[-1])
+        if left * below <= _TRUNCATION:
+            break
+    if not branching:
+        law = np.fft.irfft(total, n_fft)[: m + 1]
+    return law, n, float(left * below)
 
 
 @dataclass(frozen=True)

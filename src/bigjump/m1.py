@@ -250,7 +250,10 @@ def dk_skeleton(path: CadlagPath, k: int) -> CadlagPath:
 
 
 def uniform_distance(p1: CadlagPath, p2: CadlagPath) -> float:
-    """sup_t |p1(t) - p2(t)|; both paths are linear between merged nodes."""
+    """sup_t |p1(t) - p2(t)|; both paths are linear between merged nodes.
+    Paths with a value beyond a quarter of the largest float are refused."""
+    if max(float(np.abs(v).max()) for p in (p1, p2) for v in (p.left, p.right)) > _VALUE_LIMIT:
+        raise ValueError(f"path values must lie within +/-{_VALUE_LIMIT:.5g}, a quarter of the largest float")
     ts = np.sort(np.concatenate((p1.t, p2.t)))
     ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]  # np.union1d, which would import numpy.ma
     l1, r1 = _left_right_at(p1, ts)
@@ -306,12 +309,10 @@ def m1_distance_bracket(p1: CadlagPath, p2: CadlagPath, tol: float = 1e-9) -> tu
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     g1, g2 = completed_graph(p1), completed_graph(p2)
-    if max(np.abs(g1[:, 1]).max(), np.abs(g2[:, 1]).max()) > _VALUE_LIMIT:
-        raise ValueError(f"path values must lie within +/-{_VALUE_LIMIT:.5g}, a quarter of the largest float")
     if g2.tobytes() < g1.tobytes():
         g1, g2 = g2, g1  # canonical order makes the result exactly symmetric
+    hi = uniform_distance(p1, p2)  # M1 never exceeds it; taken first, as it refuses huge values
     lo = max(_cheb(g1[0], g2[0]), _cheb(g1[-1], g2[-1]))
-    hi = uniform_distance(p1, p2)  # the M1 infimum never exceeds the uniform metric
     if hi < lo:
         hi = lo
     if hi - lo <= tol:

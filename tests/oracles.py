@@ -185,17 +185,36 @@ def remainder_share_plain(config, T, n_accept, rng, chunk: int = 500_000):
     return hits / got, got
 
 
-def lattice_cdf_oracle(spec, u, m, up: bool, cells=None):
-    """P(S <= m) for the cluster mass of an MB spec on the lattice h{0..m},
+def lattice_cdf_oracle(spec, u, m, up: bool, cells=None, branching: bool = False):
+    """P(S <= m) for the cluster mass of a spec on the lattice h{0..m},
     h = u/m, with every mark rounded down (up=False) or up to the lattice
     and marks above u dropped, by direct recursion in the space domain:
     Panjer's (1981) recursion for Poisson(nu) counts, explicit convolution
-    powers for comonotone counts K = ceil(eta X_0).  O(m^2).  With
-    ``cells`` (Poisson counts), the array of P(S <= j) for j in cells."""
+    powers otherwise.  Comonotone counts K = ceil(eta X_0) sum the powers
+    over the immigrant's cells, heavy counts weigh power k + 1 by
+    P(K = k), and branching clusters (``branching``) weigh power n at cell
+    j by (1/n) P(N(phi jh) = n - 1), from scipy.  Powers stop once their
+    mass below u is under 1e-18.  O(m^2) per power.  With ``cells``
+    (Poisson counts), the array of P(S <= j) for j in cells."""
+    from scipy import stats
+
     law = spec.x_law
     e = u * np.arange(m + 1) / m
     q = law.tail(e[:-1]) - law.tail(e[1:])  # mass of (jh, (j+1)h]
     f = np.concatenate(([0.0], q)) if up else np.concatenate((q, [0.0]))
+    if branching or spec.dependence == "heavy_k_light_x":
+        total, power, n = np.zeros(m + 1), f, 1
+        while power.sum() > 1e-18:
+            if branching:
+                weight = stats.poisson.pmf(n - 1, spec.phi * e) / n
+            else:
+                c, a = spec.k_param, spec.k_alpha
+                weight = min(1.0, c * (n - 1) ** -a) if n > 1 else 1.0
+                weight -= min(1.0, c * n**-a)  # P(K = n - 1) of K = floor(Y), P(Y > y) = c y^-a
+            total += weight * power
+            power = np.convolve(power, f)[: m + 1]
+            n += 1
+        return float(total.sum())
     if spec.dependence == "independent_light_k":
         nu = spec.k_param
         g = np.empty(m + 1)  # Poisson(nu) sum of marks

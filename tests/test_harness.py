@@ -15,7 +15,6 @@ from bigjump.harness import (
     _conditional_pool,
     _cv_means,
     _estimate_p_big,
-    _monte_carlo_p_big,
     _poisson_weights,
     _wilson_interval,
     _eval_event_chunk,
@@ -321,20 +320,44 @@ def test_splitting_reports_pool_counts(mb_spec_nu0, exp_wait):
     assert d["truncated_clusters"] == pools["small"]["truncated"] + pools["big"]["truncated"]
 
 
-@pytest.mark.parametrize("nu", [1.0, 2.0])
-def test_monte_carlo_p_big_matches_lattice(pareto15, exp_wait, nu):
-    # the Monte Carlo P(D > u) that branching and heavy-count specs keep,
-    # pinned on MB specs to the lattice value: unbiased, with an honest se
-    spec = JointMarkSpec(pareto15, "independent_light_k", k_param=nu)
-    cfg = base_config(spec, exp_wait, n_pbig=100_000)
-    u = cfg.delta * cfg.scaling().x_T
-    exact, half_width, _ = _estimate_p_big(cfg, u)
-    assert half_width < 1e-3 * exact
-    runs = [_monte_carlo_p_big(replace(cfg, seed=s), u) for s in range(20)]
-    ps = np.array([p for p, _, _ in runs])
-    se = float(np.mean([se for _, se, _ in runs]))
-    assert abs(ps.mean() - exact) <= 3 * se / np.sqrt(ps.size), (ps.mean(), exact, se)
-    assert 0.7 * se <= ps.std(ddof=1) <= 1.4 * se, (ps.std(ddof=1), se)
+# (model, spec, u), with P(D > u) between 2% and 6%
+SIMULATED_P_BIG = {
+    "hawkes-pareto": ("hawkes", JointMarkSpec(TailLaw("pareto", 1.0, 1.5), phi=1.0 / 6.0), 34.66),
+    "hawkes-exponential": ("hawkes", JointMarkSpec(TailLaw("exponential", 1.0), phi=0.4), 6.0),
+    "heavy": (
+        "mb", JointMarkSpec(TailLaw("exponential", 2.0), "heavy_k_light_x", k_param=1.0, k_alpha=1.5), 16.9
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATED_P_BIG))
+def test_lattice_p_big_matches_simulation(exp_wait, case):
+    # the lattice P(D > u) of branching and heavy-count clusters against
+    # 400k simulated clusters of one fixed substream
+    model, spec, u = SIMULATED_P_BIG[case]
+    cfg = base_config(spec, exp_wait, model=model)
+    p, half_width, d = _estimate_p_big(cfg, u)
+    assert half_width < 1e-3 * p and d["p_big_bracket"][0] <= p <= d["p_big_bracket"][1]
+    n = 400_000
+    batches = harness._offsetless_batches(cfg, substream(5, "p-big-check"), n)
+    freq = sum(int((b.totals() > u).sum()) for b in batches) / n
+    assert abs(freq - p) <= 3.0 * np.sqrt(p * (1.0 - p) / n), (freq, p)
+
+
+def test_cluster_cap_lowers_the_branching_bracket(exp_wait):
+    # clusters of more than cap events lose mass: the lower end drops by
+    # Markov's bound 1/((1 - kappa) cap), and the truncated clusters the
+    # pools draw stay inside the bracket
+    model, spec, u = SIMULATED_P_BIG["hawkes-pareto"]
+    full = _estimate_p_big(base_config(spec, exp_wait, model=model, cap=10**12), u)[2]["p_big_bracket"]
+    cfg = base_config(spec, exp_wait, model=model, cap=2000)
+    lo, hi = _estimate_p_big(cfg, u)[2]["p_big_bracket"]
+    drop = 1.0 / ((1.0 - spec.mean_fertility) * 2000)
+    assert hi == full[1] and lo == pytest.approx(full[0] - drop, abs=1e-11)  # cap 1e12 drops 2e-12
+    n = 400_000
+    batches = harness._offsetless_batches(cfg, substream(6, "p-big-check"), n)
+    freq = sum(int((b.totals() > u).sum()) for b in batches) / n
+    assert lo - 3.0 * np.sqrt(lo / n) <= freq <= hi + 3.0 * np.sqrt(hi / n), (lo, freq, hi)
 
 
 @pytest.mark.parametrize("u", [4480.0, 46400.0])
@@ -345,15 +368,15 @@ def test_lattice_p_big_stops_when_round_off_dominates(pareto15, exp_wait, monkey
     # wider than the 2^14 one and is not refused
     spec = JointMarkSpec(pareto15, "independent_light_k", k_param=2.0)
     cfg = base_config(spec, exp_wait)
-    bracket = harness.mb_mass_tail_bracket
+    bracket = harness.mass_tail_bracket
     a, b, err = bracket(spec, u, 2**14)
     cells = []
 
-    def spy(spec, u, m, *levels):
+    def spy(spec, u, m, *levels, **kw):
         cells.append(m)
-        return bracket(spec, u, m, *levels)
+        return bracket(spec, u, m, *levels, **kw)
 
-    monkeypatch.setattr(harness, "mb_mass_tail_bracket", spy)
+    monkeypatch.setattr(harness, "mass_tail_bracket", spy)
     p, half_width, detail = _estimate_p_big(cfg, u)
     assert cells == [2**14, 2**15]
     assert half_width <= 0.5 * ((b + err) - (a - err))
@@ -564,16 +587,17 @@ def test_splitting_detail_reports_truncation_bounds(mb_spec_nu0, exp_wait):
     assert lo <= d["p_big"] <= hi
     assert "bias_probe_k_plus_2" in d
     assert est.seed_lineage.startswith("seed=1234/")
-    # branching, heavy-count and many-count comonotone clusters keep the
-    # Monte Carlo P(D > u)
+    # branching, heavy-count and many-count comonotone clusters take the
+    # lattice P(D > u) too
     light = TailLaw("exponential", 2.0)
     for cfg in (
         base_config(JointMarkSpec(mb_spec_nu0.x_law, phi=1.0 / 6.0), exp_wait, model="hawkes"),
         base_config(JointMarkSpec(light, "heavy_k_light_x", k_param=1.0, k_alpha=1.5), exp_wait, eta=0.9),
         base_config(JointMarkSpec(mb_spec_nu0.x_law, "comonotone", k_param=8.0), exp_wait),
     ):
-        _, _, extra = _estimate_p_big(cfg, cfg.delta * cfg.scaling().x_T)
-        assert extra["p_big_raw_hits"] > 0 and "p_big_bracket" not in extra
+        p, _, extra = _estimate_p_big(cfg, cfg.delta * cfg.scaling().x_T)
+        lo, hi = extra["p_big_bracket"]
+        assert 0.0 < lo <= p <= hi and "p_big_raw_hits" not in extra
 
 
 # (mark law, nu, threshold u), fixed before any run: P(D > u) between 1.4% and
@@ -661,7 +685,7 @@ def test_splitting_runs_at_a_thousand_offspring(pareto15, exp_wait):
 @pytest.mark.parametrize("counts", ["independent_light_k", "comonotone"])
 def test_splitting_refuses_threshold_beyond_reach_in_range(pareto15, exp_wait, counts):
     # T = 1e12 keeps lam T and the speed in range, so the refusal comes from
-    # P(D > u) at u = 2e9: under the lattice's round-off or unseen by Monte Carlo
+    # P(D > u) at u = 2e9: under the lattice's round-off or truncation bound
     spec = JointMarkSpec(pareto15, counts, k_param=2.0)
     cfg = base_config(spec, exp_wait, T=1e12, n_pbig=20_000)
     with pytest.raises(ConfigurationError, match="refusing to extrapolate"):
@@ -732,11 +756,16 @@ def test_small_mass_mean_brackets_the_closed_form(exp_wait, law, nu, u):
 # "heavy" moved in their last bits (|change| <= 2.3e-16), and over seeds
 # 5000-5019 of these five configs and an MB nu = 2 one with control variates
 # the old and new estimates, stderrs and interval ends differed by at most
-# 2.8e-16
+# 2.8e-16.  "hawkes", "heavy" and "comonotone" re-recorded again when their
+# P(D > u) became a lattice bracket: over seeds 6000-6019 the Monte Carlo
+# and lattice means agree within 0.37 and 0.15 combined se ("hawkes",
+# "heavy"; se 0.0100 -> 0.0087 and 0.0103 -> 0.0081), and "comonotone",
+# whose lattice now sums its count powers in the transform domain, moved in
+# its last bits (|change| <= 2e-14)
 PLAIN_ROWS = {
-    "hawkes": (0.24140452068023108, 0.01013170241125289, (0.22154638395417542, 0.26126265740628674)),
-    "comonotone": (0.2540515107685638, 0.008972486163106053, (0.23646543788887595, 0.2716375836482517)),
-    "heavy": (0.23904257901797255, 0.010435079891029962, (0.2185898224315538, 0.25949533560439125)),
+    "hawkes": (0.24142642738473338, 0.008874156626496087, (0.22403308039680106, 0.25881977437266573)),
+    "comonotone": (0.25405151076858257, 0.00897248616310636, (0.2364654378888941, 0.271637583648271)),
+    "heavy": (0.23168889952560906, 0.008189078341699553, (0.21563830597587794, 0.24773949307534018)),
     "nu0-terminal-319": (0.19346079499770397, 0.011745727526613783, (0.17043916904554096, 0.21648242094986697)),
     "nu0-sup-300": (0.3254693630751768, 0.01552484047663799, (0.2950406757409664, 0.35589805040938727)),
 }

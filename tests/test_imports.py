@@ -65,11 +65,13 @@ def test_m1_loads_no_scipy(tmp_path):
     assert _modules(_m1_argv(tmp_path)) == set()
 
 
+HAWKES = BASE.replace("model = mb", "model = hawkes").replace(
+    "k_param = 0.0", "k_param = 0.0\nphi_fertility = 0.16666666666666666"
+)
+
+
 def test_hawkes_crude_ldp_loads_no_scipy(tmp_path):
-    text = BASE.replace("model = mb", "model = hawkes").replace(
-        "k_param = 0.0", "k_param = 0.0\nphi_fertility = 0.16666666666666666"
-    )
-    cfg = _write(tmp_path, text.replace("n_reps = 2000", "n_reps = 200"))
+    cfg = _write(tmp_path, HAWKES.replace("n_reps = 2000", "n_reps = 200"))
     assert _modules(["ldp", "--config", cfg, "--out", str(tmp_path / "out")]) == set()
 
 
@@ -79,6 +81,10 @@ SPLITTING = {
     "mb-nu2": BASE.replace("k_param = 0.0", "k_param = 2.0"),
     # the comonotone limit constant and centering take a Hurwitz zeta
     "comonotone": BASE.replace("independent_light_k\nk_param = 0.0", "comonotone\nk_param = 0.5"),
+    # ceil(k_param u) = 23 counts below u = 11.4, and branching clusters:
+    # P(D > u) by sums of lattice powers
+    "comonotone-23": BASE.replace("independent_light_k\nk_param = 0.0", "comonotone\nk_param = 2.0"),
+    "hawkes": HAWKES,
 }
 
 

@@ -10,7 +10,7 @@ from bigjump.laws import (
     TailLaw,
     WaitLaw,
     hurwitz_zeta,
-    mb_mass_tail_bracket,
+    mass_tail_bracket,
     mean_ceil,
     poisson_pmf,
     poisson_ppf,
@@ -176,15 +176,20 @@ LATTICE_SPECS = [
     (JointMarkSpec(TailLaw("exponential", 1.0), "independent_light_k", k_param=2.0), 12.0),
     (JointMarkSpec(TailLaw("pareto", 1.0, 1.5), "comonotone", k_param=0.5), 34.66),
     (JointMarkSpec(TailLaw("exponential", 1.0), "comonotone", k_param=2.0), 9.0),
+    # 32 comonotone counts below u
+    (JointMarkSpec(TailLaw("exponential", 1.0), "comonotone", k_param=8.0), 4.0),
+    (JointMarkSpec(TailLaw("exponential", 2.0), "heavy_k_light_x", k_param=1.0, k_alpha=1.5), 16.9),
+    (JointMarkSpec(TailLaw("pareto", 1.0, 1.5), "heavy_k_light_x", k_param=2.0, k_alpha=2.5), 34.66),
 ]
 
 
 @pytest.mark.parametrize("spec, u", LATTICE_SPECS)
 def test_lattice_bracket_matches_space_domain_oracle(spec, u):
-    # the transform pair against Panjer's recursion (Poisson counts) or
-    # explicit convolution powers (comonotone counts), rounding by rounding
+    # the transforms against Panjer's recursion (Poisson counts) or
+    # explicit convolution powers (comonotone and heavy counts), rounding
+    # by rounding
     for m in (512, 2048):
-        lo, hi, err = mb_mass_tail_bracket(spec, u, m)
+        lo, hi, err = mass_tail_bracket(spec, u, m)
         want_lo = 1.0 - lattice_cdf_oracle(spec, u, m, up=False)
         want_hi = 1.0 - lattice_cdf_oracle(spec, u, m, up=True)
         assert abs(lo - want_lo) <= 1e-10 and abs(hi - want_hi) <= 1e-10, (m, lo, want_lo, hi, want_hi)
@@ -197,7 +202,7 @@ def test_lattice_brackets_nest_as_the_lattice_doubles(spec, u):
     # marks toward the true ones and the brackets nest
     prev = None
     for m in (256, 512, 1024, 2048):
-        lo, hi, err = mb_mass_tail_bracket(spec, u, m)
+        lo, hi, err = mass_tail_bracket(spec, u, m)
         if prev is not None:
             assert prev[0] - err <= lo <= hi <= prev[1] + err, (m, prev, lo, hi)
         prev = lo, hi
@@ -210,16 +215,16 @@ def test_lattice_bracket_contains_closed_forms():
     spec = JointMarkSpec(TailLaw("exponential", scale), "independent_light_k", k_param=nu)
     n = np.arange(200)
     exact = float(stats.poisson.pmf(n, nu) @ stats.gamma.sf(u, n + 1, scale=scale))
-    lo, hi, err = mb_mass_tail_bracket(spec, u, 4096)
+    lo, hi, err = mass_tail_bracket(spec, u, 4096)
     assert lo - err <= exact <= hi + err and hi - lo < 0.02 * exact, (lo, exact, hi)
     # point-mass marks: D = 1.3 (N + 1) > 7 iff N >= 5
     spec = JointMarkSpec(TailLaw("deterministic", 1.3), "independent_light_k", k_param=3.0)
-    lo, hi, err = mb_mass_tail_bracket(spec, 7.0, 1024)
+    lo, hi, err = mass_tail_bracket(spec, 7.0, 1024)
     assert lo - err <= float(stats.poisson.sf(4, 3.0)) <= hi + err
     # comonotone point masses: D = 1.3 (1 + ceil(2 * 1.3)) = 5.2 exactly
     spec = JointMarkSpec(TailLaw("deterministic", 1.3), "comonotone", k_param=2.0)
-    assert mb_mass_tail_bracket(spec, 5.0, 1024)[0] == pytest.approx(1.0, abs=1e-9)
-    assert mb_mass_tail_bracket(spec, 5.5, 1024)[1] == pytest.approx(0.0, abs=1e-9)
+    assert mass_tail_bracket(spec, 5.0, 1024)[0] == pytest.approx(1.0, abs=1e-9)
+    assert mass_tail_bracket(spec, 5.5, 1024)[1] == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("nu", [0.5, 2.0])
@@ -239,21 +244,62 @@ def test_lattice_level_tails_match_panjer(law, u, nu):
     m = 1024
     cells = np.arange(m + 1)
     for top in (0.25 * u, u, 8.0 * u):
-        lo, hi, err = mb_mass_tail_bracket(spec, top, m, cells)
+        lo, hi, err = mass_tail_bracket(spec, top, m, cells)
         want_lo = 1.0 - lattice_cdf_oracle(spec, top, m, up=False, cells=cells)
         want_hi = 1.0 - lattice_cdf_oracle(spec, top, m, up=True, cells=cells)
         np.testing.assert_allclose(lo, want_lo, rtol=0, atol=1e-10)
         np.testing.assert_allclose(hi, want_hi, rtol=0, atol=1e-10)
         assert np.all(lo <= hi + 1e-12) and err < 1e-6
         # the top level is the one-level bracket
-        one = mb_mass_tail_bracket(spec, top, m)
+        one = mass_tail_bracket(spec, top, m)
         assert abs(lo[-1] - one[0]) <= 1e-14 and abs(hi[-1] - one[1]) <= 1e-14
 
 
-def test_lattice_bracket_refuses_heavy_counts():
-    spec = JointMarkSpec(TailLaw("exponential", 1.0), "heavy_k_light_x", k_param=2.0, k_alpha=1.5)
-    with pytest.raises(ValueError, match="heavy_k_light_x"):
-        mb_mass_tail_bracket(spec, 10.0, 512)
+BRANCHING_SPECS = [
+    (JointMarkSpec(TailLaw("pareto", 1.0, 1.5), phi=1.0 / 6.0), 34.66),
+    (JointMarkSpec(TailLaw("exponential", 1.0), phi=0.4), 6.0),
+    (JointMarkSpec(TailLaw("pareto", 1.0, 2.5), phi=0.25), 8.0),
+]
+
+
+@pytest.mark.parametrize("spec, u", BRANCHING_SPECS)
+def test_branching_lattice_matches_space_domain_oracle(spec, u):
+    # the hitting-time sum of powers against explicit convolution powers
+    for m in (256, 1024):
+        lo, hi, err = mass_tail_bracket(spec, u, m, branching=True)
+        want_lo = 1.0 - lattice_cdf_oracle(spec, u, m, up=False, branching=True)
+        want_hi = 1.0 - lattice_cdf_oracle(spec, u, m, up=True, branching=True)
+        assert abs(lo - want_lo) <= 1e-10 and abs(hi - want_hi) <= 1e-10, (m, lo, want_lo, hi, want_hi)
+        assert want_lo < want_hi and err < 1e-6
+
+
+@pytest.mark.parametrize("x, phi", [(1.0, 0.6), (1.3, 0.3), (0.7, 1.2)])
+def test_branching_point_marks_match_borel(x, phi):
+    # point marks x: the cluster size is Borel(phi x), P(size = n) =
+    # e^(-phi x n) (phi x n)^(n-1) / n!, and D = x size; u/x is no integer,
+    # so the exact tail lies inside the bracket
+    spec = JointMarkSpec(TailLaw("deterministic", x), phi=phi)
+    a = phi * x
+    for u in (7.45 * x, 20.5 * x):
+        n = np.arange(1, int(u / x) + 1)
+        exact = 1.0 - float(np.exp(-a * n + (n - 1) * np.log(a * n) - special.gammaln(n + 1)).sum())
+        lo, hi, err = mass_tail_bracket(spec, u, 2**14, branching=True)
+        assert lo - err <= exact <= hi + err and hi - lo < 0.05 * exact, (u, lo, exact, hi)
+
+
+def test_power_sums_bound_what_they_leave_out():
+    # 128 powers do not reach below u = 500 for exponential marks: the
+    # bound on the rest joins err, which still brackets the closed form
+    # (given K = k children, D is Gamma(k + 1, scale))
+    c, a, scale, u = 2.0, 1.5, 1.0, 500.0
+    spec = JointMarkSpec(TailLaw("exponential", scale), "heavy_k_light_x", k_param=c, k_alpha=a)
+    k = np.arange(20_000)
+    gt = np.minimum(1.0, c * (k + 1.0) ** -a)  # P(K > k)
+    p_k = np.concatenate(([1.0], gt[:-1])) - gt
+    exact = float(p_k @ stats.gamma.sf(u, k + 1, scale=scale)) + float(gt[-1])
+    lo, hi, err = mass_tail_bracket(spec, u, 4096)
+    assert err > 1e-6
+    assert lo - err <= exact <= hi + err, (lo, exact, hi, err)
 
 
 @pytest.mark.parametrize(

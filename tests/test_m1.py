@@ -436,3 +436,16 @@ def test_frechet_bound_settles_decisions_above_it(monkeypatch):
     monkeypatch.setattr(bigjump.m1, "_discrete_frechet", lambda g1, g2: np.inf)
     m1_distance_bracket(p1, p2, 1e-9)
     assert decisions < len(calls)
+
+
+def test_uniform_distance_refuses_values_near_float_max():
+    # +/-1e308 differ by more than the largest float: the difference
+    # overflowed; both public distances now refuse such paths in one line
+    up, down = (build_jump_path(np.array([0.5]), np.array([v])) for v in (1e308, -1e308))
+    for distance in (uniform_distance, m1_distance_bracket):
+        with pytest.raises(ValueError) as info:
+            distance(up, down)
+        assert str(info.value) == "path values must lie within +/-4.4942e+307, a quarter of the largest float"
+    limit = bigjump.m1._VALUE_LIMIT
+    at_limit = build_jump_path(np.array([0.5]), np.array([limit]))
+    assert uniform_distance(at_limit, build_jump_path(np.array([0.5]), np.array([-limit]))) == 2 * limit
