@@ -21,13 +21,13 @@ replications whose bounds straddle the threshold are sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import comb, factorial, inf
+from math import comb, inf
 from typing import ClassVar
 
 import numpy as np
 
 from .m1 import kth_largest_jump
-from .measures import LimitMeasure, _excess_mass, mu_bar_tail
+from .measures import LimitMeasure, _excess_mass, mu_bar_tail, order_prefactor
 from .paths import CadlagPath, path_sup, path_value, terminal
 
 __all__ = [
@@ -166,11 +166,11 @@ class ValueAt(PathEvent):
 
     def limit_mass(self, measure, lam, k):
         M0 = measure.total_mass
-        pref = lam ** (k + 1) / factorial(k + 1)
+        pref = order_prefactor(lam, k)
         total = 0.0
-        for j in range(0, k + 2):
+        for j in range(1, k + 2):  # j = 0 jumps before s: the value there is 0 < c
             w = comb(k + 1, j) * self.s**j * (1.0 - self.s) ** (k + 1 - j)
-            total += w * float(_excess_mass(measure, j, np.array([self.c]))[0]) * M0 ** (k + 1 - j)
+            total += w * float(_excess_mass(measure, j, self.c)[0]) * M0 ** (k + 1 - j)
         return pref * total
 
     def scale(self) -> float:
@@ -249,7 +249,7 @@ class JumpCount(PathEvent):
         return self.r / 2.0 if self.m >= k + 1 else None
 
     def limit_mass(self, measure, lam, k):
-        pref = lam ** (k + 1) / factorial(k + 1)
+        pref = order_prefactor(lam, k)
         if self.m > k + 1:
             return 0.0
         if self.m == k + 1:
@@ -258,7 +258,7 @@ class JumpCount(PathEvent):
             return pref * a ** (k + 1)
         # unpinned coordinates would carry infinite mass; use the y0 truncation
         M0 = measure.total_mass
-        a = float(_excess_mass(measure, 1, np.array([self.r]))[0])
+        a = float(_excess_mass(measure, 1, self.r)[0])
         b = M0 - a
         return pref * sum(comb(k + 1, j) * a**j * b ** (k + 1 - j) for j in range(self.m, k + 2))
 

@@ -329,6 +329,7 @@ def hurwitz_zeta(a: float, q: float) -> float:
 _TILT_AT_TOP = 1e-4  # theta^m, the exponential tilt at the lattice's top cell
 _TRUNCATION = 1e-16  # a sum of powers stops once the bound on its rest is below this
 _MAX_POWERS = 128  # or at this power
+SUM_CELLS = 2**16  # `sum_tail_bracket`'s cells; at u = 1000 a 2^18 bracket is wider (round-off allowance)
 
 
 def mass_tail_bracket(spec: JointMarkSpec, u: float, m: int, cells=None, branching: bool = False):
@@ -349,10 +350,9 @@ def mass_tail_bracket(spec: JointMarkSpec, u: float, m: int, cells=None, branchi
     cell weight (1/n) P(N(phi y) = n - 1), y = jh (the hitting-time
     theorem, Dwass 1969).  The tilt theta^j, theta^m = 1e-4, damps the
     wrap-around to 1e-16.  err adds the bound on the powers left out
-    (`_power_sum`) and a round-off allowance: eps log2(4m) for each of K + 2
-    factors, times the untilt 1e4, sqrt(m) cells and 8, with K = nu
-    (Poisson), the last power (comonotone, heavy) or 1 (branching, whose
-    weights times n sum to at most 1).  Marks must be positive."""
+    (`_power_sum`) and `_lattice_error` of K = nu (Poisson), the last power
+    (comonotone, heavy) or 1 (branching, whose weights times n sum to at
+    most 1).  Marks must be positive."""
     poisson = not branching and spec.dependence == INDEPENDENT_LIGHT_K
     comonotone = not branching and spec.dependence == COMONOTONE
     levels = np.atleast_1d(np.asarray(m if cells is None else cells, dtype=np.int64))
@@ -368,13 +368,11 @@ def mass_tail_bracket(spec: JointMarkSpec, u: float, m: int, cells=None, branchi
     mass = spec.x_law.tail(pts[:-1]) - spec.x_law.tail(pts[1:])
     cell = np.searchsorted(edges, pts[:-1], side="right") - 1
     count = 1 + np.searchsorted(steps, pts[1:], side="left")
-    n_fft = 4 * m
-    untilt = np.power(_TILT_AT_TOP, -np.arange(m + 1) / m)
+    untilt, phis = _tilted_transforms(cell, mass, m)
     kmax, rest, bounds = (spec.k_param if poisson else 1), 0.0, []
-    for shift in (0, 1):  # marks rounded down to jh, then up to (j+1)h
-        phi = np.fft.rfft(np.bincount(cell + shift, weights=mass, minlength=m + 1) / untilt, n_fft)
+    for shift, phi in enumerate(phis):  # marks rounded down to jh, then up to (j+1)h
         if poisson:
-            law = np.fft.irfft(phi * np.exp(spec.k_param * (phi - 1.0)), n_fft)[: m + 1]
+            law = np.fft.irfft(phi * np.exp(spec.k_param * (phi - 1.0)), 4 * m)[: m + 1]
         else:
             immigrant = (count, cell + shift, mass) if comonotone else None
             low = shift + np.min(cell[mass > 0], initial=m)  # the lowest cell a rounded mark takes
@@ -382,11 +380,34 @@ def mass_tail_bracket(spec: JointMarkSpec, u: float, m: int, cells=None, branchi
             kmax, rest = (1 if branching else max(kmax, n)), max(rest, left)
         below = np.cumsum(law * untilt)[levels]
         bounds.append(1.0 - below)
-    noise = 8.0 * np.finfo(float).eps * np.log2(n_fft) * (kmax + 2) * untilt[-1] * np.sqrt(m)
-    err = float(_TILT_AT_TOP**4 + noise) + rest
+    err = _lattice_error(m, kmax, untilt) + rest
     if cells is None:
         return float(bounds[0][0]), float(bounds[1][0]), err
     return bounds[0], bounds[1], err
+
+
+def _tilted_transforms(cell, mass, m: int):
+    """theta^-j on 0..m and the tilted transforms, of length 4m, of a mark
+    with ``mass`` in ``cell``, rounded down and up."""
+    untilt = np.power(_TILT_AT_TOP, -np.arange(m + 1) / m)
+    shifted = (np.bincount(cell + s, weights=mass, minlength=m + 1) for s in (0, 1))
+    return untilt, [np.fft.rfft(g / untilt, 4 * m) for g in shifted]
+
+
+def _lattice_error(m: int, k, untilt) -> float:
+    """The wrap-around 1e-16 and a round-off allowance: eps log2(4m) for each
+    of k + 2 factors, times the untilt, sqrt(m) cells and 8."""
+    noise = 8.0 * np.finfo(float).eps * np.log2(4 * m) * (k + 2) * untilt[-1] * np.sqrt(m)
+    return float(_TILT_AT_TOP**4 + noise)
+
+
+def sum_tail_bracket(law: TailLaw, j: int, u: float) -> tuple[float, float, float]:
+    """(lo, hi, err): lo - err <= P(X_1 + ... + X_j > u) <= hi + err for j i.i.d.
+    positive marks of ``law``, from Phi^j as in `mass_tail_bracket`, on SUM_CELLS cells."""
+    m, edges = SUM_CELLS, np.linspace(0.0, u, SUM_CELLS + 1)
+    untilt, phis = _tilted_transforms(np.arange(m), law.tail(edges[:-1]) - law.tail(edges[1:]), m)
+    lo, hi = (1.0 - np.sum(np.fft.irfft(phi**j, 4 * m)[: m + 1] * untilt) for phi in phis)
+    return float(lo), float(hi), _lattice_error(m, j, untilt)
 
 
 def _power_sum(spec, u, phi, untilt, low, branching, immigrant):

@@ -1,4 +1,4 @@
-"""Closed-form and quadrature evaluation of the heavy-tail limit measures.
+"""Closed-form, quadrature and lattice evaluation of the heavy-tail limit measures.
 
 The one-dimensional measure has tail C * y^(-alpha) under the normalization
 v(x) = 1/P(X > x) against the mark law, which makes every ratio the
@@ -9,12 +9,13 @@ measure's infinite mass at 0 would otherwise diverge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .laws import COMONOTONE, INDEPENDENT_LIGHT_K, JointMarkSpec, mean_ceil
+from .laws import COMONOTONE, INDEPENDENT_LIGHT_K, PARETO, JointMarkSpec, TailLaw, mean_ceil, sum_tail_bracket
 
 __all__ = [
     "LimitMeasure",
@@ -78,30 +79,28 @@ def mu_tail(measure: LimitMeasure, y: float) -> float:
     return measure.constant * y ** (-measure.alpha)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@cache
+def _gl() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(256)
 
 
-def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (x, w)
-    return _GL_CACHE[n]
-
-
-def _excess_mass(measure: LimitMeasure, j: int, c, n_gl: int = 256) -> np.ndarray:
-    """Product-measure mass of j coordinates, each >= y0, with sum > c.
-
-    The innermost coordinate is integrated exactly; outer coordinates use
-    Gauss-Legendre on the tail-probability scale, split at the saturation
-    kink so the integrand stays smooth.
-    """
+def _excess_mass(measure: LimitMeasure, j: int, c):
+    """(mass, half-width) of {sum of j >= 1 coordinates, each >= y0, > c}:
+    closed form for j = 1 (half-width 0); for j in {2, 3}, elementwise, the
+    innermost coordinate exactly and the outer ones by Gauss-Legendre on the
+    tail-probability scale, split at the saturation kink (half-width None);
+    for j >= 4, M0^j P(X_1 + ... + X_j > c), X_i i.i.d. Pareto(y0, alpha),
+    from `laws.sum_tail_bracket`.  Each is M0^j for c <= j y0."""
     C, a, y0 = measure.constant, measure.alpha, measure.y0
     M0 = measure.total_mass
     c = np.asarray(c, dtype=float)
-    if j == 0:
-        return np.where(c < 0.0, 1.0, 0.0)
     if j == 1:
-        return np.where(c <= y0, M0, C * np.maximum(c, y0) ** (-a))
+        return np.where(c <= y0, M0, C * np.maximum(c, y0) ** (-a)), 0.0
+    if j >= 4:
+        if c <= j * y0:
+            return M0**j, 0.0
+        lo, hi, err = sum_tail_bracket(TailLaw(PARETO, y0, a), j, float(c))
+        return M0**j * min(max(0.5 * (lo + hi), 0.0), 1.0), M0**j * (0.5 * (hi - lo) + err)
     out = np.empty_like(c)
     sat = c <= j * y0
     out[sat] = M0**j
@@ -110,31 +109,21 @@ def _excess_mass(measure: LimitMeasure, j: int, c, n_gl: int = 256) -> np.ndarra
         cr = c[rest]
         # coordinates with Q(u) >= c - (j-1) y0 saturate the remaining sum
         ustar = C * (cr - (j - 1) * y0) ** (-a)
-        x, w = _gl(n_gl)
+        x, w = _gl()
         half = 0.5 * (M0 - ustar)
         u = ustar[:, None] + half[:, None] * (x[None, :] + 1.0)
         q = (C / u) ** (1.0 / a)
-        inner = _excess_mass(measure, j - 1, (cr[:, None] - q).ravel(), n_gl).reshape(u.shape)
+        inner = _excess_mass(measure, j - 1, (cr[:, None] - q).ravel())[0].reshape(u.shape)
         out[rest] = M0 ** (j - 1) * ustar + half * (inner @ w)
-    return out
+    return out, None
 
 
-def _excess_mass_qmc(measure: LimitMeasure, j: int, c: float, n_pow: int = 17) -> tuple[float, float]:
-    """Quasi-random fallback for deep products, with an error estimate."""
-    from scipy.stats import qmc
-
-    M0 = measure.total_mass
-    C, a = measure.constant, measure.alpha
-    estimates = []
-    for rep in range(8):
-        eng = qmc.Sobol(d=j - 1, scramble=True, seed=rep)
-        u = eng.random(2**n_pow) * M0
-        q = (C / np.maximum(u, 1e-300)) ** (1.0 / a)
-        inner = _excess_mass(measure, 1, c - q.sum(axis=1))
-        estimates.append(M0 ** (j - 1) * inner.mean())
-    est = float(np.mean(estimates))
-    err = float(np.std(estimates, ddof=1) / np.sqrt(len(estimates)))
-    return est, err
+def order_prefactor(lam: float, k: int) -> float:
+    """lam^(k+1)/(k+1)!; a ValueError naming k where it overflows a float."""
+    try:
+        return lam ** (k + 1) / factorial(k + 1)
+    except OverflowError:
+        raise ValueError(f"lambda_rate^(k+1)/(k+1)! overflows a float at k={k}") from None
 
 
 def mu_bar_tail(
@@ -143,23 +132,20 @@ def mu_bar_tail(
     """(lam^(k+1)/(k+1)!) * mass{sum of k+1 coordinates > c}.
 
     Exact for k = 0 (no truncation); k in {1, 2} by deterministic nested
-    quadrature on the y0-truncated measure; k >= 3 by scrambled Sobol
-    integration with a reported error estimate.
+    quadrature on the y0-truncated measure (error None); k >= 3 as the
+    midpoint of a deterministic lattice bracket, with its half-width.
     """
     if c <= 0:
         raise ValueError("c must be positive")
     if k < 0:
         raise ValueError("k must be >= 0")
-    pref = lam ** (k + 1) / factorial(k + 1)
+    pref = order_prefactor(lam, k)
     if k == 0:
         val = pref * measure.constant * c ** (-measure.alpha)
         return (val, 0.0) if return_error else val
-    if k <= 2:
-        val = pref * float(_excess_mass(measure, k + 1, np.array([c]))[0])
-        return (val, None) if return_error else val
-    raw, err = _excess_mass_qmc(measure, k + 1, c)
-    val = pref * raw
-    return (val, pref * err) if return_error else val
+    mass, half = _excess_mass(measure, k + 1, c)
+    val = pref * float(mass)
+    return (val, None if half is None else pref * half) if return_error else val
 
 
 def mu_sharp(measure: LimitMeasure, lam: float, k: int, event) -> float:

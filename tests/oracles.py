@@ -275,3 +275,20 @@ def big_pool_plain(spec, wait, u, n_accept, rng, chunk: int = 200_000):
         got += int(ok.sum())
     k, d, x0, top = np.concatenate(kept, axis=1)[:, :n_accept]
     return k.astype(np.int64), d, x0, top, drawn
+
+
+def sobol_excess_mass(measure, j: int, c: float, n_pow: int = 17, reps: int = 8) -> tuple[float, float]:
+    """(estimate, se) of the mass of j coordinates of the y0-truncated
+    limit measure with sum > c: the first j - 1 coordinates at 2^n_pow
+    scrambled Sobol points (scipy.stats.qmc) on the tail-mass scale, the
+    last one exactly; the se is the spread over ``reps`` scramblings."""
+    from scipy.stats import qmc
+
+    C, a, y0, M0 = measure.constant, measure.alpha, measure.y0, measure.total_mass
+    estimates = []
+    for rep in range(reps):
+        u = qmc.Sobol(d=j - 1, scramble=True, seed=rep).random(2**n_pow) * M0
+        rest = c - ((C / np.maximum(u, 1e-300)) ** (1.0 / a)).sum(axis=1)
+        inner = np.where(rest <= y0, M0, C * np.maximum(rest, y0) ** -a)
+        estimates.append(M0 ** (j - 1) * inner.mean())
+    return float(np.mean(estimates)), float(np.std(estimates, ddof=1) / np.sqrt(reps))

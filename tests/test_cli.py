@@ -5,14 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import bigjump
 from bigjump.cli import (
+    _spearman,
     config_hash,
     emit_config,
     main,
@@ -507,6 +510,49 @@ def test_cli_refuses_cluster_count_mean_beyond_poisson_range(tmp_path, capsys, e
     line = _single_error_line(capsys)
     assert "lambda_rate" in line and "T_horizon" in line
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["measure", "ldp"])
+@pytest.mark.parametrize("rate, k", [("1.0", 171), ("1e10", 39)])
+def test_cli_refuses_overflowing_order_prefactor(tmp_path, capsys, command, rate, k):
+    # lambda^(k+1)/(k+1)! left a float (172! or 1e10^40) and the run died
+    # with an OverflowError traceback
+    text = _with_key(_with_key(BASE, "k_order", k), "event", f"jump_count:{k + 1},0.5")
+    text = _with_key(text, "lambda_rate", rate)
+    out = str(tmp_path / "never")
+    argv = [command, "--config", _write(tmp_path, text)] + (["--out", out] if command == "ldp" else [])
+    assert main(argv) == 2
+    assert _single_error_line(capsys).endswith(f"overflows a float at k={k}")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_cli_measure_value_at_beyond_k3(tmp_path, capsys, k):
+    # the nested quadrature asked for 256^k points (about 34 GB at k = 4)
+    text = _with_key(_with_key(BASE, "k_order", k), "event", "value_at:0.5,8.0")
+    assert main(["measure", "--config", _write(tmp_path, text)]) == 0
+    out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert 0.0 < float(out["mu_sharp"]) < float(out["mu_bar_tail"]) and out["k"] == str(k)
+
+
+def test_spearman_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(26)
+    cases = [(np.arange(5.0), np.arange(5.0)[::-1]), (np.ones(4), np.arange(4.0)), (np.arange(4.0), np.full(4, 2.5))]
+    for n in rng.integers(3, 40, 400).tolist():
+        x = rng.integers(0, 4, n).astype(float) if n % 2 else rng.normal(size=n)  # ties, or none
+        cases.append((x, rng.integers(0, 6, n).astype(float)))
+        cases.append((rng.normal(size=n), rng.exponential(size=n)))
+    y = rng.normal(size=6)
+    cases += [(np.r_[1.0, np.nan, 3.0, 4.0, 0.5, 2.0], y), (y, np.full(6, np.nan)), (y, np.r_[y[:5], np.inf])]
+    for x, y in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", stats.ConstantInputWarning)
+            want = stats.spearmanr(x, y).statistic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _spearman(x, y)
+        assert got == want or (np.isnan(got) and np.isnan(want)), (x, y, got, want)
+    assert np.isnan(_spearman(np.ones(5), np.arange(5.0))) and np.isnan(_spearman(y, np.full(6, np.nan)))
 
 
 def test_cli_rejects_negative_seed(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Start-up stays lean: no run of `m1`, `ldp` or `simulate` loads scipy, and
-no serial run loads the process pool.
+"""Start-up stays lean: no run of `m1`, `ldp`, `simulate`, `measure` or
+`check remainder` loads scipy, and no serial run loads the process pool.
 
 Each case runs in a fresh interpreter, because the test session itself has
 scipy and the pool loaded already.
@@ -99,6 +99,27 @@ def test_heavy_k_centering_loads_no_scipy(tmp_path):
     # `simulate` reaches their mean count, a Hurwitz zeta, via the centering
     text = BASE.replace("independent_light_k\nk_param = 0.0", "heavy_k_light_x\nk_param = 1.0\nk_alpha = 2.5")
     assert _modules(["simulate", "--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == set()
+
+
+@pytest.mark.parametrize("event", ["terminal_exceed:6.0", "value_at:0.5,6.0"])
+def test_k3_measure_loads_no_scipy(tmp_path, event):
+    # four limit jumps: the lattice bracket, where scrambled Sobol points were
+    text = BASE.replace("event = terminal_exceed:1.0", f"event = {event}\nk_order = 3")
+    assert _modules(["measure", "--config", _write(tmp_path, text)]) == set()
+
+
+def test_k3_jump_count_ldp_loads_no_scipy(tmp_path):
+    text = BASE.replace("event = terminal_exceed:1.0", "event = jump_count:4,0.5\nk_order = 3")
+    cfg = _write(tmp_path, text.replace("n_reps = 2000", "n_reps = 200"))
+    assert _modules(["ldp", "--config", cfg, "--out", str(tmp_path / "out")]) == set()
+
+
+def test_check_remainder_loads_no_scipy(tmp_path):
+    # the Spearman correlation of the estimates against the T grid; nu = 2
+    # gives estimates that fall with T, so the check passes (exit 0)
+    text = BASE.replace("k_param = 0.0", "k_param = 2.0") + "check_T_grid = 25,50,100,200\ncheck_n_accept = 500\n"
+    argv = ["check", "remainder", "--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]
+    assert _modules(argv) == set()
 
 
 def _crude_ldp_argv(tmp_path, workers: int) -> list[str]:

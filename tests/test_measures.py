@@ -1,11 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 from bigjump.errors import ConfigurationError
 from bigjump.events import DkProxy, JumpCount, SupExceed, TerminalExceed, ValueAt
 from bigjump.laws import JointMarkSpec, TailLaw, mean_ceil
-from bigjump.measures import LimitMeasure, measure_for_model, mu_bar_tail, mu_sharp, mu_tail
+from bigjump.measures import (
+    LimitMeasure,
+    _excess_mass,
+    measure_for_model,
+    mu_bar_tail,
+    mu_sharp,
+    mu_tail,
+    order_prefactor,
+)
 from bigjump.streams import substream
+
+from .oracles import sobol_excess_mass
 
 
 def test_constants_per_model(pareto15):
@@ -82,11 +94,50 @@ def test_mu_bar_large_c_decay_slope():
     assert abs(slope + 1.5) < 0.02 * 1.5
 
 
-def test_mu_bar_k3_qmc_error_reported():
+def test_mu_bar_k3_lattice_matches_sobol():
+    # the k = 3 bracket's midpoint against scrambled Sobol integration,
+    # within 3 of its se plus the reported half-width, prefactor 1/4!
     m = LimitMeasure(1.5, 1.0, "MB-independent", 1.0)
     val, err = mu_bar_tail(m, 1.0, 3, 6.0, return_error=True)
-    assert val > 0 and err >= 0
-    assert err < 0.01 * val
+    est, se = sobol_excess_mass(m, 4, 6.0)
+    assert abs(val - est / 24.0) <= 3.0 * se / 24.0 + err, (val, est / 24.0, se / 24.0, err)
+    assert 0.0 < err < 1e-4 * val
+    assert mu_bar_tail(m, 1.0, 3, 6.0) == val
+    assert mu_bar_tail(m, 1.0, 2, 6.0, return_error=True)[1] is None
+    assert mu_bar_tail(m, 1.0, 0, 6.0, return_error=True)[1] == 0.0
+
+
+@pytest.mark.parametrize("j", [4, 5, 6])
+@pytest.mark.parametrize("c", [8.0, 20.0, 1000.0])
+def test_excess_mass_lattice_matches_sobol(j, c):
+    m = LimitMeasure(1.5, 1.0, "MB-independent", 1.0)
+    val, half = _excess_mass(m, j, c)
+    est, se = sobol_excess_mass(m, j, c)
+    assert abs(val - est) <= 3.0 * se + half, (val, half, est, se)
+    assert 0.0 < half < 1e-2 * val
+
+
+def test_excess_mass_saturates_exactly_and_stays_in_range():
+    # j coordinates, each >= y0, always sum above c <= j y0
+    m = LimitMeasure(2.5, 3.0, "MB-independent", 0.7)
+    for j in range(2, 8):
+        for c in (1e-9, 0.5 * j * 0.7, j * 0.7):
+            assert _excess_mass(m, j, c)[0] == m.total_mass**j
+    val, half = _excess_mass(m, 5, 5 * 0.7 + 0.1)
+    assert 0.0 < val < m.total_mass**5 and half > 0.0
+    # far out, round-off (inside the half-width) would take the midpoint below 0
+    val, half = _excess_mass(LimitMeasure(1.5, 1.0, "MB-independent", 1.0), 4, 1e12)
+    assert 0.0 <= val <= 4e-18 + half and half < 1e-6
+
+
+def test_order_prefactor_refuses_overflow():
+    assert order_prefactor(2.0, 5) == 2.0**6 / 720
+    assert order_prefactor(1.0, 169) == 1.0 / math.factorial(170)
+    for lam, k in ((1.0, 171), (1e10, 39)):
+        with pytest.raises(ValueError, match=f"k={k}$"):
+            order_prefactor(lam, k)
+    with pytest.raises(ValueError, match="k=171"):
+        mu_sharp(LimitMeasure(1.5, 1.0, "MB-independent", 1.0), 1.0, 171, JumpCount(172, 0.5))
 
 
 def test_mu_sharp_terminal_equals_mu_bar():
@@ -105,6 +156,13 @@ def test_mu_sharp_value_at_factorizes():
     assert mu_sharp(m, 1.0, 0, ValueAt(0.5, c)) == pytest.approx(0.5 * 1.0 * c**-1.5)
     assert mu_sharp(m, 2.0, 0, ValueAt(0.25, c)) == pytest.approx(0.25 * 2.0 * c**-1.5)
     assert mu_sharp(m, 1.0, 0, ValueAt(0.0, c)) == 0.0
+
+
+def test_mu_sharp_value_at_the_horizon_is_terminal():
+    # at s = 1 every limit jump falls before s: only the all-jumps term stays
+    m = LimitMeasure(1.5, 1.0, "MB-independent", 1.0)
+    for k in (1, 3, 4):
+        assert mu_sharp(m, 1.0, k, ValueAt(1.0, 8.0)) == mu_bar_tail(m, 1.0, k, 8.0)
 
 
 def test_mu_sharp_jump_count_combinatorics():
