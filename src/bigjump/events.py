@@ -167,10 +167,10 @@ class ValueAt(PathEvent):
     def limit_mass(self, measure, lam, k):
         M0 = measure.total_mass
         pref = order_prefactor(lam, k)
-        total = 0.0
-        for j in range(1, k + 2):  # j = 0 jumps before s: the value there is 0 < c
+        total = 0.0  # j = 0 jumps before s: the value there is 0 < c
+        for j, (mass, _) in enumerate(_excess_mass(measure, range(1, k + 2), self.c), start=1):
             w = comb(k + 1, j) * self.s**j * (1.0 - self.s) ** (k + 1 - j)
-            total += w * float(_excess_mass(measure, j, self.c)[0]) * M0 ** (k + 1 - j)
+            total += w * mass * M0 ** (k + 1 - j)
         return pref * total
 
     def scale(self) -> float:
@@ -258,7 +258,7 @@ class JumpCount(PathEvent):
             return pref * a ** (k + 1)
         # unpinned coordinates would carry infinite mass; use the y0 truncation
         M0 = measure.total_mass
-        a = float(_excess_mass(measure, 1, self.r)[0])
+        [(a, _)] = _excess_mass(measure, [1], self.r)
         b = M0 - a
         return pref * sum(comb(k + 1, j) * a**j * b ** (k + 1 - j) for j in range(self.m, k + 2))
 

@@ -401,13 +401,14 @@ def _lattice_error(m: int, k, untilt) -> float:
     return float(_TILT_AT_TOP**4 + noise)
 
 
-def sum_tail_bracket(law: TailLaw, j: int, u: float) -> tuple[float, float, float]:
-    """(lo, hi, err): lo - err <= P(X_1 + ... + X_j > u) <= hi + err for j i.i.d.
-    positive marks of ``law``, from Phi^j as in `mass_tail_bracket`, on SUM_CELLS cells."""
+def sum_tail_bracket(law: TailLaw, powers, u: float) -> list[tuple[float, float, float]]:
+    """(lo, hi, err) for each j in ``powers``: lo - err <= P(X_1 + ... + X_j > u)
+    <= hi + err for j i.i.d. positive marks of ``law``, from Phi^j as in
+    `mass_tail_bracket`, on SUM_CELLS cells; one transform serves every j."""
     m, edges = SUM_CELLS, np.linspace(0.0, u, SUM_CELLS + 1)
     untilt, phis = _tilted_transforms(np.arange(m), law.tail(edges[:-1]) - law.tail(edges[1:]), m)
-    lo, hi = (1.0 - np.sum(np.fft.irfft(phi**j, 4 * m)[: m + 1] * untilt) for phi in phis)
-    return float(lo), float(hi), _lattice_error(m, j, untilt)
+    sf = ([float(1.0 - np.sum(np.fft.irfft(phi**j, 4 * m)[: m + 1] * untilt)) for phi in phis] for j in powers)
+    return [(lo, hi, _lattice_error(m, j, untilt)) for j, (lo, hi) in zip(powers, sf)]
 
 
 def _power_sum(spec, u, phi, untilt, low, branching, immigrant):

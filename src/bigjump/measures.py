@@ -1,18 +1,16 @@
-"""Closed-form, quadrature and lattice evaluation of the heavy-tail limit measures.
+"""Closed-form and lattice evaluation of the heavy-tail limit measures.
 
 The one-dimensional measure has tail C * y^(-alpha) under the normalization
 v(x) = 1/P(X > x) against the mark law, which makes every ratio the
-estimators report dimensionless.  Multi-jump quantities integrate the
-product measure; coordinates are truncated below at y0 only where the
-measure's infinite mass at 0 would otherwise diverge.
+estimators report dimensionless.  Multi-jump quantities are masses of the
+product measure, from the lattice law of a sum of Pareto coordinates;
+coordinates are truncated below at y0 only where the measure's infinite
+mass at 0 would otherwise diverge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import factorial
-
-import numpy as np
 
 from .errors import ConfigurationError
 from .laws import COMONOTONE, INDEPENDENT_LIGHT_K, PARETO, JointMarkSpec, TailLaw, mean_ceil, sum_tail_bracket
@@ -79,43 +77,24 @@ def mu_tail(measure: LimitMeasure, y: float) -> float:
     return measure.constant * y ** (-measure.alpha)
 
 
-@cache
-def _gl() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(256)
+def _excess_mass(measure: LimitMeasure, powers, c: float) -> list[tuple[float, float]]:
+    """(mass, half-width) of {sum of j coordinates, each >= y0, > c} for each
+    j >= 1 in ``powers``: M0^j for c <= j y0; else C c^(-alpha) for j = 1
+    (half-width 0), and for j >= 2 M0^j P(X_1 + ... + X_j > c), X_i i.i.d.
+    Pareto(y0, alpha), as the midpoint of `laws.sum_tail_bracket`, whose one
+    transform serves every j, with its half-width."""
+    C, a, y0, M0 = measure.constant, measure.alpha, measure.y0, measure.total_mass
+    lattice = [j for j in powers if j >= 2 and c > j * y0]
+    brackets = dict(zip(lattice, sum_tail_bracket(TailLaw(PARETO, y0, a), lattice, c) if lattice else ()))
 
-
-def _excess_mass(measure: LimitMeasure, j: int, c):
-    """(mass, half-width) of {sum of j >= 1 coordinates, each >= y0, > c}:
-    closed form for j = 1 (half-width 0); for j in {2, 3}, elementwise, the
-    innermost coordinate exactly and the outer ones by Gauss-Legendre on the
-    tail-probability scale, split at the saturation kink (half-width None);
-    for j >= 4, M0^j P(X_1 + ... + X_j > c), X_i i.i.d. Pareto(y0, alpha),
-    from `laws.sum_tail_bracket`.  Each is M0^j for c <= j y0."""
-    C, a, y0 = measure.constant, measure.alpha, measure.y0
-    M0 = measure.total_mass
-    c = np.asarray(c, dtype=float)
-    if j == 1:
-        return np.where(c <= y0, M0, C * np.maximum(c, y0) ** (-a)), 0.0
-    if j >= 4:
+    def mass(j):
         if c <= j * y0:
             return M0**j, 0.0
-        lo, hi, err = sum_tail_bracket(TailLaw(PARETO, y0, a), j, float(c))
+        if j == 1:
+            return C * c ** (-a), 0.0
+        lo, hi, err = brackets[j]
         return M0**j * min(max(0.5 * (lo + hi), 0.0), 1.0), M0**j * (0.5 * (hi - lo) + err)
-    out = np.empty_like(c)
-    sat = c <= j * y0
-    out[sat] = M0**j
-    rest = ~sat
-    if np.any(rest):
-        cr = c[rest]
-        # coordinates with Q(u) >= c - (j-1) y0 saturate the remaining sum
-        ustar = C * (cr - (j - 1) * y0) ** (-a)
-        x, w = _gl()
-        half = 0.5 * (M0 - ustar)
-        u = ustar[:, None] + half[:, None] * (x[None, :] + 1.0)
-        q = (C / u) ** (1.0 / a)
-        inner = _excess_mass(measure, j - 1, (cr[:, None] - q).ravel())[0].reshape(u.shape)
-        out[rest] = M0 ** (j - 1) * ustar + half * (inner @ w)
-    return out, None
+    return [mass(j) for j in powers]
 
 
 def order_prefactor(lam: float, k: int) -> float:
@@ -126,14 +105,12 @@ def order_prefactor(lam: float, k: int) -> float:
         raise ValueError(f"lambda_rate^(k+1)/(k+1)! overflows a float at k={k}") from None
 
 
-def mu_bar_tail(
-    measure: LimitMeasure, lam: float, k: int, c: float, return_error: bool = False
-):
+def mu_bar_tail(measure: LimitMeasure, lam: float, k: int, c: float) -> float:
     """(lam^(k+1)/(k+1)!) * mass{sum of k+1 coordinates > c}.
 
-    Exact for k = 0 (no truncation); k in {1, 2} by deterministic nested
-    quadrature on the y0-truncated measure (error None); k >= 3 as the
-    midpoint of a deterministic lattice bracket, with its half-width.
+    Exact for k = 0 (no truncation); for k >= 1, on the y0-truncated
+    measure, the midpoint of a deterministic lattice bracket, whose
+    half-width `_excess_mass` reports.
     """
     if c <= 0:
         raise ValueError("c must be positive")
@@ -141,11 +118,9 @@ def mu_bar_tail(
         raise ValueError("k must be >= 0")
     pref = order_prefactor(lam, k)
     if k == 0:
-        val = pref * measure.constant * c ** (-measure.alpha)
-        return (val, 0.0) if return_error else val
-    mass, half = _excess_mass(measure, k + 1, c)
-    val = pref * float(mass)
-    return (val, None if half is None else pref * half) if return_error else val
+        return pref * measure.constant * c ** (-measure.alpha)
+    [(mass, _)] = _excess_mass(measure, [k + 1], c)
+    return pref * mass
 
 
 def mu_sharp(measure: LimitMeasure, lam: float, k: int, event) -> float:

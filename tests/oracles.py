@@ -292,3 +292,19 @@ def sobol_excess_mass(measure, j: int, c: float, n_pow: int = 17, reps: int = 8)
         inner = np.where(rest <= y0, M0, C * np.maximum(rest, y0) ** -a)
         estimates.append(M0 ** (j - 1) * inner.mean())
     return float(np.mean(estimates)), float(np.std(estimates, ddof=1) / np.sqrt(reps))
+
+
+def pareto_pair_tail(scale: float, alpha: float, c: float) -> float:
+    """P(X_1 + X_2 > c), X_i i.i.d. Pareto(scale, alpha), c > 2 scale:
+    P(X_1 > c - scale) + int_scale^(c - scale) f(x) P(X_2 > c - x) dx by
+    scipy's adaptive quadrature, split at c/2, an oracle independent of
+    the lattice."""
+    from scipy import integrate
+
+    tail = lambda x: (x / scale) ** -alpha
+    density = lambda x: alpha / scale * (x / scale) ** (-alpha - 1.0)
+    inner, _ = integrate.quad(
+        lambda x: density(x) * tail(c - x), scale, c - scale,
+        points=[0.5 * c], limit=500, epsabs=1e-15, epsrel=1e-13,
+    )
+    return tail(c - scale) + inner

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import special, stats
 
 from bigjump import laws
 from bigjump.errors import ConfigurationError
@@ -18,10 +18,9 @@ from bigjump.laws import (
     poisson_sf,
     sum_tail_bracket,
 )
-from bigjump.measures import LimitMeasure, _excess_mass
 from bigjump.streams import substream
 
-from .oracles import lattice_cdf_oracle
+from .oracles import lattice_cdf_oracle, pareto_pair_tail
 
 
 def test_pareto_quantile_examples():
@@ -258,31 +257,11 @@ def test_lattice_level_tails_match_panjer(law, u, nu):
         assert abs(lo[-1] - one[0]) <= 1e-14 and abs(hi[-1] - one[1]) <= 1e-14
 
 
-@pytest.mark.parametrize("j", [2, 3])
-@pytest.mark.parametrize("c", [6.0, 20.0, 1000.0])
-def test_sum_bracket_contains_nested_quadrature(j, c):
-    # the limit measures' j-fold Pareto sums: the lattice bracket against
-    # the nested Gauss-Legendre mass that they keep for j <= 3
-    measure = LimitMeasure(1.5, 1.0, "MB-independent", 1.0)
-    lo, hi, err = sum_tail_bracket(TailLaw("pareto", 1.0, 1.5), j, c)
-    quadrature, _ = _excess_mass(measure, j, c)
-    assert lo - err <= quadrature <= hi + err, (lo, quadrature, hi, err)
-    assert hi - lo < 1e-3 * hi and err < 1e-6
-
-
 @pytest.mark.parametrize("c", [6.0, 20.0, 1000.0])
 @pytest.mark.parametrize("scale, alpha", [(1.0, 1.5), (0.7, 2.5)])
 def test_sum_bracket_contains_adaptive_quadrature(scale, alpha, c):
-    # P(X_1 + X_2 > c) = P(X_1 > c - y0) + int_y0^(c - y0) f(x) P(X_2 > c - x) dx
-    # by scipy's adaptive quadrature, an oracle independent of the lattice
-    law = TailLaw("pareto", scale, alpha)
-    density = lambda x: alpha / scale * (x / scale) ** (-alpha - 1.0)
-    inner, _ = integrate.quad(
-        lambda x: density(x) * law.tail(c - x), scale, c - scale,
-        points=[0.5 * c], limit=500, epsabs=1e-15, epsrel=1e-13,
-    )
-    exact = law.tail(c - scale) + inner
-    lo, hi, err = sum_tail_bracket(law, 2, c)
+    exact = pareto_pair_tail(scale, alpha, c)
+    [(lo, hi, err)] = sum_tail_bracket(TailLaw("pareto", scale, alpha), [2], c)
     assert lo - err <= exact <= hi + err, (lo, exact, hi, err)
 
 
@@ -295,13 +274,25 @@ def test_sum_bracket_matches_convolution_powers(monkeypatch, law, u, j):
     monkeypatch.setattr(laws, "SUM_CELLS", m)
     e = u * np.arange(m + 1) / m
     q = law.tail(e[:-1]) - law.tail(e[1:])
-    lo, hi, err = sum_tail_bracket(law, j, u)
+    [(lo, hi, err)] = sum_tail_bracket(law, [j], u)
     for got, f in ((lo, np.concatenate((q, [0.0]))), (hi, np.concatenate(([0.0], q)))):
         power = f
         for _ in range(j - 1):
             power = np.convolve(power, f)[: m + 1]
         assert abs(got - (1.0 - power.sum())) <= 1e-10, (got, 1.0 - power.sum())
     assert lo <= hi + err and err < 1e-6
+
+
+def test_sum_bracket_powers_share_one_transform(monkeypatch):
+    # every power asked for comes from one transform, each bracket bit for
+    # bit the one that power gets when asked for alone
+    monkeypatch.setattr(laws, "SUM_CELLS", 4096)
+    law, built, tilted = TailLaw("pareto", 0.7, 2.5), [], laws._tilted_transforms
+    monkeypatch.setattr(laws, "_tilted_transforms", lambda *a: built.append(a) or tilted(*a))
+    together = sum_tail_bracket(law, [2, 5, 3], 20.0)
+    assert len(built) == 1
+    assert together == [sum_tail_bracket(law, [j], 20.0)[0] for j in (2, 5, 3)]
+    assert sum_tail_bracket(law, [], 20.0) == []
 
 
 BRANCHING_SPECS = [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bigjump import measures
 from bigjump.errors import ConfigurationError
 from bigjump.events import DkProxy, JumpCount, SupExceed, TerminalExceed, ValueAt
 from bigjump.laws import JointMarkSpec, TailLaw, mean_ceil
@@ -17,7 +18,7 @@ from bigjump.measures import (
 )
 from bigjump.streams import substream
 
-from .oracles import sobol_excess_mass
+from .oracles import pareto_pair_tail, sobol_excess_mass
 
 
 def test_constants_per_model(pareto15):
@@ -98,36 +99,61 @@ def test_mu_bar_k3_lattice_matches_sobol():
     # the k = 3 bracket's midpoint against scrambled Sobol integration,
     # within 3 of its se plus the reported half-width, prefactor 1/4!
     m = LimitMeasure(1.5, 1.0, "MB-independent", 1.0)
-    val, err = mu_bar_tail(m, 1.0, 3, 6.0, return_error=True)
+    val = mu_bar_tail(m, 1.0, 3, 6.0)
+    [(mass, half)] = _excess_mass(m, [4], 6.0)
+    err = half / 24.0
     est, se = sobol_excess_mass(m, 4, 6.0)
     assert abs(val - est / 24.0) <= 3.0 * se / 24.0 + err, (val, est / 24.0, se / 24.0, err)
     assert 0.0 < err < 1e-4 * val
-    assert mu_bar_tail(m, 1.0, 3, 6.0) == val
-    assert mu_bar_tail(m, 1.0, 2, 6.0, return_error=True)[1] is None
-    assert mu_bar_tail(m, 1.0, 0, 6.0, return_error=True)[1] == 0.0
+    assert val == mass / 24.0 and mu_bar_tail(m, 1.0, 3, 6.0) == val
+    assert _excess_mass(m, [1], 6.0) == [(6.0**-1.5, 0.0)]
 
 
-@pytest.mark.parametrize("j", [4, 5, 6])
+@pytest.mark.parametrize("j", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("c", [8.0, 20.0, 1000.0])
 def test_excess_mass_lattice_matches_sobol(j, c):
     m = LimitMeasure(1.5, 1.0, "MB-independent", 1.0)
-    val, half = _excess_mass(m, j, c)
+    [(val, half)] = _excess_mass(m, [j], c)
     est, se = sobol_excess_mass(m, j, c)
     assert abs(val - est) <= 3.0 * se + half, (val, half, est, se)
     assert 0.0 < half < 1e-2 * val
 
 
+@pytest.mark.parametrize("alpha, y0, c", [(3.5, 1.0, 20.0), (2.5, 0.7, 20.0), (2.5, 0.7, 100.0), (1.5, 1.0, 1000.0)])
+def test_excess_mass_two_jumps_matches_adaptive_quadrature(alpha, y0, c):
+    # far out, the midpoint is within 1e-4 of the exact mass, closer than
+    # its half-width (mostly the round-off allowance) says
+    m = LimitMeasure(alpha, 1.0, "MB-independent", y0)
+    [(val, half)] = _excess_mass(m, [2], c)
+    exact = m.total_mass**2 * pareto_pair_tail(y0, alpha, c)
+    assert abs(val - exact) <= half, (val, half, exact)
+    assert abs(val - exact) <= 1e-4 * exact
+
+
 def test_excess_mass_saturates_exactly_and_stays_in_range():
     # j coordinates, each >= y0, always sum above c <= j y0
     m = LimitMeasure(2.5, 3.0, "MB-independent", 0.7)
-    for j in range(2, 8):
+    for j in range(1, 8):
         for c in (1e-9, 0.5 * j * 0.7, j * 0.7):
-            assert _excess_mass(m, j, c)[0] == m.total_mass**j
-    val, half = _excess_mass(m, 5, 5 * 0.7 + 0.1)
+            assert _excess_mass(m, [j], c) == [(m.total_mass**j, 0.0)]
+    [(val, half)] = _excess_mass(m, [5], 5 * 0.7 + 0.1)
     assert 0.0 < val < m.total_mass**5 and half > 0.0
     # far out, round-off (inside the half-width) would take the midpoint below 0
-    val, half = _excess_mass(LimitMeasure(1.5, 1.0, "MB-independent", 1.0), 4, 1e12)
+    [(val, half)] = _excess_mass(LimitMeasure(1.5, 1.0, "MB-independent", 1.0), [4], 1e12)
     assert 0.0 <= val <= 4e-18 + half and half < 1e-6
+
+
+def test_value_at_builds_one_lattice(monkeypatch):
+    # value_at's masses of 2..k+1 jumps share one transform; saturated and
+    # single-jump masses need none
+    m, calls = LimitMeasure(1.5, 1.0, "MB-independent", 1.0), []
+    bracket = measures.sum_tail_bracket
+    monkeypatch.setattr(measures, "sum_tail_bracket", lambda *a: calls.append(a[1]) or bracket(*a))
+    mu_sharp(m, 1.0, 4, ValueAt(0.5, 6.0))
+    assert calls == [[2, 3, 4, 5]]
+    mu_sharp(m, 1.0, 3, ValueAt(0.5, 2.0))
+    mu_sharp(m, 1.0, 0, ValueAt(0.5, 6.0))
+    assert calls == [[2, 3, 4, 5]]
 
 
 def test_order_prefactor_refuses_overflow():
