@@ -21,7 +21,7 @@ from .harness import (
     splitting_estimate,
 )
 from .laws import JointMarkSpec, TailLaw, WaitLaw
-from .m1 import completed_graph, dk_skeleton, kth_largest_jump, m1_distance
+from .m1 import completed_graph, m1_distance
 from .measures import LimitMeasure, measure_for_model, mu_bar_tail, mu_sharp, mu_tail
 from .paths import (
     CadlagPath,
@@ -30,6 +30,8 @@ from .paths import (
     centered_scaled_path,
     centering_hawkes,
     centering_mb,
+    dk_skeleton,
+    kth_largest_jump,
     path_sup,
     path_value,
     terminal,

@@ -259,7 +259,9 @@ def _cmd_simulate(args) -> int:
     write_path_csv(path, buf)
     _atomic_write(path_file, buf.getvalue())
     clusters_file = os.path.join(args.out, "clusters.csv")
-    write_clusters_csv(clusters_file, batch)
+    buf = io.StringIO()
+    write_clusters_csv(batch, buf)
+    _atomic_write(clusters_file, buf.getvalue())
     record = _write_record(config, [path_file, clusters_file], args.out, "simulate")
     print(f"simulate: {batch.n} clusters, {path.n_nodes} path nodes -> {path_file}")
     print(f"record: {record}")

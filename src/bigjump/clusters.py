@@ -267,7 +267,7 @@ def superset_batch(
     )
 
 
-def write_clusters_csv(path, batch: BatchClusters) -> None:
+def write_clusters_csv(batch: BatchClusters, file) -> None:
     """Debugging dump, one row per event, grouped by cluster.
 
     Event ids count from 0 within a cluster in generation order; the
@@ -286,7 +286,6 @@ def write_clusters_csv(path, batch: BatchClusters) -> None:
         batch.offset[order].tolist(),
         batch.mark[order].tolist(),
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_id", "event_id", "parent_id", "generation", "offset", "mark"])
-        writer.writerows([c, e, p, g, repr(o), repr(m)] for c, e, p, g, o, m in rows)
+    writer = csv.writer(file)
+    writer.writerow(["cluster_id", "event_id", "parent_id", "generation", "offset", "mark"])
+    writer.writerows([c, e, p, g, repr(o), repr(m)] for c, e, p, g, o, m in rows)

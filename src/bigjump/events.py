@@ -26,9 +26,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .m1 import kth_largest_jump
 from .measures import LimitMeasure, _excess_mass, mu_bar_tail, order_prefactor
-from .paths import CadlagPath, path_sup, path_value, terminal
+from .paths import CadlagPath, kth_largest_jump, path_sup, path_value, terminal
 
 __all__ = [
     "PathEvent",

@@ -6,7 +6,7 @@ bit-identical for any worker count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .laws import (
     WaitLaw,
     mass_tail_bracket,
     poisson_pmf,
-    poisson_ppf,
     poisson_sf,
 )
 from .measures import measure_for_model, mu_sharp
@@ -168,7 +167,7 @@ def replication_path(
     config: ExperimentConfig, gammas: np.ndarray, batch: BatchClusters, centering: CadlagPath
 ) -> CadlagPath:
     """Centered scaled path of one replication's events landing in [0, T]."""
-    _, t, size = _flat_jumps(config.T, ([gammas.size], gammas, batch.cid, batch.offset, batch.mark))
+    _, t, size = _flat_jumps(config.T, [gammas.size], gammas, batch.cid, batch.offset, batch.mark)
     return centered_scaled_path(build_jump_path(t, size), centering, config.scaling())
 
 
@@ -187,20 +186,14 @@ def simulate_replication(
 # vectorized event evaluation
 
 
-def _flat_jumps(T: float, *groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat (rep, scaled time, mark) arrays of the events landing in [0, T], by
-    group: (clusters per replication, arrival per cluster, cid, offset, mark)."""
-    reps, ts, marks = [], [], []
-    for counts, gammas, cid, offset, mark in groups:
-        rep_of_cluster = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        t_abs = gammas[cid] + offset
-        keep = t_abs <= T
-        reps.append(rep_of_cluster[cid[keep]])
-        ts.append(t_abs[keep] / T)
-        marks.append(mark[keep])
-    if len(groups) == 1:  # no copy on the crude lane
-        return reps[0], ts[0], marks[0]
-    return np.concatenate(reps), np.concatenate(ts), np.concatenate(marks)
+def _flat_jumps(T: float, counts, gammas, cid, offset, mark) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (rep, scaled time, mark) arrays of the events landing in [0, T],
+    from the clusters per replication, the arrival per cluster and the
+    events' cid, offset and mark."""
+    rep_of_cluster = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    t_abs = gammas[cid] + offset
+    keep = t_abs <= T
+    return rep_of_cluster[cid[keep]], t_abs[keep] / T, mark[keep]
 
 
 def _eval_event_chunk(
@@ -228,7 +221,7 @@ def _eval_event_chunk(
 def _simulate_jump_arrays(config: ExperimentConfig, n_reps: int, rng: np.random.Generator):
     """Flat (rep, scaled time, mark) arrays for n_reps independent replications."""
     counts, gammas, batch = draw_clusters(config, n_reps, rng)
-    rep, t, size = _flat_jumps(config.T, (counts, gammas, batch.cid, batch.offset, batch.mark))
+    rep, t, size = _flat_jumps(config.T, counts, gammas, batch.cid, batch.offset, batch.mark)
     return rep, t, size, int(batch.truncated.sum())
 
 
@@ -423,11 +416,9 @@ def _stratum_chunk(
 
     gam_small = rng.random(total_small) * config.T
     gam_big = rng.random(m_max * n_reps) * config.T
-    rep_s, t_s, size_s = _flat_jumps(config.T, (small_counts, gam_small, s_cid, s_off, s_mark))
+    rep_s, t_s, size_s = _flat_jumps(config.T, small_counts, gam_small, s_cid, s_off, s_mark)
     # one cluster per "replication", so the returned index is the big cluster's id
-    cid, t_b, size_b = _flat_jumps(
-        config.T, (np.ones(m_max * n_reps, np.int64), gam_big, b_cid, b_off, b_mark)
-    )
+    cid, t_b, size_b = _flat_jumps(config.T, np.ones(m_max * n_reps, np.int64), gam_big, b_cid, b_off, b_mark)
     # the concatenation below is the chunk's memory peak: free its inputs first
     del s_cid, s_off, s_mark, b_cid, b_off, b_mark, gam_small, gam_big
     rep_b, rank = np.divmod(cid, m_max)
@@ -575,6 +566,15 @@ def _poisson_weights(rate: float, m_max: int) -> np.ndarray:
     return w
 
 
+def _big_count_cap(rate: float, k: int) -> int:
+    """The first m >= k + 2 with P(N > m) <= 1e-4, N ~ Poisson(rate), or
+    k + 122 if none is smaller."""
+    m = k + 2
+    while m < k + 122 and poisson_sf(m, rate) > 1e-4:
+        m += 1
+    return m
+
+
 def splitting_estimate(config: ExperimentConfig) -> Estimate:
     """Conditional Monte Carlo over the count of big clusters.
 
@@ -618,7 +618,7 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     scope = _superset_scope(config)
     p_big, se_p, p_big_detail = _estimate_p_big(config, u)
     rate = config.lam * config.T * p_big
-    m_max = max(config.k + 2, poisson_ppf(1.0 - 1e-4, rate, m_cap=config.k + 2 + 120))
+    m_max = _big_count_cap(rate, config.k)
     centering = centering_curve(config)
     cv_levels = None
     if scope:
@@ -866,16 +866,40 @@ def _weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> flo
     return float(v[np.searchsorted(cum, q, side="left")])
 
 
-def big_jump_anatomy(config: ExperimentConfig, event: PathEvent | None = None) -> dict:
+def _anatomy_summary(rep, t, size, hits, weight, m: int) -> dict:
+    """Weighted quantiles of the top-m share, the top-1 share and the time
+    spread of the top m over the hit replications with at least one jump,
+    from jump arrays in (replication, time) order; NaN when there are none.
+    Of equal jumps the earlier ranks higher."""
+    keys = ("median_top_share", "q10_top_share", "q90_top_share", "median_top1_share", "median_time_spread")
+    summary = dict.fromkeys(keys, np.nan)
+    hit = hits[rep]  # the jumps of the hit replications, a segment each
+    rep, t, size = rep[hit], t[hit], size[hit]
+    if rep.size:
+        starts = np.flatnonzero(np.r_[True, rep[1:] != rep[:-1]])
+        lens = np.diff(np.r_[starts, rep.size])
+        ranked = np.lexsort((-size, rep))  # each segment by size, largest first, ties by time
+        top = ranked[np.arange(rep.size) - np.repeat(starts, lens) < m]
+        top_starts = np.r_[0, np.cumsum(np.minimum(lens, m))[:-1]]
+        total = np.add.reduceat(size, starts)
+        shares = np.add.reduceat(size[top], top_starts) / total
+        top1 = size[ranked[starts]] / total
+        spreads = np.maximum.reduceat(t[top], top_starts) - np.minimum.reduceat(t[top], top_starts)
+        wts = weight[rep[starts]]
+        quantiles = [(shares, 0.5), (shares, 0.1), (shares, 0.9), (top1, 0.5), (spreads, 0.5)]
+        summary.update((key, _weighted_quantile(v, wts, q)) for key, (v, q) in zip(keys, quantiles))
+    return summary
+
+
+def big_jump_anatomy(config: ExperimentConfig) -> dict:
     """Structure of conditioned hit paths: share of the top k+1 jumps in the
     total uncentered mass, and the spread of their times.
 
     Samples the dominant scenario (exactly k+1 clusters conditioned above
     the event scale, plus an unconditional-rate background), filters to
-    actual hits, and reports importance-weighted distribution summaries.
+    actual hits, and reports importance-weighted distribution summaries
+    (`_anatomy_summary`).
     """
-    if event is not None:
-        config = replace(config, event=event)
     sep = config.event.dk_separation(config.k)
     if sep is None:
         raise ConfigurationError("event must imply a jump-count proxy at this order")
@@ -903,51 +927,17 @@ def big_jump_anatomy(config: ExperimentConfig, event: PathEvent | None = None) -
 
     gam_small = rng.random(total_small) * config.T
     gam_big = rng.random(m * n) * config.T
-    rep, t, size = _flat_jumps(
-        config.T,
-        (small_counts, gam_small, bg.cid, bg.offset, bg.mark),
-        (np.full(n, m), gam_big, b_cid, b_off, b_mark),
-    )
+    rep_s, t_s, size_s = _flat_jumps(config.T, small_counts, gam_small, bg.cid, bg.offset, bg.mark)
+    rep_b, t_b, size_b = _flat_jumps(config.T, np.full(n, m), gam_big, b_cid, b_off, b_mark)
+    rep = np.concatenate([rep_s, rep_b])
+    t = np.concatenate([t_s, t_b])
+    size = np.concatenate([size_s, size_b])
     # one sort serves the summary; the decision's own sorts see ordered input
     order = rep_time_order(rep, t)
-    rep_s, t_s, size_s = rep[order], t[order], size[order]
-    hits = _eval_event_chunk(rep_s, t_s, size_s, n, config.event, centering, x_T)
-    hit_ids = np.flatnonzero(hits)
-    bounds = np.searchsorted(rep_s, np.arange(n + 1))
-    shares, top1, spreads, wts = [], [], [], []
-    for rid in hit_ids:
-        lo, hi = bounds[rid], bounds[rid + 1]
-        sizes = size_s[lo:hi]
-        times = t_s[lo:hi]
-        if sizes.size == 0:
-            continue
-        total = float(sizes.sum())
-        top_idx = np.argsort(sizes)[::-1][: config.k + 1]
-        shares.append(float(sizes[top_idx].sum()) / total)
-        top1.append(float(sizes.max()) / total)
-        spreads.append(float(times[top_idx].max() - times[top_idx].min()))
-        wts.append(rep_weight[rid])
-    shares = np.asarray(shares)
-    top1 = np.asarray(top1)
-    spreads = np.asarray(spreads)
-    wts = np.asarray(wts)
-    if shares.size:
-        summary = {
-            "median_top_share": _weighted_quantile(shares, wts, 0.5),
-            "q10_top_share": _weighted_quantile(shares, wts, 0.1),
-            "q90_top_share": _weighted_quantile(shares, wts, 0.9),
-            "median_top1_share": _weighted_quantile(top1, wts, 0.5),
-            "median_time_spread": _weighted_quantile(spreads, wts, 0.5),
-        }
-    else:
-        summary = {
-            "median_top_share": np.nan,
-            "q10_top_share": np.nan,
-            "q90_top_share": np.nan,
-            "median_top1_share": np.nan,
-            "median_time_spread": np.nan,
-        }
-    summary["n_hits"] = int(hit_ids.size)
+    rep, t, size = rep[order], t[order], size[order]
+    hits = _eval_event_chunk(rep, t, size, n, config.event, centering, x_T)
+    summary = _anatomy_summary(rep, t, size, hits, rep_weight, m)
+    summary["n_hits"] = int(hits.sum())
     summary["conditioning_threshold"] = u
     summary["seed_lineage"] = lineage(config.seed, "anatomy")
     return summary

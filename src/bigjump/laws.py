@@ -278,25 +278,6 @@ def poisson_sf(m: int, rate: float) -> float:
     return _poisson_cdf_sf(m, rate)[1]
 
 
-def poisson_ppf(q: float, rate: float, m_cap: int) -> int:
-    """Smallest m with P(N <= m) >= q, for 0 < q < 1, capped at m_cap, by
-    bisection on the cdf of `_poisson_cdf_sf` over -1..m_cap; the cap
-    bounds the search at large rates.  It can differ from the exact
-    quantile only where P(N <= m) lies within the sf's relative bound of q."""
-    if rate == 0.0:
-        return 0
-    lo, hi = -1, m_cap  # P(N <= lo) < q; hi is the answer once P(N <= hi) >= q
-    if _poisson_cdf_sf(hi, rate)[0] < q:
-        return hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _poisson_cdf_sf(mid, rate)[0] >= q:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 # B_2, B_4, ..., B_20 over (2j)!: the Euler-Maclaurin coefficients
 _EM_COEFFS = tuple(
     b / math.factorial(2 * j)

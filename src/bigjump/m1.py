@@ -41,26 +41,21 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .paths import CadlagPath, _left_right_at, build_jump_path
+from .paths import CadlagPath, _common_nodes
 
 __all__ = [
     "completed_graph",
     "m1_distance",
     "uniform_distance",
-    "kth_largest_jump",
-    "dk_skeleton",
 ]
 
 
 def completed_graph(path: CadlagPath) -> np.ndarray:
-    """Polyline vertices of the graph with jumps filled by vertical segments."""
-    verts = []
-    for t, l, r in zip(path.t, path.left, path.right):
-        if not verts or verts[-1] != (t, l):
-            verts.append((float(t), float(l)))
-        if r != l:
-            verts.append((float(t), float(r)))
-    return np.asarray(verts, dtype=float)
+    """Polyline vertices of the graph with jumps filled by vertical segments:
+    each node's (t, left), then its (t, right) where the path jumps there."""
+    t, left, right = (np.asarray(a, dtype=float) for a in (path.t, path.left, path.right))
+    verts = np.stack((t, left, t, right), axis=1).reshape(-1, 2)
+    return verts[np.stack((np.ones(t.size, dtype=bool), right != left), axis=1).ravel()]
 
 
 def _cheb(p, q) -> float:
@@ -224,40 +219,12 @@ def _free_space_reachable(g1: np.ndarray, g2: np.ndarray, eps: float, space: _Fr
     return bool(left[n - 1] < np.inf or bottom[n - 1] < np.inf)
 
 
-def kth_largest_jump(path: CadlagPath, k: int) -> float:
-    """k-th largest |jump| over the nodes; 0 when fewer than k jumps exist."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    sizes = np.abs(path.jump_sizes())
-    sizes = sizes[sizes > 0.0]
-    if sizes.size < k:
-        return 0.0
-    return float(np.partition(sizes, sizes.size - k)[sizes.size - k])
-
-
-def dk_skeleton(path: CadlagPath, k: int) -> CadlagPath:
-    """Pure-jump path keeping the min(k+1, count) largest jumps in place."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    sizes = path.jump_sizes()
-    mask = sizes != 0.0
-    t = path.t[mask]
-    s = sizes[mask]
-    if t.size > k + 1:
-        order = np.lexsort((t, -np.abs(s)))[: k + 1]  # ties keep the earlier time
-        t, s = t[order], s[order]
-    return build_jump_path(t, s)
-
-
 def uniform_distance(p1: CadlagPath, p2: CadlagPath) -> float:
     """sup_t |p1(t) - p2(t)|; both paths are linear between merged nodes.
     Paths with a value beyond a quarter of the largest float are refused."""
     if max(float(np.abs(v).max()) for p in (p1, p2) for v in (p.left, p.right)) > _VALUE_LIMIT:
         raise ValueError(f"path values must lie within +/-{_VALUE_LIMIT:.5g}, a quarter of the largest float")
-    ts = np.sort(np.concatenate((p1.t, p2.t)))
-    ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]  # np.union1d, which would import numpy.ma
-    l1, r1 = _left_right_at(p1, ts)
-    l2, r2 = _left_right_at(p2, ts)
+    _, (l1, r1), (l2, r2) = _common_nodes(p1, p2)
     return float(max(np.abs(l1 - l2).max(), np.abs(r1 - r2).max()))
 
 

@@ -27,6 +27,8 @@ __all__ = [
     "CadlagPath",
     "ScalingRule",
     "build_jump_path",
+    "kth_largest_jump",
+    "dk_skeleton",
     "centering_mb",
     "mb_centering_values",
     "centering_hawkes",
@@ -88,33 +90,48 @@ class CadlagPath:
 
 
 def build_jump_path(times: np.ndarray, sizes: np.ndarray) -> CadlagPath:
-    """Pure-jump path from raw jump lists; equal times merge by summation."""
+    """Pure-jump path from raw jump lists; equal times merge by summation.
+    A jump at 0 sets the first node's right value."""
     times = np.asarray(times, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
     if times.size:
         order = np.argsort(times, kind="stable")
-        times, sizes = times[order], sizes[order]
-        uniq, inv = np.unique(times, return_inverse=True)
-        merged = np.bincount(inv, weights=sizes)
-        times, sizes = uniq, merged
-    cum = np.cumsum(sizes) if sizes.size else np.empty(0)
-    t_nodes = [0.0]
-    left = [0.0]
-    right = [0.0]
-    if times.size and times[0] == 0.0:
-        right[0] = cum[0]
-    for j, tj in enumerate(times):
-        if tj == 0.0:
-            continue
-        t_nodes.append(float(tj))
-        left.append(float(cum[j] - sizes[j]))
-        right.append(float(cum[j]))
-    if t_nodes[-1] != 1.0:
-        total = float(cum[-1]) if cum.size else 0.0
-        t_nodes.append(1.0)
-        left.append(total)
-        right.append(total)
-    return CadlagPath(np.array(t_nodes), np.array(left), np.array(right))
+        times, inv = np.unique(times[order], return_inverse=True)
+        sizes = np.bincount(inv, weights=sizes[order])
+    cum = np.cumsum(sizes)
+    at0 = int(times.size > 0 and times[0] == 0.0)
+    t = np.concatenate(([0.0], times[at0:]))
+    left = np.concatenate(([0.0], (cum - sizes)[at0:]))
+    right = np.concatenate((cum[:1] if at0 else [0.0], cum[at0:]))
+    if t[-1] != 1.0:
+        total = cum[-1] if cum.size else 0.0
+        t, left, right = np.append(t, 1.0), np.append(left, total), np.append(right, total)
+    return CadlagPath(t, left, right)
+
+
+def kth_largest_jump(path: CadlagPath, k: int) -> float:
+    """k-th largest |jump| over the nodes; 0 when fewer than k jumps exist."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    sizes = np.abs(path.jump_sizes())
+    sizes = sizes[sizes > 0.0]
+    if sizes.size < k:
+        return 0.0
+    return float(np.partition(sizes, sizes.size - k)[sizes.size - k])
+
+
+def dk_skeleton(path: CadlagPath, k: int) -> CadlagPath:
+    """Pure-jump path keeping the min(k+1, count) largest jumps in place."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    sizes = path.jump_sizes()
+    mask = sizes != 0.0
+    t = path.t[mask]
+    s = sizes[mask]
+    if t.size > k + 1:
+        order = np.lexsort((t, -np.abs(s)))[: k + 1]  # ties keep the earlier time
+        t, s = t[order], s[order]
+    return build_jump_path(t, s)
 
 
 @dataclass(frozen=True)
@@ -312,9 +329,7 @@ def centered_scaled_path(uncentered: CadlagPath, centering: CadlagPath, scaling:
     are dropped, so flat stretches collapse to their endpoints.
     """
     x_T = scaling.x_T
-    t = np.union1d(uncentered.t, centering.t)
-    ul, ur = _left_right_at(uncentered, t)
-    cl, cr = _left_right_at(centering, t)
+    t, (ul, ur), (cl, cr) = _common_nodes(uncentered, centering)
     left = (ul - cl) / x_T
     right = (ur - cr) / x_T
     if t.size > 2:
@@ -324,6 +339,15 @@ def centered_scaled_path(uncentered: CadlagPath, centering: CadlagPath, scaling:
         keep = np.r_[True, ~drop, True]
         t, left, right = t[keep], left[keep], right[keep]
     return CadlagPath(t, left, right)
+
+
+def _common_nodes(p1: CadlagPath, p2: CadlagPath):
+    """The merged node times of two paths, and the (left, right) values of
+    each path there.  The sort-and-mask of np.union1d, which would import
+    numpy.ma."""
+    t = np.sort(np.concatenate((p1.t, p2.t)))
+    t = t[np.concatenate(([True], t[1:] != t[:-1]))]
+    return t, _left_right_at(p1, t), _left_right_at(p2, t)
 
 
 def _left_right_at(path: CadlagPath, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -308,3 +308,69 @@ def pareto_pair_tail(scale: float, alpha: float, c: float) -> float:
         points=[0.5 * c], limit=500, epsabs=1e-15, epsrel=1e-13,
     )
     return tail(c - scale) + inner
+
+
+def jump_path_loop(times, sizes):
+    """Node table (t, left, right) of the pure-jump path, one jump at a time;
+    equal times merge by summation and a jump at 0 sets the first right value."""
+    times = np.asarray(times, dtype=float)
+    sizes = np.asarray(sizes, dtype=float)
+    if times.size:
+        order = np.argsort(times, kind="stable")
+        times, sizes = times[order], sizes[order]
+        uniq, inv = np.unique(times, return_inverse=True)
+        times, sizes = uniq, np.bincount(inv, weights=sizes)
+    cum = np.cumsum(sizes) if sizes.size else np.empty(0)
+    t_nodes, left, right = [0.0], [0.0], [0.0]
+    if times.size and times[0] == 0.0:
+        right[0] = cum[0]
+    for j, tj in enumerate(times):
+        if tj == 0.0:
+            continue
+        t_nodes.append(float(tj))
+        left.append(float(cum[j] - sizes[j]))
+        right.append(float(cum[j]))
+    if t_nodes[-1] != 1.0:
+        total = float(cum[-1]) if cum.size else 0.0
+        t_nodes.append(1.0)
+        left.append(total)
+        right.append(total)
+    return np.array(t_nodes), np.array(left), np.array(right)
+
+
+def completed_graph_loop(path) -> np.ndarray:
+    """Completed-graph vertices, node by node: (t, left), then (t, right)
+    where the path jumps."""
+    verts = []
+    for t, l, r in zip(path.t, path.left, path.right):
+        if not verts or verts[-1] != (t, l):
+            verts.append((float(t), float(l)))
+        if r != l:
+            verts.append((float(t), float(r)))
+    return np.asarray(verts, dtype=float)
+
+
+def anatomy_summary_loop(rep, t, size, hits, weight, m: int) -> dict:
+    """The anatomy summary one hit replication at a time, from jump arrays
+    in (replication, time) order: top-m and top-1 shares of its total, and
+    the time spread of its top m (of equal jumps the earlier first)."""
+    from bigjump.harness import _weighted_quantile
+
+    bounds = np.searchsorted(rep, np.arange(hits.size + 1))
+    shares, top1, spreads, wts = [], [], [], []
+    for rid in np.flatnonzero(hits):
+        sizes, times = size[bounds[rid] : bounds[rid + 1]], t[bounds[rid] : bounds[rid + 1]]
+        if sizes.size == 0:
+            continue
+        total = float(sizes.sum())
+        top = np.argsort(-sizes, kind="stable")[:m]
+        shares.append(float(sizes[top].sum()) / total)
+        top1.append(float(sizes.max()) / total)
+        spreads.append(float(times[top].max() - times[top].min()))
+        wts.append(weight[rid])
+    keys = ("median_top_share", "q10_top_share", "q90_top_share", "median_top1_share", "median_time_spread")
+    if not shares:
+        return dict.fromkeys(keys, np.nan)
+    wts = np.asarray(wts)
+    quantiles = [(shares, 0.5), (shares, 0.1), (shares, 0.9), (top1, 0.5), (spreads, 0.5)]
+    return {key: _weighted_quantile(np.asarray(v), wts, q) for key, (v, q) in zip(keys, quantiles)}

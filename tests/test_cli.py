@@ -125,6 +125,15 @@ def test_cli_measure_closed_form(tmp_path, capsys):
     assert "mu_bar_tail = 0.125" in out
 
 
+def test_cli_measure_out_holds_printed_values(tmp_path, capsys):
+    cfg = _write(tmp_path, BASE.replace("event = terminal_exceed:1.0", "event = value_at:0.5,2.0\nk_order = 1"))
+    out = tmp_path / "m"
+    assert main(["measure", "--config", cfg, "--out", str(out)]) == 0
+    printed = dict(line.split(" = ", 1) for line in capsys.readouterr().out.strip().splitlines())
+    stored = json.loads((out / "measure.json").read_text())
+    assert {key: str(value) for key, value in stored.items()} == printed
+
+
 def test_cli_measure_rejects_zero_level(tmp_path, capsys):
     # sup_exceed:0.0 was read as "no level" and fell back to mu_y; its limit
     # mass then failed with a bare "c must be positive"
@@ -255,6 +264,21 @@ def test_cli_check_violated_exit_code(tmp_path):
     assert verdict["verdict"] == "violated" and not verdict["pass"]
 
 
+@pytest.mark.parametrize("band, code", [("100", 0), ("1e-12", 1)])
+def test_cli_check_tails_exit_code_matches_verdict(tmp_path, capsys, band, code):
+    # nu = 2: the sampled mark-over-mass ratio misses its limit by more than
+    # 1e-12 of it, and by less than 100 times it
+    cfg = _write(tmp_path, BASE.replace("k_param = 0.0", "k_param = 2.0") + "check_quantiles = 0.99\n")
+    out = tmp_path / "chk"
+    assert main(["check", "tails", "--config", cfg, "--out", str(out), "--band", band]) == code
+    verdict = json.loads((out / "check_tails.json").read_text())
+    assert set(verdict) == {"check", "mark_over_d", "mark_over_d_limit", "band", "pass"}
+    assert verdict["check"] == "tails" and verdict["pass"] == (code == 0) and verdict["band"] == float(band)
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1]) == verdict
+    header = (out / "tails.csv").read_text().splitlines()[0]
+    assert header == "level,x,p_d,k_over_d,k_over_d_limit,mark_over_d,mark_over_d_limit,truncated_clusters"
+
+
 def test_cli_error_exit_code(tmp_path):
     cfg = _write(tmp_path, BASE.replace("eta_exponent = 0.8", "eta_exponent = 0.2"))
     out = str(tmp_path / "never")
@@ -291,6 +315,24 @@ def test_cli_simulate_clusters_csv_structure(tmp_path):
     assert np.all(pid[~first] < eid[~first])
     assert np.array_equal(gen[parent_row] + 1, gen[~first])
     assert np.all(rows[parent_row, 4] < rows[~first, 4])
+
+
+def test_cli_simulate_failed_clusters_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # the rows reach the writer, then the write fails: clusters.csv appears
+    # only by a rename of a finished temporary file, so there is none
+    import bigjump.cli
+
+    real = bigjump.cli.write_clusters_csv
+
+    def fail_after_rows(batch, file):
+        real(batch, file)
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(bigjump.cli, "write_clusters_csv", fail_after_rows)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write(tmp_path, BASE), "--out", str(out)]) == 2
+    assert "No space left on device" in _single_error_line(capsys)
+    assert sorted(os.listdir(out)) == ["path.csv"]
 
 
 def _single_error_line(capsys) -> str:

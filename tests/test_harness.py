@@ -35,7 +35,7 @@ from bigjump.measures import measure_for_model, mu_sharp
 from bigjump.paths import build_jump_path, centered_scaled_path, read_path_csv, terminal, write_path_csv
 from bigjump.streams import substream
 
-from .oracles import big_pool_plain, remainder_share_plain, sup_exceed_sorted
+from .oracles import anatomy_summary_loop, big_pool_plain, remainder_share_plain, sup_exceed_sorted
 
 
 def base_config(spec, wait, **kw):
@@ -84,7 +84,7 @@ def test_dk_proxy_hit_matches_jump_rank(mb_spec_nu2, exp_wait):
     cfg = base_config(mb_spec_nu2, exp_wait, event=DkProxy(0, 0.2), T=20.0)
     cent = centering_curve(cfg)
     rng = substream(1, "p")
-    from bigjump.m1 import kth_largest_jump
+    from bigjump.paths import kth_largest_jump
 
     for _ in range(50):
         path, hit = simulate_replication(cfg, rng, cent)
@@ -547,6 +547,46 @@ def test_big_jump_anatomy_degenerate(exp_wait):
     out = big_jump_anatomy(cfg)
     assert out["n_hits"] > 50
     assert out["median_top1_share"] == pytest.approx(1.0 / 3.0, abs=0.15)
+
+
+def test_big_jump_anatomy_branching(pareto15, exp_wait):
+    # branching clusters tilt their immigrant mark by the branching multiplier
+    spec = JointMarkSpec(pareto15, "independent_light_k", phi=0.2)
+    cfg = base_config(
+        spec, exp_wait, model="hawkes", T=100.0, k=1, event=JumpCount(2, 2.0), seed=109, n_strata=4000
+    )
+    out = big_jump_anatomy(cfg)
+    assert out["n_hits"] == 943
+    for key in ("median_top_share", "q10_top_share", "q90_top_share", "median_top1_share"):
+        assert 0.0 < out[key] <= 1.0, key
+    assert out["q10_top_share"] <= out["median_top_share"] <= out["q90_top_share"]
+    assert 0.0 <= out["median_time_spread"] <= 1.0
+
+
+def test_big_jump_anatomy_without_hits(exp_wait):
+    # point-mass marks of 3 cannot carry the path to 100 x_T: no summary
+    spec = JointMarkSpec(TailLaw("deterministic", 3.0), "independent_light_k", k_param=0.0)
+    cfg = base_config(spec, exp_wait, lam=0.05, T=20.0, event=TerminalExceed(100.0), n_strata=500, seed=9)
+    out = big_jump_anatomy(cfg)
+    assert out["n_hits"] == 0
+    keys = ("median_top_share", "q10_top_share", "q90_top_share", "median_top1_share", "median_time_spread")
+    assert all(np.isnan(out[key]) for key in keys)
+
+
+def test_anatomy_summary_matches_hit_by_hit_loop():
+    # segment sums round in another order than np.sum: shares agree to 64 eps
+    rng = np.random.default_rng(28)
+    for trial in range(200):
+        n, m = int(rng.integers(1, 30)), int(rng.choice([1, 2, 3, 9, 12]))
+        counts = rng.integers(0, 40, n) * (rng.random(n) < 0.8)  # some replications have no jumps
+        rep = np.repeat(np.arange(n), counts)
+        t = np.sort(rng.random(rep.size) + 2.0 * rep) - 2.0 * rep  # ordered by (replication, time)
+        size = rng.choice([1.0, 2.0, 4.0], rep.size) if trial % 2 else rng.pareto(1.5, rep.size) + 1.0
+        hits = rng.random(n) < (0.0 if trial % 10 == 0 else 0.6)
+        weight = rng.uniform(0.5, 2.0, n)
+        got = harness._anatomy_summary(rep, t, size, hits, weight, m)
+        want = anatomy_summary_loop(rep, t, size, hits, weight, m)
+        assert got == pytest.approx(want, rel=64 * np.finfo(float).eps, nan_ok=True), trial
 
 
 def test_big_jump_anatomy_requires_proxy(mb_spec_nu0, exp_wait):

@@ -101,6 +101,13 @@ def test_heavy_k_centering_loads_no_scipy(tmp_path):
     assert _modules(["simulate", "--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == set()
 
 
+def test_simulate_loads_no_numpy_ma(tmp_path):
+    # the merged node set of a centered path is sorted and masked in place,
+    # not taken by np.union1d, which imports numpy.ma
+    argv = ["simulate", "--config", _write(tmp_path, BASE), "--out", str(tmp_path / "out")]
+    assert "numpy.ma" not in _modules(argv, ("numpy",))
+
+
 @pytest.mark.parametrize("event", ["terminal_exceed:6.0", "value_at:0.5,6.0"])
 def test_k3_measure_loads_no_scipy(tmp_path, event):
     # four limit jumps: the lattice bracket, where scrambled Sobol points were

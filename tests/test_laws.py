@@ -6,6 +6,7 @@ from scipy import special, stats
 
 from bigjump import laws
 from bigjump.errors import ConfigurationError
+from bigjump.harness import _big_count_cap
 from bigjump.laws import (
     JointMarkSpec,
     TailLaw,
@@ -14,7 +15,6 @@ from bigjump.laws import (
     mass_tail_bracket,
     mean_ceil,
     poisson_pmf,
-    poisson_ppf,
     poisson_sf,
     sum_tail_bracket,
 )
@@ -394,7 +394,7 @@ def test_poisson_helpers_within_stated_bounds_of_scipy():
         lgam = np.array([math.lgamma(v + 1.0) for v in np.atleast_1d(k)])
         return 4.0 * eps * (np.abs(k) * log_rate + lgam + rate + 1.0)
 
-    for rate in np.r_[0.0, 1e-9, rng.uniform(0.0, 150.0, 300), 1e3, 1e4]:
+    for i, rate in enumerate(np.r_[0.0, 1e-9, rng.uniform(0.0, 150.0, 300), 1e3, 1e4]):
         k = np.arange(int(rate + 12.0 * np.sqrt(rate)) + 40)
         want = stats.poisson.pmf(k, rate)
         assert np.all(np.abs(poisson_pmf(k, rate) - want) <= pmf_bound(k, rate) * want), rate
@@ -408,11 +408,13 @@ def test_poisson_helpers_within_stated_bounds_of_scipy():
             bound = float(pmf_bound(m + 1, rate)[0]) + (np.sqrt(rate) + 8.0) * eps
             assert abs(poisson_sf(m, rate) - want) <= bound * want, (m, rate)
         assert rate == 0.0 or float(sfs[last]) < 1e-290  # the grid reached the far tail
-        for q in (0.01, 0.5, 0.9, 1.0 - 1e-4):
-            got, want = poisson_ppf(q, rate, m_cap=10**6), int(stats.poisson.ppf(q, rate))
-            near = abs(stats.poisson.cdf(want, rate) - q) <= float(pmf_bound(want + 1, rate)[0]) + np.sqrt(rate) * eps
-            assert got == want or near, (q, rate, got, want)
-            assert poisson_ppf(q, rate, m_cap=5) == min(got, 5)
+        # the splitting truncation: the first m >= k + 2 with P(N > m) <= 1e-4, at most k + 122
+        k = (0, 1, 2, 3, 5, 9)[i % 6]
+        got = _big_count_cap(rate, k)
+        want = min(max(k + 2, int(stats.poisson.ppf(1.0 - 1e-4, rate))), k + 122)
+        m = min(got, want)
+        near = abs(stats.poisson.sf(m, rate) - 1e-4) <= (float(pmf_bound(m + 1, rate)[0]) + (np.sqrt(rate) + 8.0) * eps) * 1e-4
+        assert got == want or near, (k, rate, got, want)
 
 
 def test_hurwitz_zeta_within_1e14_of_scipy():

@@ -7,17 +7,15 @@ from bigjump.m1 import (
     _free_space_reachable,
     _FreeSpace,
     completed_graph,
-    dk_skeleton,
-    kth_largest_jump,
     m1_distance,
     m1_distance_bracket,
     uniform_distance,
 )
 from bigjump.events import DkProxy
-from bigjump.paths import CadlagPath, build_jump_path, path_sup
+from bigjump.paths import CadlagPath, build_jump_path, dk_skeleton, kth_largest_jump, path_sup
 from bigjump.streams import substream
-from .conftest import random_jump_path
-from .oracles import brute_force_m1, discrete_frechet_linf, free_space_decision
+from .conftest import edge_jump_lists, random_jump_path
+from .oracles import brute_force_m1, completed_graph_loop, discrete_frechet_linf, free_space_decision
 
 
 def test_completed_graph_continuous():
@@ -30,6 +28,15 @@ def test_completed_graph_single_jump():
     p = build_jump_path(np.array([0.5]), np.array([3.0]))
     g = completed_graph(p)
     np.testing.assert_allclose(g, [[0, 0], [0.5, 0], [0.5, 3], [1, 3]])
+
+
+def test_completed_graph_matches_node_by_node_loop():
+    # the interleaved array build against the loop it replaced, byte for byte
+    rng = np.random.default_rng(29)
+    for times, sizes in edge_jump_lists(rng):
+        p = build_jump_path(times, sizes)
+        g, want = completed_graph(p), completed_graph_loop(p)
+        assert g.shape == want.shape and g.dtype == want.dtype and g.tobytes() == want.tobytes()
 
 
 def test_graph_vertex_count_structure():

@@ -12,6 +12,7 @@ from bigjump.harness import ExperimentConfig, draw_clusters, replication_path
 from bigjump.laws import JointMarkSpec, TailLaw, WaitLaw, mean_ceil
 from bigjump.paths import (
     CadlagPath,
+    _common_nodes,
     _convolve,
     ScalingRule,
     build_jump_path,
@@ -26,7 +27,8 @@ from bigjump.paths import (
     write_path_csv,
 )
 from bigjump.streams import substream
-from .oracles import branching_path_mean, quadrature_centering_oracle
+from .conftest import edge_jump_lists
+from .oracles import branching_path_mean, jump_path_loop, quadrature_centering_oracle
 
 
 ZERO = CadlagPath(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
@@ -80,6 +82,20 @@ def test_equal_times_merge():
     p = build_jump_path(np.array([0.5, 0.5, 0.2]), np.array([1.0, 2.0, 0.5]))
     sizes = p.jump_sizes()
     assert sizes[sizes > 0].tolist() == [0.5, 3.0]
+
+
+def test_build_matches_jump_by_jump_loop():
+    # the array build against the node-by-node loop it replaced, byte for byte
+    rng = np.random.default_rng(28)
+    prev = None
+    for times, sizes in edge_jump_lists(rng):
+        p = build_jump_path(times, sizes)
+        for got, want in zip((p.t, p.left, p.right), jump_path_loop(times, sizes)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (times, sizes)
+        if prev is not None:  # the merged node set is np.union1d's
+            t, _, _ = _common_nodes(p, prev)
+            assert t.tobytes() == np.union1d(p.t, prev.t).tobytes()
+        prev = p
 
 
 def test_right_continuity_and_interpolation():
