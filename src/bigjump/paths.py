@@ -52,15 +52,18 @@ class CadlagPath:
     right: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        if np.shape(self.left) != t.shape or np.shape(self.right) != t.shape:
+        t, left, right = (np.asarray(a, dtype=float) for a in (self.t, self.left, self.right))
+        if left.shape != t.shape or right.shape != t.shape:
             raise ValueError("left and right need one value per node time")
-        if not (np.isfinite(t).all() and np.isfinite(self.left).all() and np.isfinite(self.right).all()):
+        if not (np.isfinite(t).all() and np.isfinite(left).all() and np.isfinite(right).all()):
             raise ValueError("path values must be finite")
         if t.size < 2 or t[0] != 0.0 or t[-1] != 1.0:
             raise ValueError("path nodes must span [0, 1]")
         if np.any(np.diff(t) <= 0):
             raise ValueError("node times must be strictly increasing")
+        # stored as float arrays, so that a path built from lists works like any other
+        for name, value in (("t", t), ("left", left), ("right", right)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_nodes(self) -> int:

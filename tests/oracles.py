@@ -123,6 +123,36 @@ def free_space_decision(g1: np.ndarray, g2: np.ndarray, eps: float) -> bool:
     return left[n - 1][m - 1] is not None or bottom[n - 1][m - 1] is not None
 
 
+def bisection_bracket_plain(p1, p2, tol: float) -> tuple[float, float]:
+    """M1 bracket by sequential bisection with one scalar decision per step,
+    each on the full free space: no upper bound, no corridor and no batch.
+    The start, the guard at hi and the stops are those of
+    ``m1_distance_bracket``, so its bracket must be this one bit for bit."""
+    from bigjump.m1 import _free_space_reachable, completed_graph, uniform_distance
+
+    g1, g2 = completed_graph(p1), completed_graph(p2)
+    if g2.tobytes() < g1.tobytes():
+        g1, g2 = g2, g1
+    hi = uniform_distance(p1, p2)
+    lo = max(float(np.abs(g1[0] - g2[0]).max()), float(np.abs(g1[-1] - g2[-1]).max()))
+    hi = max(hi, lo)
+    if hi - lo <= tol:
+        return lo, hi
+    if _free_space_reachable(g1, g2, lo):
+        return lo, lo
+    while not _free_space_reachable(g1, g2, hi):
+        hi = max(hi * (1.0 + 1e-12), hi + 1e-15)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if _free_space_reachable(g1, g2, mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def quadrature_centering_oracle(lam, T, ex, nu, wait_cdf, ts, points: int = 5) -> np.ndarray:
     """Cumulative Gauss-Legendre integration of lam*ex*(1 + nu*F_W(s))."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(points)

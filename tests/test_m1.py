@@ -1,11 +1,17 @@
+import importlib.util
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import bigjump.m1
 from bigjump.m1 import (
+    _cheb,
     _discrete_frechet,
     _free_space_reachable,
     _FreeSpace,
+    _time_band,
     completed_graph,
     m1_distance,
     m1_distance_bracket,
@@ -15,7 +21,13 @@ from bigjump.events import DkProxy
 from bigjump.paths import CadlagPath, build_jump_path, dk_skeleton, kth_largest_jump, path_sup
 from bigjump.streams import substream
 from .conftest import edge_jump_lists, random_jump_path
-from .oracles import brute_force_m1, completed_graph_loop, discrete_frechet_linf, free_space_decision
+from .oracles import (
+    bisection_bracket_plain,
+    brute_force_m1,
+    completed_graph_loop,
+    discrete_frechet_linf,
+    free_space_decision,
+)
 
 
 def test_completed_graph_continuous():
@@ -313,8 +325,11 @@ def _random_graph(rng: np.random.Generator) -> np.ndarray:
 def _check_corridors(g1: np.ndarray, g2: np.ndarray, epss: np.ndarray, expect: dict) -> int:
     """Seed a space at each eps that decides "yes", then decide every lower
     eps in it, cutting it to the cells each "yes" entered as the bracket
-    does; every answer must be the reference's.  Returns how many decisions
-    ran in a space cut at least twice."""
+    does; every answer must be the reference's, and so must every answer
+    of one sweep over all the lower eps in each cut space.  Then the
+    bracket's batched way: one sweep over every lower eps, in a space wider
+    than the eps it decides, and a cut from the smallest "yes" among them.
+    Returns how many decisions ran in a space cut at least twice."""
     epss = sorted(set(epss.tolist()), reverse=True)
     twice = 0
     for k, top in enumerate(epss):
@@ -322,13 +337,27 @@ def _check_corridors(g1: np.ndarray, g2: np.ndarray, epss: np.ndarray, expect: d
         if not _free_space_reachable(g1, g2, top, space):
             continue
         cuts, last = 0, True
-        for eps in epss[k + 1 :]:
+        for at in range(k + 1, len(epss)):
+            eps, below = epss[at], epss[at:]
             rows = space.entered_rows() if last else None
             if rows is not None:
                 space, cuts = _FreeSpace(g1, g2, rows), cuts + 1
+                got = _free_space_reachable(g1, g2, np.array(below), _FreeSpace(g1, g2, rows, len(below)))
+                assert got.tolist() == [expect[e] for e in below], (g1, g2, top, below, cuts)
             last = _free_space_reachable(g1, g2, eps, space)
             assert last == expect[eps], (g1, g2, top, eps, cuts)
             twice += cuts >= 2
+        space, below = _FreeSpace(g1, g2, width=len(epss) + 2), epss[k + 1 :]
+        while below:
+            answers = _free_space_reachable(g1, g2, np.array(below), space).tolist()
+            assert answers == [expect[e] for e in below], (g1, g2, top, below)
+            if True not in answers:
+                break
+            e = len(answers) - 1 - answers[::-1].index(True)  # the smallest "yes"
+            rows, below = space.entered_rows(e), below[e + 1 :]
+            if rows is None:
+                break
+            space = _FreeSpace(g1, g2, rows, len(below) + 2)
     return twice
 
 
@@ -342,6 +371,13 @@ def test_decision_matches_cell_by_cell_reference():
         expect = {eps: free_space_decision(g1, g2, eps) for eps in epss.tolist()}
         for eps in epss:
             assert _free_space_reachable(g1, g2, eps) == expect[eps], (g1, g2, eps)
+        # one sweep decides the whole set as the scalar decisions do, also
+        # in the time band of its largest eps
+        want = [expect[eps] for eps in epss.tolist()]
+        assert _free_space_reachable(g1, g2, epss).tolist() == want, (g1, g2)
+        if min(len(g1), len(g2)) > 1 and max(_cheb(g1[0], g2[0]), _cheb(g1[-1], g2[-1])) <= epss.max():
+            band = _FreeSpace(g1, g2, _time_band(g1, g2, epss.max()), len(epss))
+            assert _free_space_reachable(g1, g2, epss, band).tolist() == want, (g1, g2)
         # the discrete Frechet bound is the oracle's DP, and the M1 decision holds at it
         bound = _discrete_frechet(g1, g2)
         assert bound == discrete_frechet_linf(g1, g2), (g1, g2)
@@ -351,15 +387,38 @@ def test_decision_matches_cell_by_cell_reference():
     assert twice > 100  # spaces cut twice or more did occur
 
 
+def test_time_band_keeps_the_cells_close_in_time():
+    rng = np.random.default_rng(37)
+    for _ in range(300):
+        g1, g2 = _random_graph(rng), _random_graph(rng)
+        n, m = len(g1) - 1, len(g2) - 1
+        if min(n, m) < 1:
+            continue
+        eps = float(rng.choice([0.0, 0.1, 0.2, 0.5, 2.0]))
+        first, stop = _time_band(g1, g2, eps)
+        for k in range(n + m - 1):
+            close = [i for i in range(max(0, k - m + 1), min(k, n - 1) + 1)
+                     if max(g2[k - i, 0] - g1[i + 1, 0], g1[i, 0] - g2[k - i + 1, 0]) <= eps + 1e-9]
+            assert close == list(range(first[k], stop[k])), (g1, g2, eps, k)
+
+
+def test_decision_refuses_more_eps_than_its_space_holds():
+    g = np.array([[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="2 eps for a space of width 1"):
+        _free_space_reachable(g, g, np.array([0.5, 1.0]), _FreeSpace(g, g))
+
+
 def _spy_decisions(monkeypatch) -> list:
-    """Record (g1, g2, eps, answer, space) of every decision the bracket makes."""
-    calls = []
+    """Record (g1, g2, eps, answer, space, sweep) of every eps the bracket
+    decides; ``sweep`` numbers the calls, each of which decides one eps or
+    an array of them in one sweep."""
+    calls, sweeps = [], itertools.count()
     decide = bigjump.m1._free_space_reachable
 
     def spy(g1, g2, eps, space=None):
-        answer = decide(g1, g2, eps, space)
-        calls.append((g1, g2, eps, answer, space))
-        if len(calls) > 500:
+        answer, sweep = decide(g1, g2, eps, space), next(sweeps)
+        calls.extend((g1, g2, e, a, space, sweep) for e, a in zip(np.atleast_1d(eps), np.atleast_1d(answer)))
+        if sweep >= 500:
             raise RuntimeError("the bisection does not end")
         return answer
 
@@ -375,8 +434,8 @@ def test_bracket_decisions_match_reference(monkeypatch):
         p1 = random_jump_path(rng, max_jumps=4, height=5.0)
         p2 = random_jump_path(rng, max_jumps=4, height=5.0)
         m1_distance_bracket(p1, p2, 1e-9)
-    assert sum(space.cells < (len(g1) - 1) * (len(g2) - 1) for g1, g2, *_, space in calls) > 50
-    for g1, g2, eps, answer, _ in calls:
+    assert sum(space.cells < (len(g1) - 1) * (len(g2) - 1) for g1, g2, *_, space, _ in calls) > 50
+    for g1, g2, eps, answer, *_ in calls:
         assert answer == free_space_decision(g1, g2, eps), (g1, g2, eps)
 
 
@@ -403,16 +462,68 @@ def test_bracket_ends_below_float_spacing(monkeypatch):
         assert len(calls) < 100
 
 
-def test_frechet_bound_leaves_brackets_unchanged(monkeypatch):
-    # settling every eps at or above the bound changes no bracket: the same
-    # brackets come out with the bound disabled (inf, the bisection alone)
+def _c1_pairs() -> list:
+    """The 200 random pairs of the c1 check, then _nearby_pair()."""
     rng = substream(101, "c1-pairs")
     pairs = [(random_jump_path(rng, max_jumps=4, height=5.0), random_jump_path(rng, max_jumps=4, height=5.0))
              for _ in range(200)]
-    pairs.append(_nearby_pair())
+    return pairs + [_nearby_pair()]
+
+
+def test_frechet_bound_leaves_brackets_unchanged(monkeypatch):
+    # settling every eps at or above the bound changes no bracket: the same
+    # brackets come out with the bound disabled (inf, the bisection alone)
+    pairs = _c1_pairs()
     with_bound = [m1_distance_bracket(p1, p2, 1e-9) for p1, p2 in pairs]
     monkeypatch.setattr(bigjump.m1, "_discrete_frechet", lambda g1, g2: np.inf)
     assert [m1_distance_bracket(p1, p2, 1e-9) for p1, p2 in pairs] == with_bound
+
+
+def test_bracket_equals_plain_bisection():
+    # the bound, the corridors and the batched sweeps change no bracket: each
+    # is the one of a sequential bisection with scalar full-space decisions
+    for p1, p2 in _c1_pairs():
+        got, want = m1_distance_bracket(p1, p2, 1e-9), bisection_bracket_plain(p1, p2, 1e-9)
+        assert repr(got) == repr(want), (p1, p2)
+
+
+def test_bracket_sweeps_fewer_than_half_its_eps(monkeypatch):
+    # one corridor sweep decides the midpoints of several bisection levels
+    calls = _spy_decisions(monkeypatch)
+    assert repr(m1_distance_bracket(*_nearby_pair(), 1e-9)) == GOLDEN_NEARBY_BRACKET
+    sweeps = {sweep for *_, sweep in calls}
+    assert 2 * len(sweeps) < len(calls)
+
+
+def test_bracket_leaves_the_time_band_after_a_no_at_the_bound(monkeypatch):
+    # a bound deciding "no" settles nothing, and the eps above it need the
+    # cells outside its time band: the bisection goes on in the full space
+    monkeypatch.setattr(bigjump.m1, "_discrete_frechet", lambda g1, g2: 0.1)
+    calls = _spy_decisions(monkeypatch)
+    assert repr(m1_distance_bracket(*_nearby_pair(), 1e-9)) == GOLDEN_NEARBY_BRACKET
+    (g1, g2, eps, answer, band, _), (*_, lo, _, full, _) = calls[:2]
+    assert (eps, answer) == (0.1, False) and band.cells < full.cells == (len(g1) - 1) * (len(g2) - 1)
+    assert lo < 0.1
+
+
+# m1_distance_bracket at tol 1e-9 on perfbench/m1_reference.make_pair(seed),
+# the inputs of the benchmark's m1-pair workload, recorded before one sweep
+# decided several eps
+M1_PAIR_BRACKETS = {
+    1: "(0.014127586968243122, 0.014127587899565697)",
+    2: "(0.009792285971343517, 0.009792286902666092)",
+    903: "(0.012567526660859583, 0.012567527592182158)",
+}
+
+
+def test_m1_pair_workload_brackets_pinned():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "m1_reference.py"
+    spec = importlib.util.spec_from_file_location("m1_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    for seed, want in M1_PAIR_BRACKETS.items():
+        p1, p2 = (CadlagPath(*table) for table in reference.make_pair(seed))
+        assert repr(m1_distance_bracket(p1, p2, 1e-9)) == want, seed
 
 
 def test_frechet_bound_settles_decisions_above_it(monkeypatch):

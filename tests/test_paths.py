@@ -346,6 +346,22 @@ def test_path_rejects_nonfinite_and_ragged_values():
         CadlagPath(t, np.ones(3), np.ones(4))
 
 
+def test_path_from_lists_stores_float_arrays():
+    # lists passed validation but were stored as given: list - list raised
+    # TypeError in jump_sizes and path_value, and a list t broke values_at
+    p = CadlagPath(np.array([0.0, 1.0]), [0.0, 1.0], [0.0, 1.0])
+    assert p.jump_sizes().tolist() == [0.0, 0.0]
+    assert path_value(p, 0.25) == 0.25
+    q = CadlagPath([0, 0.5, 1], [0, 2, 1], [0, 3, 1])
+    assert all(a.dtype == float for a in (q.t, q.left, q.right))
+    assert q.values_at(np.array([0.25, 0.5, 0.75])).tolist() == [1.0, 3.0, 2.0]
+    assert q.jump_sizes().tolist() == [0.0, 1.0, 0.0]
+    # float arrays are kept as they are, not copied
+    arrays = np.array([0.0, 1.0]), np.array([0.0, 2.0]), np.array([0.0, 2.0])
+    r = CadlagPath(*arrays)
+    assert all(a is b for a, b in zip(arrays, (r.t, r.left, r.right)))
+
+
 def test_csv_round_trip():
     p = build_jump_path(np.array([0.25, 0.5]), np.array([1.0, 2.5]))
     buf = io.StringIO()
