@@ -39,7 +39,7 @@ from .harness import (
 from .laws import PARETO, JointMarkSpec, TailLaw, WaitLaw
 from .m1 import m1_distance_bracket
 from .measures import measure_for_model, mu_bar_tail, mu_sharp, mu_tail
-from .paths import read_path_csv, write_path_csv
+from .paths import ScalingRule, read_path_csv, write_path_csv
 from .streams import substream
 
 # experiment key -> (ExperimentConfig attribute path, kind): the one
@@ -236,7 +236,7 @@ def _write_record(config: ExperimentConfig, outputs: list[str], out_dir: str, na
         "seed": config.seed,
     }
     path = os.path.join(out_dir, f"record_{name}_{record['config_hash']}.json")
-    _atomic_write(path, json.dumps(record, indent=2) + "\n")
+    _atomic_write(path, _json(record, indent=2) + "\n")
     return path
 
 
@@ -290,12 +290,15 @@ def _cmd_measure(args) -> int:
         sharp = mu_sharp(measure, config.lam, config.k, config.event)
     except ValueError as exc:
         raise ConfigurationError(f"event {format_event(config.event)} at k={config.k}: {exc}") from None
-    bar = mu_bar_tail(measure, config.lam, config.k, c)  # an event's own c passed in mu_sharp
+    try:  # an event's own c passed in mu_sharp, so what fails here is mu_y
+        tail, bar = mu_tail(measure, y), mu_bar_tail(measure, config.lam, config.k, c)
+    except ValueError as exc:
+        raise ConfigurationError(f"key 'mu_y': {exc}") from None
     out = {
         "model": measure.model,
         "alpha": measure.alpha,
         "constant": measure.constant,
-        "mu_tail": mu_tail(measure, y),
+        "mu_tail": tail,
         "mu_tail_at": y,
         "mu_bar_tail": bar,
         "mu_bar_at": c,
@@ -307,7 +310,7 @@ def _cmd_measure(args) -> int:
         print(f"{key} = {val}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _atomic_write(os.path.join(args.out, "measure.json"), json.dumps(out, indent=2) + "\n")
+        _atomic_write(os.path.join(args.out, "measure.json"), _json(out, indent=2) + "\n")
     return 0
 
 
@@ -365,10 +368,10 @@ def _cmd_ldp(args) -> int:
         "n": ratio_est.n,
         "seed_lineage": ratio_est.seed_lineage,
         "wall_seconds": wall,
-        "detail": _jsonable(ratio_est.detail),
+        "detail": ratio_est.detail,
     }
     summary_path = os.path.join(args.out, f"ldp_{config_hash(config)}.json")
-    _atomic_write(summary_path, json.dumps(summary, indent=2) + "\n")
+    _atomic_write(summary_path, _json(summary, indent=2) + "\n")
     _write_record(config, [log, summary_path], args.out, "ldp")
     print(
         f"ldp: P={prob:.6g} (se {prob_se:.2g}), ratio={ratio_est.value:.4g} "
@@ -384,9 +387,14 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else None
     return obj
+
+
+def _json(obj, indent=None) -> str:
+    """Strict JSON, which has no NaN or Infinity: non-finite floats are null."""
+    return json.dumps(_jsonable(obj), indent=indent, allow_nan=False)
 
 
 def _spearman(x, y) -> float:
@@ -404,6 +412,11 @@ def _cmd_check(args) -> int:
     config = parse_config(text)
     extras = parse_extras(text)
     grid = [_parse_float("check_T_grid", x, positive=True) for x in extras["check_T_grid"].split(",")]
+    for T in grid:  # every check takes x_T at each horizon
+        try:
+            ScalingRule(config.eta, T).x_T
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"key 'check_T_grid': {exc}") from None
     epsilon = _parse_float("check_epsilon", extras["check_epsilon"], positive=True)
     n_accept = _parse_number("check_n_accept", extras["check_n_accept"])
     if n_accept < 1:
@@ -442,9 +455,9 @@ def _cmd_check(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigurationError(f"unknown check {args.which!r}")
     verdict_path = os.path.join(args.out, f"check_{args.which}.json")
-    _atomic_write(verdict_path, json.dumps(_jsonable(verdict), indent=2) + "\n")
+    _atomic_write(verdict_path, _json(verdict, indent=2) + "\n")
     _write_record(config, [verdict_path], args.out, f"check_{args.which}")
-    print(json.dumps(_jsonable(verdict)))
+    print(_json(verdict))
     return 0 if ok else 1
 
 

@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .measures import LimitMeasure, _excess_mass, mu_bar_tail, order_prefactor
+from .measures import LimitMeasure, _excess_mass, mu_bar_tail, mu_tail, order_prefactor
 from .paths import CadlagPath, kth_largest_jump, path_sup, path_value, terminal
 
 __all__ = [
@@ -164,8 +164,10 @@ class ValueAt(PathEvent):
         return self.c / 2.0 if k == 0 else None
 
     def limit_mass(self, measure, lam, k):
-        M0 = measure.total_mass
         pref = order_prefactor(lam, k)
+        if k == 0:  # one limit jump needs no truncation: s times the terminal mass
+            return pref * (self.s * mu_tail(measure, self.c))
+        M0 = measure.total_mass
         total = 0.0  # j = 0 jumps before s: the value there is 0 < c
         for j, (mass, _) in enumerate(_excess_mass(measure, range(1, k + 2), self.c), start=1):
             w = comb(k + 1, j) * self.s**j * (1.0 - self.s) ** (k + 1 - j)
@@ -253,8 +255,7 @@ class JumpCount(PathEvent):
             return 0.0
         if self.m == k + 1:
             # every limit jump is pinned above r: exact, no truncation needed
-            a = measure.constant * self.r ** (-measure.alpha)
-            return pref * a ** (k + 1)
+            return pref * mu_tail(measure, self.r) ** (k + 1)
         # unpinned coordinates would carry infinite mass; use the y0 truncation
         M0 = measure.total_mass
         [(a, _)] = _excess_mass(measure, [1], self.r)

@@ -20,7 +20,7 @@ from .clusters import (
     superset_probability,
 )
 from .errors import ConfigurationError
-from .events import InterpCurve, PathEvent, rep_time_order
+from .events import InterpCurve, PathEvent, format_event, rep_time_order
 from .laws import (
     COMONOTONE,
     INDEPENDENT_LIGHT_K,
@@ -713,7 +713,10 @@ def ldp_ratio(config: ExperimentConfig) -> tuple[Estimate, float]:
             "its order-k limit mass diverges (pick an event forcing k+1 jumps)"
         )
     measure = measure_for_model(config.model, config.spec)
-    limit_value = mu_sharp(measure, config.lam, config.k, config.event)
+    try:
+        limit_value = mu_sharp(measure, config.lam, config.k, config.event)
+    except ValueError as exc:
+        raise ConfigurationError(f"event {format_event(config.event)} at k={config.k}: {exc}") from None
     if limit_value <= 0.0:
         raise ConfigurationError(
             "event has zero limit mass at this order; it lives at a higher k"
@@ -748,7 +751,7 @@ def check_remainder(
     tilt = config.spec.dependence == COMONOTONE
     rows = []
     for idx, T in enumerate(T_grid):
-        x_T = float(T) ** config.eta
+        x_T = ScalingRule(config.eta, T).x_T
         rng = substream(config.seed, "remainder", idx)
         xq = _tilt_level(config, x_T) if tilt else None
         cid, off, mark, w, counts = _conditional_pool(
@@ -779,7 +782,7 @@ def check_assumption6(wait: WaitLaw, eta: float, epsilon: float, T_grid) -> tupl
         raise ValueError("epsilon must be positive")
     rows = []
     for T in T_grid:
-        val = float(T) ** eta * float(wait.law.tail(epsilon * float(T)))
+        val = ScalingRule(eta, T).x_T * float(wait.law.tail(epsilon * float(T)))
         rows.append({"T": float(T), "value": val})
     vals = [r["value"] for r in rows]
     decreasing = all(b <= a for a, b in zip(vals, vals[1:]))

@@ -10,7 +10,7 @@ mass at 0 would otherwise diverge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, inf
 
 from .errors import ConfigurationError
 from .laws import COMONOTONE, INDEPENDENT_LIGHT_K, PARETO, JointMarkSpec, TailLaw, mean_ceil, sum_tail_bracket
@@ -70,11 +70,22 @@ def measure_for_model(model: str, spec: JointMarkSpec) -> LimitMeasure:
     raise ConfigurationError(f"unknown model {model!r}")
 
 
+def _tail_mass(measure: LimitMeasure, y: float, pref: float = 1.0) -> float:
+    """pref * C * y^(-alpha); a ValueError naming y where it overflows a float."""
+    try:
+        out = pref * measure.constant * y ** (-measure.alpha)
+    except OverflowError:
+        out = inf
+    if out == inf:
+        raise ValueError(f"the limit mass C*y^(-alpha) overflows a float at y={y!r}")
+    return out
+
+
 def mu_tail(measure: LimitMeasure, y: float) -> float:
     """mu((y, inf)) = C * y^(-alpha)."""
     if y <= 0:
         raise ValueError("y must be positive")
-    return measure.constant * y ** (-measure.alpha)
+    return _tail_mass(measure, y)
 
 
 def _excess_mass(measure: LimitMeasure, powers, c: float) -> list[tuple[float, float]]:
@@ -118,7 +129,7 @@ def mu_bar_tail(measure: LimitMeasure, lam: float, k: int, c: float) -> float:
         raise ValueError("k must be >= 0")
     pref = order_prefactor(lam, k)
     if k == 0:
-        return pref * measure.constant * c ** (-measure.alpha)
+        return _tail_mass(measure, c, pref)
     [(mass, _)] = _excess_mass(measure, [k + 1], c)
     return pref * mass
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "kth_largest_jump",
     "dk_skeleton",
     "centering_mb",
-    "mb_centering_values",
     "centering_hawkes",
     "centered_scaled_path",
     "path_value",
@@ -146,7 +146,12 @@ class ScalingRule:
 
     @property
     def x_T(self) -> float:
-        return self.T**self.eta
+        try:
+            return float(self.T) ** self.eta
+        except OverflowError:
+            raise ConfigurationError(
+                f"x_T = T^eta_exponent overflows a float at T={self.T!r}, eta_exponent={self.eta!r}"
+            ) from None
 
     def speed(self, law: TailLaw) -> float:
         """v(x_T) = 1 / P(X > x_T)."""
@@ -184,89 +189,36 @@ def _wait_tail_integral(wait: WaitLaw, u, mark=None):
         return np.minimum(u, law.scale)
     # Pareto: min(u, s0) + s0/(a-1) * (1 - (u/s0)^(1-a)) on u > s0
     s0, a = law.scale, law.alpha
-    return np.where(
-        u <= s0,
-        u,
-        s0 + (s0 / (a - 1.0)) * (1.0 - np.power(np.maximum(u, s0) / s0, 1.0 - a))
-        if a != 1.0
-        else s0 * (1.0 + np.log(np.maximum(u, s0) / s0)),
-    )
+    v = np.maximum(u, s0) / s0
+    far = s0 + (s0 / (a - 1.0)) * (1.0 - np.power(v, 1.0 - a)) if a != 1.0 else s0 * (1.0 + np.log(v))
+    return np.where(u <= s0, u, far)
 
 
 _GL_NODES = 256
 
 
-def _mark_quadrature(law: TailLaw, n: int = _GL_NODES):
-    """Gauss-Legendre nodes/weights for E[g(X)] via the quantile transform."""
-    u, w = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (u + 1.0)
-    w = 0.5 * w
-    return law.quantile(u), w
-
-
-def mb_centering_values(
-    lam: float, T: float, spec: JointMarkSpec, wait: WaitLaw, ts: np.ndarray
-) -> np.ndarray:
-    """Mean cumulative mass m(t) for the single-generation model.
-
-    Exact when the wait law is unconditional: the mark expectation then
-    factorises into E[K].  Mark-conditional waits take it by 256-point
-    Gauss-Legendre on the quantile scale; the offspring the quadrature
-    misses (a Pareto law's singular end, whose children wait ~ 0) are
-    booked at lag 0.
-    """
-    ts = np.asarray(ts, dtype=float)
-    ex = spec.x_law.mean()
-    u = ts * T
-    kmean = spec.mean_offspring()
-    if not wait.conditional_on_mark:
-        return lam * ex * (u + kmean * (u - _wait_tail_integral(wait, u)))
-    xs, ws = _mark_quadrature(spec.x_law)
-    kx = ceil_count(spec.k_param, xs) if spec.dependence == COMONOTONE else np.full_like(xs, kmean)
-    h = u[:, None] - _wait_tail_integral(wait, u[:, None], mark=xs[None, :])
-    return lam * ex * (u + h @ (kx * ws) + u * (kmean - kx @ ws))
-
-
-def _uniform_grid(grid_n: int) -> np.ndarray:
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
-    return np.linspace(0.0, 1.0, grid_n + 1)
-
-
-def centering_mb(
-    lam: float, T: float, spec: JointMarkSpec, wait: WaitLaw, grid_n: int = DEFAULT_GRID_N
-) -> CadlagPath:
-    """Continuous nondecreasing centering curve on a uniform grid."""
-    ts = _uniform_grid(grid_n)
-    vals = mb_centering_values(lam, T, spec, wait, ts)
-    return CadlagPath(ts, vals, vals)
-
-
-def _fertility_tail(spec: JointMarkSpec, wait: WaitLaw, u: np.ndarray):
-    """Mean number of children born after lag u, and its integral over [0, u]:
-    kappa P(W > u) for unconditional waits, E[phi X P(W > u | X)] by mark
-    quadrature for mark-conditional ones.  The marks the quadrature misses (a
-    Pareto law's singular end) bear children at lag ~ 0: tail(0) is all kappa."""
+def _offspring_tail(spec: JointMarkSpec, wait: WaitLaw, u: np.ndarray, per_mark, mean: float):
+    """Mean number of children born after lag u, and its integral over [0, u],
+    to a parent of mark x with per_mark(x) children on average, mean in all.
+    Mark-conditional waits take E[per_mark(X) P(W > u | X)] by Gauss-Legendre
+    on the quantile scale; the marks it misses (a Pareto law's singular end)
+    bear children at lag ~ 0: tail(0) is all of mean."""
     if wait.conditional_on_mark:
-        xs, ws = _mark_quadrature(spec.x_law)
-        u, rate = u[:, None], spec.phi * xs * ws
-        tail = np.r_[spec.mean_fertility, wait.tail(u[1:], xs) @ rate]
+        g, w = np.polynomial.legendre.leggauss(_GL_NODES)
+        xs = spec.x_law.quantile(0.5 * (g + 1.0))
+        u, rate = u[:, None], per_mark(xs) * (0.5 * w)
+        tail = np.r_[mean, wait.tail(u[1:], xs) @ rate]
         return tail, _wait_tail_integral(wait, u, xs) @ rate
-    kappa = spec.mean_fertility
-    return kappa * wait.tail(u), kappa * _wait_tail_integral(wait, u)
+    return mean * wait.tail(u), mean * _wait_tail_integral(wait, u)
 
 
 def _fast_len(n: int) -> int:
     """Smallest 5-smooth integer 2^a 3^b 5^c >= n."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
+    best, p5 = 1 << max(n - 1, 0).bit_length(), 1
     while p5 < best:
         p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
+        while p35 < best:  # the least power-of-two multiple of 3^b 5^c reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
             p35 *= 3
         p5 *= 5
     return best
@@ -298,31 +250,48 @@ def _series_divide(f: np.ndarray, d: np.ndarray) -> np.ndarray:
 _LAG_STEPS = 8192
 
 
-def centering_hawkes(
-    lam: float, T: float, spec: JointMarkSpec, wait: WaitLaw, grid_n: int = DEFAULT_GRID_N
-) -> CadlagPath:
-    """Mean cumulative mass of the branching model on a uniform grid.
-
-    Every generation counts at its cumulative offset.  By the cluster
-    representation of Hawkes & Oakes (1974) the mean solves the renewal
-    equation m(u) = lam E[X] u + int_0^u m(u - w) k(dw), where k(dw) is the
-    mean number of children born at lag w (`_fertility_tail`).  Product
+def _mean_path(lam, T, spec, wait, grid_n, per_mark, mean, branching) -> CadlagPath:
+    """Mean cumulative mass on a uniform grid by the renewal equation of the
+    cluster representation (Hawkes & Oakes 1974): m = f + k * m for branching
+    clusters, m = f + k * f for single-generation ones, with f(u) = lam E[X] u
+    and k(dw) the mean children born at lag w (`_offspring_tail`).  Product
     integration on a lag grid of at least _LAG_STEPS cells, a multiple of
-    grid_n, takes m linear on each cell and integrates k exactly against it;
-    the resulting lower-triangular Toeplitz system m = f + c * m is solved
-    as the power series m = f / (1 - c) (`_series_divide`).
-    """
-    ts = _uniform_grid(grid_n)
+    grid_n, integrates k exactly against the curve taken linear on each cell,
+    so f + k * f is exact up to rounding; m = f + c * m is solved as f / (1 - c)."""
+    if grid_n < 2:
+        raise ValueError("grid_n must be >= 2")
     step = -(-_LAG_STEPS // grid_n)
     u = np.linspace(0.0, T, grid_n * step + 1)
-    tail, tail_int = _fertility_tail(spec, wait, u)
+    tail, tail_int = _offspring_tail(spec, wait, u, per_mark, mean)
     cell_tail = np.diff(tail_int) / (T / (u.size - 1))  # mean of the tail over each cell
     # weight of m(u_n - u_j): near end of cell j plus far end of cell j - 1
     c = np.r_[tail[:-1] - cell_tail, 0.0] + np.r_[0.0, cell_tail - tail[1:]]
-    c[0] -= 1.0
-    vals = _series_divide(lam * spec.x_law.mean() * u, -c)[::step]
+    f = lam * spec.x_law.mean() * u
+    if branching:
+        c[0] -= 1.0
+        vals = _series_divide(f, -c)[::step]
+    else:
+        vals = (f + _convolve(c, f)[: f.size])[::step]
     vals[0] = 0.0
-    return CadlagPath(ts, vals, vals)
+    return CadlagPath(np.linspace(0.0, 1.0, grid_n + 1), vals, vals)
+
+
+def centering_mb(
+    lam: float, T: float, spec: JointMarkSpec, wait: WaitLaw, grid_n: int = DEFAULT_GRID_N
+) -> CadlagPath:
+    """Mean path of the single-generation model: a parent of mark x bears
+    ceil(k_param x) children for comonotone counts, E[K] on average otherwise."""
+    kmean = spec.mean_offspring()
+    per_mark = partial(ceil_count, spec.k_param) if spec.dependence == COMONOTONE else lambda x: kmean
+    return _mean_path(lam, T, spec, wait, grid_n, per_mark, kmean, branching=False)
+
+
+def centering_hawkes(
+    lam: float, T: float, spec: JointMarkSpec, wait: WaitLaw, grid_n: int = DEFAULT_GRID_N
+) -> CadlagPath:
+    """Mean path of the branching model: a parent of mark x bears phi x
+    children on average, every generation counted at its cumulative offset."""
+    return _mean_path(lam, T, spec, wait, grid_n, lambda x: spec.phi * x, spec.mean_fertility, branching=True)
 
 
 def centered_scaled_path(uncentered: CadlagPath, centering: CadlagPath, scaling: ScalingRule) -> CadlagPath:

@@ -404,3 +404,28 @@ def anatomy_summary_loop(rep, t, size, hits, weight, m: int) -> dict:
     wts = np.asarray(wts)
     quantiles = [(shares, 0.5), (shares, 0.1), (shares, 0.9), (top1, 0.5), (spreads, 0.5)]
     return {key: _weighted_quantile(np.asarray(v), wts, q) for key, (v, q) in zip(keys, quantiles)}
+
+
+def mb_centering_closed_form(lam, T, spec, wait, ts) -> np.ndarray:
+    """Mean cumulative mass of the single-generation model at times ts,
+    lam E[X] (u + E[K] (u - G(u))) with G(u) = int_0^u P(W > s) ds in closed
+    form per wait family.  Mark-conditional waits take the mark expectation by
+    256-point Gauss-Legendre on the quantile scale and book the offspring it
+    misses (a Pareto law's singular end) at lag 0."""
+    u = np.asarray(ts, dtype=float) * T
+    ex, kmean, law = spec.x_law.mean(), spec.mean_offspring(), wait.law
+    if wait.conditional_on_mark:
+        g, w = np.polynomial.legendre.leggauss(256)
+        xs, ws = spec.x_law.quantile(0.5 * (g + 1.0)), 0.5 * w
+        kx = np.ceil(spec.k_param * xs) if spec.dependence == "comonotone" else np.full_like(xs, kmean)
+        sc = law.scale / (1.0 + xs)
+        h = u[:, None] - sc * -np.expm1(-u[:, None] / sc)
+        return lam * ex * (u + h @ (kx * ws) + u * (kmean - kx @ ws))
+    if law.family == "exponential":
+        G = law.scale * -np.expm1(-u / law.scale)
+    elif law.family == "deterministic":
+        G = np.minimum(u, law.scale)
+    else:
+        s0, a = law.scale, law.alpha
+        G = np.where(u <= s0, u, s0 + s0 / (a - 1.0) * (1.0 - np.power(np.maximum(u, s0) / s0, 1.0 - a)))
+    return lam * ex * (u + kmean * (u - G))

@@ -24,7 +24,7 @@ from bigjump.harness import (
 from bigjump.laws import JointMarkSpec, TailLaw, WaitLaw
 from bigjump.m1 import m1_distance
 from bigjump.measures import measure_for_model, mu_bar_tail, mu_sharp
-from bigjump.paths import centering_hawkes, mb_centering_values
+from bigjump.paths import centering_hawkes, centering_mb
 from bigjump.streams import substream
 
 from .conftest import random_jump_path
@@ -259,9 +259,9 @@ def test_c6_remainder_negligibility():
 
 
 def test_c7_centering_correctness():
-    ts = np.linspace(0.0, 1.0, 2**14 + 1)
-    closed = mb_centering_values(1.0, 50.0, SPEC_NU2, EXP_WAIT, ts)
-    oracle = quadrature_centering_oracle(1.0, 50.0, 3.0, 2.0, lambda s: 1.0 - np.exp(-s), ts)
+    path = centering_mb(1.0, 50.0, SPEC_NU2, EXP_WAIT, 2**14)
+    closed = path.right
+    oracle = quadrature_centering_oracle(1.0, 50.0, 3.0, 2.0, lambda s: 1.0 - np.exp(-s), path.t)
     sup_gap = float(np.abs(closed - oracle).max())
     mb_ok = sup_gap < 1e-8
 
@@ -278,7 +278,7 @@ def test_c7_centering_correctness():
     ok = _verdict(
         "7",
         mb_ok and h_ok,
-        f"MB closed form vs quadrature sup gap {sup_gap:.2e} (<1e-8); "
+        f"MB centering vs quadrature sup gap {sup_gap:.2e} (<1e-8); "
         f"branching centering terminal {exact[-1]:.1f} vs all-generation brute force "
         f"{bf[-1]:.1f} (max z={z:.2f} < 3 over 3 times at 1e6 clusters)",
     )

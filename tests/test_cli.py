@@ -568,6 +568,63 @@ def test_cli_refuses_overflowing_order_prefactor(tmp_path, capsys, command, rate
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "command, edits, key",
+    [
+        # x_T = T^eta
+        *[(c, {"eta_exponent": "1e308"}, "eta_exponent") for c in ("measure", "ldp", "simulate")],
+        *[
+            (c, {"eta_exponent": "2.0", "check_T_grid": "25,1e300"}, "check_T_grid")
+            for c in ("check assumption6", "check remainder")
+        ],
+        # C * c^-alpha
+        *[
+            (c, {"event": e}, e)
+            for c in ("measure", "ldp")
+            for e in ("terminal_exceed:1e-300", "jump_count:1,1e-300", "value_at:0.5,1e-300")
+        ],
+        ("measure", {"event": "jump_count:2,0.5", "mu_y": "1e-300"}, "mu_y"),
+    ],
+    ids=lambda v: v.replace(" ", "-") if isinstance(v, str) else "-".join(v.values()),
+)
+def test_cli_refuses_overflowing_floats(tmp_path, capsys, command, edits, key):
+    # each left a float and ended in an OverflowError traceback with exit 1;
+    # value_at:0.5,1e-300 ran against the y0-truncated limit 1.5
+    text = BASE
+    for name, value in edits.items():
+        text = _with_key(text, name, value)
+    out = str(tmp_path / "never")
+    argv = [*command.split(), "--config", _write(tmp_path, text)] + ([] if command == "measure" else ["--out", out])
+    assert main(argv) == 2
+    assert key in _single_error_line(capsys)
+    assert not os.path.exists(out)
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_writes_strict_json(tmp_path, capsys):
+    # check remainder on two horizons wrote "spearman": NaN, which strict
+    # parsers refuse
+    cfg = _write(tmp_path, BASE + "check_T_grid = 25,50\ncheck_n_accept = 200\n")
+    out = tmp_path / "out"
+    assert main(["measure", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["ldp", "--config", cfg, "--out", str(out)]) == 0
+    for which in ("remainder", "assumption6", "tails"):
+        assert main(["check", which, "--config", cfg, "--out", str(out)]) in (0, 1)
+    printed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("{")]
+    assert len(printed) == 3
+    verdict = [_strict_json(ln) for ln in printed][0]
+    assert verdict["check"] == "remainder" and verdict["spearman"] is None
+    written = sorted(out.glob("*.json"))
+    assert len(written) == 9  # measure, and ldp and the three checks each with its record
+    for path in written:
+        _strict_json(path.read_text())
+
+
 @pytest.mark.parametrize("k", [4, 6])
 def test_cli_measure_value_at_beyond_k3(tmp_path, capsys, k):
     # the nested quadrature asked for 256^k points (about 34 GB at k = 4)

@@ -189,6 +189,12 @@ def test_mu_sharp_value_at_the_horizon_is_terminal():
     m = LimitMeasure(1.5, 1.0, "MB-independent", 1.0)
     for k in (1, 3, 4):
         assert mu_sharp(m, 1.0, k, ValueAt(1.0, 8.0)) == mu_bar_tail(m, 1.0, k, 8.0)
+    # one limit jump needs no truncation, below the mark scale y0 = 1 too:
+    # value_at:1,0.5 read the saturated mass y0^-alpha = 1 where
+    # terminal_exceed:0.5 reads 0.5^-1.5
+    for c in (0.5, 1.0, 4.0):
+        assert mu_sharp(m, 1.0, 0, ValueAt(1.0, c)) == mu_sharp(m, 1.0, 0, TerminalExceed(c))
+        assert mu_sharp(m, 1.0, 0, ValueAt(0.3, c)) == pytest.approx(0.3 * mu_bar_tail(m, 1.0, 0, c), rel=1e-15)
 
 
 def test_mu_sharp_jump_count_combinatorics():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 from dataclasses import replace
 
@@ -19,7 +20,6 @@ from bigjump.paths import (
     centered_scaled_path,
     centering_hawkes,
     centering_mb,
-    mb_centering_values,
     path_sup,
     path_value,
     read_path_csv,
@@ -28,7 +28,12 @@ from bigjump.paths import (
 )
 from bigjump.streams import substream
 from .conftest import edge_jump_lists
-from .oracles import branching_path_mean, jump_path_loop, quadrature_centering_oracle
+from .oracles import (
+    branching_path_mean,
+    jump_path_loop,
+    mb_centering_closed_form,
+    quadrature_centering_oracle,
+)
 
 
 ZERO = CadlagPath(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
@@ -127,34 +132,32 @@ def test_scaling_rule_speeds(pareto15):
 
 def test_centering_mb_closed_form_values(mb_spec_nu2, exp_wait):
     # independent offspring, unconditional exponential waits: exact curve
-    ts = np.linspace(0, 1, 9)
     lam, T = 1.3, 40.0
-    vals = mb_centering_values(lam, T, mb_spec_nu2, exp_wait, ts)
+    path = centering_mb(lam, T, mb_spec_nu2, exp_wait, grid_n=8)
+    ts, vals = path.t, path.right
     expected = lam * ts * T * 3.0 * 3.0 - lam * 3.0 * 2.0 * 1.0 * (1.0 - np.exp(-ts * T))
     np.testing.assert_allclose(vals, expected, rtol=1e-12)
     assert vals[0] == 0.0
 
 
 def test_centering_mb_zero_offspring_is_linear(mb_spec_nu0, exp_wait):
-    ts = np.linspace(0, 1, 5)
-    vals = mb_centering_values(2.0, 10.0, mb_spec_nu0, exp_wait, ts)
-    np.testing.assert_allclose(vals, 2.0 * ts * 10.0 * 3.0, rtol=1e-12)
+    path = centering_mb(2.0, 10.0, mb_spec_nu0, exp_wait, grid_n=4)
+    np.testing.assert_allclose(path.right, 2.0 * path.t * 10.0 * 3.0, rtol=1e-12)
 
 
 def test_centering_mb_against_quadrature_oracle(mb_spec_nu2, exp_wait):
-    ts = np.linspace(0.0, 1.0, 2**14 + 1)
-    vals = mb_centering_values(1.0, 50.0, mb_spec_nu2, exp_wait, ts)
+    path = centering_mb(1.0, 50.0, mb_spec_nu2, exp_wait, 2**14)
     oracle = quadrature_centering_oracle(
-        1.0, 50.0, 3.0, 2.0, lambda s: 1.0 - np.exp(-s), ts
+        1.0, 50.0, 3.0, 2.0, lambda s: 1.0 - np.exp(-s), path.t
     )
-    assert np.abs(vals - oracle).max() < 1e-8
+    assert np.abs(path.right - oracle).max() < 1e-8
 
 
 def test_centering_mb_comonotone_against_crude_mc(pareto15, exp_wait):
     # m(1) = lam*T * E[retained mass of one cluster with a uniform arrival]
     spec = JointMarkSpec(pareto15, "comonotone", k_param=0.5)
     lam, T = 1.0, 5.0
-    val = mb_centering_values(lam, T, spec, exp_wait, np.array([1.0]))[0]
+    val = centering_mb(lam, T, spec, exp_wait).right[-1]
     rng = substream(1, "cmc")
     n = 200_000
     x0 = pareto15.sample(rng, n)
@@ -176,7 +179,7 @@ def test_centering_mb_comonotone_closed_form(pareto15, exp_wait):
     # miss about 1.3% of E[ceil(eta X)] at the singular end of Pareto(1, 1.5)
     spec = JointMarkSpec(pareto15, "comonotone", k_param=0.5)
     lam, T = 1.0, 200.0
-    val = mb_centering_values(lam, T, spec, exp_wait, np.array([1.0]))[0]
+    val = centering_mb(lam, T, spec, exp_wait).right[-1]
     exact = lam * 3.0 * (T + mean_ceil(0.5, pareto15) * (T + np.expm1(-T)))
     assert abs(val - exact) <= 1e-12 * exact
 
@@ -186,10 +189,47 @@ def test_centering_mb_comonotone_mark_conditional_waits(pareto15):
     # closed form above), and no wait law brings more than lam E[X] (1 + E[K]) u
     spec = JointMarkSpec(pareto15, "comonotone", k_param=0.5)
     lam, T, kmean = 1.0, 200.0, mean_ceil(0.5, pareto15)
-    u = np.array([0.01, 0.1, 1.0]) * T
-    cond = mb_centering_values(lam, T, spec, WaitLaw(TailLaw("exponential", 1.0), True), u / T)
+    path = centering_mb(lam, T, spec, WaitLaw(TailLaw("exponential", 1.0), True), grid_n=100)
+    u, cond = path.t[[1, 10, 100]] * T, path.right[[1, 10, 100]]
     assert np.all(lam * 3.0 * (u + kmean * (u + np.expm1(-u))) < cond)
     assert np.all(cond < lam * 3.0 * (1.0 + kmean) * u)
+
+
+_MB_SPECS = {
+    "poisson": JointMarkSpec(TailLaw("pareto", 1.0, 1.5), "independent_light_k", k_param=2.0),
+    "comonotone": JointMarkSpec(TailLaw("pareto", 1.0, 1.5), "comonotone", k_param=0.5),
+    "heavy": JointMarkSpec(TailLaw("exponential", 2.0), "heavy_k_light_x", k_param=1.5, k_alpha=2.5),
+}
+_WAITS = {
+    "exponential": WaitLaw(TailLaw("exponential", 1.0)),
+    "pareto": WaitLaw(TailLaw("pareto", 0.5, 2.5)),
+    "deterministic": WaitLaw(TailLaw("deterministic", 0.7371)),
+    "mark-conditional": WaitLaw(TailLaw("exponential", 1.0), True),
+}
+
+
+@pytest.mark.parametrize("wait", list(_WAITS), ids=list(_WAITS))
+@pytest.mark.parametrize("spec", list(_MB_SPECS), ids=list(_MB_SPECS))
+def test_centering_mb_matches_closed_form(spec, wait):
+    # m = f + k * f with f linear: the renewal solver's first term is exact up
+    # to rounding, the marks the quadrature misses booked at lag 0 alike
+    for T in (50.0, 200.0):
+        for grid_n in (64, 1024, 8192):
+            path = centering_mb(1.3, T, _MB_SPECS[spec], _WAITS[wait], grid_n)
+            exact = mb_centering_closed_form(1.3, T, _MB_SPECS[spec], _WAITS[wait], path.t)
+            assert np.abs(path.right - exact).max() <= 1e-15 * exact[-1], (T, grid_n)
+
+
+# sha256 prefixes of the branching centering's values, Pareto(1, 1.5) marks
+# at mean fertility 1/2, T = 200, grid 1024
+HAWKES_CENTERING_GOLDEN = {False: "b84927c7c8ed5a1c", True: "e39b09c01a608140"}
+
+
+@pytest.mark.parametrize("conditional", sorted(HAWKES_CENTERING_GOLDEN))
+def test_centering_hawkes_values_pinned(hawkes_spec_half, conditional):
+    wait = WaitLaw(TailLaw("exponential", 1.0), conditional)
+    right = centering_hawkes(1.0, 200.0, hawkes_spec_half, wait, 1024).right
+    assert hashlib.sha256(right.tobytes()).hexdigest()[:16] == HAWKES_CENTERING_GOLDEN[conditional]
 
 
 def test_centering_grid_path_nondecreasing(mb_spec_nu2, exp_wait):
