@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .measures import LimitMeasure, _excess_mass, mu_bar_tail, mu_tail, order_prefactor
+from .measures import LimitMeasure, _excess_mass, _tail_mass, mu_bar_tail, mu_tail, order_prefactor
 from .paths import CadlagPath, kth_largest_jump, path_sup, path_value, terminal
 
 __all__ = [
@@ -255,7 +255,7 @@ class JumpCount(PathEvent):
             return 0.0
         if self.m == k + 1:
             # every limit jump is pinned above r: exact, no truncation needed
-            return pref * mu_tail(measure, self.r) ** (k + 1)
+            return _tail_mass(measure, self.r, pref, k + 1)
         # unpinned coordinates would carry infinite mass; use the y0 truncation
         M0 = measure.total_mass
         [(a, _)] = _excess_mass(measure, [1], self.r)

@@ -167,7 +167,8 @@ def replication_path(
     config: ExperimentConfig, gammas: np.ndarray, batch: BatchClusters, centering: CadlagPath
 ) -> CadlagPath:
     """Centered scaled path of one replication's events landing in [0, T]."""
-    _, t, size = _flat_jumps(config.T, [gammas.size], gammas, batch.cid, batch.offset, batch.mark)
+    rep_of_cluster = np.zeros(gammas.size, np.int64)
+    _, t, size = _flat_jumps(config.T, rep_of_cluster, gammas, batch.cid, batch.offset, batch.mark, batch.n)
     return centered_scaled_path(build_jump_path(t, size), centering, config.scaling())
 
 
@@ -186,14 +187,29 @@ def simulate_replication(
 # vectorized event evaluation
 
 
-def _flat_jumps(T: float, counts, gammas, cid, offset, mark) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rep_of_cluster(counts) -> np.ndarray:
+    """The replication of each cluster, from the clusters per replication."""
+    return np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+
+
+def _flat_jumps(
+    T: float, rep_of_cluster, gammas, cid, offset, mark, n_lead: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat (rep, scaled time, mark) arrays of the events landing in [0, T],
-    from the clusters per replication, the arrival per cluster and the
-    events' cid, offset and mark."""
-    rep_of_cluster = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    t_abs = gammas[cid] + offset
+    from the replication and the arrival of each cluster and the events'
+    cid, offset and mark.  The first ``n_lead`` rows are the immigrants of
+    clusters 0..n_lead-1, as `simulate_batch` lays them out: their offset
+    is 0.0 and gamma + 0.0 = gamma, so their times need no gather.  The
+    crude lane's memory peaks here, so the times are scaled in place and
+    freed before the other outputs are gathered."""
+    t_abs = np.empty(cid.size)
+    t_abs[:n_lead] = gammas[:n_lead]
+    np.add(gammas[cid[n_lead:]], offset[n_lead:], out=t_abs[n_lead:])
     keep = t_abs <= T
-    return rep_of_cluster[cid[keep]], t_abs[keep] / T, mark[keep]
+    t = t_abs[keep]
+    del t_abs
+    t /= T
+    return rep_of_cluster[cid[keep]], t, mark[keep]
 
 
 def _eval_event_chunk(
@@ -219,17 +235,79 @@ def _eval_event_chunk(
 
 
 def _simulate_jump_arrays(config: ExperimentConfig, n_reps: int, rng: np.random.Generator):
-    """Flat (rep, scaled time, mark) arrays for n_reps independent replications."""
+    """Flat (rep, scaled time, mark) arrays for n_reps independent
+    replications, then the draw's truncated-cluster count and the control
+    variates of each replication (`_immigrant_covariates`)."""
     counts, gammas, batch = draw_clusters(config, n_reps, rng)
-    rep, t, size = _flat_jumps(config.T, counts, gammas, batch.cid, batch.offset, batch.mark)
-    return rep, t, size, int(batch.truncated.sum())
+    rep_of_cluster = _rep_of_cluster(counts)
+    covariates = _immigrant_covariates(
+        rep_of_cluster, counts, gammas, batch.mark[: batch.n], config.T, config.scaling().x_T
+    )
+    rep, t, size = _flat_jumps(config.T, rep_of_cluster, gammas, batch.cid, batch.offset, batch.mark, batch.n)
+    return rep, t, size, (int(batch.truncated.sum()), covariates)
+
+
+# Control variates of the crude score, sums over a replication's immigrants:
+# sum min(X, c) and sum (1 - gamma/T) min(X, c) for c in _CRUDE_CV_MIN x_T,
+# and #{X > c} for c in _CRUDE_CV_COUNT x_T
+_CRUDE_CV_MIN = (0.25, 0.5, 1.0)
+_CRUDE_CV_COUNT = (0.5, 1.0, 2.0)
+# each parity fold fits 9 slopes and an intercept on at least 20 hits and 20
+# misses per coefficient: 400 of each.  The rarer outcome bounds what a fit
+# to a 0/1 score learns; with a few hits, a fit exact in sample (point-mass
+# marks, no replication with two immigrants) reported a stderr of 1e-17
+_CRUDE_CV_FOLD_FLOOR = 2 * 20 * (1 + 2 * len(_CRUDE_CV_MIN) + len(_CRUDE_CV_COUNT))
+
+
+def _replication_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-replication sums of replication-major values, counts[r] of them
+    for replication r."""
+    out = np.zeros(counts.size)
+    nonempty = counts > 0
+    if values.size:
+        out[nonempty] = np.add.reduceat(values, (np.cumsum(counts) - counts)[nonempty])
+    return out
+
+
+def _immigrant_covariates(rep_of_cluster, counts, gammas, marks, T: float, x_T: float) -> np.ndarray:
+    """Control variates of each replication from its immigrants, one column
+    each: sum min(X, c), then sum (1 - gamma/T) min(X, c), for c in
+    _CRUDE_CV_MIN x_T, then #{X > c} for c in _CRUDE_CV_COUNT x_T; the
+    immigrants' arrivals and marks come replication-major.  Each truncated
+    sum is the whole sum, from one segment sum over every immigrant, less
+    max(X - c, 0) over the few marks above the lowest level, which alone go
+    to bincount."""
+    n = counts.size
+    whole = _replication_sums(marks, counts)
+    whole_weighted = whole - _replication_sums(gammas * marks, counts) / T
+    big = np.flatnonzero(marks > _CRUDE_CV_MIN[0] * x_T)
+    rep, x, w = rep_of_cluster[big], marks[big], 1.0 - gammas[big] / T
+    excess = [np.maximum(x - c * x_T, 0.0) for c in _CRUDE_CV_MIN]
+    return np.column_stack(
+        [whole - np.bincount(rep, weights=e, minlength=n) for e in excess]
+        + [whole_weighted - np.bincount(rep, weights=w * e, minlength=n) for e in excess]
+        + [np.bincount(rep[x > c * x_T], minlength=n) for c in _CRUDE_CV_COUNT]
+    )
+
+
+def _crude_cv_means(config: ExperimentConfig) -> np.ndarray:
+    """Exact means of `_immigrant_covariates`: the immigrant count is
+    Poisson(lam T), the arrivals uniform on [0, T] and the marks free of
+    both, and `cluster_cap` drops no immigrant; so lam T E[min(X, c)], half
+    of it with the weight 1 - gamma/T, and lam T P(X > c)."""
+    law, x_T, lam_t = config.spec.x_law, config.scaling().x_T, config.lam * config.T
+    truncated = [lam_t * law.truncated_mean(c * x_T) for c in _CRUDE_CV_MIN]
+    counted = [lam_t * law.tail(c * x_T) for c in _CRUDE_CV_COUNT]
+    return np.array(truncated + [0.5 * m for m in truncated] + counted)
 
 
 def _crude_chunk(config: ExperimentConfig, chunk_index: int, chunk_size: int, centering: CadlagPath):
+    """Event indicators of chunk_size replications, their control variates
+    and the chunk's truncated-cluster count."""
     rng = substream(config.seed, "crude", chunk_index)
-    rep, t, size, trunc = _simulate_jump_arrays(config, chunk_size, rng)
+    rep, t, size, (trunc, covariates) = _simulate_jump_arrays(config, chunk_size, rng)
     hits = _eval_event_chunk(rep, t, size, chunk_size, config.event, centering, config.scaling().x_T)
-    return int(hits.sum()), trunc
+    return hits, covariates, trunc
 
 
 def _chunk_sizes(n: int) -> list[int]:
@@ -251,22 +329,61 @@ def _run_tasks(fn, tasks, workers: int):
 
 
 def crude_estimate(config: ExperimentConfig) -> Estimate:
-    """Plain hit frequency with binomial error and the Wilson interval, which
-    keeps a positive upper end when no replication hits."""
+    """Hit frequency, adjusted by control variates whose means are exact.
+
+    The covariates are nine sums over each replication's immigrants
+    (`_immigrant_covariates`), with closed-form means (`_crude_cv_means`).
+    Their coefficients are fitted on the other parity fold of the
+    replications (`_cross_fit`), so the estimate stays unbiased and the
+    same for every worker count.  The stderr is sd of the adjusted scores
+    over sqrt(n), and the interval value +- 1.96 stderr with its lower end
+    clipped at 0.  They are off when every replication hits or none does,
+    below 400 hits or 400 misses (20 of each per coefficient in each fold),
+    or when the adjusted mean leaves [0, 1]; the estimate is then the plain
+    hit frequency with binomial error and the Wilson interval, which keeps
+    a positive upper end when no replication hits.
+    ``detail["control_variates"]`` says which applied, and
+    ``detail["hits"]`` counts the hits.
+    """
     if config.n_reps < 100:
         raise ConfigurationError("crude estimation needs n_reps >= 100")
     centering = centering_curve(config)
     tasks = [(config, i, s, centering) for i, s in enumerate(_chunk_sizes(config.n_reps))]
-    results = _run_tasks(_crude_chunk, tasks, config.workers)
-    hits = sum(r[0] for r in results)
-    trunc = sum(r[1] for r in results)
+    hits, covariates, trunc = zip(*_run_tasks(_crude_chunk, tasks, config.workers))
+    y = np.concatenate(hits).astype(float)
+    n_hits = int(np.count_nonzero(y))
     n = config.n_reps
-    p = hits / n
+    p = n_hits / n
     se = np.sqrt(p * (1.0 - p) / n)
-    return _estimate(
-        p, se, n, lineage(config.seed, "crude"), {"hits": hits, "truncated_clusters": trunc},
-        _wilson_interval(hits, n),
-    )
+    ci95 = _wilson_interval(n_hits, n)
+    means = _crude_cv_means(config)
+    x_T = config.scaling().x_T
+    cv = {
+        "levels": {
+            "truncated": [c * x_T for c in _CRUDE_CV_MIN],
+            "count": [c * x_T for c in _CRUDE_CV_COUNT],
+        },
+        "means": means.tolist(),
+        "fold_floor": _CRUDE_CV_FOLD_FLOOR,
+        "applied": False,
+        "off_reason": None,
+    }
+    if n_hits in (0, n):
+        cv["off_reason"] = "constant scores"
+    elif min(n_hits, n - n_hits) < _CRUDE_CV_FOLD_FLOOR:
+        cv["off_reason"] = "below the fold floor"
+    else:
+        adj, betas = _cross_fit(y, np.concatenate(covariates), means)
+        cv["beta"] = [b.tolist() for b in betas]
+        cv["variance_ratio"] = float(y.var(ddof=1) / adj.var(ddof=1))
+        cv["adjusted_estimate"] = float(adj.mean())
+        if 0.0 <= adj.mean() <= 1.0:
+            cv["applied"] = True
+            p, se, ci95 = adj.mean(), np.sqrt(adj.var(ddof=1) / n), None
+        else:
+            cv["off_reason"] = "adjusted mean outside [0, 1]"
+    detail = {"hits": n_hits, "truncated_clusters": sum(trunc), "control_variates": cv}
+    return _estimate(p, se, n, lineage(config.seed, "crude"), detail, ci95)
 
 
 _Z975 = 1.959963984540054  # ndtri(0.975), the two-sided 95% normal quantile
@@ -416,9 +533,9 @@ def _stratum_chunk(
 
     gam_small = rng.random(total_small) * config.T
     gam_big = rng.random(m_max * n_reps) * config.T
-    rep_s, t_s, size_s = _flat_jumps(config.T, small_counts, gam_small, s_cid, s_off, s_mark)
+    rep_s, t_s, size_s = _flat_jumps(config.T, _rep_of_cluster(small_counts), gam_small, s_cid, s_off, s_mark)
     # one cluster per "replication", so the returned index is the big cluster's id
-    cid, t_b, size_b = _flat_jumps(config.T, np.ones(m_max * n_reps, np.int64), gam_big, b_cid, b_off, b_mark)
+    cid, t_b, size_b = _flat_jumps(config.T, np.arange(m_max * n_reps), gam_big, b_cid, b_off, b_mark)
     # the concatenation below is the chunk's memory peak: free its inputs first
     del s_cid, s_off, s_mark, b_cid, b_off, b_mark, gam_small, gam_big
     rep_b, rank = np.divmod(cid, m_max)
@@ -930,8 +1047,9 @@ def big_jump_anatomy(config: ExperimentConfig) -> dict:
 
     gam_small = rng.random(total_small) * config.T
     gam_big = rng.random(m * n) * config.T
-    rep_s, t_s, size_s = _flat_jumps(config.T, small_counts, gam_small, bg.cid, bg.offset, bg.mark)
-    rep_b, t_b, size_b = _flat_jumps(config.T, np.full(n, m), gam_big, b_cid, b_off, b_mark)
+    rep_small = _rep_of_cluster(small_counts)
+    rep_s, t_s, size_s = _flat_jumps(config.T, rep_small, gam_small, bg.cid, bg.offset, bg.mark, bg.n)
+    rep_b, t_b, size_b = _flat_jumps(config.T, _rep_of_cluster(np.full(n, m)), gam_big, b_cid, b_off, b_mark)
     rep = np.concatenate([rep_s, rep_b])
     t = np.concatenate([t_s, t_b])
     size = np.concatenate([size_s, size_b])

@@ -112,6 +112,18 @@ class TailLaw:
             return np.maximum(level, 0.0) - self.scale * np.log1p(-u)
         return np.full_like(u, self.scale)
 
+    def truncated_mean(self, c: float) -> float:
+        """E[min(X, c)] for c > 0, the integral of P(X > x) over [0, c];
+        for Pareto above the scale s(1 + (1 - (c/s)^(1-alpha))/(alpha - 1)),
+        through expm1 so it meets s(1 + log(c/s)) at alpha = 1."""
+        s = self.scale
+        if self.family == EXPONENTIAL:
+            return -s * math.expm1(-c / s)
+        if self.family == DETERMINISTIC or c <= s:
+            return min(s, c)
+        log_r, a = math.log(c / s), self.alpha
+        return s * (1.0 + (log_r if a == 1.0 else -math.expm1((1.0 - a) * log_r) / (a - 1.0)))
+
     def mean(self) -> float:
         if self.family == PARETO:
             if self.alpha <= 1:

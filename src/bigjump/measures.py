@@ -9,7 +9,7 @@ mass at 0 would otherwise diverge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial, inf
 
 from .errors import ConfigurationError
@@ -30,12 +30,15 @@ HAWKES_COMONOTONE = "Hawkes-comonotone"
 
 @dataclass(frozen=True)
 class LimitMeasure:
-    """mu((y, inf)) = constant * y^(-alpha) for y >= y0."""
+    """mu((y, inf)) = constant * y^(-alpha) for y >= y0.  ``brackets``
+    keeps the lattice brackets `_excess_mass` computed, by (j, c), so the
+    limit masses of one measure share them."""
 
     alpha: float
     constant: float
     model: str
     y0: float = 1.0
+    brackets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def total_mass(self) -> float:
@@ -70,14 +73,20 @@ def measure_for_model(model: str, spec: JointMarkSpec) -> LimitMeasure:
     raise ConfigurationError(f"unknown model {model!r}")
 
 
-def _tail_mass(measure: LimitMeasure, y: float, pref: float = 1.0) -> float:
-    """pref * C * y^(-alpha); a ValueError naming y where it overflows a float."""
+def _tail_mass(measure: LimitMeasure, y: float, pref: float = 1.0, power: int | None = None) -> float:
+    """pref * C * y^(-alpha), or with ``power`` pref * (C * y^(-alpha))^power
+    (the two round differently); a ValueError naming y where it overflows a
+    float."""
     try:
-        out = pref * measure.constant * y ** (-measure.alpha)
+        if power is None:
+            out = pref * measure.constant * y ** (-measure.alpha)
+        else:
+            out = pref * (measure.constant * y ** (-measure.alpha)) ** power
     except OverflowError:
         out = inf
     if out == inf:
-        raise ValueError(f"the limit mass C*y^(-alpha) overflows a float at y={y!r}")
+        mass = "C*y^(-alpha)" if power is None else f"(C*y^(-alpha))^{power}"
+        raise ValueError(f"the limit mass {mass} overflows a float at y={y!r}")
     return out
 
 
@@ -93,17 +102,20 @@ def _excess_mass(measure: LimitMeasure, powers, c: float) -> list[tuple[float, f
     j >= 1 in ``powers``: M0^j for c <= j y0; else C c^(-alpha) for j = 1
     (half-width 0), and for j >= 2 M0^j P(X_1 + ... + X_j > c), X_i i.i.d.
     Pareto(y0, alpha), as the midpoint of `laws.sum_tail_bracket`, whose one
-    transform serves every j, with its half-width."""
+    transform serves every j not yet in ``measure.brackets``, with its
+    half-width."""
     C, a, y0, M0 = measure.constant, measure.alpha, measure.y0, measure.total_mass
-    lattice = [j for j in powers if j >= 2 and c > j * y0]
-    brackets = dict(zip(lattice, sum_tail_bracket(TailLaw(PARETO, y0, a), lattice, c) if lattice else ()))
+    brackets = measure.brackets
+    lattice = [j for j in powers if j >= 2 and c > j * y0 and (j, c) not in brackets]
+    if lattice:
+        brackets.update(zip(((j, c) for j in lattice), sum_tail_bracket(TailLaw(PARETO, y0, a), lattice, c)))
 
     def mass(j):
         if c <= j * y0:
             return M0**j, 0.0
         if j == 1:
             return C * c ** (-a), 0.0
-        lo, hi, err = brackets[j]
+        lo, hi, err = brackets[j, c]
         return M0**j * min(max(0.5 * (lo + hi), 0.0), 1.0), M0**j * (0.5 * (hi - lo) + err)
     return [mass(j) for j in powers]
 

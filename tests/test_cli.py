@@ -568,6 +568,33 @@ def test_cli_refuses_overflowing_order_prefactor(tmp_path, capsys, command, rate
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["measure", "ldp"])
+def test_cli_refuses_overflowing_pinned_jump_count(tmp_path, capsys, command):
+    # (C r^-alpha)^(k+1) left a float (1e330) and the run died with an
+    # OverflowError traceback
+    text = _with_key(_with_key(BASE, "k_order", 1), "event", "jump_count:2,1e-110")
+    out = str(tmp_path / "never")
+    argv = [command, "--config", _write(tmp_path, text)] + (["--out", out] if command == "ldp" else [])
+    assert main(argv) == 2
+    assert _single_error_line(capsys).endswith("overflows a float at y=1e-110")
+    assert not os.path.exists(out)
+
+
+def test_cli_measure_value_at_builds_one_transform(tmp_path, capsys, monkeypatch):
+    # mu_bar_tail at the event's own level is mu_sharp's mass of k+1 jumps,
+    # which measure built a second transform for; the printed values stay
+    from bigjump import laws
+
+    calls = []
+    real = laws._tilted_transforms
+    monkeypatch.setattr(laws, "_tilted_transforms", lambda *a: calls.append(a) or real(*a))
+    text = _with_key(_with_key(BASE, "k_order", 3), "event", "value_at:0.5,6.0")
+    assert main(["measure", "--config", _write(tmp_path, text)]) == 0
+    out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert len(calls) == 1
+    assert (out["mu_sharp"], out["mu_bar_tail"]) == ("0.011260159720061048", "0.03411832482912322")
+
+
 @pytest.mark.parametrize(
     "command, edits, key",
     [

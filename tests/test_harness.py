@@ -177,9 +177,10 @@ def test_crude_poisson_void_oracle(exp_wait):
     want = 1.0 - np.exp(-0.5)
     assert abs(est.value - want) < 3 * est.stderr
     wilson = stats.binomtest(est.detail["hits"], est.n).proportion_ci(method="wilson")
-    assert est.ci95 == (wilson.low, wilson.high)
-    symmetric = (est.value - 1.96 * est.stderr, est.value + 1.96 * est.stderr)
-    assert est.ci95 == pytest.approx(symmetric, abs=1e-4)
+    assert _wilson_interval(est.detail["hits"], est.n) == (wilson.low, wilson.high)
+    # the control variates apply, and with them the symmetric interval
+    assert est.detail["control_variates"]["applied"]
+    assert est.ci95 == (est.value - 1.96 * est.stderr, est.value + 1.96 * est.stderr)
 
 
 def test_wilson_interval_bit_identical_to_binomtest():
@@ -240,6 +241,97 @@ def test_crude_deterministic_and_worker_invariant(mb_spec_nu0, exp_wait):
     assert a.value == b.value and a.stderr == b.stderr
     c = crude_estimate(replace(cfg, workers=3))
     assert a.value == c.value
+
+
+def test_crude_rows_identical_across_workers(hawkes_spec_half, exp_wait):
+    # three chunks, the last of odd size: the parity folds follow the
+    # replication index, not the chunks a worker gets
+    cfg = base_config(
+        hawkes_spec_half, exp_wait, model="hawkes", event=SupExceed(1.0), n_reps=2500, estimator="crude"
+    )
+    rows = [crude_estimate(replace(cfg, workers=w)) for w in (1, 2, 3)]
+    assert rows[0].detail["control_variates"]["applied"]
+    first = (rows[0].value, rows[0].stderr, rows[0].ci95, rows[0].detail)
+    assert all((e.value, e.stderr, e.ci95, e.detail) == first for e in rows[1:])
+
+
+# crude rows without control variates, as the plain estimator gave them
+# before the control variates existed: (value, stderr, ci95), Wilson
+# interval included, and the reason the control variates are off
+PLAIN_CRUDE_ROWS = {
+    "below-floor": (
+        dict(T=20.0, event=TerminalExceed(0.5), n_reps=300),
+        (0.25666666666666665, 0.02521830610812239, (0.2105333372257937, 0.308952908770152)),
+        "below the fold floor",
+    ),
+    "zero-hits": (
+        dict(event=TerminalExceed(200.0), n_reps=1000),
+        (0.0, 0.0, (0.0, 0.0038267584855551234)),
+        "constant scores",
+    ),
+    # 24 hits, each from one immigrant of mark 3: every covariate is linear
+    # in the hit, and a fit would report a stderr of 1e-17
+    "few-hits": (
+        dict(
+            spec=JointMarkSpec(TailLaw("deterministic", 3.0), "independent_light_k", k_param=0.0),
+            lam=0.001,
+            T=10.0,
+            event=SupExceed(0.0),
+        ),
+        (0.012, 0.002434748446965312, (0.008077154276022638, 0.01779388387048023)),
+        "below the fold floor",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_CRUDE_ROWS))
+def test_crude_rows_without_control_variates_stay_plain(mb_spec_nu0, exp_wait, case):
+    edits, row, reason = PLAIN_CRUDE_ROWS[case]
+    kw = {"spec": mb_spec_nu0, "wait": exp_wait, "estimator": "crude", **edits}
+    est = crude_estimate(base_config(**kw))
+    assert (est.value, est.stderr, est.ci95) == row
+    cv = est.detail["control_variates"]
+    assert not cv["applied"] and cv["off_reason"] == reason
+
+
+def test_crude_stderr_matches_seed_spread(hawkes_spec_half, exp_wait):
+    ests = [
+        crude_estimate(
+            base_config(hawkes_spec_half, exp_wait, model="hawkes", event=SupExceed(1.0), n_reps=2000, seed=s)
+        )
+        for s in range(20)
+    ]
+    assert all(e.detail["control_variates"]["applied"] for e in ests)
+    sd = float(np.std([e.value for e in ests], ddof=1))
+    se = float(np.mean([e.stderr for e in ests]))
+    assert 0.7 * se <= sd <= 1.4 * se, (sd, se)
+
+
+def test_immigrant_covariates_match_a_loop(hawkes_spec_half, exp_wait):
+    # lam T = 2.5: some replications have no immigrant
+    cfg = base_config(hawkes_spec_half, exp_wait, model="hawkes", lam=0.05)
+    counts, gammas, batch = harness.draw_clusters(cfg, 2000, substream(8, "cv-loop"))
+    x_T = cfg.scaling().x_T
+    got = harness._immigrant_covariates(
+        harness._rep_of_cluster(counts), counts, gammas, batch.mark[: batch.n], cfg.T, x_T
+    )
+    assert (counts == 0).any() and (batch.mark[: batch.n] > 2.0 * x_T).any()
+    ends = np.cumsum(counts)
+    for r, (a, b) in enumerate(zip(ends - counts, ends)):
+        x, weight = batch.mark[a:b], 1.0 - gammas[a:b] / cfg.T
+        truncated = [np.minimum(x, c * x_T) for c in harness._CRUDE_CV_MIN]
+        want = [m.sum() for m in truncated] + [(weight * m).sum() for m in truncated]
+        want += [(x > c * x_T).sum() for c in harness._CRUDE_CV_COUNT]
+        assert got[r] == pytest.approx(want, rel=1e-12, abs=1e-12), r
+
+
+def test_crude_covariate_means_are_exact(hawkes_spec_half, exp_wait):
+    # a cap of 3 events truncates clusters but drops no immigrant
+    cfg = base_config(hawkes_spec_half, exp_wait, model="hawkes", cap=3)
+    _, _, _, (trunc, x) = _simulate_jump_arrays(cfg, 20_000, substream(9, "cv-means"))
+    assert trunc > 0
+    z = (x.mean(axis=0) - harness._crude_cv_means(cfg)) / (x.std(axis=0, ddof=1) / np.sqrt(x.shape[0]))
+    assert np.all(np.abs(z) < 4.0), z
 
 
 def test_splitting_aligned_proxy_counts_bigs(mb_spec_nu0, exp_wait):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 from bigjump import laws
 from bigjump.errors import ConfigurationError
@@ -423,3 +423,21 @@ def test_hurwitz_zeta_within_1e14_of_scipy():
         for q in (*range(1, 21), 50, 100, 1000, 12_345, 10**5, 10**6):
             want = float(special.zeta(a, q))
             assert abs(hurwitz_zeta(a, q) - want) <= 1e-14 * want, (a, q)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        TailLaw("pareto", 1.0, 0.7),
+        TailLaw("pareto", 2.0, 1.0),
+        TailLaw("pareto", 1.0, 1.5),
+        TailLaw("pareto", 0.5, 2.5),
+        TailLaw("exponential", 2.0),
+        TailLaw("deterministic", 3.0),
+    ],
+)
+def test_truncated_mean_is_the_integrated_tail(law):
+    for c in (0.25, 1.0, 2.9, 3.0, 7.5, 400.0):
+        kinks = [law.scale] if law.scale < c else None
+        want = integrate.quad(law.tail, 0.0, c, points=kinks, limit=200, epsabs=0.0, epsrel=1e-12)[0]
+        assert law.truncated_mean(c) == pytest.approx(want, rel=1e-10), c
