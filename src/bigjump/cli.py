@@ -251,9 +251,9 @@ def _read(path: str) -> str:
 
 def _cmd_simulate(args) -> int:
     config = parse_config(_read(args.config))
-    os.makedirs(args.out, exist_ok=True)
     _, gammas, batch = draw_clusters(config, 1, substream(config.seed, "simulate"))
     path = replication_path(config, gammas, batch, centering_curve(config))
+    os.makedirs(args.out, exist_ok=True)  # only once there is a path: a refused run leaves none
     path_file = os.path.join(args.out, "path.csv")
     buf = io.StringIO()
     write_path_csv(path, buf)

@@ -60,6 +60,11 @@ __all__ = [
 CRUDE_CHUNK = 1024
 # numpy's Generator.poisson refuses a mean above int64 max - 10 sqrt(int64 max)
 _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
+# the most events one draw of replications may expect (`_refuse_oversized_draw`):
+# a 1024-replication crude chunk peaks at about 70 bytes an event (68-71 by
+# tracemalloc on the benchmark's MB and branching configs), so 5e7 events
+# take about 3.5 GB
+_MAX_DRAW_EVENTS = 5e7
 
 
 @dataclass(frozen=True)
@@ -151,12 +156,35 @@ def centering_curve(config: ExperimentConfig) -> CadlagPath:
     return centering(config.lam, config.T, config.spec, config.wait, config.grid_n)
 
 
+def _refuse_oversized_draw(config: ExperimentConfig, n_reps: int) -> None:
+    """Refuse, before anything is drawn, a draw of n_reps replications that
+    expects more than _MAX_DRAW_EVENTS events: lam T n_reps times the mean
+    cluster size, 1 + E[K] for MB clusters and 1/(1 - phi E[X]) for
+    branching ones."""
+    spec = config.spec
+    if config.model == MB:
+        size = 1.0 + spec.mean_offspring()
+        why = f"1 + E[K] = {size:.6g} (k_param = {spec.k_param:.6g})"
+    else:
+        size = 1.0 / (1.0 - spec.mean_fertility)
+        why = f"1/(1 - phi_fertility E[X]) = {size:.6g} (phi_fertility = {spec.phi:.6g})"
+    events = config.lam * config.T * n_reps * size
+    if not events <= _MAX_DRAW_EVENTS:  # also catches inf and nan
+        raise ConfigurationError(
+            f"refusing a chunk of {n_reps} replications expecting {events:.3g} events, more than "
+            f"{_MAX_DRAW_EVENTS:.3g}: lambda_rate * T_horizon = {config.lam * config.T:.6g} clusters "
+            f"a replication, times the mean cluster size {why}"
+        )
+
+
 def draw_clusters(
     config: ExperimentConfig, n_reps: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, BatchClusters]:
     """Clusters of n_reps independent replications: the Poisson(lam T) cluster
     count of each replication, uniform arrival times on [0, T] and the
-    clusters themselves, replication-major."""
+    clusters themselves, replication-major.  Refuses a draw that expects
+    more than _MAX_DRAW_EVENTS events."""
+    _refuse_oversized_draw(config, n_reps)
     counts = rng.poisson(config.lam * config.T, n_reps)
     gammas = rng.random(int(counts.sum())) * config.T
     batch = simulate_batch(config.model, gammas.size, config.spec, config.wait, rng, config.cap)
@@ -237,19 +265,19 @@ def _eval_event_chunk(
 def _simulate_jump_arrays(config: ExperimentConfig, n_reps: int, rng: np.random.Generator):
     """Flat (rep, scaled time, mark) arrays for n_reps independent
     replications, then the draw's truncated-cluster count and the control
-    variates of each replication (`_immigrant_covariates`)."""
+    variates of each replication (`_crude_covariates`)."""
     counts, gammas, batch = draw_clusters(config, n_reps, rng)
-    rep_of_cluster = _rep_of_cluster(counts)
-    covariates = _immigrant_covariates(
-        rep_of_cluster, counts, gammas, batch.mark[: batch.n], config.T, config.scaling().x_T
-    )
-    rep, t, size = _flat_jumps(config.T, rep_of_cluster, gammas, batch.cid, batch.offset, batch.mark, batch.n)
-    return rep, t, size, (int(batch.truncated.sum()), covariates)
+    trunc = int(batch.truncated.sum())
+    rep, t, size = _flat_jumps(config.T, _rep_of_cluster(counts), gammas, batch.cid, batch.offset, batch.mark, batch.n)
+    del gammas, batch  # the covariates' temporaries reuse the batch's memory
+    covariates = _crude_covariates(rep, t, size, counts, config.spec.x_law, config.scaling().x_T)
+    return rep, t, size, (trunc, covariates)
 
 
-# Control variates of the crude score, sums over a replication's immigrants:
-# sum min(X, c) and sum (1 - gamma/T) min(X, c) for c in _CRUDE_CV_MIN x_T,
-# and #{X > c} for c in _CRUDE_CV_COUNT x_T
+# Control variates of the crude score, sums over a replication's events in
+# [0, T]: sum min(X, c) and sum (1 - t/T) min(X, c) for c in _CRUDE_CV_MIN
+# x_T, and #{X > c} for c in _CRUDE_CV_COUNT x_T, each descendant's term
+# less its mean
 _CRUDE_CV_MIN = (0.25, 0.5, 1.0)
 _CRUDE_CV_COUNT = (0.5, 1.0, 2.0)
 # each parity fold fits 9 slopes and an intercept on at least 20 hits and 20
@@ -259,39 +287,65 @@ _CRUDE_CV_COUNT = (0.5, 1.0, 2.0)
 _CRUDE_CV_FOLD_FLOOR = 2 * 20 * (1 + 2 * len(_CRUDE_CV_MIN) + len(_CRUDE_CV_COUNT))
 
 
-def _replication_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-replication sums of replication-major values, counts[r] of them
-    for replication r."""
-    out = np.zeros(counts.size)
-    nonempty = counts > 0
-    if values.size:
-        out[nonempty] = np.add.reduceat(values, (np.cumsum(counts) - counts)[nonempty])
-    return out
+def _crude_covariates(rep, t, mark, counts, law, x_T: float) -> np.ndarray:
+    """Control variates of each replication from the flat (rep, scaled time
+    t, mark) arrays of its events in [0, T], one column each: sum min(X, c),
+    then sum (1 - t) min(X, c), for c in _CRUDE_CV_MIN x_T, then sum
+    1{X > c} for c in _CRUDE_CV_COUNT x_T.  An immigrant's term enters as it
+    is, a descendant's less its mean: E[min(X, c)] or P(X > c), times 1 - t
+    in the weighted sums.
 
+    The descendants' terms add mean exactly 0 for every model, wait law and
+    cap, so the means of the immigrants' terms (`_crude_cv_means`) stay
+    exact: these are martingale control variates (Henderson & Glynn 2002).
+    A descendant's mark is independent of whether it exists and of when it
+    arrives.  `simulate_batch` draws a whole generation's marks after its
+    counts and before the cap's ``k_keep``, which reads the counts only,
+    and then its waits; a mark-conditional wait reads the parent's mark,
+    never the child's.  So given its existence and its time t <= 1, the
+    descendant's centred term has mean 0.
 
-def _immigrant_covariates(rep_of_cluster, counts, gammas, marks, T: float, x_T: float) -> np.ndarray:
-    """Control variates of each replication from its immigrants, one column
-    each: sum min(X, c), then sum (1 - gamma/T) min(X, c), for c in
-    _CRUDE_CV_MIN x_T, then #{X > c} for c in _CRUDE_CV_COUNT x_T; the
-    immigrants' arrivals and marks come replication-major.  Each truncated
-    sum is the whole sum, from one segment sum over every immigrant, less
-    max(X - c, 0) over the few marks above the lowest level, which alone go
-    to bincount."""
-    n = counts.size
-    whole = _replication_sums(marks, counts)
-    whole_weighted = whole - _replication_sums(gammas * marks, counts) / T
-    big = np.flatnonzero(marks > _CRUDE_CV_MIN[0] * x_T)
-    rep, x, w = rep_of_cluster[big], marks[big], 1.0 - gammas[big] / T
+    The first counts.sum() rows are the immigrants, counts[r] of them for
+    replication r; after them each generation's rows come sorted by
+    replication, as `simulate_batch` and `_flat_jumps` lay them out.  The
+    whole sums are run-segment sums (np.add.reduceat over the runs of one
+    replication: the immigrants' from their counts, the descendants' where
+    the replication changes), then one bincount over the runs.  Each
+    truncated sum is the whole sum less max(X - c, 0) over the few marks
+    above the lowest level, which alone go to bincount."""
+    n, n_imm = counts.size, int(counts.sum())
+    if rep.size == 0:
+        return np.zeros((n, 2 * len(_CRUDE_CV_MIN) + len(_CRUDE_CV_COUNT)))
+    imm_starts = (np.cumsum(counts) - counts)[counts > 0]
+    desc = rep[n_imm:]
+    d_starts = np.flatnonzero(desc[1:] != desc[:-1]) + 1
+    d_starts = np.concatenate(([0], d_starts)) if desc.size else d_starts
+    starts = np.concatenate((imm_starts, n_imm + d_starts))
+    run_rep = rep[starts]
+    whole = np.bincount(run_rep, weights=np.add.reduceat(mark, starts), minlength=n)
+    tx = t * mark
+    whole_weighted = whole - np.bincount(run_rep, weights=np.add.reduceat(tx, starts), minlength=n)
+    del tx
+    d_rep = run_rep[imm_starts.size :]
+    d_count = np.bincount(d_rep, weights=np.diff(np.append(d_starts, desc.size)), minlength=n)
+    d_weight = d_count - np.bincount(d_rep, weights=np.add.reduceat(t[n_imm:], d_starts), minlength=n)
+    big = np.flatnonzero(mark > _CRUDE_CV_MIN[0] * x_T)
+    r, x, w = rep[big], mark[big], 1.0 - t[big]
     excess = [np.maximum(x - c * x_T, 0.0) for c in _CRUDE_CV_MIN]
+    means = [law.truncated_mean(c * x_T) for c in _CRUDE_CV_MIN]
     return np.column_stack(
-        [whole - np.bincount(rep, weights=e, minlength=n) for e in excess]
-        + [whole_weighted - np.bincount(rep, weights=w * e, minlength=n) for e in excess]
-        + [np.bincount(rep[x > c * x_T], minlength=n) for c in _CRUDE_CV_COUNT]
+        [whole - np.bincount(r, weights=e, minlength=n) - m * d_count for e, m in zip(excess, means)]
+        + [
+            whole_weighted - np.bincount(r, weights=w * e, minlength=n) - m * d_weight
+            for e, m in zip(excess, means)
+        ]
+        + [np.bincount(r[x > c * x_T], minlength=n) - law.tail(c * x_T) * d_count for c in _CRUDE_CV_COUNT]
     )
 
 
 def _crude_cv_means(config: ExperimentConfig) -> np.ndarray:
-    """Exact means of `_immigrant_covariates`: the immigrant count is
+    """Exact means of `_crude_covariates`, which are the immigrants' own:
+    the descendants' centred terms add mean 0.  The immigrant count is
     Poisson(lam T), the arrivals uniform on [0, T] and the marks free of
     both, and `cluster_cap` drops no immigrant; so lam T E[min(X, c)], half
     of it with the weight 1 - gamma/T, and lam T P(X > c)."""
@@ -331,8 +385,9 @@ def _run_tasks(fn, tasks, workers: int):
 def crude_estimate(config: ExperimentConfig) -> Estimate:
     """Hit frequency, adjusted by control variates whose means are exact.
 
-    The covariates are nine sums over each replication's immigrants
-    (`_immigrant_covariates`), with closed-form means (`_crude_cv_means`).
+    The covariates are nine sums over each replication's events in [0, T],
+    each descendant's term centred by its own mean (`_crude_covariates`),
+    with closed-form means (`_crude_cv_means`).
     Their coefficients are fitted on the other parity fold of the
     replications (`_cross_fit`), so the estimate stays unbiased and the
     same for every worker count.  The stderr is sd of the adjusted scores
@@ -347,6 +402,7 @@ def crude_estimate(config: ExperimentConfig) -> Estimate:
     """
     if config.n_reps < 100:
         raise ConfigurationError("crude estimation needs n_reps >= 100")
+    _refuse_oversized_draw(config, min(config.n_reps, CRUDE_CHUNK))
     centering = centering_curve(config)
     tasks = [(config, i, s, centering) for i, s in enumerate(_chunk_sizes(config.n_reps))]
     hits, covariates, trunc = zip(*_run_tasks(_crude_chunk, tasks, config.workers))
@@ -733,7 +789,8 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     if config.n_strata < 2:
         raise ConfigurationError(f"splitting needs n_strata >= 2, got {config.n_strata}")
     scope = _superset_scope(config)
-    p_big, se_p, p_big_detail = _estimate_p_big(config, u)
+    p_big, se_p, p_big_detail = _estimate_p_big(config, u)  # a lattice: nothing is drawn yet
+    _refuse_oversized_draw(config, min(config.n_strata, CRUDE_CHUNK))
     rate = config.lam * config.T * p_big
     m_max = _big_count_cap(rate, config.k)
     centering = centering_curve(config)
@@ -1023,6 +1080,7 @@ def big_jump_anatomy(config: ExperimentConfig) -> dict:
     sep = config.event.dk_separation(config.k)
     if sep is None:
         raise ConfigurationError("event must imply a jump-count proxy at this order")
+    _refuse_oversized_draw(config, config.n_strata)
     x_T = config.scaling().x_T
     u = 0.8 * config.event.scale() * x_T
     rng = substream(config.seed, "anatomy")

@@ -127,13 +127,15 @@ class _FreeSpace:
         self.starts[:, 2 * c :] = np.concatenate([g2[:, :nl], g1[:, :nb]], axis=1)
         self.steps[:, 2 * c :] = np.concatenate([d2[:, :nl], d1[:, :nb]], axis=1)
         # (coordinate, edge) entries of zero step, whose step is stored as 1
-        self.zero = self.steps == 0.0
-        flat = np.flatnonzero(self.zero)
+        zero = self.steps == 0.0
+        flat = np.flatnonzero(zero)
         self.near = np.abs(self.starts.ravel()[flat] - self.points.ravel()[flat])
         self.flat_edge = flat % self.steps.shape[1]
-        self.steps[self.zero] = 1.0
+        self.steps[zero] = 1.0
         edges = self.steps.shape[1]
         self.chunk = max(1, _CHUNK // width)
+        # per step of a fill, the (coordinate, edge) indices of its zero steps
+        self.zero_at = [np.nonzero(zero[:, at : at + self.chunk]) for at in range(0, edges, self.chunk)]
         part = min(edges, self.chunk)
         self.shift, self.s = np.empty((2, width, 1, 1)), np.empty((2, width, 2, part))
         self.lo_c = np.empty((width, 2, part))
@@ -169,7 +171,7 @@ class _FreeSpace:
         edge before it free throughout), inf on the others."""
         lo, hi = self.lo, self.hi
         self.shift[..., 0, 0] = eps, -eps  # (points -/+ eps - starts) / steps
-        for at in range(0, lo.shape[0], self.chunk):
+        for at, (zr, ze) in zip(range(0, lo.shape[0], self.chunk), self.zero_at):
             part = slice(at, at + self.chunk)
             lo_p, hi_p = lo[part], hi[part]
             # s: (sign, eps, coordinate, edge), then (eps, edge) into lo and hi
@@ -180,8 +182,8 @@ class _FreeSpace:
             np.minimum(s[0], s[1], out=lo_c)
             hi_c = np.maximum(s[0], s[1], out=s[1])
             # a zero step leaves its coordinate free, or blocks the whole edge
-            np.copyto(lo_c, -np.inf, where=self.zero[:, part])
-            np.copyto(hi_c, np.inf, where=self.zero[:, part])
+            lo_c[:, zr, ze] = -np.inf
+            hi_c[:, zr, ze] = np.inf
             np.maximum(lo_c[:, 0], lo_c[:, 1], out=lo_p.T)
             np.minimum(hi_c[:, 0], hi_c[:, 1], out=hi_p.T)
             np.maximum(lo_p, 0.0, out=lo_p)

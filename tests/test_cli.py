@@ -554,6 +554,36 @@ def test_cli_refuses_cluster_count_mean_beyond_poisson_range(tmp_path, capsys, e
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "command, text, key, value, size_key",
+    [
+        ("ldp", BASE, "lambda_rate", "1e7", "k_param"),
+        ("ldp", BASE, "k_param", "1e9", "k_param"),
+        ("ldp", BASE.replace("estimator = crude", "estimator = splitting"), "lambda_rate", "1e7", "k_param"),
+        ("ldp", HAWKES_SUP, "lambda_rate", "1e7", "phi_fertility"),
+        ("simulate", BASE, "lambda_rate", "1e7", "k_param"),
+    ],
+    ids=["crude-rate", "crude-counts", "splitting-rate", "branching-rate", "simulate-rate"],
+)
+def test_cli_refuses_oversized_runs_before_sampling(tmp_path, capsys, monkeypatch, command, text, key, value, size_key):
+    # a crude run tried to allocate 3.7 TiB (lambda_rate = 1e7) or 371 TiB
+    # (k_param = 1e9) and ended in a numpy _ArrayMemoryError traceback; the
+    # splitting run grew until the kernel killed it.  Every sampler fails
+    # the test here, so a refusal that came late would allocate nothing
+    from bigjump import harness
+
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the refusal")
+
+    for name in ("substream", "simulate_batch", "superset_batch"):
+        monkeypatch.setattr(harness, name, never)
+    out = str(tmp_path / "never")
+    assert main([command, "--config", _write(tmp_path, _with_key(text, key, value)), "--out", out]) == 2
+    line = _single_error_line(capsys)
+    assert "expecting" in line and "lambda_rate * T_horizon" in line and size_key in line
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["measure", "ldp"])
 @pytest.mark.parametrize("rate, k", [("1.0", 171), ("1e10", 39)])
 def test_cli_refuses_overflowing_order_prefactor(tmp_path, capsys, command, rate, k):

@@ -307,31 +307,60 @@ def test_crude_stderr_matches_seed_spread(hawkes_spec_half, exp_wait):
     assert 0.7 * se <= sd <= 1.4 * se, (sd, se)
 
 
+def test_crude_mb_stderr_matches_seed_spread(mb_spec_nu2, exp_wait):
+    # MB clusters with Poisson(2) counts: two thirds of the events are
+    # descendants, whose centred marks carry most of the control variates
+    ests = [
+        crude_estimate(base_config(mb_spec_nu2, exp_wait, n_reps=4000, seed=s, estimator="crude"))
+        for s in range(20)
+    ]
+    assert all(e.detail["control_variates"]["applied"] for e in ests)
+    sd = float(np.std([e.value for e in ests], ddof=1))
+    se = float(np.mean([e.stderr for e in ests]))
+    assert 0.7 * se <= sd <= 1.4 * se, (sd, se)
+
+
 def test_immigrant_covariates_match_a_loop(hawkes_spec_half, exp_wait):
-    # lam T = 2.5: some replications have no immigrant
+    # lam T = 2.5: some replications have no immigrant.  The covariates sum
+    # over every event in [0, T], each descendant's term less its mean
     cfg = base_config(hawkes_spec_half, exp_wait, model="hawkes", lam=0.05)
+    _, _, _, (_, got) = _simulate_jump_arrays(cfg, 2000, substream(8, "cv-loop"))
     counts, gammas, batch = harness.draw_clusters(cfg, 2000, substream(8, "cv-loop"))
-    x_T = cfg.scaling().x_T
-    got = harness._immigrant_covariates(
-        harness._rep_of_cluster(counts), counts, gammas, batch.mark[: batch.n], cfg.T, x_T
-    )
-    assert (counts == 0).any() and (batch.mark[: batch.n] > 2.0 * x_T).any()
-    ends = np.cumsum(counts)
-    for r, (a, b) in enumerate(zip(ends - counts, ends)):
-        x, weight = batch.mark[a:b], 1.0 - gammas[a:b] / cfg.T
-        truncated = [np.minimum(x, c * x_T) for c in harness._CRUDE_CV_MIN]
+    x_T, law = cfg.scaling().x_T, cfg.spec.x_law
+    time = gammas[batch.cid] + batch.offset
+    assert (counts == 0).any() and batch.generation.max() >= 3 and (time > cfg.T).any()
+    assert (batch.mark > 2.0 * x_T).any()
+    rep = harness._rep_of_cluster(counts)[batch.cid]
+    for r in range(counts.size):
+        events = (rep == r) & (time <= cfg.T)
+        x, weight, desc = batch.mark[events], 1.0 - time[events] / cfg.T, batch.generation[events] > 0
+        truncated = [np.minimum(x, c * x_T) - desc * law.truncated_mean(c * x_T) for c in harness._CRUDE_CV_MIN]
         want = [m.sum() for m in truncated] + [(weight * m).sum() for m in truncated]
-        want += [(x > c * x_T).sum() for c in harness._CRUDE_CV_COUNT]
+        want += [((x > c * x_T) - desc * law.tail(c * x_T)).sum() for c in harness._CRUDE_CV_COUNT]
         assert got[r] == pytest.approx(want, rel=1e-12, abs=1e-12), r
 
 
-def test_crude_covariate_means_are_exact(hawkes_spec_half, exp_wait):
-    # a cap of 3 events truncates clusters but drops no immigrant
-    cfg = base_config(hawkes_spec_half, exp_wait, model="hawkes", cap=3)
-    _, _, _, (trunc, x) = _simulate_jump_arrays(cfg, 20_000, substream(9, "cv-means"))
-    assert trunc > 0
-    z = (x.mean(axis=0) - harness._crude_cv_means(cfg)) / (x.std(axis=0, ddof=1) / np.sqrt(x.shape[0]))
-    assert np.all(np.abs(z) < 4.0), z
+def test_crude_covariate_means_are_exact(pareto15, mb_spec_nu2, hawkes_spec_half, exp_wait):
+    # the descendants' centred terms add mean 0 whatever decides their
+    # existence and arrival: a cap of 3 events truncates branching clusters
+    # a generation at a time (never on a child's own mark, and drops no
+    # immigrant); Poisson, comonotone and heavy MB counts; waits that read
+    # the parent's mark, long enough that T cuts many clusters
+    mark_waits = WaitLaw(TailLaw("exponential", 20.0), conditional_on_mark=True)
+    cases = {
+        "branching-cap-3": base_config(hawkes_spec_half, exp_wait, model="hawkes", cap=3),
+        "mb-poisson-2": base_config(mb_spec_nu2, exp_wait),
+        "mb-comonotone": base_config(JointMarkSpec(pareto15, "comonotone", k_param=0.5), exp_wait),
+        "mb-heavy-counts": base_config(
+            JointMarkSpec(pareto15, "heavy_k_light_x", k_param=1.0, k_alpha=1.5), exp_wait
+        ),
+        "branching-mark-waits": base_config(hawkes_spec_half, mark_waits, model="hawkes"),
+    }
+    for name, cfg in cases.items():
+        _, _, _, (trunc, x) = _simulate_jump_arrays(cfg, 20_000, substream(9, "cv-means"))
+        assert (trunc > 0) == (name == "branching-cap-3"), name
+        z = (x.mean(axis=0) - harness._crude_cv_means(cfg)) / (x.std(axis=0, ddof=1) / np.sqrt(x.shape[0]))
+        assert np.all(np.abs(z) < 4.0), (name, z)
 
 
 def test_splitting_aligned_proxy_counts_bigs(mb_spec_nu0, exp_wait):
