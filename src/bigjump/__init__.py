@@ -30,7 +30,6 @@ from .paths import (
     centered_scaled_path,
     centering_hawkes,
     centering_mb,
-    dk_skeleton,
     kth_largest_jump,
     path_sup,
     path_value,

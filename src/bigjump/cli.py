@@ -426,20 +426,16 @@ def _cmd_check(args) -> int:
         raise ConfigurationError(f"key 'check_quantiles': levels must lie in (0.9, 1), got {levels}")
     if not 0.0 < args.band < np.inf:
         raise ConfigurationError(f"--band must be finite and > 0, got {args.band}")
-    os.makedirs(args.out, exist_ok=True)
-    ok = False
     if args.which == "remainder":
         rows = check_remainder(config, grid, n_accept_target=n_accept)
         ests = [r["estimate"] for r in rows]
         rho = _spearman(grid, ests) if len(grid) > 2 else np.nan
         ok = bool(rho <= -0.9 and ests[-1] < 0.05 and not any(r["low_confidence"] for r in rows))
         verdict = {"check": "remainder", "spearman": rho, "final": ests[-1], "pass": ok}
-        _write_table(os.path.join(args.out, "remainder.csv"), rows)
     elif args.which == "assumption6":
         rows, word = check_assumption6(config.wait, config.eta, epsilon, grid)
         ok = word == "holds"
         verdict = {"check": "assumption6", "verdict": word, "pass": ok}
-        _write_table(os.path.join(args.out, "assumption6.csv"), rows)
     elif args.which == "tails":
         rows = check_tail_equivalence(config, levels)
         last = rows[-1]
@@ -451,9 +447,10 @@ def _cmd_check(args) -> int:
             "band": args.band,
             "pass": ok,
         }
-        _write_table(os.path.join(args.out, "tails.csv"), rows)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigurationError(f"unknown check {args.which!r}")
+    os.makedirs(args.out, exist_ok=True)  # only once there is a verdict: a refused check leaves none
+    _write_table(os.path.join(args.out, f"{args.which}.csv"), rows)
     verdict_path = os.path.join(args.out, f"check_{args.which}.json")
     _atomic_write(verdict_path, _json(verdict, indent=2) + "\n")
     _write_record(config, [verdict_path], args.out, f"check_{args.which}")

@@ -6,6 +6,7 @@ bit-identical for any worker count.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +25,12 @@ from .events import InterpCurve, PathEvent, format_event, rep_time_order
 from .laws import (
     COMONOTONE,
     INDEPENDENT_LIGHT_K,
+    PARETO,
     JointMarkSpec,
+    TailLaw,
     WaitLaw,
     mass_tail_bracket,
+    mean_ceil,
     poisson_pmf,
     poisson_sf,
 )
@@ -156,25 +160,47 @@ def centering_curve(config: ExperimentConfig) -> CadlagPath:
     return centering(config.lam, config.T, config.spec, config.wait, config.grid_n)
 
 
-def _refuse_oversized_draw(config: ExperimentConfig, n_reps: int) -> None:
-    """Refuse, before anything is drawn, a draw of n_reps replications that
-    expects more than _MAX_DRAW_EVENTS events: lam T n_reps times the mean
-    cluster size, 1 + E[K] for MB clusters and 1/(1 - phi E[X]) for
-    branching ones."""
+def _mean_cluster_size(config: ExperimentConfig, xq: float | None = None) -> tuple[float, str]:
+    """Mean events of a cluster, 1 + E[K] for MB clusters and 1/(1 - phi
+    E[X]) for branching ones, and the keys behind it.  With ``xq`` the
+    immigrant's mark comes from the defensive mixture tilted above xq
+    (`_tilted_marks`), whose tilted half is the law's tail above xq: that
+    raises comonotone counts and a branching immigrant's fertility."""
     spec = config.spec
+    tilted = None if xq is None else TailLaw(PARETO, xq, spec.x_law.alpha)  # only heavy marks are tilted
     if config.model == MB:
-        size = 1.0 + spec.mean_offspring()
-        why = f"1 + E[K] = {size:.6g} (k_param = {spec.k_param:.6g})"
+        k = spec.mean_offspring()
+        if tilted is not None and spec.dependence == COMONOTONE:
+            k = 0.5 * k + 0.5 * mean_ceil(spec.k_param, tilted)
+        size, why = 1.0 + k, f"1 + E[K] = {1.0 + k:.6g} (k_param = {spec.k_param:.6g})"
     else:
         size = 1.0 / (1.0 - spec.mean_fertility)
         why = f"1/(1 - phi_fertility E[X]) = {size:.6g} (phi_fertility = {spec.phi:.6g})"
-    events = config.lam * config.T * n_reps * size
+        if tilted is not None:  # the immigrant's extra children each bring size events
+            size += 0.5 * spec.phi * (tilted.mean() - spec.x_law.mean()) * size
+    return size, why if xq is None else f"{size:.6g} from {why}, the immigrant's mark tilted above {xq:.6g}"
+
+
+def _refuse_oversized(config: ExperimentConfig, clusters: float, what: str, per: str, xq=None) -> float:
+    """Refuse, before anything is drawn, ``what``: a draw of ``clusters``
+    clusters (``per`` says how many and why), from marks tilted above
+    ``xq`` when it is given, that expects more than _MAX_DRAW_EVENTS events,
+    the clusters times the mean cluster size (`_mean_cluster_size`).
+    Returns that size."""
+    size, why = _mean_cluster_size(config, xq)
+    events = clusters * size
     if not events <= _MAX_DRAW_EVENTS:  # also catches inf and nan
         raise ConfigurationError(
-            f"refusing a chunk of {n_reps} replications expecting {events:.3g} events, more than "
-            f"{_MAX_DRAW_EVENTS:.3g}: lambda_rate * T_horizon = {config.lam * config.T:.6g} clusters "
-            f"a replication, times the mean cluster size {why}"
+            f"refusing {what} expecting {events:.3g} events, more than "
+            f"{_MAX_DRAW_EVENTS:.3g}: {per}, times the mean cluster size {why}"
         )
+    return size
+
+
+def _refuse_oversized_draw(config: ExperimentConfig, n_reps: int) -> None:
+    """`_refuse_oversized` for a draw of n_reps replications: lam T n_reps clusters."""
+    per = f"lambda_rate * T_horizon = {config.lam * config.T:.6g} clusters a replication"
+    _refuse_oversized(config, config.lam * config.T * n_reps, f"a chunk of {n_reps} replications", per)
 
 
 def draw_clusters(
@@ -280,11 +306,6 @@ def _simulate_jump_arrays(config: ExperimentConfig, n_reps: int, rng: np.random.
 # less its mean
 _CRUDE_CV_MIN = (0.25, 0.5, 1.0)
 _CRUDE_CV_COUNT = (0.5, 1.0, 2.0)
-# each parity fold fits 9 slopes and an intercept on at least 20 hits and 20
-# misses per coefficient: 400 of each.  The rarer outcome bounds what a fit
-# to a 0/1 score learns; with a few hits, a fit exact in sample (point-mass
-# marks, no replication with two immigrants) reported a stderr of 1e-17
-_CRUDE_CV_FOLD_FLOOR = 2 * 20 * (1 + 2 * len(_CRUDE_CV_MIN) + len(_CRUDE_CV_COUNT))
 
 
 def _crude_covariates(rep, t, mark, counts, law, x_T: float) -> np.ndarray:
@@ -372,8 +393,17 @@ def _chunk_sizes(n: int) -> list[int]:
     return sizes
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _run_tasks(fn, tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
+    """fn(*task) for every task, in order.  A pool starts all its processes
+    at the first submit, so at most one per task and per usable CPU are
+    asked for; results do not depend on the count."""
+    workers = min(workers, len(tasks), _usable_cpus())
+    if workers <= 1:
         return [fn(*t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor  # only a fan-out loads the pool
 
@@ -387,18 +417,12 @@ def crude_estimate(config: ExperimentConfig) -> Estimate:
 
     The covariates are nine sums over each replication's events in [0, T],
     each descendant's term centred by its own mean (`_crude_covariates`),
-    with closed-form means (`_crude_cv_means`).
-    Their coefficients are fitted on the other parity fold of the
-    replications (`_cross_fit`), so the estimate stays unbiased and the
-    same for every worker count.  The stderr is sd of the adjusted scores
-    over sqrt(n), and the interval value +- 1.96 stderr with its lower end
-    clipped at 0.  They are off when every replication hits or none does,
-    below 400 hits or 400 misses (20 of each per coefficient in each fold),
-    or when the adjusted mean leaves [0, 1]; the estimate is then the plain
-    hit frequency with binomial error and the Wilson interval, which keeps
-    a positive upper end when no replication hits.
-    ``detail["control_variates"]`` says which applied, and
-    ``detail["hits"]`` counts the hits.
+    with closed-form means (`_crude_cv_means`), fitted and applied by
+    `_control_variates` with the rarer outcome, hits or misses, as the
+    informative count.  Where they are off the estimate is the plain hit
+    frequency with binomial error and the Wilson interval, which keeps a
+    positive upper end when no replication hits.  ``detail["hits"]`` counts
+    the hits.
     """
     if config.n_reps < 100:
         raise ConfigurationError("crude estimation needs n_reps >= 100")
@@ -409,35 +433,15 @@ def crude_estimate(config: ExperimentConfig) -> Estimate:
     y = np.concatenate(hits).astype(float)
     n_hits = int(np.count_nonzero(y))
     n = config.n_reps
-    p = n_hits / n
-    se = np.sqrt(p * (1.0 - p) / n)
-    ci95 = _wilson_interval(n_hits, n)
-    means = _crude_cv_means(config)
     x_T = config.scaling().x_T
-    cv = {
-        "levels": {
-            "truncated": [c * x_T for c in _CRUDE_CV_MIN],
-            "count": [c * x_T for c in _CRUDE_CV_COUNT],
-        },
-        "means": means.tolist(),
-        "fold_floor": _CRUDE_CV_FOLD_FLOOR,
-        "applied": False,
-        "off_reason": None,
-    }
-    if n_hits in (0, n):
-        cv["off_reason"] = "constant scores"
-    elif min(n_hits, n - n_hits) < _CRUDE_CV_FOLD_FLOOR:
-        cv["off_reason"] = "below the fold floor"
+    levels = {"truncated": [c * x_T for c in _CRUDE_CV_MIN], "count": [c * x_T for c in _CRUDE_CV_COUNT]}
+    cv, fit = _control_variates(y, covariates, _crude_cv_means(config), levels, min(n_hits, n - n_hits))
+    if fit is None:
+        p = n_hits / n
+        se, ci95 = np.sqrt(p * (1.0 - p) / n), _wilson_interval(n_hits, n)
     else:
-        adj, betas = _cross_fit(y, np.concatenate(covariates), means)
-        cv["beta"] = [b.tolist() for b in betas]
-        cv["variance_ratio"] = float(y.var(ddof=1) / adj.var(ddof=1))
-        cv["adjusted_estimate"] = float(adj.mean())
-        if 0.0 <= adj.mean() <= 1.0:
-            cv["applied"] = True
-            p, se, ci95 = adj.mean(), np.sqrt(adj.var(ddof=1) / n), None
-        else:
-            cv["off_reason"] = "adjusted mean outside [0, 1]"
+        p, var, _ = fit
+        se, ci95 = np.sqrt(var), None
     detail = {"hits": n_hits, "truncated_clusters": sum(trunc), "control_variates": cv}
     return _estimate(p, se, n, lineage(config.seed, "crude"), detail, ci95)
 
@@ -461,6 +465,10 @@ def _wilson_interval(hits: int, n: int) -> tuple[float, float]:
 # exceedance splitting
 
 
+# the fewest and the most clusters one batch of `_conditional_pool` draws
+_POOL_BATCH_MIN, _POOL_BATCH_MAX = 1024, 4_000_000
+
+
 def _conditional_pool(
     config: ExperimentConfig,
     rng: np.random.Generator,
@@ -471,6 +479,7 @@ def _conditional_pool(
     max_draws: int | None = None,
     superset: bool = False,
     accept: float | None = None,
+    max_batch: int = _POOL_BATCH_MAX,
 ):
     """Events of n_needed i.i.d. clusters conditioned on D > u (or D <= u).
 
@@ -483,9 +492,10 @@ def _conditional_pool(
     sampler `superset_batch`, which returns only its clusters with D > u.
     The remainder check and anatomy keep rejection.  ``accept``, the known
     share of draws kept, sizes the first batch; without it the first batch
-    guesses.  Later batches follow the share kept so far.  At most
-    ``max_draws`` clusters are simulated when it is given; the pool then
-    holds fewer than n_needed clusters if the budget runs out first.
+    guesses.  Later batches follow the share kept so far; none draws more
+    than ``max_batch`` clusters.  At most ``max_draws`` clusters are
+    simulated when it is given; the pool then holds fewer than n_needed
+    clusters if the budget runs out first.
     Returns flat arrays with cluster ids remapped to 0..accepted-1, the
     weights (None when untilted) and the counts
     {"drawn", "accepted", "truncated"}: clusters simulated (superset
@@ -505,10 +515,10 @@ def _conditional_pool(
                 f"in {tried} draws; threshold is outside the reachable range"
             )
         if tried == 0:
-            batch_n = int(max(min(n_needed / accept, 4e6), 1024))
+            batch_n = int(max(min(n_needed / accept, max_batch), _POOL_BATCH_MIN))
         else:
             p_guess = max(accepted / tried, 1e-6)
-            batch_n = int(min(4e6, max(1024, 1.2 * (n_needed - got) / p_guess)))
+            batch_n = int(min(max_batch, max(_POOL_BATCH_MIN, 1.2 * (n_needed - got) / p_guess)))
         if max_draws is not None:
             batch_n = min(batch_n, max_draws - tried)
         if xq is not None:
@@ -676,9 +686,6 @@ def _estimate_p_big(config: ExperimentConfig, u: float) -> tuple[float, float, d
 # a replication's summed small-cluster mass, and for each b in _CV_BIG its
 # big clusters with D > b u, weighted by P(M > rank), M the Poisson big count
 _CV_BIG = (1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
-# each parity fold fits 7 slopes and an intercept on at least 20
-# replications per coefficient: 320 replications
-_CV_FOLD_FLOOR = 2 * 20 * (2 + len(_CV_BIG))
 
 
 def _superset_scope(config: ExperimentConfig) -> bool:
@@ -732,6 +739,46 @@ def _cross_fit(y: np.ndarray, x: np.ndarray, means: np.ndarray):
     return y - ((x - means) * other).sum(axis=1), betas
 
 
+def _control_variates(y, covariates, means, levels, informative: int, half_widths=None):
+    """Cross-fitted control variates of the scores y for both estimators:
+    the report for ``detail["control_variates"]`` and, when they apply,
+    (mean, variance of the mean, bias bound) of the adjusted scores
+    (`_cross_fit`), else None.  ``covariates`` holds each task's rows, one
+    column per control variate with mean ``means``; the bias bound is
+    sum_k |beta_k| times ``half_widths[k]``, the half-width of a bracketed
+    mean, and 0 without them.  The fold floor is 40 (columns + 1), 20
+    ``informative`` replications per coefficient in each parity fold: the
+    rarer outcome of a 0/1 score (a few hits can fit exactly in sample, with
+    a stderr of 1e-17), every replication of a graded one.  They are off
+    when every score is the same, below the floor, or when the adjusted
+    mean leaves [0, 1]."""
+    cv = {"levels": levels, "means": means.tolist()}
+    if half_widths is not None:
+        cv["mean_half_widths"] = half_widths.tolist()
+    cv.update(fold_floor=40 * (means.size + 1), applied=False, off_reason=None)
+    if not y.min() < y.max():
+        cv["off_reason"] = "constant scores"
+        return cv, None
+    if informative < cv["fold_floor"]:
+        cv["off_reason"] = "below the fold floor"
+        return cv, None
+    adj, betas = _cross_fit(y, np.concatenate(covariates), means)
+    cv["beta"] = [b.tolist() for b in betas]
+    cv["variance_ratio"] = float(y.var(ddof=1) / adj.var(ddof=1))
+    cv["adjusted_estimate"] = float(adj.mean())
+    if not 0.0 <= adj.mean() <= 1.0:
+        cv["off_reason"] = "adjusted mean outside [0, 1]"
+        return cv, None
+    cv["applied"] = True
+    n = y.size
+    bias_bound = 0.0
+    if half_widths is not None:
+        n_odd = n // 2  # fold 1; fold 0 is adjusted with betas[1]
+        beta_mean = (betas[1] * (n - n_odd) + betas[0] * n_odd) / n
+        bias_bound = float(np.abs(beta_mean) @ half_widths)
+    return cv, (float(adj.mean()), float(adj.var(ddof=1)) / n, bias_bound)
+
+
 def _poisson_weights(rate: float, m_max: int) -> np.ndarray:
     """Poisson(rate) pmf on 0..m_max with the tail beyond m_max added to m_max."""
     w = poisson_pmf(np.arange(m_max + 1), rate)
@@ -767,19 +814,14 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     sd(Y)/sqrt(n) in quadrature to the delta-method error of the rate,
     which takes the bracket's half-width as the error of P(D > u).
 
-    MB clusters with Poisson counts subtract control variates with known
-    means from Y (`_stratum_chunk`, `_cv_means`): the summed mass of the
-    small clusters, and for b = 1.5, 2, 3, 4, 6, 8 the big clusters with
-    D > b u weighted by P(M > rank).  The coefficients are fitted on the
-    other parity fold of the replications (`_cross_fit`), so the estimate
-    stays unbiased and the same for every worker count; the stderr then
-    takes sd of the adjusted scores and adds sum_k |beta_k| times the
-    half-width of mean k in quadrature.  They are off below 320
-    replications (20 per coefficient in each fold), when every Y is the
-    same, or when the adjusted mean leaves [0, 1];
-    ``detail["control_variates"]`` says which.  When no replication hits,
-    the interval is [0, 1 - 0.025^(1/n)], the exact 97.5% upper bound on
-    P(Y > 0), which bounds E[Y] as 0 <= Y <= 1.
+    MB clusters with Poisson counts subtract control variates with
+    bracketed means from Y (`_stratum_chunk`, `_cv_means`): the summed mass
+    of the small clusters, and for b = 1.5, 2, 3, 4, 6, 8 the big clusters
+    with D > b u weighted by P(M > rank).  `_control_variates` fits and
+    applies them, every replication informative; the stderr then takes sd
+    of the adjusted scores and adds its bias bound in quadrature.  When no
+    replication hits, the interval is [0, 1 - 0.025^(1/n)], the exact 97.5%
+    upper bound on P(Y > 0), which bounds E[Y] as 0 <= Y <= 1.
     """
     u = config.delta * config.scaling().x_T
     if u <= config.spec.x_law.scale:
@@ -824,32 +866,9 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     cv = None
     if scope:
         means, half_widths = _cv_means(config, u, p_big, p_big_detail["p_big_bracket"], rank_weights)
-        cv = {
-            "levels": {"big": cv_levels[0].tolist()},
-            "means": means.tolist(),
-            "mean_half_widths": half_widths.tolist(),
-            "fold_floor": _CV_FOLD_FLOOR,
-            "applied": False,
-            "off_reason": None,
-        }
-        if n < _CV_FOLD_FLOOR:
-            cv["off_reason"] = "below the fold floor"
-        elif not y.min() < y.max():
-            cv["off_reason"] = "constant scores"
-        else:
-            adj, betas = _cross_fit(y, np.concatenate(covariates), means)
-            n_odd = n // 2  # fold 1; fold 0 is adjusted with betas[1]
-            beta_mean = (betas[1] * (n - n_odd) + betas[0] * n_odd) / n
-            cv["beta"] = [b.tolist() for b in betas]
-            cv["variance_ratio"] = float(y.var(ddof=1) / adj.var(ddof=1))
-            cv["adjusted_estimate"] = float(adj.mean())
-            if 0.0 <= adj.mean() <= 1.0:
-                cv["applied"] = True
-                value = float(adj.mean())
-                var_reps = float(adj.var(ddof=1)) / n
-                bias_bound = float(np.abs(beta_mean) @ half_widths)  # from the means' brackets
-            else:
-                cv["off_reason"] = "adjusted mean outside [0, 1]"
+        cv, fit = _control_variates(y, covariates, means, {"big": cv_levels[0].tolist()}, n, half_widths)
+        if fit is not None:
+            value, var_reps, bias_bound = fit
     se = float(np.sqrt(var_reps + var_rate + bias_bound**2))
 
     detail = {
@@ -916,20 +935,28 @@ def check_remainder(
 
     For each horizon: P(D_after > x_T | D > x_T) over n_accept_target
     clusters conditioned on D > x_T by `_conditional_pool`, each given a
-    uniform arrival on [0, T]; at most max_sims clusters are simulated.
+    uniform arrival on [0, T]; at most max_sims clusters are simulated, in
+    batches that expect at most _MAX_DRAW_EVENTS events (a horizon whose
+    smallest batch expects more is refused before anything is drawn).
     Comonotone specs tilt the immigrant mark (`_tilt_level`) and the share is
     weight-normalised.  Other specs use plain rejection: their big clusters
     are often child-driven, and those carry the remainder, so a tilt on the
     immigrant alone would under-represent them.
     """
     tilt = config.spec.dependence == COMONOTONE
+    x_Ts = [ScalingRule(config.eta, T).x_T for T in T_grid]
+    xqs = [_tilt_level(config, x_T) if tilt else None for x_T in x_Ts]
+    least = min(_POOL_BATCH_MIN, max_sims)
+    max_batches = []
+    for T, xq in zip(T_grid, xqs):  # every horizon before the first draw
+        what = f"check remainder at T = {float(T):.6g}"
+        size = _refuse_oversized(config, least, what, f"its smallest batch of {least} clusters", xq)
+        max_batches.append(min(_POOL_BATCH_MAX, int(_MAX_DRAW_EVENTS / size)))
     rows = []
-    for idx, T in enumerate(T_grid):
-        x_T = ScalingRule(config.eta, T).x_T
+    for idx, (T, x_T, xq, max_batch) in enumerate(zip(T_grid, x_Ts, xqs, max_batches)):
         rng = substream(config.seed, "remainder", idx)
-        xq = _tilt_level(config, x_T) if tilt else None
         cid, off, mark, w, counts = _conditional_pool(
-            config, rng, n_accept_target, x_T, xq=xq, max_draws=max_sims
+            config, rng, n_accept_target, x_T, xq=xq, max_draws=max_sims, max_batch=max_batch
         )
         got = counts["accepted"]
         late = rng.random(got)[cid] * T + off > T
@@ -974,7 +1001,9 @@ def check_tail_equivalence(config: ExperimentConfig, quantile_levels) -> list[di
     for q in quantile_levels:
         if not 0.9 < q < 1.0:
             raise ValueError("quantile levels must lie in (0.9, 1)")
+    measure = measure_for_model(config.model, config.spec)  # reads no stream: refuse before drawing
     n = config.n_reps
+    _refuse_oversized(config, n, "check tails' draw", f"n_reps = {n} clusters")
     d_all = np.empty(n)
     k_all = np.empty(n)
     done = 0
@@ -985,7 +1014,6 @@ def check_tail_equivalence(config: ExperimentConfig, quantile_levels) -> list[di
         k_all[done : done + b] = np.bincount(batch.cid[batch.generation == 1], minlength=b)
         trunc += int(batch.truncated.sum())
         done += b
-    measure = measure_for_model(config.model, config.spec)
     law = config.spec.x_law
     # K ~ (children per unit of parent mark) * X: phi, or eta for comonotone counts
     if config.model == HAWKES:

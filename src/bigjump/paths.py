@@ -29,7 +29,6 @@ __all__ = [
     "ScalingRule",
     "build_jump_path",
     "kth_largest_jump",
-    "dk_skeleton",
     "centering_mb",
     "centering_hawkes",
     "centered_scaled_path",
@@ -121,20 +120,6 @@ def kth_largest_jump(path: CadlagPath, k: int) -> float:
     if sizes.size < k:
         return 0.0
     return float(np.partition(sizes, sizes.size - k)[sizes.size - k])
-
-
-def dk_skeleton(path: CadlagPath, k: int) -> CadlagPath:
-    """Pure-jump path keeping the min(k+1, count) largest jumps in place."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    sizes = path.jump_sizes()
-    mask = sizes != 0.0
-    t = path.t[mask]
-    s = sizes[mask]
-    if t.size > k + 1:
-        order = np.lexsort((t, -np.abs(s)))[: k + 1]  # ties keep the earlier time
-        t, s = t[order], s[order]
-    return build_jump_path(t, s)
 
 
 @dataclass(frozen=True)

@@ -77,3 +77,30 @@ def sup_exact_calls(monkeypatch):
 
     monkeypatch.setattr(events, "_sup_sorted", spy)
     return calls
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Sizes asked of ``concurrent.futures.ProcessPoolExecutor``, whose
+    stand-in starts no process and runs every task here."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes

@@ -340,6 +340,22 @@ def pareto_pair_tail(scale: float, alpha: float, c: float) -> float:
     return tail(c - scale) + inner
 
 
+def dk_skeleton(path, k: int):
+    """Pure-jump path keeping the min(k+1, count) largest jumps in place."""
+    from bigjump.paths import build_jump_path
+
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    sizes = path.jump_sizes()
+    mask = sizes != 0.0
+    t = path.t[mask]
+    s = sizes[mask]
+    if t.size > k + 1:
+        order = np.lexsort((t, -np.abs(s)))[: k + 1]  # ties keep the earlier time
+        t, s = t[order], s[order]
+    return build_jump_path(t, s)
+
+
 def jump_path_loop(times, sizes):
     """Node table (t, left, right) of the pure-jump path, one jump at a time;
     equal times merge by summation and a jump at 0 sets the first right value."""

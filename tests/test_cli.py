@@ -3,9 +3,11 @@ import ctypes
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from itertools import takewhile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +25,7 @@ from bigjump.cli import (
     parse_extras,
 )
 from bigjump.errors import ConfigurationError
-from bigjump.events import TerminalExceed
+from bigjump.events import PathEvent, TerminalExceed
 from bigjump.paths import read_path_csv
 
 from .test_acceptance import CFG_TEXT
@@ -554,6 +556,17 @@ def test_cli_refuses_cluster_count_mean_beyond_poisson_range(tmp_path, capsys, e
     assert not os.path.exists(out)
 
 
+def _fail_samplers(monkeypatch):
+    """Make every sampler of the harness fail the test."""
+    from bigjump import harness
+
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the refusal")
+
+    for name in ("substream", "simulate_batch", "superset_batch"):
+        monkeypatch.setattr(harness, name, never)
+
+
 @pytest.mark.parametrize(
     "command, text, key, value, size_key",
     [
@@ -570,13 +583,7 @@ def test_cli_refuses_oversized_runs_before_sampling(tmp_path, capsys, monkeypatc
     # (k_param = 1e9) and ended in a numpy _ArrayMemoryError traceback; the
     # splitting run grew until the kernel killed it.  Every sampler fails
     # the test here, so a refusal that came late would allocate nothing
-    from bigjump import harness
-
-    def never(*args, **kwargs):
-        raise AssertionError("sampled before the refusal")
-
-    for name in ("substream", "simulate_batch", "superset_batch"):
-        monkeypatch.setattr(harness, name, never)
+    _fail_samplers(monkeypatch)
     out = str(tmp_path / "never")
     assert main([command, "--config", _write(tmp_path, _with_key(text, key, value)), "--out", out]) == 2
     line = _single_error_line(capsys)
@@ -765,6 +772,90 @@ def test_cli_check_rejects_bad_inputs(tmp_path, capsys, which, extra, argv, key)
     assert main(["check", which, "--config", cfg, "--out", out, *argv]) == 2
     assert key in _single_error_line(capsys)
     assert not os.path.exists(out)
+
+
+_LIGHT_HEAVY_K = _with_key(
+    _with_key(_with_key(BASE, "mark_family", "exponential"), "dependence", "heavy_k_light_x"), "k_param", "1.0"
+) + "k_alpha = 1.5\n"
+
+
+@pytest.mark.parametrize(
+    "which, text, words",
+    [
+        # all 2,000,000 clusters were drawn before the measure refused
+        ("tails", _with_key(_LIGHT_HEAVY_K, "n_reps", "2000000"), ["regularly varying"]),
+        # 2e7 clusters of mean size 3: two 2e7-long arrays and 6e7 events
+        ("tails", _with_key(_with_key(BASE, "k_param", "2.0"), "n_reps", "20000000"), ["n_reps", "k_param"]),
+        # the pool's smallest batch, 1024 clusters of mean size 1 + 1e5
+        ("remainder", _with_key(BASE, "k_param", "1e5"), ["batch", "k_param"]),
+        # untilted, clusters of mean size 4.6 pass; tilted above x_T/6 at
+        # T = 1e8 they bring about 3e5 children each
+        (
+            "remainder",
+            _with_key(_with_key(BASE, "dependence", "comonotone"), "k_param", "1.0") + "check_T_grid = 25,1e8\n",
+            ["T = 1e+08", "tilted"],
+        ),
+    ],
+    ids=["tails-light-marks", "tails-oversized", "remainder-oversized", "remainder-oversized-tilted"],
+)
+def test_cli_check_refuses_before_drawing(tmp_path, capsys, monkeypatch, which, text, words):
+    _fail_samplers(monkeypatch)
+    out = str(tmp_path / "never")
+    assert main(["check", which, "--config", _write(tmp_path, text), "--out", out]) == 2
+    line = _single_error_line(capsys)
+    assert all(w in line for w in words), line
+    assert not os.path.exists(out)
+
+
+def test_cli_ldp_pool_size_is_bounded_by_its_tasks(tmp_path, monkeypatch, recording_pool):
+    # --workers 10000 asked a pool for 10,000 processes, which it starts at
+    # its first submit
+    from bigjump import harness
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+    cfg = _write(tmp_path, BASE)  # 2000 replications: two chunks
+    rows = []
+    for workers in ("1", "10000"):
+        out = tmp_path / f"out{workers}"
+        assert main(["ldp", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+        rows.append((out / "results.csv").read_text().splitlines()[1].split(","))
+        del rows[-1][10]  # wall_seconds
+    assert recording_pool == [2] and rows[0] == rows[1]
+
+
+def _readme_config_block() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("### Config format", 1)[1].split("```\n", 2)[1]
+
+
+def test_readme_config_block_matches_the_parser():
+    from bigjump.cli import _DEFAULTS, _EXTRAS, _KEYS, _REQUIRED, _parse_items
+
+    block = _readme_config_block()
+    config = parse_config(block)
+    # every key is shown, commented or not
+    keys = re.findall(r"^#?[ \t]*([A-Za-z_]\w*)[ \t]*=", block, re.M)
+    assert len(keys) == len(set(keys)) and set(keys) == set(_KEYS) | set(_EXTRAS)
+    # every optional value shown is its default, except k_param; Pareto
+    # marks (the default family) need their alpha
+    items = _parse_items(block)
+    base = {k: items[k] for k in [*_REQUIRED, "mark_alpha"]}
+    emitted = [
+        dict(ln.split(" = ", 1) for ln in emit_config(c).splitlines())
+        for c in (config, parse_config("".join(f"{k} = {v}\n" for k, v in base.items())))
+    ]
+    for key, value in items.items():
+        if key in _EXTRAS:
+            assert value == _EXTRAS[key], key
+        elif key not in base and key != "k_param":
+            assert emitted[0][key] == emitted[1][key], key
+    assert "k_param" not in _DEFAULTS and emitted[1]["k_param"] == "0.0"
+    # the event kinds its comment lists are the event classes
+    lines = block.splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("event ="))
+    doc = [lines[at]] + list(takewhile(lambda ln: ln.lstrip().startswith("#"), lines[at + 1 :]))
+    kinds = set(re.findall(r"([a-z_]+):", " ".join(ln.split("#", 1)[1] for ln in doc)))
+    assert kinds == {c.kind for c in PathEvent.__subclasses__()}
 
 
 def test_cli_check_remainder_comonotone_light_marks(tmp_path, capsys):

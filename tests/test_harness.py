@@ -1,4 +1,5 @@
 import io
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -610,6 +611,28 @@ def test_check_remainder_decreasing_trend(mb_spec_nu2, exp_wait):
     assert not any(r["low_confidence"] for r in rows)
 
 
+def test_check_remainder_batches_expect_at_most_the_event_bound(mb_spec_nu2, exp_wait, monkeypatch):
+    # with the bound at 2e4 events, clusters of mean size 3 come at most
+    # 6666 a batch, where the pool's rejection grows batches to ~2e4
+    cfg = base_config(mb_spec_nu2, exp_wait, seed=78)
+    rows = check_remainder(cfg, [50.0], n_accept_target=500)
+    calls = []
+    real = harness.simulate_batch
+
+    def spy(model, n, *args, **kwargs):
+        calls.append(n)
+        return real(model, n, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_batch", spy)
+    monkeypatch.setattr(harness, "_MAX_DRAW_EVENTS", 2e4)
+    capped = check_remainder(cfg, [50.0], n_accept_target=500)
+    assert max(calls) == 6666 and capped[0]["n_accepted"] == rows[0]["n_accepted"] == 500
+    assert capped[0]["estimate"] == pytest.approx(rows[0]["estimate"], abs=4 * rows[0]["stderr"] + 0.01)
+    monkeypatch.setattr(harness, "_MAX_DRAW_EVENTS", 3000.0)  # 1024 clusters expect 3072 events
+    with pytest.raises(ConfigurationError, match="smallest batch of 1024 clusters"):
+        check_remainder(cfg, [50.0], n_accept_target=500)
+
+
 def test_check_remainder_comonotone_boost_consistent(pareto15, exp_wait):
     spec = JointMarkSpec(pareto15, "comonotone", k_param=1.0)
     cfg = base_config(spec, exp_wait, seed=21)
@@ -981,6 +1004,62 @@ def test_control_variates_keep_the_exact_bound_without_hits(mb_spec_nu2, exp_wai
     split = splitting_estimate(base_config(mb_spec_nu2, exp_wait, event=TerminalExceed(200.0), n_strata=500))
     assert split.detail["control_variates"]["off_reason"] == "constant scores"
     assert split.value == 0.0 and split.ci95 == (0.0, 1.0 - 0.025 ** (1.0 / 500))
+
+
+@pytest.mark.parametrize("model", ["mb", "hawkes"])
+@pytest.mark.parametrize("xq", [None, 3.0])
+def test_mean_cluster_size_matches_sampled_clusters(exp_wait, model, xq):
+    # the size that bounds a draw's events, with the immigrant's mark plain
+    # or from the defensive mixture tilted above xq, against 200,000 clusters
+    law = TailLaw("pareto", 1.0, 3.0)
+    spec = JointMarkSpec(law, "comonotone", k_param=1.0) if model == "mb" else JointMarkSpec(law, phi=1.0 / 3.0)
+    cfg = base_config(spec, exp_wait, model=model)
+    n, rng = 200_000, substream(31, "cluster-size", model)
+    x0 = None
+    if xq is not None:
+        x0, _ = harness._tilted_marks(law, xq, rng.random(n), rng.random(n) < 0.5)
+    b = harness.simulate_batch(model, n, spec, exp_wait, rng, cfg.cap, x0=x0, with_offsets=False)
+    size, _ = harness._mean_cluster_size(cfg, xq)
+    assert b.mark.size / n == pytest.approx(size, rel=0.02)
+
+
+def test_pool_size_is_bounded_by_tasks_and_cpus(recording_pool, monkeypatch):
+    # a pool starts every process it is asked for at the first submit
+    sizes = recording_pool
+    tasks = [(i,) for i in range(9766)]  # n_reps = 1e7 in 1024-replication chunks
+    for workers, n_tasks, cpus, want in [(10_000, 9766, 2, 2), (10_000, 5, 64, 5), (3, 9766, 64, 3)]:
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        assert harness._run_tasks(abs, tasks[:n_tasks], workers) == list(range(n_tasks))
+        assert sizes.pop() == want
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert harness._run_tasks(abs, tasks[:5], 10_000) == list(range(5)) and not sizes  # serial
+    monkeypatch.undo()
+    assert 1 <= harness._usable_cpus() <= (os.cpu_count() or 1)
+
+
+def test_control_variate_fold_floor_follows_the_covariate_count(mb_spec_nu2, exp_wait):
+    # 20 informative replications per coefficient (the slopes and an
+    # intercept) in each parity fold: 400 for crude's nine columns and 320
+    # for splitting's seven
+    cfg = base_config(mb_spec_nu2, exp_wait, n_reps=200, estimator="crude")
+    crude = crude_estimate(cfg)
+    split = splitting_estimate(base_config(mb_spec_nu2, exp_wait, n_strata=100))
+    _, crude_columns, _ = harness._crude_chunk(cfg, 0, 200, centering_curve(cfg))
+    columns = [crude_columns.shape[1], 1 + len(_CV_BIG)]  # the small mass and each big level
+    for est, k in zip((crude, split), columns):
+        cv = est.detail["control_variates"]
+        assert len(cv["means"]) == k and cv["fold_floor"] == 40 * (k + 1)
+    assert [crude.detail["control_variates"]["fold_floor"], split.detail["control_variates"]["fold_floor"]] == [400, 320]
+
+
+def test_splitting_constant_scores_below_the_fold_floor(mb_spec_nu2, exp_wait):
+    # every score is 0 on fewer replications than the floor: the scores are
+    # checked first, as the crude estimator checks them
+    n = 300
+    split = splitting_estimate(base_config(mb_spec_nu2, exp_wait, event=TerminalExceed(200.0), n_strata=n))
+    cv = split.detail["control_variates"]
+    assert not cv["applied"] and cv["off_reason"] == "constant scores"
+    assert split.value == 0.0 and split.ci95 == (0.0, 1.0 - 0.025 ** (1.0 / n))
 
 
 def test_superset_pool_sizes_its_first_batch_from_the_acceptance(pareto15, exp_wait, monkeypatch):

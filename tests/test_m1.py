@@ -18,7 +18,7 @@ from bigjump.m1 import (
     uniform_distance,
 )
 from bigjump.events import DkProxy
-from bigjump.paths import CadlagPath, build_jump_path, dk_skeleton, kth_largest_jump, path_sup
+from bigjump.paths import CadlagPath, build_jump_path, kth_largest_jump, path_sup
 from bigjump.streams import substream
 from .conftest import edge_jump_lists, random_jump_path
 from .oracles import (
@@ -26,6 +26,7 @@ from .oracles import (
     brute_force_m1,
     completed_graph_loop,
     discrete_frechet_linf,
+    dk_skeleton,
     free_space_decision,
 )
 
