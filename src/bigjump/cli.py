@@ -251,7 +251,7 @@ def _read(path: str) -> str:
 
 def _cmd_simulate(args) -> int:
     config = parse_config(_read(args.config))
-    _, gammas, batch = draw_clusters(config, 1, substream(config.seed, "simulate"))
+    _, gammas, batch = draw_clusters(config, 1, substream(config.seed, "simulate"), lineage=True)
     path = replication_path(config, gammas, batch, centering_curve(config))
     os.makedirs(args.out, exist_ok=True)  # only once there is a path: a refused run leaves none
     path_file = os.path.join(args.out, "path.csv")

@@ -33,25 +33,24 @@ HAWKES = "hawkes"
 class BatchClusters:
     """Flat-array view of ``n`` clusters: one row per event.
 
-    ``cid`` maps events to clusters and ``parent`` to the row of the parent
-    event; row ``i < n`` is the immigrant of cluster ``i`` and is its own
-    parent.  Offsets are times since the cluster's immigrant.  Event order
-    within the batch is generation-major, so a parent precedes its children.
+    ``cid`` maps events to clusters; row ``i < n`` is the immigrant of
+    cluster ``i``.  Offsets are times since the cluster's immigrant.  Event
+    order within the batch is generation-major, so a parent precedes its
+    children.  The lineage, ``parent`` (the row of each event's parent; an
+    immigrant is its own) and ``generation``, is None unless it was asked
+    for.
     """
 
     n: int
     cid: np.ndarray
-    parent: np.ndarray
+    parent: np.ndarray | None
     offset: np.ndarray
     mark: np.ndarray
-    generation: np.ndarray
+    generation: np.ndarray | None
     truncated: np.ndarray  # bool per cluster
 
     def totals(self) -> np.ndarray:
         return np.bincount(self.cid, weights=self.mark, minlength=self.n)
-
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.cid, minlength=self.n)
 
 
 def simulate_batch(
@@ -63,6 +62,7 @@ def simulate_batch(
     cap: int = DEFAULT_CAP,
     with_offsets: bool = True,
     x0: np.ndarray | None = None,
+    lineage: bool = False,
 ) -> BatchClusters:
     """Generate ``n`` clusters into flat arrays, one generation per pass.
 
@@ -73,6 +73,8 @@ def simulate_batch(
     immigrant marks (importance proposals); by default they are drawn.  The
     cap binds branching clusters only: one that would pass ``cap`` events
     loses the whole generation that crosses it and is flagged truncated.
+    ``lineage`` also builds ``parent`` and ``generation``, which only
+    `write_clusters_csv` and the tails check read; it draws nothing.
     """
     if model not in (MB, HAWKES):
         raise ConfigurationError(f"unknown model {model!r}")
@@ -85,11 +87,39 @@ def simulate_batch(
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (n,):
             raise ValueError("x0 must have one mark per cluster")
-    cids = [np.arange(n, dtype=np.int64)]
-    parents = [cids[0]]
-    offsets = [np.zeros(n)] if with_offsets else None
-    marks = [x0]
-    gens = [np.zeros(n, dtype=np.int16)]
+    # one list per column, a generation each; the lists own the arrays
+    cols = {"cid": [np.arange(n, dtype=np.int64)], "mark": [x0]}
+    if with_offsets:
+        cols["offset"] = [np.zeros(n)]
+    if lineage:
+        cols["parent"] = [cols["cid"][0]]
+        cols["generation"] = [np.zeros(n, dtype=np.int16)]
+    del x0
+    truncated = _add_generations(cols, branching, spec, wait, rng, cap)
+    if lineage and len(cols["cid"]) <= 2:
+        del cols["parent"]  # up to generation 1 every parent row is the cluster id
+    # each generation list goes as soon as it is joined
+    joined = {name: np.concatenate(cols.pop(name)) for name in list(cols)}
+    return BatchClusters(
+        n=n,
+        cid=joined["cid"],
+        parent=joined.get("parent", joined["cid"] if lineage else None),
+        offset=joined["offset"] if with_offsets else np.zeros_like(joined["mark"]),
+        mark=joined["mark"],
+        generation=joined.get("generation"),
+        truncated=truncated,
+    )
+
+
+def _add_generations(cols: dict, branching: bool, spec, wait, rng, cap: int) -> np.ndarray:
+    """Append the offspring generations of the clusters in ``cols`` to its
+    lists, one pass each (`simulate_batch`), and return the truncated flags.
+
+    Each child's position in its parent generation comes from one repeat,
+    and its cluster id, its parent's offset and (for mark-conditional
+    waits) its parent's mark are gathered from it."""
+    cids, marks, offsets = cols["cid"], cols["mark"], cols.get("offset")
+    n = cids[0].size
     truncated = np.zeros(n, dtype=bool)
     # no cluster holds more events than the batch's rows, candidate
     # generations included; the per-cluster counts are built only once
@@ -97,12 +127,10 @@ def simulate_batch(
     rows = n
     counts = None
     row0 = 0  # first row of the current parent generation
-    parent_cid = cids[0]
-    parent_mark = x0
-    parent_off = offsets[0] if with_offsets else None
     gen = 0
-    while parent_cid.size and (branching or gen == 0):  # an MB cluster is one generation
+    while cids[-1].size and (branching or gen == 0):  # an MB cluster is one generation
         gen += 1
+        parent_mark = marks[-1]
         if branching:
             k = rng.poisson(spec.phi * parent_mark).astype(np.int64, copy=False)
         else:
@@ -110,9 +138,10 @@ def simulate_batch(
         total = int(k.sum())
         if total == 0:
             break
-        cid = np.repeat(parent_cid, k)
-        # the immigrants' rows are their cluster ids
-        prow = cid if gen == 1 else np.repeat(np.arange(row0, row0 + parent_cid.size), k)
+        pos = np.repeat(np.arange(k.size, dtype=np.int64), k)
+        del k
+        # the immigrants' positions are their cluster ids
+        cid = pos if gen == 1 else cids[-1].take(pos)
         # enforce the per-cluster cap at generation granularity
         k_keep = None
         if branching:
@@ -128,46 +157,29 @@ def simulate_batch(
                     truncated |= over
                     k_keep = ~over[cid]
                     cid = cid[k_keep]
-                    prow = prow[k_keep]
-        m = cid.size
-        if m == 0:
+        if cid.size == 0:
             break
         child_marks = np.asarray(spec.x_law.sample(rng, total), dtype=float)
         if k_keep is not None:
             child_marks = child_marks[k_keep]
-        cids.append(cid)
-        parents.append(prow)
-        marks.append(child_marks)
-        gens.append(np.full(m, gen, dtype=np.int16))
-        if with_offsets:
+        if offsets is not None:
             # only mark-conditional waits read the parent marks
-            pm = np.repeat(parent_mark, k) if wait.conditional_on_mark else None
-            po = np.repeat(parent_off, k)
+            pm = parent_mark.take(pos) if wait.conditional_on_mark else None
             w = np.asarray(wait.sample(rng, mark=pm, size=total), dtype=float)
-            if k_keep is not None:
-                po, w = po[k_keep], w[k_keep]
-            child_off = po + w
+            del pm
+        if k_keep is not None:
+            pos = pos[k_keep]
+        if offsets is not None:
+            child_off = offsets[-1].take(pos)
+            child_off += w if k_keep is None else w[k_keep]  # the parent's offset plus the wait
             offsets.append(child_off)
-            parent_off = child_off
-        row0 += parent_cid.size
-        parent_cid = cid
-        parent_mark = child_marks
-    cid = np.concatenate(cids)
-    # up to generation 1 every parent row is the cluster id
-    parent = cid if len(cids) <= 2 else np.concatenate(parents)
-
-    mark = np.concatenate(marks)
-    gen_arr = np.concatenate(gens)
-    off = np.concatenate(offsets) if with_offsets else np.zeros_like(mark)
-    return BatchClusters(
-        n=n,
-        cid=cid,
-        parent=parent,
-        offset=off,
-        mark=mark,
-        generation=gen_arr,
-        truncated=truncated,
-    )
+        if "parent" in cols:
+            cols["parent"].append(cid if gen == 1 else pos + row0)
+            cols["generation"].append(np.full(cid.size, gen, dtype=np.int16))
+        row0 += cids[-1].size
+        cids.append(cid)
+        marks.append(child_marks)
+    return truncated
 
 
 def _superset_count_law(spec: JointMarkSpec, u: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,10 +230,10 @@ def superset_batch(
     (1 - p)^j p on 0..K, p = P(X > l); the marks before J from X given
     X <= l, the mark at J from X given X > l and the later ones freely, one
     uniform each.  Child waits are drawn for the kept clusters only.  The
-    batch is laid out as `simulate_batch` lays out MB clusters, and each
-    cluster's mass sums its marks in the same order, so its totals are the
-    ones the keep decision saw.  With nu = 0 every candidate has X_0 > u
-    and is kept.
+    batch is laid out as `simulate_batch` lays out MB clusters without
+    lineage, and each cluster's mass sums its marks in the same order, so
+    its totals are the ones the keep decision saw.  With nu = 0 every
+    candidate has X_0 > u and is kept.
     """
     if spec.dependence != INDEPENDENT_LIGHT_K:
         raise ValueError(f"no superset sampler for {spec.dependence} counts")
@@ -259,16 +271,17 @@ def superset_batch(
     return BatchClusters(
         n=m,
         cid=cids,
-        parent=cids,
+        parent=None,
         offset=np.concatenate([np.zeros(m), w]),
         mark=np.concatenate([x0, mark[child]]),
-        generation=np.concatenate([np.zeros(m, np.int16), np.ones(child_cid.size, np.int16)]),
+        generation=None,
         truncated=np.zeros(m, dtype=bool),
     )
 
 
 def write_clusters_csv(batch: BatchClusters, file) -> None:
-    """Debugging dump, one row per event, grouped by cluster.
+    """Debugging dump of a batch drawn with lineage, one row per event,
+    grouped by cluster.
 
     Event ids count from 0 within a cluster in generation order; the
     immigrant is event 0 and its own parent.

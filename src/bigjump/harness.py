@@ -64,10 +64,10 @@ __all__ = [
 CRUDE_CHUNK = 1024
 # numpy's Generator.poisson refuses a mean above int64 max - 10 sqrt(int64 max)
 _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
-# the most events one draw of replications may expect (`_refuse_oversized_draw`):
-# a 1024-replication crude chunk peaks at about 70 bytes an event (68-71 by
-# tracemalloc on the benchmark's MB and branching configs), so 5e7 events
-# take about 3.5 GB
+# the most events one draw of replications may expect (`_refuse_oversized_draw`),
+# and one pool batch (`_conditional_pool`): a 1024-replication crude chunk
+# peaks at about 43 bytes an event (38 and 43 by tracemalloc on the
+# benchmark's MB and branching configs), so 5e7 events take about 2.2 GB
 _MAX_DRAW_EVENTS = 5e7
 
 
@@ -181,12 +181,11 @@ def _mean_cluster_size(config: ExperimentConfig, xq: float | None = None) -> tup
     return size, why if xq is None else f"{size:.6g} from {why}, the immigrant's mark tilted above {xq:.6g}"
 
 
-def _refuse_oversized(config: ExperimentConfig, clusters: float, what: str, per: str, xq=None) -> float:
+def _refuse_oversized(config: ExperimentConfig, clusters: float, what: str, per: str, xq=None) -> None:
     """Refuse, before anything is drawn, ``what``: a draw of ``clusters``
     clusters (``per`` says how many and why), from marks tilted above
     ``xq`` when it is given, that expects more than _MAX_DRAW_EVENTS events,
-    the clusters times the mean cluster size (`_mean_cluster_size`).
-    Returns that size."""
+    the clusters times the mean cluster size (`_mean_cluster_size`)."""
     size, why = _mean_cluster_size(config, xq)
     events = clusters * size
     if not events <= _MAX_DRAW_EVENTS:  # also catches inf and nan
@@ -194,7 +193,6 @@ def _refuse_oversized(config: ExperimentConfig, clusters: float, what: str, per:
             f"refusing {what} expecting {events:.3g} events, more than "
             f"{_MAX_DRAW_EVENTS:.3g}: {per}, times the mean cluster size {why}"
         )
-    return size
 
 
 def _refuse_oversized_draw(config: ExperimentConfig, n_reps: int) -> None:
@@ -204,25 +202,28 @@ def _refuse_oversized_draw(config: ExperimentConfig, n_reps: int) -> None:
 
 
 def draw_clusters(
-    config: ExperimentConfig, n_reps: int, rng: np.random.Generator
+    config: ExperimentConfig, n_reps: int, rng: np.random.Generator, lineage: bool = False
 ) -> tuple[np.ndarray, np.ndarray, BatchClusters]:
     """Clusters of n_reps independent replications: the Poisson(lam T) cluster
     count of each replication, uniform arrival times on [0, T] and the
-    clusters themselves, replication-major.  Refuses a draw that expects
-    more than _MAX_DRAW_EVENTS events."""
+    clusters themselves, replication-major, with their lineage when
+    ``lineage`` is set.  Refuses a draw that expects more than
+    _MAX_DRAW_EVENTS events."""
     _refuse_oversized_draw(config, n_reps)
     counts = rng.poisson(config.lam * config.T, n_reps)
     gammas = rng.random(int(counts.sum())) * config.T
-    batch = simulate_batch(config.model, gammas.size, config.spec, config.wait, rng, config.cap)
+    batch = simulate_batch(config.model, gammas.size, config.spec, config.wait, rng, config.cap, lineage=lineage)
     return counts, gammas, batch
 
 
 def replication_path(
     config: ExperimentConfig, gammas: np.ndarray, batch: BatchClusters, centering: CadlagPath
 ) -> CadlagPath:
-    """Centered scaled path of one replication's events landing in [0, T]."""
+    """Centered scaled path of one replication's events landing in [0, T];
+    the batch is left as it is."""
     rep_of_cluster = np.zeros(gammas.size, np.int64)
-    _, t, size = _flat_jumps(config.T, rep_of_cluster, gammas, batch.cid, batch.offset, batch.mark, batch.n)
+    events = [batch.cid, batch.offset.copy(), batch.mark]
+    _, t, size = _flat_jumps(config.T, rep_of_cluster, gammas, events, batch.n)
     return centered_scaled_path(build_jump_path(t, size), centering, config.scaling())
 
 
@@ -247,23 +248,31 @@ def _rep_of_cluster(counts) -> np.ndarray:
 
 
 def _flat_jumps(
-    T: float, rep_of_cluster, gammas, cid, offset, mark, n_lead: int = 0
+    T: float, rep_of_cluster, gammas, events: list, n_lead: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat (rep, scaled time, mark) arrays of the events landing in [0, T],
-    from the replication and the arrival of each cluster and the events'
-    cid, offset and mark.  The first ``n_lead`` rows are the immigrants of
-    clusters 0..n_lead-1, as `simulate_batch` lays them out: their offset
-    is 0.0 and gamma + 0.0 = gamma, so their times need no gather.  The
-    crude lane's memory peaks here, so the times are scaled in place and
-    freed before the other outputs are gathered."""
-    t_abs = np.empty(cid.size)
-    t_abs[:n_lead] = gammas[:n_lead]
-    np.add(gammas[cid[n_lead:]], offset[n_lead:], out=t_abs[n_lead:])
-    keep = t_abs <= T
-    t = t_abs[keep]
-    del t_abs
+    from the replication and the arrival of each cluster and ``events``,
+    the list [cid, offset, mark] of the events' arrays.
+
+    It consumes ``events``: the list is emptied, the arrival times are
+    added into the offset array in place (offset + gamma, which is
+    gamma + offset bit for bit), and each array is dropped as soon as its
+    in-window copy exists.  So when the caller holds no other reference to
+    them, the jump arrays are built in the events' own memory; the crude
+    lane's memory peaks here.  The first ``n_lead`` rows are the immigrants
+    of clusters 0..n_lead-1, as `simulate_batch` lays them out: their
+    offset is 0.0 and gamma + 0.0 = gamma, so their times need no gather."""
+    cid, t, mark = events
+    events.clear()
+    t[:n_lead] = gammas[:n_lead]
+    t[n_lead:] += gammas.take(cid[n_lead:])
+    keep = t <= T
+    cid = cid[keep]
+    rep = rep_of_cluster.take(cid)
+    del cid
+    t = t[keep]
     t /= T
-    return rep_of_cluster[cid[keep]], t, mark[keep]
+    return rep, t, mark[keep]
 
 
 def _eval_event_chunk(
@@ -294,8 +303,10 @@ def _simulate_jump_arrays(config: ExperimentConfig, n_reps: int, rng: np.random.
     variates of each replication (`_crude_covariates`)."""
     counts, gammas, batch = draw_clusters(config, n_reps, rng)
     trunc = int(batch.truncated.sum())
-    rep, t, size = _flat_jumps(config.T, _rep_of_cluster(counts), gammas, batch.cid, batch.offset, batch.mark, batch.n)
-    del gammas, batch  # the covariates' temporaries reuse the batch's memory
+    events = [batch.cid, batch.offset, batch.mark]
+    del batch  # `_flat_jumps` frees each array of the batch as it goes
+    rep, t, size = _flat_jumps(config.T, _rep_of_cluster(counts), gammas, events, gammas.size)
+    del gammas  # the covariates' temporaries reuse its memory
     covariates = _crude_covariates(rep, t, size, counts, config.spec.x_law, config.scaling().x_T)
     return rep, t, size, (trunc, covariates)
 
@@ -479,7 +490,6 @@ def _conditional_pool(
     max_draws: int | None = None,
     superset: bool = False,
     accept: float | None = None,
-    max_batch: int = _POOL_BATCH_MAX,
 ):
     """Events of n_needed i.i.d. clusters conditioned on D > u (or D <= u).
 
@@ -492,10 +502,12 @@ def _conditional_pool(
     sampler `superset_batch`, which returns only its clusters with D > u.
     The remainder check and anatomy keep rejection.  ``accept``, the known
     share of draws kept, sizes the first batch; without it the first batch
-    guesses.  Later batches follow the share kept so far; none draws more
-    than ``max_batch`` clusters.  At most ``max_draws`` clusters are
-    simulated when it is given; the pool then holds fewer than n_needed
-    clusters if the budget runs out first.
+    guesses.  Later batches follow the share kept so far.  None draws more
+    than _POOL_BATCH_MAX clusters, nor more than expect _MAX_DRAW_EVENTS
+    events at the mean cluster size (`_mean_cluster_size`, tilted above
+    ``xq``), unless _POOL_BATCH_MIN does.  At most ``max_draws`` clusters
+    are simulated when it is given; the pool then holds fewer than
+    n_needed clusters if the budget runs out first.
     Returns flat arrays with cluster ids remapped to 0..accepted-1, the
     weights (None when untilted) and the counts
     {"drawn", "accepted", "truncated"}: clusters simulated (superset
@@ -504,6 +516,7 @@ def _conditional_pool(
     """
     if accept is None:
         accept = 1.0 if xq is None else 0.25  # a guess
+    max_batch = int(min(_POOL_BATCH_MAX, _MAX_DRAW_EVENTS / _mean_cluster_size(config, xq)[0]))
     got = tried = accepted = trunc = 0
     cids, offs, marks = [], [], []
     weights = None if xq is None else np.empty(n_needed)
@@ -599,9 +612,9 @@ def _stratum_chunk(
 
     gam_small = rng.random(total_small) * config.T
     gam_big = rng.random(m_max * n_reps) * config.T
-    rep_s, t_s, size_s = _flat_jumps(config.T, _rep_of_cluster(small_counts), gam_small, s_cid, s_off, s_mark)
+    rep_s, t_s, size_s = _flat_jumps(config.T, _rep_of_cluster(small_counts), gam_small, [s_cid, s_off, s_mark])
     # one cluster per "replication", so the returned index is the big cluster's id
-    cid, t_b, size_b = _flat_jumps(config.T, np.arange(m_max * n_reps), gam_big, b_cid, b_off, b_mark)
+    cid, t_b, size_b = _flat_jumps(config.T, np.arange(m_max * n_reps), gam_big, [b_cid, b_off, b_mark])
     # the concatenation below is the chunk's memory peak: free its inputs first
     del s_cid, s_off, s_mark, b_cid, b_off, b_mark, gam_small, gam_big
     rep_b, rank = np.divmod(cid, m_max)
@@ -636,11 +649,13 @@ def _covariates(cv_levels, small_counts, s_cid, s_mark, b_cid, b_mark) -> np.nda
 
 
 def _offsetless_batches(config: ExperimentConfig, rng: np.random.Generator, n: int):
-    """n unconditioned clusters without event offsets, in batches of at most
-    2M clusters drawn in turn from rng."""
+    """n unconditioned clusters without event offsets, with their lineage,
+    in batches of at most 2M clusters drawn in turn from rng."""
     for start in range(0, n, 2_000_000):
         b = min(n - start, 2_000_000)
-        yield simulate_batch(config.model, b, config.spec, config.wait, rng, config.cap, with_offsets=False)
+        yield simulate_batch(
+            config.model, b, config.spec, config.wait, rng, config.cap, with_offsets=False, lineage=True
+        )
 
 
 _LATTICE_CELLS = 2**14  # the first lattice of the exact P(D > u)
@@ -936,8 +951,9 @@ def check_remainder(
     For each horizon: P(D_after > x_T | D > x_T) over n_accept_target
     clusters conditioned on D > x_T by `_conditional_pool`, each given a
     uniform arrival on [0, T]; at most max_sims clusters are simulated, in
-    batches that expect at most _MAX_DRAW_EVENTS events (a horizon whose
-    smallest batch expects more is refused before anything is drawn).
+    the pool's batches, which expect at most _MAX_DRAW_EVENTS events (a
+    horizon whose smallest batch expects more is refused before anything
+    is drawn).
     Comonotone specs tilt the immigrant mark (`_tilt_level`) and the share is
     weight-normalised.  Other specs use plain rejection: their big clusters
     are often child-driven, and those carry the remainder, so a tilt on the
@@ -947,17 +963,13 @@ def check_remainder(
     x_Ts = [ScalingRule(config.eta, T).x_T for T in T_grid]
     xqs = [_tilt_level(config, x_T) if tilt else None for x_T in x_Ts]
     least = min(_POOL_BATCH_MIN, max_sims)
-    max_batches = []
     for T, xq in zip(T_grid, xqs):  # every horizon before the first draw
         what = f"check remainder at T = {float(T):.6g}"
-        size = _refuse_oversized(config, least, what, f"its smallest batch of {least} clusters", xq)
-        max_batches.append(min(_POOL_BATCH_MAX, int(_MAX_DRAW_EVENTS / size)))
+        _refuse_oversized(config, least, what, f"its smallest batch of {least} clusters", xq)
     rows = []
-    for idx, (T, x_T, xq, max_batch) in enumerate(zip(T_grid, x_Ts, xqs, max_batches)):
+    for idx, (T, x_T, xq) in enumerate(zip(T_grid, x_Ts, xqs)):
         rng = substream(config.seed, "remainder", idx)
-        cid, off, mark, w, counts = _conditional_pool(
-            config, rng, n_accept_target, x_T, xq=xq, max_draws=max_sims, max_batch=max_batch
-        )
+        cid, off, mark, w, counts = _conditional_pool(config, rng, n_accept_target, x_T, xq=xq, max_draws=max_sims)
         got = counts["accepted"]
         late = rng.random(got)[cid] * T + off > T
         hit = np.bincount(cid[late], weights=mark[late], minlength=got) > x_T
@@ -1134,8 +1146,8 @@ def big_jump_anatomy(config: ExperimentConfig) -> dict:
     gam_small = rng.random(total_small) * config.T
     gam_big = rng.random(m * n) * config.T
     rep_small = _rep_of_cluster(small_counts)
-    rep_s, t_s, size_s = _flat_jumps(config.T, rep_small, gam_small, bg.cid, bg.offset, bg.mark, bg.n)
-    rep_b, t_b, size_b = _flat_jumps(config.T, _rep_of_cluster(np.full(n, m)), gam_big, b_cid, b_off, b_mark)
+    rep_s, t_s, size_s = _flat_jumps(config.T, rep_small, gam_small, [bg.cid, bg.offset, bg.mark], bg.n)
+    rep_b, t_b, size_b = _flat_jumps(config.T, _rep_of_cluster(np.full(n, m)), gam_big, [b_cid, b_off, b_mark])
     rep = np.concatenate([rep_s, rep_b])
     t = np.concatenate([t_s, t_b])
     size = np.concatenate([size_s, size_b])

@@ -72,6 +72,15 @@ class TailLaw:
         u = np.asarray(u, dtype=float)
         if np.any(u < 0.0) or np.any(u >= 1.0):
             raise ValueError("quantile requires 0 <= u < 1")
+        return self._transform(u)
+
+    def sample(self, rng: np.random.Generator, size=None):
+        """Draw by quantile transform: one uniform per value, in [0, 1) by
+        construction, so unchecked."""
+        return self._transform(rng.random(size))
+
+    def _transform(self, u):
+        """`quantile` of the uniforms u."""
         if self.family == PARETO:
             out = self.scale * np.power(1.0 - u, -1.0 / self.alpha)
         elif self.family == EXPONENTIAL:
@@ -79,11 +88,6 @@ class TailLaw:
         else:
             out = np.full_like(u, self.scale)
         return float(out) if out.ndim == 0 else out
-
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw by quantile transform: one uniform per value."""
-        u = rng.random(size)
-        return self.quantile(u)
 
     def quantile_below(self, u, level):
         """Quantile at u in [0, 1) of X given X <= level, elementwise;

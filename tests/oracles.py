@@ -301,7 +301,8 @@ def big_pool_plain(spec, wait, u, n_accept, rng, chunk: int = 200_000):
         largest = np.full(chunk, -np.inf)
         np.maximum.at(largest, batch.cid, batch.mark)
         ok = total > u
-        kept.append(np.stack([batch.sizes()[ok] - 1, total[ok], batch.mark[: batch.n][ok], largest[ok]]))
+        size = np.bincount(batch.cid, minlength=chunk)
+        kept.append(np.stack([size[ok] - 1, total[ok], batch.mark[: batch.n][ok], largest[ok]]))
         got += int(ok.sum())
     k, d, x0, top = np.concatenate(kept, axis=1)[:, :n_accept]
     return k.astype(np.int64), d, x0, top, drawn

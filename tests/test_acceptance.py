@@ -77,12 +77,12 @@ def test_c1_m1_oracle_equivalence():
 
 def test_c2_cluster_law_sanity():
     b_mb = simulate_batch("mb", 100_000, SPEC_NU2, EXP_WAIT, substream(102, "c2-mb"))
-    s_mb = b_mb.sizes()
+    s_mb = np.bincount(b_mb.cid, minlength=b_mb.n)
     se_mb = s_mb.std() / np.sqrt(s_mb.size)
     mb_ok = abs(s_mb.mean() - 3.0) < 3 * se_mb
 
     b_h = simulate_batch("hawkes", 100_000, SPEC_HAWKES, EXP_WAIT, substream(102, "c2-h"))
-    s_h = b_h.sizes()
+    s_h = np.bincount(b_h.cid, minlength=b_h.n)
     se_h = s_h.std() / np.sqrt(s_h.size)
     h_ok = abs(s_h.mean() - 2.0) < 3 * se_h
 

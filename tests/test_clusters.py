@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bigjump.clusters import simulate_batch
+from bigjump.clusters import DEFAULT_CAP, simulate_batch
 from bigjump.errors import ConfigurationError
 from bigjump.events import TerminalExceed
 from bigjump.harness import ExperimentConfig, draw_clusters, replication_path
@@ -74,13 +74,14 @@ def test_immigrants_sorted_in_window(pareto15):
 def test_mb_cluster_immigrant_only(pareto15, exp_wait):
     spec = JointMarkSpec(pareto15, "independent_light_k", k_param=0.0)
     b = simulate_batch("mb", 1, spec, exp_wait, substream(3, "c"), x0=np.array([2.5]))
-    assert b.sizes().tolist() == [1]
+    assert np.bincount(b.cid, minlength=b.n).tolist() == [1]
     assert b.totals().tolist() == [2.5]
 
 
 def test_mb_cluster_mean_size(mb_spec_nu2, exp_wait):
     n = 100_000
-    sizes = simulate_batch("mb", n, mb_spec_nu2, exp_wait, substream(4, "c"), x0=np.ones(n)).sizes()
+    b = simulate_batch("mb", n, mb_spec_nu2, exp_wait, substream(4, "c"), x0=np.ones(n))
+    sizes = np.bincount(b.cid, minlength=n)
     se = sizes.std() / np.sqrt(sizes.size)
     assert abs(sizes.mean() - 3.0) < 3 * se
 
@@ -88,13 +89,13 @@ def test_mb_cluster_mean_size(mb_spec_nu2, exp_wait):
 def test_mb_comonotone_size_given_mark(pareto15, exp_wait):
     spec = JointMarkSpec(pareto15, "comonotone", k_param=1.0)
     b = simulate_batch("mb", 1, spec, exp_wait, substream(5, "c"), x0=np.array([2.4]))
-    assert b.sizes().tolist() == [1 + 3]  # 1 + ceil(2.4)
+    assert np.bincount(b.cid, minlength=b.n).tolist() == [1 + 3]  # 1 + ceil(2.4)
 
 
 def test_mb_size_distribution_matches_poisson(mb_spec_nu2, exp_wait):
     n = 100_000
     b = simulate_batch("mb", n, mb_spec_nu2, exp_wait, substream(6, "chi"), x0=np.ones(n))
-    sizes = b.sizes() - 1
+    sizes = np.bincount(b.cid, minlength=b.n) - 1
     kmax = 10
     observed = np.bincount(np.minimum(sizes, kmax), minlength=kmax + 1)
     probs = stats.poisson.pmf(np.arange(kmax), 2.0)
@@ -106,20 +107,21 @@ def test_mb_size_distribution_matches_poisson(mb_spec_nu2, exp_wait):
 def test_hawkes_zero_fertility_is_immigrant_only(pareto15, exp_wait):
     spec = JointMarkSpec(pareto15, "independent_light_k", phi=0.0)
     b = simulate_batch("hawkes", 100, spec, exp_wait, substream(7, "h"))
-    assert np.all(b.sizes() == 1) and not b.truncated.any()
+    assert np.all(np.bincount(b.cid, minlength=b.n) == 1) and not b.truncated.any()
 
 
 def test_hawkes_mean_size(hawkes_spec_half, exp_wait):
-    sizes = simulate_batch("hawkes", 20_000, hawkes_spec_half, exp_wait, substream(8, "h")).sizes()
+    b = simulate_batch("hawkes", 20_000, hawkes_spec_half, exp_wait, substream(8, "h"))
+    sizes = np.bincount(b.cid, minlength=b.n)
     se = sizes.std() / np.sqrt(sizes.size)
     assert abs(sizes.mean() - 2.0) < 3.5 * se
 
 
 def test_hawkes_structure_invariants(hawkes_spec_half, mb_spec_nu2, exp_wait):
-    b = simulate_batch("hawkes", 2000, hawkes_spec_half, exp_wait, substream(9, "h"), x0=np.ones(2000))
+    b = simulate_batch("hawkes", 2000, hawkes_spec_half, exp_wait, substream(9, "h"), x0=np.ones(2000), lineage=True)
     assert b.generation.max() >= 2
     check_parent_invariants(b)
-    mb = simulate_batch("mb", 2000, mb_spec_nu2, exp_wait, substream(9, "m"))
+    mb = simulate_batch("mb", 2000, mb_spec_nu2, exp_wait, substream(9, "m"), lineage=True)
     check_parent_invariants(mb)
     assert mb.parent is mb.cid  # one generation: every child's parent row is its cluster id
 
@@ -133,9 +135,9 @@ def test_hawkes_supercritical_refused(pareto15, exp_wait):
 
 def test_hawkes_cap_truncates(pareto15, exp_wait):
     spec = JointMarkSpec(pareto15, "independent_light_k", phi=0.3)
-    b = simulate_batch("hawkes", 50, spec, exp_wait, substream(11, "h"), cap=10, x0=np.full(50, 100.0))
+    b = simulate_batch("hawkes", 50, spec, exp_wait, substream(11, "h"), cap=10, x0=np.full(50, 100.0), lineage=True)
     assert b.truncated.any()
-    assert np.all(b.sizes() <= 10)
+    assert np.all(np.bincount(b.cid, minlength=b.n) <= 10)
     check_parent_invariants(b)
 
 
@@ -144,13 +146,13 @@ def test_mb_cap_does_not_truncate(mb_spec_nu2, exp_wait):
     # splitting estimator is the law of the MB clusters its pools draw
     capped = simulate_batch("mb", 2000, mb_spec_nu2, exp_wait, substream(14, "m"), cap=1)
     free = simulate_batch("mb", 2000, mb_spec_nu2, exp_wait, substream(14, "m"))
-    assert not capped.truncated.any() and capped.sizes().max() > 1
+    assert not capped.truncated.any() and np.bincount(capped.cid, minlength=capped.n).max() > 1
     np.testing.assert_array_equal(capped.mark, free.mark)
     np.testing.assert_array_equal(capped.cid, free.cid)
 
 
 def test_generation_decay_matches_mean_fertility(hawkes_spec_half, exp_wait):
-    batch = simulate_batch("hawkes", 1_000_000, hawkes_spec_half, exp_wait, substream(12, "g"))
+    batch = simulate_batch("hawkes", 1_000_000, hawkes_spec_half, exp_wait, substream(12, "g"), lineage=True)
     counts = np.bincount(batch.generation)
     gens = np.arange(3, min(11, counts.size))
     slope = np.polyfit(gens, np.log(counts[gens]), 1)[0]
@@ -168,18 +170,18 @@ def test_truncation_frequency_reported(pareto15, exp_wait):
 
 def test_cluster_generation_deterministic(mb_spec_nu2, hawkes_spec_half, exp_wait):
     for model, spec in (("mb", mb_spec_nu2), ("hawkes", hawkes_spec_half)):
-        a = simulate_batch(model, 500, spec, exp_wait, substream(17, "d"))
-        b = simulate_batch(model, 500, spec, exp_wait, substream(17, "d"))
+        a = simulate_batch(model, 500, spec, exp_wait, substream(17, "d"), lineage=True)
+        b = simulate_batch(model, 500, spec, exp_wait, substream(17, "d"), lineage=True)
         for name in ("cid", "parent", "offset", "mark", "generation", "truncated"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_batch_matches_model_moments(mb_spec_nu2, hawkes_spec_half, exp_wait):
     b1 = simulate_batch("mb", 100_000, mb_spec_nu2, exp_wait, substream(18, "b"))
-    s1 = b1.sizes()
+    s1 = np.bincount(b1.cid, minlength=b1.n)
     assert abs(s1.mean() - 3.0) < 3 * s1.std() / np.sqrt(s1.size)
     b2 = simulate_batch("hawkes", 100_000, hawkes_spec_half, exp_wait, substream(19, "b"))
-    s2 = b2.sizes()
+    s2 = np.bincount(b2.cid, minlength=b2.n)
     assert abs(s2.mean() - 2.0) < 3.5 * s2.std() / np.sqrt(s2.size)
 
 
@@ -212,7 +214,8 @@ def _golden_prefix(x_law, wait, cap) -> str:
     h = hashlib.sha256()
     for seed in range(4):
         for n in (20, 200):
-            b = simulate_batch("hawkes", n, spec, wait, substream(seed, "cap-golden"), cap=cap, x0=np.full(n, 10.0))
+            rng = substream(seed, "cap-golden")
+            b = simulate_batch("hawkes", n, spec, wait, rng, cap=cap, x0=np.full(n, 10.0), lineage=True)
             for name in ("cid", "parent", "offset", "mark", "generation", "truncated"):
                 h.update(getattr(b, name).tobytes())
     return h.hexdigest()[:16]
@@ -264,7 +267,9 @@ def _mb_golden_prefix(counts: str, conditional: bool) -> str:
             for x0 in (None, np.full(n, 3.0)):
                 for with_offsets in (True, False):
                     rng = substream(seed, "mb-golden")
-                    b = simulate_batch("mb", n, MB_COUNTS[counts], wait, rng, with_offsets=with_offsets, x0=x0)
+                    b = simulate_batch(
+                        "mb", n, MB_COUNTS[counts], wait, rng, with_offsets=with_offsets, x0=x0, lineage=True
+                    )
                     for name in ("cid", "parent", "offset", "mark", "generation", "truncated"):
                         h.update(getattr(b, name).tobytes())
     return h.hexdigest()[:16]
@@ -273,3 +278,35 @@ def _mb_golden_prefix(counts: str, conditional: bool) -> str:
 @pytest.mark.parametrize("counts, conditional", sorted(MB_GOLDEN))
 def test_mb_batch_golden(counts, conditional):
     assert _mb_golden_prefix(counts, conditional) == MB_GOLDEN[counts, conditional]
+
+
+# draws with and without lineage, one per count law, and branching ones with
+# and without a cap of 3 events, with plain and with mark-conditional waits
+MARK_WAITS = WaitLaw(TailLaw("exponential", 1.0), conditional_on_mark=True)
+HAWKES_HALF = JointMarkSpec(TailLaw("pareto", 1.0, 1.5), "independent_light_k", phi=1.0 / 6.0)
+LINEAGE_CASES = {
+    "mb-poisson": ("mb", MB_COUNTS["poisson-2"], None, DEFAULT_CAP),
+    "mb-comonotone": ("mb", MB_COUNTS["comonotone-0.5"], None, DEFAULT_CAP),
+    "mb-heavy-counts": ("mb", MB_COUNTS["heavy-1.5"], None, DEFAULT_CAP),
+    "branching": ("hawkes", HAWKES_HALF, None, DEFAULT_CAP),
+    "branching-cap-3": ("hawkes", HAWKES_HALF, None, 3),
+    "branching-mark-waits": ("hawkes", HAWKES_HALF, MARK_WAITS, DEFAULT_CAP),
+    "branching-mark-waits-cap-3": ("hawkes", HAWKES_HALF, MARK_WAITS, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINEAGE_CASES))
+def test_lineage_changes_no_draw(exp_wait, case):
+    # the lineage is built from positions the draw has already made: the
+    # sampled arrays are the same bytes with it and without it
+    model, spec, wait, cap = LINEAGE_CASES[case]
+    wait = wait or exp_wait
+    plain = simulate_batch(model, 3000, spec, wait, substream(36, "lineage", case), cap=cap)
+    full = simulate_batch(model, 3000, spec, wait, substream(36, "lineage", case), cap=cap, lineage=True)
+    assert plain.parent is None and plain.generation is None
+    check_parent_invariants(full)
+    assert full.generation.max() >= (2 if model == "hawkes" and cap > 3 else 1)
+    assert plain.truncated.any() == (cap == 3)
+    for name in ("cid", "offset", "mark", "truncated"):
+        a, b = getattr(plain, name), getattr(full, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

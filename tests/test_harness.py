@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from bigjump import harness
-from bigjump.clusters import _superset_count_law, superset_batch, superset_probability
+from bigjump.clusters import BatchClusters, _superset_count_law, superset_batch, superset_probability
 from bigjump.errors import ConfigurationError
 from bigjump.events import DkProxy, InterpCurve, JumpCount, SupExceed, TerminalExceed, ValueAt
 from bigjump.harness import (
@@ -326,7 +326,7 @@ def test_immigrant_covariates_match_a_loop(hawkes_spec_half, exp_wait):
     # over every event in [0, T], each descendant's term less its mean
     cfg = base_config(hawkes_spec_half, exp_wait, model="hawkes", lam=0.05)
     _, _, _, (_, got) = _simulate_jump_arrays(cfg, 2000, substream(8, "cv-loop"))
-    counts, gammas, batch = harness.draw_clusters(cfg, 2000, substream(8, "cv-loop"))
+    counts, gammas, batch = harness.draw_clusters(cfg, 2000, substream(8, "cv-loop"), lineage=True)
     x_T, law = cfg.scaling().x_T, cfg.spec.x_law
     time = gammas[batch.cid] + batch.offset
     assert (counts == 0).any() and batch.generation.max() >= 3 and (time > cfg.T).any()
@@ -1079,3 +1079,56 @@ def test_superset_pool_sizes_its_first_batch_from_the_acceptance(pareto15, exp_w
     assert 0.1 < accept < 0.5
     assert calls[0] == int(d["m_max"] * 600 / accept)
     assert d["pools"]["big"]["drawn"] == sum(calls)
+
+
+def test_crude_chunk_memory_per_event(hawkes_spec_half, exp_wait):
+    # perfbench's hawkes config: a 1024-replication chunk holds about 410k
+    # events; with the jump arrays built in the batch's own memory and no
+    # lineage, its traced peak stays within 52 bytes an event (about 43)
+    import tracemalloc
+
+    cfg = base_config(
+        hawkes_spec_half, exp_wait, model="hawkes", T=200.0, event=SupExceed(1.0), grid_n=1024, estimator="crude"
+    )
+    centering = centering_curve(cfg)
+    _, _, batch = harness.draw_clusters(cfg, 1024, substream(cfg.seed, "crude", 0))
+    events = batch.cid.size
+    del batch
+    tracemalloc.start()
+    try:
+        harness._crude_chunk(cfg, 0, 1024, centering)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert events > 300_000 and peak / events <= 52.0, (events, peak / events)
+
+
+def test_pool_batches_expect_at_most_the_event_bound(mb_spec_nu2, hawkes_spec_half, exp_wait, monkeypatch):
+    # with the bound at 3e4 events every pool batch holds at most 3e4 over
+    # the mean cluster size: the small and big rejection pools, the tilted
+    # one (anatomy, remainder) and the superset one.  The stand-in samplers
+    # record each batch's size and return immigrant-only clusters that all
+    # pass the pool's test, so nothing is drawn at the unbounded size
+    monkeypatch.setattr(harness, "_MAX_DRAW_EVENTS", 3e4)
+    calls = []
+
+    def clusters(n, mark):
+        calls.append(n)
+        cid = np.arange(n, dtype=np.int64)
+        return BatchClusters(n, cid, None, np.zeros(n), np.full(n, mark), None, np.zeros(n, dtype=bool))
+
+    u = 10.0
+    mark = {True: 2.0 * u, False: 0.5 * u}
+    for model, spec in (("mb", mb_spec_nu2), ("hawkes", hawkes_spec_half)):
+        cfg = base_config(spec, exp_wait, model=model)
+        pools = [{"big": False}, {"big": True}, {"big": True, "xq": 3.0}]
+        if model == "mb":
+            pools.append({"big": True, "superset": True, "accept": 0.01})
+        for kw in pools:
+            big = kw["big"]
+            monkeypatch.setattr(harness, "simulate_batch", lambda model, n, *a, **k: clusters(n, mark[big]))
+            monkeypatch.setattr(harness, "superset_batch", lambda n, *a: clusters(n, mark[True]))
+            want = int(3e4 / harness._mean_cluster_size(cfg, kw.get("xq"))[0])
+            calls.clear()
+            counts = _conditional_pool(cfg, substream(36, "pool-bound"), 5 * want, u, **kw)[-1]
+            assert counts["accepted"] == 5 * want and calls == [want] * 5, (model, kw, calls)

@@ -143,7 +143,7 @@ def test_kappa_is_phi_times_mark(pareto15, exp_wait):
     assert np.array_equal(spec.offspring_counts(x, rng), np.ceil(x))
     # branching: an event of mark 40 has Poisson(kappa = 0.05 * 40) children
     n = 20_000
-    b = simulate_batch("hawkes", n, spec, exp_wait, rng, x0=np.full(n, 40.0))
+    b = simulate_batch("hawkes", n, spec, exp_wait, rng, x0=np.full(n, 40.0), lineage=True)
     kids = np.bincount(b.cid[b.generation == 1], minlength=n)
     assert abs(kids.mean() - 2.0) < 4 * kids.std() / np.sqrt(n)
 
