@@ -70,7 +70,7 @@ def simulate_batch(
     then their waits.  Branching counts are Poisson(phi * parent mark); an
     MB cluster is the first pass alone, its counts from the joint mark law.
     Marks and waits are quantile transforms of uniforms.  ``x0`` forces the
-    immigrant marks (importance proposals); by default they are drawn.  The
+    immigrant marks to given values; by default they are drawn.  The
     cap binds branching clusters only: one that would pass ``cap`` events
     loses the whole generation that crosses it and is flagged truncated.
     ``lineage`` also builds ``parent`` and ``generation``, which only

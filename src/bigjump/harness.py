@@ -25,18 +25,16 @@ from .events import InterpCurve, PathEvent, format_event, rep_time_order
 from .laws import (
     COMONOTONE,
     INDEPENDENT_LIGHT_K,
-    PARETO,
     JointMarkSpec,
-    TailLaw,
     WaitLaw,
     mass_tail_bracket,
-    mean_ceil,
     poisson_pmf,
     poisson_sf,
 )
 from .measures import measure_for_model, mu_sharp
 from .paths import (
     DEFAULT_GRID_N,
+    MAX_GRID_N,
     CadlagPath,
     ScalingRule,
     build_jump_path,
@@ -69,6 +67,10 @@ _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.in
 # peaks at about 43 bytes an event (38 and 43 by tracemalloc on the
 # benchmark's MB and branching configs), so 5e7 events take about 2.2 GB
 _MAX_DRAW_EVENTS = 5e7
+# the most replications a run takes: their results peak at about 350 bytes
+# each for crude and 280 + 2 (m_max + 1) for splitting (by tracemalloc at
+# 50k-150k replications), at most about 600, so 4e6 take about 2.4 GB
+_MAX_REPS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"delta must lie in (0, 1], got {self.delta}")
         if self.k < 0:
             raise ConfigurationError("k must be >= 0")
-        if self.grid_n < 2:
-            raise ConfigurationError(f"grid_n must be >= 2, got {self.grid_n}")
+        if not 2 <= self.grid_n <= MAX_GRID_N:
+            raise ConfigurationError(f"refusing grid_n = {self.grid_n}: its lag grid holds 2 to {MAX_GRID_N} cells")
         if self.cap < 1:
             raise ConfigurationError(f"cluster_cap must be >= 1, got {self.cap}")
         if self.seed < 0:
@@ -160,39 +162,35 @@ def centering_curve(config: ExperimentConfig) -> CadlagPath:
     return centering(config.lam, config.T, config.spec, config.wait, config.grid_n)
 
 
-def _mean_cluster_size(config: ExperimentConfig, xq: float | None = None) -> tuple[float, str]:
+def _mean_cluster_size(config: ExperimentConfig) -> tuple[float, str]:
     """Mean events of a cluster, 1 + E[K] for MB clusters and 1/(1 - phi
-    E[X]) for branching ones, and the keys behind it.  With ``xq`` the
-    immigrant's mark comes from the defensive mixture tilted above xq
-    (`_tilted_marks`), whose tilted half is the law's tail above xq: that
-    raises comonotone counts and a branching immigrant's fertility."""
+    E[X]) for branching ones, and the keys behind it."""
     spec = config.spec
-    tilted = None if xq is None else TailLaw(PARETO, xq, spec.x_law.alpha)  # only heavy marks are tilted
     if config.model == MB:
-        k = spec.mean_offspring()
-        if tilted is not None and spec.dependence == COMONOTONE:
-            k = 0.5 * k + 0.5 * mean_ceil(spec.k_param, tilted)
-        size, why = 1.0 + k, f"1 + E[K] = {1.0 + k:.6g} (k_param = {spec.k_param:.6g})"
-    else:
-        size = 1.0 / (1.0 - spec.mean_fertility)
-        why = f"1/(1 - phi_fertility E[X]) = {size:.6g} (phi_fertility = {spec.phi:.6g})"
-        if tilted is not None:  # the immigrant's extra children each bring size events
-            size += 0.5 * spec.phi * (tilted.mean() - spec.x_law.mean()) * size
-    return size, why if xq is None else f"{size:.6g} from {why}, the immigrant's mark tilted above {xq:.6g}"
+        size = 1.0 + spec.mean_offspring()
+        return size, f"1 + E[K] = {size:.6g} (k_param = {spec.k_param:.6g})"
+    size = 1.0 / (1.0 - spec.mean_fertility)
+    return size, f"1/(1 - phi_fertility E[X]) = {size:.6g} (phi_fertility = {spec.phi:.6g})"
 
 
-def _refuse_oversized(config: ExperimentConfig, clusters: float, what: str, per: str, xq=None) -> None:
+def _refuse_oversized(config: ExperimentConfig, clusters: float, what: str, per: str) -> None:
     """Refuse, before anything is drawn, ``what``: a draw of ``clusters``
-    clusters (``per`` says how many and why), from marks tilted above
-    ``xq`` when it is given, that expects more than _MAX_DRAW_EVENTS events,
-    the clusters times the mean cluster size (`_mean_cluster_size`)."""
-    size, why = _mean_cluster_size(config, xq)
+    clusters (``per`` says how many and why) that expects more than
+    _MAX_DRAW_EVENTS events, the clusters times the mean cluster size
+    (`_mean_cluster_size`)."""
+    size, why = _mean_cluster_size(config)
     events = clusters * size
     if not events <= _MAX_DRAW_EVENTS:  # also catches inf and nan
         raise ConfigurationError(
             f"refusing {what} expecting {events:.3g} events, more than "
             f"{_MAX_DRAW_EVENTS:.3g}: {per}, times the mean cluster size {why}"
         )
+
+
+def _refuse_many_reps(key: str, n: int) -> None:
+    """Refuse, before anything is drawn, more than _MAX_REPS replications."""
+    if n > _MAX_REPS:
+        raise ConfigurationError(f"refusing {key} = {n}: more than {_MAX_REPS} replications")
 
 
 def _refuse_oversized_draw(config: ExperimentConfig, n_reps: int) -> None:
@@ -437,6 +435,7 @@ def crude_estimate(config: ExperimentConfig) -> Estimate:
     """
     if config.n_reps < 100:
         raise ConfigurationError("crude estimation needs n_reps >= 100")
+    _refuse_many_reps("n_reps", config.n_reps)
     _refuse_oversized_draw(config, min(config.n_reps, CRUDE_CHUNK))
     centering = centering_curve(config)
     tasks = [(config, i, s, centering) for i, s in enumerate(_chunk_sizes(config.n_reps))]
@@ -451,8 +450,8 @@ def crude_estimate(config: ExperimentConfig) -> Estimate:
         p = n_hits / n
         se, ci95 = np.sqrt(p * (1.0 - p) / n), _wilson_interval(n_hits, n)
     else:
-        p, var, _ = fit
-        se, ci95 = np.sqrt(var), None
+        p, adj, _ = fit
+        se, ci95 = np.sqrt(float(adj.var(ddof=1)) / n), None
     detail = {"hits": n_hits, "truncated_clusters": sum(trunc), "control_variates": cv}
     return _estimate(p, se, n, lineage(config.seed, "crude"), detail, ci95)
 
@@ -486,41 +485,31 @@ def _conditional_pool(
     n_needed: int,
     u: float,
     big: bool = True,
-    xq: float | None = None,
     max_draws: int | None = None,
     superset: bool = False,
-    accept: float | None = None,
+    accept: float = 1.0,
 ):
-    """Events of n_needed i.i.d. clusters conditioned on D > u (or D <= u).
+    """Events of n_needed i.i.d. clusters conditioned on D > u (or D <= u),
+    without weights.
 
     Rejection: generate batches, keep qualifying clusters in draw order.
-    Without ``xq`` the immigrant marks are drawn inside the batch and there
-    are no weights.  With ``xq`` they come from the defensive mixture tilted
-    above ``xq`` (`_tilted_marks`) and each kept cluster carries its
-    likelihood ratio.  With ``superset`` (D > u, no ``xq``, MB clusters with
-    Poisson counts) the candidates come from the exact, unweighted superset
-    sampler `superset_batch`, which returns only its clusters with D > u.
-    The remainder check and anatomy keep rejection.  ``accept``, the known
-    share of draws kept, sizes the first batch; without it the first batch
-    guesses.  Later batches follow the share kept so far.  None draws more
-    than _POOL_BATCH_MAX clusters, nor more than expect _MAX_DRAW_EVENTS
-    events at the mean cluster size (`_mean_cluster_size`, tilted above
-    ``xq``), unless _POOL_BATCH_MIN does.  At most ``max_draws`` clusters
-    are simulated when it is given; the pool then holds fewer than
-    n_needed clusters if the budget runs out first.
-    Returns flat arrays with cluster ids remapped to 0..accepted-1, the
-    weights (None when untilted) and the counts
-    {"drawn", "accepted", "truncated"}: clusters simulated (superset
+    With ``superset`` (D > u, MB clusters with Poisson counts) the
+    candidates come from the exact superset sampler `superset_batch`, which
+    returns only its clusters with D > u.  ``accept``, the share of draws
+    kept when it is known, sizes the first batch; later batches follow the
+    share kept so far.  None draws more than _POOL_BATCH_MAX clusters, nor
+    more than expect _MAX_DRAW_EVENTS events at the mean cluster size
+    (`_mean_cluster_size`), unless _POOL_BATCH_MIN does.  At most
+    ``max_draws`` clusters are simulated when it is given; the pool then
+    holds fewer than n_needed clusters if the budget runs out first.
+    Returns flat arrays with cluster ids remapped to 0..accepted-1 and the
+    counts {"drawn", "accepted", "truncated"}: clusters simulated (superset
     candidates, and the unused end of the last batch, included), clusters
     kept, and truncated clusters kept.
     """
-    if accept is None:
-        accept = 1.0 if xq is None else 0.25  # a guess
-    max_batch = int(min(_POOL_BATCH_MAX, _MAX_DRAW_EVENTS / _mean_cluster_size(config, xq)[0]))
+    max_batch = int(min(_POOL_BATCH_MAX, _MAX_DRAW_EVENTS / _mean_cluster_size(config)[0]))
     got = tried = accepted = trunc = 0
     cids, offs, marks = [], [], []
-    weights = None if xq is None else np.empty(n_needed)
-    x0 = None
     while got < n_needed and (max_draws is None or tried < max_draws):
         if tried >= 50_000_000 and accepted == 0:
             raise ConfigurationError(
@@ -534,14 +523,10 @@ def _conditional_pool(
             batch_n = int(min(max_batch, max(_POOL_BATCH_MIN, 1.2 * (n_needed - got) / p_guess)))
         if max_draws is not None:
             batch_n = min(batch_n, max_draws - tried)
-        if xq is not None:
-            uu = rng.random(batch_n)
-            tilt = rng.random(batch_n) < 0.5
-            x0, w = _tilted_marks(config.spec.x_law, xq, uu, tilt)
         if superset:
             b = superset_batch(batch_n, config.spec, config.wait, rng, u)
         else:
-            b = simulate_batch(config.model, batch_n, config.spec, config.wait, rng, config.cap, x0=x0)
+            b = simulate_batch(config.model, batch_n, config.spec, config.wait, rng, config.cap)
         tot = b.totals()
         ok = tot > u if big else tot <= u
         tried += batch_n
@@ -555,27 +540,12 @@ def _conditional_pool(
             cids.append(remap[b.cid[sel]])
             offs.append(b.offset[sel])
             marks.append(b.mark[sel])
-            if weights is not None:
-                weights[got : got + take.size] = w[take]
             trunc += int(b.truncated[take].sum())
             got += take.size
     counts = {"drawn": tried, "accepted": got, "truncated": trunc}
-    if weights is not None:
-        weights = weights[:got]
     if cids:
-        return np.concatenate(cids), np.concatenate(offs), np.concatenate(marks), weights, counts
-    return np.empty(0, np.int64), np.empty(0), np.empty(0), weights, counts
-
-
-def _tilted_marks(law, xq: float, u: np.ndarray, tilt: np.ndarray):
-    """Defensive mixture for Pareto immigrant marks: where ``tilt`` is set
-    the mark is drawn from the law's tail above ``xq``, elsewhere from the
-    law itself, both from the uniforms ``u``.  Returns the marks and their
-    likelihood ratios (law over mixture), which keep estimates unbiased."""
-    pq = float(law.tail(xq))
-    x0 = np.where(tilt, law.quantile_above(u, xq), law.quantile(u))
-    w = 1.0 / (0.5 + 0.5 * (x0 > xq).astype(float) / pq)
-    return x0, w
+        return np.concatenate(cids), np.concatenate(offs), np.concatenate(marks), counts
+    return np.empty(0, np.int64), np.empty(0), np.empty(0), counts
 
 
 def _stratum_chunk(
@@ -599,10 +569,10 @@ def _stratum_chunk(
     rng = substream(config.seed, "stratum", chunk_index)
     small_counts = rng.poisson(config.lam * config.T * (1.0 - p_big), n_reps)
     total_small = int(small_counts.sum())
-    s_cid, s_off, s_mark, _, small = _conditional_pool(config, rng, total_small, u, big=False)
+    s_cid, s_off, s_mark, small = _conditional_pool(config, rng, total_small, u, big=False)
     superset = _superset_scope(config)
-    accept = min(p_big / superset_probability(config.spec, u), 1.0) if superset else None
-    b_cid, b_off, b_mark, _, big = _conditional_pool(
+    accept = min(p_big / superset_probability(config.spec, u), 1.0) if superset else 1.0
+    b_cid, b_off, b_mark, big = _conditional_pool(
         config, rng, m_max * n_reps, u, superset=superset, accept=accept
     )
 
@@ -705,7 +675,8 @@ _CV_BIG = (1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 
 def _superset_scope(config: ExperimentConfig) -> bool:
     """MB clusters with Poisson counts: the superset sampler draws their big
-    pool, and their cluster-mass law gives the control variates' means."""
+    pools (splitting and anatomy), and their cluster-mass law gives the
+    control variates' means."""
     return config.model == MB and config.spec.dependence == INDEPENDENT_LIGHT_K
 
 
@@ -754,11 +725,18 @@ def _cross_fit(y: np.ndarray, x: np.ndarray, means: np.ndarray):
     return y - ((x - means) * other).sum(axis=1), betas
 
 
+def _scale_exponent(y: np.ndarray) -> int:
+    """The exponent e of the largest score if every score is below 2^-256,
+    else 0: variances taken on y 2^-e, an exact scaling, do not underflow."""
+    top = float(np.abs(y).max())
+    return int(np.frexp(top)[1]) if top < 2.0**-256 else 0
+
+
 def _control_variates(y, covariates, means, levels, informative: int, half_widths=None):
     """Cross-fitted control variates of the scores y for both estimators:
     the report for ``detail["control_variates"]`` and, when they apply,
-    (mean, variance of the mean, bias bound) of the adjusted scores
-    (`_cross_fit`), else None.  ``covariates`` holds each task's rows, one
+    (mean, scores, bias bound) of the adjusted scores (`_cross_fit`), else
+    None.  ``covariates`` holds each task's rows, one
     column per control variate with mean ``means``; the bias bound is
     sum_k |beta_k| times ``half_widths[k]``, the half-width of a bracketed
     mean, and 0 without them.  The fold floor is 40 (columns + 1), 20
@@ -779,7 +757,8 @@ def _control_variates(y, covariates, means, levels, informative: int, half_width
         return cv, None
     adj, betas = _cross_fit(y, np.concatenate(covariates), means)
     cv["beta"] = [b.tolist() for b in betas]
-    cv["variance_ratio"] = float(y.var(ddof=1) / adj.var(ddof=1))
+    e = _scale_exponent(y)
+    cv["variance_ratio"] = float(np.ldexp(y, -e).var(ddof=1) / np.ldexp(adj, -e).var(ddof=1))
     cv["adjusted_estimate"] = float(adj.mean())
     if not 0.0 <= adj.mean() <= 1.0:
         cv["off_reason"] = "adjusted mean outside [0, 1]"
@@ -791,7 +770,7 @@ def _control_variates(y, covariates, means, levels, informative: int, half_width
         n_odd = n // 2  # fold 1; fold 0 is adjusted with betas[1]
         beta_mean = (betas[1] * (n - n_odd) + betas[0] * n_odd) / n
         bias_bound = float(np.abs(beta_mean) @ half_widths)
-    return cv, (float(adj.mean()), float(adj.var(ddof=1)) / n, bias_bound)
+    return cv, (float(adj.mean()), adj, bias_bound)
 
 
 def _poisson_weights(rate: float, m_max: int) -> np.ndarray:
@@ -845,6 +824,7 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
         )
     if config.n_strata < 2:
         raise ConfigurationError(f"splitting needs n_strata >= 2, got {config.n_strata}")
+    _refuse_many_reps("n_strata", config.n_strata)
     scope = _superset_scope(config)
     p_big, se_p, p_big_detail = _estimate_p_big(config, u)  # a lattice: nothing is drawn yet
     _refuse_oversized_draw(config, min(config.n_strata, CRUDE_CHUNK))
@@ -873,18 +853,21 @@ def splitting_estimate(config: ExperimentConfig) -> Estimate:
     y = hits @ _poisson_weights(rate, m_max)
     n = config.n_strata
     value = float(y.mean())
-    var_reps = float(y.var(ddof=1)) / n
+    scores = y
     h = max(config.lam * config.T * se_p, 1e-12)
     dvalue = (mixture(rate + h) - mixture(max(rate - h, 0.0))) / (2 * h)
-    var_rate = (dvalue * config.lam * config.T * se_p) ** 2
     bias_bound = 0.0
     cv = None
     if scope:
         means, half_widths = _cv_means(config, u, p_big, p_big_detail["p_big_bracket"], rank_weights)
         cv, fit = _control_variates(y, covariates, means, {"big": cv_levels[0].tolist()}, n, half_widths)
         if fit is not None:
-            value, var_reps, bias_bound = fit
-    se = float(np.sqrt(var_reps + var_rate + bias_bound**2))
+            value, scores, bias_bound = fit
+    e = _scale_exponent(y)  # the error terms on y 2^-e: tiny scores keep a positive stderr
+    var_reps = float(np.ldexp(scores, -e).var(ddof=1)) / n
+    var_rate = float(np.ldexp(dvalue * config.lam * config.T * se_p, -e)) ** 2
+    bias = float(np.ldexp(bias_bound, -e))
+    se = float(np.ldexp(np.sqrt(var_reps + var_rate + bias**2), e))
 
     detail = {
         "p_big": p_big,
@@ -953,27 +936,21 @@ def check_remainder(
     uniform arrival on [0, T]; at most max_sims clusters are simulated, in
     the pool's batches, which expect at most _MAX_DRAW_EVENTS events (a
     horizon whose smallest batch expects more is refused before anything
-    is drawn).
-    Comonotone specs tilt the immigrant mark (`_tilt_level`) and the share is
-    weight-normalised.  Other specs use plain rejection: their big clusters
-    are often child-driven, and those carry the remainder, so a tilt on the
-    immigrant alone would under-represent them.
+    is drawn).  The clusters come by plain rejection, without weights, so
+    the share's stderr is the binomial one.  Big clusters are often
+    child-driven, and those carry the remainder.
     """
-    tilt = config.spec.dependence == COMONOTONE
-    x_Ts = [ScalingRule(config.eta, T).x_T for T in T_grid]
-    xqs = [_tilt_level(config, x_T) if tilt else None for x_T in x_Ts]
     least = min(_POOL_BATCH_MIN, max_sims)
-    for T, xq in zip(T_grid, xqs):  # every horizon before the first draw
-        what = f"check remainder at T = {float(T):.6g}"
-        _refuse_oversized(config, least, what, f"its smallest batch of {least} clusters", xq)
+    _refuse_oversized(config, least, "check remainder", f"its smallest batch of {least} clusters")
     rows = []
-    for idx, (T, x_T, xq) in enumerate(zip(T_grid, x_Ts, xqs)):
+    for idx, T in enumerate(T_grid):
+        x_T = ScalingRule(config.eta, T).x_T
         rng = substream(config.seed, "remainder", idx)
-        cid, off, mark, w, counts = _conditional_pool(config, rng, n_accept_target, x_T, xq=xq, max_draws=max_sims)
+        cid, off, mark, counts = _conditional_pool(config, rng, n_accept_target, x_T, max_draws=max_sims)
         got = counts["accepted"]
         late = rng.random(got)[cid] * T + off > T
         hit = np.bincount(cid[late], weights=mark[late], minlength=got) > x_T
-        est = float(np.average(hit, weights=w)) if got else np.nan
+        est = float(hit.mean()) if got else np.nan
         se = float(np.sqrt(est * (1 - est) / got)) if got else np.nan
         rows.append(
             {
@@ -1057,37 +1034,18 @@ def check_tail_equivalence(config: ExperimentConfig, quantile_levels) -> list[di
     return rows
 
 
-def _tilt_level(config: ExperimentConfig, u: float) -> float | None:
-    """Tilt level of the immigrant mark for conditioning on D > u: 0.7 times
-    the mark at which a cluster's asymptotic mass multiplier reaches u.
-    None unless the mark law is heavy; plain rejection is used then."""
-    spec = config.spec
-    law = spec.x_law
-    if not law.heavy:
-        return None
-    if config.model == HAWKES:
-        mult = 1.0 + spec.phi * law.mean() / (1.0 - spec.mean_fertility)
-        target = u / mult
-    elif spec.dependence == COMONOTONE:
-        target = u / (1.0 + spec.k_param * law.mean())
-    else:
-        target = u - spec.mean_offspring() * law.mean()
-    return max(0.7 * target, law.scale * 1.0000001)
+def _quantile(values: np.ndarray, q: float) -> float:
+    """The inverted-CDF q-quantile: the smallest value whose empirical CDF
+    reaches q."""
+    v = np.sort(values)
+    return float(v[np.searchsorted(np.arange(1, v.size + 1) / v.size, q, side="left")])
 
 
-def _weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
-    order = np.argsort(values)
-    v, w = values[order], weights[order]
-    cum = np.cumsum(w)
-    cum /= cum[-1]
-    return float(v[np.searchsorted(cum, q, side="left")])
-
-
-def _anatomy_summary(rep, t, size, hits, weight, m: int) -> dict:
-    """Weighted quantiles of the top-m share, the top-1 share and the time
-    spread of the top m over the hit replications with at least one jump,
-    from jump arrays in (replication, time) order; NaN when there are none.
-    Of equal jumps the earlier ranks higher."""
+def _anatomy_summary(rep, t, size, hits, m: int) -> dict:
+    """Quantiles of the top-m share, the top-1 share and the time spread of
+    the top m over the hit replications with at least one jump, from jump
+    arrays in (replication, time) order; NaN when there are none.  Of
+    equal jumps the earlier ranks higher."""
     keys = ("median_top_share", "q10_top_share", "q90_top_share", "median_top1_share", "median_time_spread")
     summary = dict.fromkeys(keys, np.nan)
     hit = hits[rep]  # the jumps of the hit replications, a segment each
@@ -1102,9 +1060,8 @@ def _anatomy_summary(rep, t, size, hits, weight, m: int) -> dict:
         shares = np.add.reduceat(size[top], top_starts) / total
         top1 = size[ranked[starts]] / total
         spreads = np.maximum.reduceat(t[top], top_starts) - np.minimum.reduceat(t[top], top_starts)
-        wts = weight[rep[starts]]
         quantiles = [(shares, 0.5), (shares, 0.1), (shares, 0.9), (top1, 0.5), (spreads, 0.5)]
-        summary.update((key, _weighted_quantile(v, wts, q)) for key, (v, q) in zip(keys, quantiles))
+        summary.update((key, _quantile(v, q)) for key, (v, q) in zip(keys, quantiles))
     return summary
 
 
@@ -1114,12 +1071,15 @@ def big_jump_anatomy(config: ExperimentConfig) -> dict:
 
     Samples the dominant scenario (exactly k+1 clusters conditioned above
     the event scale, plus an unconditional-rate background), filters to
-    actual hits, and reports importance-weighted distribution summaries
-    (`_anatomy_summary`).
+    actual hits, and reports distribution summaries (`_anatomy_summary`).
+    The big clusters come from `_conditional_pool` without weights: from
+    the superset sampler for MB clusters with Poisson counts, by rejection
+    otherwise.
     """
     sep = config.event.dk_separation(config.k)
     if sep is None:
         raise ConfigurationError("event must imply a jump-count proxy at this order")
+    _refuse_many_reps("n_strata", config.n_strata)
     _refuse_oversized_draw(config, config.n_strata)
     x_T = config.scaling().x_T
     u = 0.8 * config.event.scale() * x_T
@@ -1140,8 +1100,7 @@ def big_jump_anatomy(config: ExperimentConfig) -> dict:
     small_counts = rng.poisson(config.lam * config.T, n)
     total_small = int(small_counts.sum())
     bg = simulate_batch(config.model, total_small, config.spec, config.wait, rng, config.cap)
-    b_cid, b_off, b_mark, b_w, _ = _conditional_pool(config, rng, m * n, u, xq=_tilt_level(config, u))
-    rep_weight = np.ones(n) if b_w is None else np.prod(b_w.reshape(n, m), axis=1)
+    b_cid, b_off, b_mark, _ = _conditional_pool(config, rng, m * n, u, superset=_superset_scope(config))
 
     gam_small = rng.random(total_small) * config.T
     gam_big = rng.random(m * n) * config.T
@@ -1155,7 +1114,7 @@ def big_jump_anatomy(config: ExperimentConfig) -> dict:
     order = rep_time_order(rep, t)
     rep, t, size = rep[order], t[order], size[order]
     hits = _eval_event_chunk(rep, t, size, n, config.event, centering, x_T)
-    summary = _anatomy_summary(rep, t, size, hits, rep_weight, m)
+    summary = _anatomy_summary(rep, t, size, hits, m)
     summary["n_hits"] = int(hits.sum())
     summary["conditioning_threshold"] = u
     summary["seed_lineage"] = lineage(config.seed, "anatomy")

@@ -233,6 +233,11 @@ def _series_divide(f: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 _LAG_STEPS = 8192
+# the finest grid: `_mean_path` peaks at about 80 bytes a lag cell for
+# single-generation clusters and 112 for branching ones (by tracemalloc at
+# 2^16 and 2^18 cells), and a grid finer than _LAG_STEPS is its own lag
+# grid, so 2^24 cells take about 1.9 GB
+MAX_GRID_N = 2**24
 
 
 def _mean_path(lam, T, spec, wait, grid_n, per_mark, mean, branching) -> CadlagPath:

@@ -194,27 +194,6 @@ def branching_path_mean(lam, T, spec, wait, ts, n, rng, chunk: int = 250_000):
     return mean, np.sqrt(np.maximum(s2 / n - mean**2, 0.0) / (n - 1))
 
 
-def remainder_share_plain(config, T, n_accept, rng, chunk: int = 500_000):
-    """P(D_after > x_T | D > x_T), x_T = T**eta, by plain rejection straight
-    on `simulate_batch`: whole chunks of untilted clusters with uniform
-    arrivals on [0, T] until n_accept clusters have D > x_T.  Returns the
-    hit share and the number of accepted clusters."""
-    from bigjump.clusters import simulate_batch
-
-    x_T = T**config.eta
-    got = hits = 0
-    while got < n_accept:
-        x0 = np.asarray(config.spec.x_law.sample(rng, chunk), dtype=float)
-        gam = rng.random(chunk) * T
-        batch = simulate_batch(config.model, chunk, config.spec, config.wait, rng, config.cap, x0=x0)
-        late = gam[batch.cid] + batch.offset > T
-        rem = np.bincount(batch.cid[late], weights=batch.mark[late], minlength=chunk)
-        acc = batch.totals() > x_T
-        got += int(acc.sum())
-        hits += int((acc & (rem > x_T)).sum())
-    return hits / got, got
-
-
 def lattice_cdf_oracle(spec, u, m, up: bool, cells=None, branching: bool = False):
     """P(S <= m) for the cluster mass of a spec on the lattice h{0..m},
     h = u/m, with every mark rounded down (up=False) or up to the lattice
@@ -397,14 +376,13 @@ def completed_graph_loop(path) -> np.ndarray:
     return np.asarray(verts, dtype=float)
 
 
-def anatomy_summary_loop(rep, t, size, hits, weight, m: int) -> dict:
+def anatomy_summary_loop(rep, t, size, hits, m: int) -> dict:
     """The anatomy summary one hit replication at a time, from jump arrays
     in (replication, time) order: top-m and top-1 shares of its total, and
-    the time spread of its top m (of equal jumps the earlier first)."""
-    from bigjump.harness import _weighted_quantile
-
+    the time spread of its top m (of equal jumps the earlier first); each
+    quantile is the first sorted value whose rank i + 1 has (i + 1)/n >= q."""
     bounds = np.searchsorted(rep, np.arange(hits.size + 1))
-    shares, top1, spreads, wts = [], [], [], []
+    shares, top1, spreads = [], [], []
     for rid in np.flatnonzero(hits):
         sizes, times = size[bounds[rid] : bounds[rid + 1]], t[bounds[rid] : bounds[rid + 1]]
         if sizes.size == 0:
@@ -414,13 +392,16 @@ def anatomy_summary_loop(rep, t, size, hits, weight, m: int) -> dict:
         shares.append(float(sizes[top].sum()) / total)
         top1.append(float(sizes.max()) / total)
         spreads.append(float(times[top].max() - times[top].min()))
-        wts.append(weight[rid])
     keys = ("median_top_share", "q10_top_share", "q90_top_share", "median_top1_share", "median_time_spread")
     if not shares:
         return dict.fromkeys(keys, np.nan)
-    wts = np.asarray(wts)
+
+    def quantile(values, q):
+        v = sorted(values)
+        return next(x for i, x in enumerate(v) if (i + 1) / len(v) >= q)
+
     quantiles = [(shares, 0.5), (shares, 0.1), (shares, 0.9), (top1, 0.5), (spreads, 0.5)]
-    return {key: _weighted_quantile(np.asarray(v), wts, q) for key, (v, q) in zip(keys, quantiles)}
+    return {key: quantile(v, q) for key, (v, q) in zip(keys, quantiles)}
 
 
 def mb_centering_closed_form(lam, T, spec, wait, ts) -> np.ndarray:

@@ -358,12 +358,17 @@ def test_c8_worker_determinism(tmp_path):
     assert ok and golden_ok
 
 
-# frozen outputs of the two anatomy runs below under their fixed seeds
-GOLDEN_K0 = {"median_top1_share": 0.9590233246916304, "n_hits": 2863}
+# frozen outputs of the two anatomy runs below under their fixed seeds;
+# re-recorded when the big clusters left the immigrant-mark tilt for the
+# unweighted superset sampler: over seeds 200-209 the old and new means of
+# every summary agree within 0.5 combined seed-to-seed sd (k=0 median top-1
+# share 0.95944 +- 0.00050 against 0.95919 +- 0.00033; k=1 top-1 0.58841 +-
+# 0.00219 against 0.58906 +- 0.00314, top-2 0.96440 against 0.96415)
+GOLDEN_K0 = {"median_top1_share": 0.9592543540311148, "n_hits": 2884}
 GOLDEN_K1 = {
-    "median_top_share": 0.9638062496346405,
-    "median_top1_share": 0.5887805586614403,
-    "n_hits": 2105,
+    "median_top_share": 0.9644282253110217,
+    "median_top1_share": 0.5924785719804609,
+    "n_hits": 2024,
 }
 
 

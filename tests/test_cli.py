@@ -591,6 +591,32 @@ def test_cli_refuses_oversized_runs_before_sampling(tmp_path, capsys, monkeypatc
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "estimator, key, value, words",
+    [
+        ("splitting", "n_strata", "100000000000", ["n_strata", "replications"]),
+        ("crude", "n_reps", "100000000000", ["n_reps", "replications"]),
+        ("crude", "grid_n", "100000000", ["grid_n", "lag grid"]),
+        ("splitting", "grid_n", "100000000", ["grid_n", "lag grid"]),
+    ],
+)
+def test_cli_refuses_oversized_sizes_before_allocating(tmp_path, capsys, monkeypatch, estimator, key, value, words):
+    # these sizes ended in a MemoryError traceback (exit 1) while the task
+    # list or the centering's lag grid was built.  The samplers, the task
+    # list and the centering fail the test, so a late refusal allocates nothing
+    from bigjump import harness
+
+    _fail_samplers(monkeypatch)
+    for name in ("_chunk_sizes", "centering_curve"):
+        monkeypatch.setattr(harness, name, lambda *a: pytest.fail("allocated before the refusal"))
+    text = _with_key(BASE.replace("estimator = crude", f"estimator = {estimator}"), key, value)
+    out = str(tmp_path / "never")
+    assert main(["ldp", "--config", _write(tmp_path, text), "--out", out]) == 2
+    line = _single_error_line(capsys)
+    assert line.startswith("error: refusing") and all(w in line for w in words), line
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["measure", "ldp"])
 @pytest.mark.parametrize("rate, k", [("1.0", 171), ("1e10", 39)])
 def test_cli_refuses_overflowing_order_prefactor(tmp_path, capsys, command, rate, k):
@@ -788,15 +814,8 @@ _LIGHT_HEAVY_K = _with_key(
         ("tails", _with_key(_with_key(BASE, "k_param", "2.0"), "n_reps", "20000000"), ["n_reps", "k_param"]),
         # the pool's smallest batch, 1024 clusters of mean size 1 + 1e5
         ("remainder", _with_key(BASE, "k_param", "1e5"), ["batch", "k_param"]),
-        # untilted, clusters of mean size 4.6 pass; tilted above x_T/6 at
-        # T = 1e8 they bring about 3e5 children each
-        (
-            "remainder",
-            _with_key(_with_key(BASE, "dependence", "comonotone"), "k_param", "1.0") + "check_T_grid = 25,1e8\n",
-            ["T = 1e+08", "tilted"],
-        ),
     ],
-    ids=["tails-light-marks", "tails-oversized", "remainder-oversized", "remainder-oversized-tilted"],
+    ids=["tails-light-marks", "tails-oversized", "remainder-oversized"],
 )
 def test_cli_check_refuses_before_drawing(tmp_path, capsys, monkeypatch, which, text, words):
     _fail_samplers(monkeypatch)
