@@ -216,6 +216,10 @@ def superset_probability(spec: JointMarkSpec, u: float) -> float:
     return float(_superset_count_law(spec, u)[0][-1])
 
 
+# the most marks one block of `superset_batch` draws, unless one candidate holds more
+_SUPERSET_BLOCK = 1 << 15
+
+
 def superset_batch(
     n: int, spec: JointMarkSpec, wait: WaitLaw, rng: np.random.Generator, u: float
 ) -> BatchClusters:
@@ -229,8 +233,10 @@ def superset_batch(
     index J with X_J > l = u/(K+1) from P(J = j) proportional to
     (1 - p)^j p on 0..K, p = P(X > l); the marks before J from X given
     X <= l, the mark at J from X given X > l and the later ones freely, one
-    uniform each.  Child waits are drawn for the kept clusters only.  The
-    batch is laid out as `simulate_batch` lays out MB clusters without
+    uniform each; the marks are drawn and kept or dropped a block of whole
+    candidates at a time, and the blocks draw the uniforms one call would.
+    Child waits are drawn for the kept clusters only, after the last block.
+    The batch is laid out as `simulate_batch` lays out MB clusters without
     lineage, and each cluster's mass sums its marks in the same order, so
     its totals are the ones the keep decision saw.  With nu = 0 every
     candidate has X_0 > u and is kept.
@@ -240,40 +246,48 @@ def superset_batch(
     law = spec.x_law
     cdf, p_table, q_table = _superset_count_law(spec, u)
     k = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
-    with np.errstate(divide="ignore"):
-        log_miss = np.log1p(-p_table[k])  # -inf where every mark exceeds the level
-    first = np.floor(np.log1p(-rng.random(n) * q_table[k]) / log_miss)
+    with np.errstate(divide="ignore"):  # log1p(-p) = -inf where every mark exceeds the level
+        first = np.floor(np.log1p(-rng.random(n) * q_table[k]) / np.log1p(-p_table[k]))
     first = np.minimum(first, k).astype(np.int64)
 
-    size = k + 1
-    start = np.cumsum(size) - size
-    cid = np.repeat(np.arange(n, dtype=np.int64), size)
-    index = np.arange(cid.size) - start[cid]  # 0 for the immigrant
-    level = u / size[cid]
-    rel = index - first[cid]
-    uu = rng.random(cid.size)
-    below, at, free = rel < 0, rel == 0, rel > 0
-    mark = np.empty(cid.size)
-    mark[below] = law.quantile_below(uu[below], level[below])
-    mark[at] = law.quantile_above(uu[at], level[at])
-    mark[free] = law.quantile(uu[free])
+    end = np.cumsum(k + 1)  # one past each candidate's last mark
+    x0, kids, n_kids = [], [], []
+    c0 = 0
+    while c0 < n or not n_kids:  # one empty block without candidates
+        row0 = int(end[c0 - 1]) if c0 else 0
+        c1 = min(max(int(np.searchsorted(end, row0 + _SUPERSET_BLOCK, side="right")), c0 + 1), n)
+        size = k[c0:c1] + 1
+        start = end[c0:c1] - size - row0
+        at = start + first[c0:c1]
+        cid = np.repeat(np.arange(c1 - c0), size)
+        mark = rng.random(cid.size)  # each subset's marks replace its uniforms
+        rel = np.arange(cid.size) - at.take(cid)
+        below, free = np.flatnonzero(rel < 0), np.flatnonzero(rel > 0)
+        mark[below] = law.quantile_below(mark[below], u / size.take(cid.take(below)))
+        mark[at] = law.quantile_above(mark[at], u / size)
+        mark[free] = law._transform(mark[free])
+        keep = np.bincount(cid, weights=mark, minlength=c1 - c0) > u
+        kept = np.flatnonzero(keep)
+        x0.append(mark.take(start.take(kept)))
+        child = keep.take(cid)
+        child[start] = False
+        kids.append(mark[child])
+        n_kids.append(size.take(kept) - 1)
+        c0 = c1
 
-    keep = np.bincount(cid, weights=mark, minlength=n) > u
-    kept = np.flatnonzero(keep)
-    m = kept.size
-    remap = np.full(n, -1, dtype=np.int64)
-    remap[kept] = np.arange(m)
-    x0 = mark[start[kept]]
-    child = (index > 0) & keep[cid]
-    child_cid = remap[cid[child]]
-    w = np.asarray(wait.sample(rng, mark=x0[child_cid], size=child_cid.size), dtype=float)
-    cids = np.concatenate([np.arange(m, dtype=np.int64), child_cid])
+    n_kids = np.concatenate(n_kids)
+    m = n_kids.size
+    mark = np.concatenate(x0 + kids)
+    del x0, kids
+    child_cid = np.repeat(np.arange(m, dtype=np.int64), n_kids)
+    pm = mark[:m].take(child_cid) if wait.conditional_on_mark else None
+    w = np.asarray(wait.sample(rng, mark=pm, size=child_cid.size), dtype=float)
     return BatchClusters(
         n=m,
-        cid=cids,
+        cid=np.concatenate([np.arange(m, dtype=np.int64), child_cid]),
         parent=None,
         offset=np.concatenate([np.zeros(m), w]),
-        mark=np.concatenate([x0, mark[child]]),
+        mark=mark,
         generation=None,
         truncated=np.zeros(m, dtype=bool),
     )

@@ -63,9 +63,8 @@ CRUDE_CHUNK = 1024
 # numpy's Generator.poisson refuses a mean above int64 max - 10 sqrt(int64 max)
 _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 # the most events one draw of replications may expect (`_refuse_oversized_draw`),
-# and one pool batch (`_conditional_pool`): a 1024-replication crude chunk
-# peaks at about 43 bytes an event (38 and 43 by tracemalloc on the
-# benchmark's MB and branching configs), so 5e7 events take about 2.2 GB
+# and one pool batch (`_conditional_pool`): chunks and pool batches peak at 20
+# to 43 bytes an event (README), so 5e7 events take at most about 2.2 GB
 _MAX_DRAW_EVENTS = 5e7
 # the most replications a run takes: their results peak at about 350 bytes
 # each for crude and 280 + 2 (m_max + 1) for splitting (by tracemalloc at
@@ -509,7 +508,7 @@ def _conditional_pool(
     """
     max_batch = int(min(_POOL_BATCH_MAX, _MAX_DRAW_EVENTS / _mean_cluster_size(config)[0]))
     got = tried = accepted = trunc = 0
-    cids, offs, marks = [], [], []
+    pieces = ([], [], [])  # the kept cid, offset and mark arrays, a batch each
     while got < n_needed and (max_draws is None or tried < max_draws):
         if tried >= 50_000_000 and accepted == 0:
             raise ConfigurationError(
@@ -532,20 +531,28 @@ def _conditional_pool(
         tried += batch_n
         accepted += int(ok.sum())
         take = np.flatnonzero(ok)[: n_needed - got]
-        if take.size:
-            ok[take[-1] + 1 :] = False  # clusters past the last one taken stay out
-            sel = ok[b.cid]
-            remap = np.full(b.n, -1, dtype=np.int64)
-            remap[take] = got + np.arange(take.size)
-            cids.append(remap[b.cid[sel]])
-            offs.append(b.offset[sel])
-            marks.append(b.mark[sel])
-            trunc += int(b.truncated[take].sum())
-            got += take.size
+        del tot, ok
+        if not take.size:
+            del b
+            continue
+        trunc += int(b.truncated[take].sum())
+        remap = np.full(b.n, -1, dtype=np.int64)  # clusters past the last one taken stay out
+        remap[take] = got + np.arange(take.size)
+        got += take.size
+        del take
+        columns = [remap.take(b.cid), b.offset, b.mark]  # the new ids, -1 where left out
+        del b, remap
+        sel = columns[0] >= 0
+        for kept in pieces:  # each batch column goes as soon as its kept copy exists
+            kept.append(columns.pop(0)[sel])
     counts = {"drawn": tried, "accepted": got, "truncated": trunc}
-    if cids:
-        return np.concatenate(cids), np.concatenate(offs), np.concatenate(marks), counts
-    return np.empty(0, np.int64), np.empty(0), np.empty(0), counts
+    if not pieces[0]:
+        return np.empty(0, np.int64), np.empty(0), np.empty(0), counts
+    joined = []
+    for kept in pieces:  # a lone batch goes back as it is; each list goes once joined
+        joined.append(kept[0] if len(kept) == 1 else np.concatenate(kept))
+        kept.clear()
+    return (*joined, counts)
 
 
 def _stratum_chunk(
@@ -569,34 +576,44 @@ def _stratum_chunk(
     rng = substream(config.seed, "stratum", chunk_index)
     small_counts = rng.poisson(config.lam * config.T * (1.0 - p_big), n_reps)
     total_small = int(small_counts.sum())
-    s_cid, s_off, s_mark, small = _conditional_pool(config, rng, total_small, u, big=False)
+    *s_events, small = _conditional_pool(config, rng, total_small, u, big=False)
     superset = _superset_scope(config)
     accept = min(p_big / superset_probability(config.spec, u), 1.0) if superset else 1.0
-    b_cid, b_off, b_mark, big = _conditional_pool(
-        config, rng, m_max * n_reps, u, superset=superset, accept=accept
-    )
+    *b_events, big = _conditional_pool(config, rng, m_max * n_reps, u, superset=superset, accept=accept)
 
     covariates = None
     if cv_levels is not None:
-        covariates = _covariates(cv_levels, small_counts, s_cid, s_mark, b_cid, b_mark)
+        covariates = _covariates(cv_levels, small_counts, s_events[0], s_events[2], b_events[0], b_events[2])
 
     gam_small = rng.random(total_small) * config.T
     gam_big = rng.random(m_max * n_reps) * config.T
-    rep_s, t_s, size_s = _flat_jumps(config.T, _rep_of_cluster(small_counts), gam_small, [s_cid, s_off, s_mark])
+    # only the lists hold the pools' arrays, and `_flat_jumps` empties them
+    background = list(_flat_jumps(config.T, _rep_of_cluster(small_counts), gam_small, s_events))
+    del gam_small
     # one cluster per "replication", so the returned index is the big cluster's id
-    cid, t_b, size_b = _flat_jumps(config.T, np.arange(m_max * n_reps), gam_big, [b_cid, b_off, b_mark])
-    # the concatenation below is the chunk's memory peak: free its inputs first
-    del s_cid, s_off, s_mark, b_cid, b_off, b_mark, gam_small, gam_big
-    rep_b, rank = np.divmod(cid, m_max)
+    big_jumps = list(_flat_jumps(config.T, np.arange(m_max * n_reps), gam_big, b_events))
+    big_jumps[0], rank = np.divmod(big_jumps[0], m_max)  # the replication and rank of each
     order = np.argsort(rank, kind="stable")
+    ends = background[0].size + np.searchsorted(rank[order], np.arange(m_max + 1))
     # background first, then big events by rank: stratum m is a prefix
-    rep = np.concatenate([rep_s, rep_b[order]])
-    t = np.concatenate([t_s, t_b[order]])
-    size = np.concatenate([size_s, size_b[order]])
-    ends = rep_s.size + np.searchsorted(rank[order], np.arange(m_max + 1))
+    rep, t, size = _join_jumps(background, big_jumps, order)
     x_T = config.scaling().x_T
     hits = _eval_event_chunk(rep, t, size, n_reps, config.event, centering, x_T, ends)
     return hits, covariates, small, big
+
+
+def _join_jumps(head: list, tail: list, order=None) -> list:
+    """The [rep, t, size] jumps of ``head``, then those of ``tail`` (in
+    ``order`` when given), each column written into one preallocated array.
+    It empties both lists a column at a time, so it holds one column more."""
+    joined = []
+    while head:
+        first, second = head.pop(0), tail.pop(0)
+        out = np.empty(first.size + second.size, first.dtype)
+        out[: first.size] = first
+        out[first.size :] = second if order is None else second[order]
+        joined.append(out)
+    return joined
 
 
 def _covariates(cv_levels, small_counts, s_cid, s_mark, b_cid, b_mark) -> np.ndarray:
@@ -1100,16 +1117,16 @@ def big_jump_anatomy(config: ExperimentConfig) -> dict:
     small_counts = rng.poisson(config.lam * config.T, n)
     total_small = int(small_counts.sum())
     bg = simulate_batch(config.model, total_small, config.spec, config.wait, rng, config.cap)
-    b_cid, b_off, b_mark, _ = _conditional_pool(config, rng, m * n, u, superset=_superset_scope(config))
+    bg_events = [bg.cid, bg.offset, bg.mark]
+    del bg
+    *b_events, _ = _conditional_pool(config, rng, m * n, u, superset=_superset_scope(config))
 
     gam_small = rng.random(total_small) * config.T
     gam_big = rng.random(m * n) * config.T
     rep_small = _rep_of_cluster(small_counts)
-    rep_s, t_s, size_s = _flat_jumps(config.T, rep_small, gam_small, [bg.cid, bg.offset, bg.mark], bg.n)
-    rep_b, t_b, size_b = _flat_jumps(config.T, _rep_of_cluster(np.full(n, m)), gam_big, [b_cid, b_off, b_mark])
-    rep = np.concatenate([rep_s, rep_b])
-    t = np.concatenate([t_s, t_b])
-    size = np.concatenate([size_s, size_b])
+    background = list(_flat_jumps(config.T, rep_small, gam_small, bg_events, total_small))
+    big = list(_flat_jumps(config.T, _rep_of_cluster(np.full(n, m)), gam_big, b_events))
+    rep, t, size = _join_jumps(background, big)
     # one sort serves the summary; the decision's own sorts see ordered input
     order = rep_time_order(rep, t)
     rep, t, size = rep[order], t[order], size[order]

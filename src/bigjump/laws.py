@@ -200,7 +200,7 @@ class JointMarkSpec:
         if self.dependence == COMONOTONE:
             return ceil_count(self.k_param, x)
         if self.dependence == INDEPENDENT_LIGHT_K:
-            return rng.poisson(self.k_param, size=x.shape).astype(np.int64)
+            return rng.poisson(self.k_param, size=x.shape).astype(np.int64, copy=False)
         return self._heavy_counts(rng.random(x.shape))
 
     def _heavy_counts(self, u) -> np.ndarray:

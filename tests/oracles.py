@@ -287,6 +287,57 @@ def big_pool_plain(spec, wait, u, n_accept, rng, chunk: int = 200_000):
     return k.astype(np.int64), d, x0, top, drawn
 
 
+def superset_batch_plain(n, spec, wait, rng, u):
+    """`clusters.superset_batch` in one pass over every candidate mark, with
+    full-length index, level and mask arrays: the one-block form the blocked
+    sampler must match bit for bit, draws included."""
+    from bigjump.clusters import BatchClusters, _superset_count_law
+    from bigjump.laws import INDEPENDENT_LIGHT_K
+
+    if spec.dependence != INDEPENDENT_LIGHT_K:
+        raise ValueError(f"no superset sampler for {spec.dependence} counts")
+    law = spec.x_law
+    cdf, p_table, q_table = _superset_count_law(spec, u)
+    k = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
+    with np.errstate(divide="ignore"):
+        log_miss = np.log1p(-p_table[k])  # -inf where every mark exceeds the level
+    first = np.floor(np.log1p(-rng.random(n) * q_table[k]) / log_miss)
+    first = np.minimum(first, k).astype(np.int64)
+
+    size = k + 1
+    start = np.cumsum(size) - size
+    cid = np.repeat(np.arange(n, dtype=np.int64), size)
+    index = np.arange(cid.size) - start[cid]  # 0 for the immigrant
+    level = u / size[cid]
+    rel = index - first[cid]
+    uu = rng.random(cid.size)
+    below, at, free = rel < 0, rel == 0, rel > 0
+    mark = np.empty(cid.size)
+    mark[below] = law.quantile_below(uu[below], level[below])
+    mark[at] = law.quantile_above(uu[at], level[at])
+    mark[free] = law.quantile(uu[free])
+
+    keep = np.bincount(cid, weights=mark, minlength=n) > u
+    kept = np.flatnonzero(keep)
+    m = kept.size
+    remap = np.full(n, -1, dtype=np.int64)
+    remap[kept] = np.arange(m)
+    x0 = mark[start[kept]]
+    child = (index > 0) & keep[cid]
+    child_cid = remap[cid[child]]
+    w = np.asarray(wait.sample(rng, mark=x0[child_cid], size=child_cid.size), dtype=float)
+    cids = np.concatenate([np.arange(m, dtype=np.int64), child_cid])
+    return BatchClusters(
+        n=m,
+        cid=cids,
+        parent=None,
+        offset=np.concatenate([np.zeros(m), w]),
+        mark=np.concatenate([x0, mark[child]]),
+        generation=None,
+        truncated=np.zeros(m, dtype=bool),
+    )
+
+
 def sobol_excess_mass(measure, j: int, c: float, n_pow: int = 17, reps: int = 8) -> tuple[float, float]:
     """(estimate, se) of the mass of j coordinates of the y0-truncated
     limit measure with sum > c: the first j - 1 coordinates at 2^n_pow

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bigjump.clusters import DEFAULT_CAP, simulate_batch
+from bigjump import clusters
+from bigjump.clusters import DEFAULT_CAP, _superset_count_law, simulate_batch, superset_batch
 from bigjump.errors import ConfigurationError
 from bigjump.events import TerminalExceed
 from bigjump.harness import ExperimentConfig, draw_clusters, replication_path
 from bigjump.laws import JointMarkSpec, TailLaw, WaitLaw
 from bigjump.paths import CadlagPath
 from bigjump.streams import substream
+
+from .oracles import superset_batch_plain
 
 
 def arrivals_config(x_law, lam, T):
@@ -310,3 +313,61 @@ def test_lineage_changes_no_draw(exp_wait, case):
     for name in ("cid", "offset", "mark", "truncated"):
         a, b = getattr(plain, name), getattr(full, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+SUPERSET_LAWS = {
+    "pareto0.8": (TailLaw("pareto", 1.0, 0.8), 20.0),
+    "pareto1.5": (TailLaw("pareto", 1.0, 1.5), 20.0),
+    "pareto2.5": (TailLaw("pareto", 1.0, 2.5), 20.0),
+    "exponential": (TailLaw("exponential", 1.0), 6.0),
+    "deterministic": (TailLaw("deterministic", 1.0), 2.5),
+}
+
+
+def superset_marks(n, spec, u, seed):
+    """The marks the superset sampler draws for n candidates from seed:
+    K + 1 each, K from its first uniforms."""
+    cdf = _superset_count_law(spec, u)[0]
+    k = np.searchsorted(cdf, np.random.default_rng(seed).random(n) * cdf[-1], side="right")
+    return int((k + 1).sum())
+
+
+def assert_superset_matches_plain(n, spec, wait, u, seed):
+    rng, rng_plain = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = superset_batch(n, spec, wait, rng, u), superset_batch_plain(n, spec, wait, rng_plain, u)
+    assert got.n == want.n
+    for name in ("cid", "offset", "mark", "truncated"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+    assert rng.bit_generator.state == rng_plain.bit_generator.state
+
+
+@pytest.mark.parametrize("conditional", [False, True])
+@pytest.mark.parametrize("nu", [0.0, 0.5, 2.0, 8.0])
+@pytest.mark.parametrize("law", list(SUPERSET_LAWS))
+def test_superset_batch_blocks_match_one_pass(monkeypatch, law, nu, conditional):
+    # the blocked sampler draws, keeps and lays out exactly what one pass
+    # over every candidate mark does: blocks ending below, exactly at and
+    # across the batch's last mark, and blocks smaller than one candidate
+    x_law, u = SUPERSET_LAWS[law]
+    if law == "deterministic" and nu == 0.0:
+        u = 0.5  # D = X_0 = 1
+    spec = JointMarkSpec(x_law, "independent_light_k", k_param=nu)
+    wait = WaitLaw(TailLaw("exponential", 1.0), conditional_on_mark=conditional)
+    n, seed = 400, 17
+    total = superset_marks(n, spec, u, seed)
+    for block in (clusters._SUPERSET_BLOCK, 1, 3, total // 3, total - 1, total, total + 1):
+        monkeypatch.setattr(clusters, "_SUPERSET_BLOCK", block)
+        assert_superset_matches_plain(n, spec, wait, u, seed)
+
+
+@pytest.mark.parametrize("u", [3.0, 20.0])
+def test_superset_batch_blocks_match_one_pass_at_scale(exp_wait, u):
+    # many default blocks; at u = 3 every candidate with K >= 3 has its
+    # level u/(K+1) below the mark scale, so P(X > l) = 1 and log_miss = -inf
+    spec = JointMarkSpec(TailLaw("pareto", 1.0, 1.5), "independent_light_k", k_param=8.0)
+    p_table = _superset_count_law(spec, u)[1]
+    assert (u / 4.0 < 1.0) == (u == 3.0) and (p_table[3] == 1.0) == (u == 3.0)
+    assert superset_marks(20_000, spec, u, 29) > 5 * clusters._SUPERSET_BLOCK
+    assert_superset_matches_plain(20_000, spec, exp_wait, u, 29)
+    assert_superset_matches_plain(0, spec, exp_wait, u, 29)

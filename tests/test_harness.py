@@ -1149,6 +1149,34 @@ def test_crude_chunk_memory_per_event(hawkes_spec_half, exp_wait):
     assert events > 300_000 and peak / events <= 52.0, (events, peak / events)
 
 
+def test_stratum_chunk_memory_per_event(mb_spec_nu2, exp_wait):
+    # perfbench's mb config: a 1024-replication splitting chunk draws about
+    # 655k events; with each pool batch column, each pool output and the
+    # joined jump arrays held once, its traced peak stays within 45 bytes an
+    # event (about 37; 56 when the pools and the strata were copied whole)
+    import tracemalloc
+
+    cfg = base_config(mb_spec_nu2, exp_wait, T=200.0, grid_n=8192)
+    u = cfg.delta * cfg.scaling().x_T
+    p_big = _estimate_p_big(cfg, u)[0]
+    rate = cfg.lam * cfg.T * p_big
+    m_max = harness._big_count_cap(rate, cfg.k)
+    weights = np.cumsum(_poisson_weights(rate, m_max)[::-1])[::-1][1:]
+    args = (cfg, 0, 1024, u, p_big, m_max, centering_curve(cfg), (np.array(_CV_BIG) * u, weights))
+    rng = substream(cfg.seed, "stratum", 0)  # the chunk's own pools, to count their events
+    small = int(rng.poisson(cfg.lam * cfg.T * (1.0 - p_big), 1024).sum())
+    accept = p_big / superset_probability(cfg.spec, u)
+    events = _conditional_pool(cfg, rng, small, u, big=False)[0].size
+    events += _conditional_pool(cfg, rng, m_max * 1024, u, superset=True, accept=accept)[0].size
+    tracemalloc.start()
+    try:
+        _stratum_chunk(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert events > 500_000 and peak / events <= 45.0, (events, peak / events)
+
+
 def test_pool_batches_expect_at_most_the_event_bound(mb_spec_nu2, hawkes_spec_half, exp_wait, monkeypatch):
     # with the bound at 3e4 events every pool batch holds at most 3e4 over
     # the mean cluster size: the small and big rejection pools and the
