@@ -16,7 +16,9 @@ likely (``scale``).  ``DkProxy`` answers all but its separation as the
 
 ``SupExceed`` decides most replications without sorting their jumps: the
 sizes summed into SUP_BINS time bins bound the running sum, and only the
-replications whose bounds straddle the threshold are sorted.
+replications whose bounds straddle the threshold are sorted.  The same bin
+sums give the path-state weights of its crude control variates
+(``path_weights``).
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ __all__ = [
     "parse_event",
     "format_event",
     "rep_time_order",
+    "bin_sums",
     "InterpCurve",
 ]
 
@@ -79,6 +82,9 @@ class InterpCurve:
 @dataclass(frozen=True)
 class PathEvent:
     kind: ClassVar[str]
+    # scales of the crude control variates' path-state weights, for the
+    # kinds that define ``path_weights``
+    cv_scales: ClassVar[tuple[float, ...]] = ()
 
     def decide(self, path: CadlagPath) -> bool:
         raise NotImplementedError
@@ -181,6 +187,8 @@ class ValueAt(PathEvent):
 @dataclass(frozen=True)
 class SupExceed(PathEvent):
     kind: ClassVar[str] = "sup_exceed"
+    # each scale half the one before (`path_weights`)
+    cv_scales: ClassVar[tuple[float, ...]] = (1.0, 0.5, 0.25)
     c: float
 
     def __post_init__(self):
@@ -190,11 +198,12 @@ class SupExceed(PathEvent):
     def decide(self, path: CadlagPath) -> bool:
         return path_sup(path) > self.c
 
-    def decide_batch(self, rep, t, size, n, cent, x_T):
+    def decide_batch(self, rep, t, size, n, cent, x_T, bins=None):
         """Bin bounds settle most replications without a sort; the rest go
         through ``_sup_sorted`` on their own jumps.  Signed sizes, t outside
         [0, 1] or NaN, and fewer than SUP_BINS jumps a replication go
-        through it whole.
+        through it whole.  ``bins`` is the arrays' ``bin_sums`` when the
+        caller holds them.
 
         Every decision is the one ``_sup_sorted`` makes on the whole chunk:
         a settled one by the margin of the bounds, an open one because each
@@ -206,13 +215,43 @@ class SupExceed(PathEvent):
         dense = rep.size and rep.size >= n * SUP_BINS
         if not (dense and size.min() >= 0.0 and t.min() >= 0.0 and t.max() <= 1.0):
             return _sup_sorted(rep, t, size, n, cent, x_T) > self.c
-        hit, open_ = _sup_bin_bounds(rep, t, size, n, cent, x_T, self.c)
+        sums, prefix = bin_sums(rep * SUP_BINS, t, size, n) if bins is None else bins
+        hit, open_ = _sup_bin_bounds(sums, prefix, size, cent, x_T, self.c)
         if open_.any():
             sub = open_[rep]
             new_id = np.cumsum(open_) - 1
             sup = _sup_sorted(new_id[rep[sub]], t[sub], size[sub], int(new_id[-1]) + 1, cent, x_T)
             hit[open_] = sup > self.c
         return hit
+
+    def path_weights(self, prefix, cent, x_T) -> np.ndarray:
+        """(len(cv_scales), n, SUP_BINS) weights from the running bin sums
+        ``prefix`` of ``bin_sums``, P_r(b) for replication r up to the end
+        of bin b: w_s(r, b) = exp(-max(c x_T - V_r(b), 0) / (s x_T)), where
+        V_r(b) = P_r(b - 1) - C(b / SUP_BINS) is the centered path at the
+        start of bin b (P_r(-1) = 0), while P_r(i) - lo_i <= c x_T for every
+        bin i < b, with lo_i the centering's least value on bin i (the upper
+        bound of `_sup_bin_bounds`); else 0.  So w_s(r, b) reads only the
+        jumps in bins before b.  Each scale halves the one before, so its
+        weights are their squares."""
+        n, B = prefix.shape
+        level = self.c * x_T
+        weights = np.empty((len(self.cv_scales), n, B))
+        w = weights[0]  # first the bounds P_r(i) - lo_i, then the gap c x_T - V_r(b)
+        np.subtract(prefix, cent.bin_range(B)[0], out=w)
+        above = ~(w <= level)
+        # bins up to the first whose bound passes c x_T, all where none does
+        below = np.arange(B) <= np.where(above.any(axis=1), above.argmax(axis=1), B)[:, None]
+        edge = level + cent(np.arange(B) / B)
+        w[:, 0] = edge[0]
+        np.subtract(edge[1:], prefix[:, :-1], out=w[:, 1:])
+        np.maximum(w, 0.0, out=w)
+        w *= -1.0 / (self.cv_scales[0] * x_T)
+        np.exp(w, out=w)
+        w *= below
+        for j in range(1, len(self.cv_scales)):
+            np.square(weights[j - 1], out=weights[j])
+        return weights
 
     def dk_separation(self, k: int) -> float | None:
         return self.c / 2.0 if k == 0 and self.c > 0 else None
@@ -341,9 +380,24 @@ def _prefix_sums(rep, size, ends, n) -> np.ndarray:
     return out
 
 
-def _sup_bin_bounds(rep, t, size, n, cent, x_T, c):
-    """(hit, open): the ``sup > c`` decisions that SUP_BINS time bins settle,
-    and the replications they leave open.  Needs sizes >= 0, t in [0, 1].
+def bin_sums(base, t, size, n) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, SUP_BINS) sums of ``size`` by replication and time bin
+    floor(t SUP_BINS), t = 1 closing the last bin, and their running sums
+    along the bins, from ``base``, each jump's replication times SUP_BINS.
+    Needs t in [0, 1]."""
+    B = SUP_BINS
+    key = np.empty(t.size, dtype=np.int64)
+    np.multiply(t, B, out=key, casting="unsafe")  # floor(t B) without a float copy
+    np.minimum(key, B - 1, out=key)
+    key += base
+    sums = np.bincount(key, weights=size, minlength=n * B).reshape(n, B)
+    return sums, np.cumsum(sums, axis=1)
+
+
+def _sup_bin_bounds(sums, P, size, cent, x_T, c):
+    """(hit, open): the ``sup > c`` decisions that the ``bin_sums`` tables
+    (sums, running sums P) of the jump arrays settle, and the replications
+    they leave open.  Needs sizes >= 0, t in [0, 1].
 
     With nonnegative sizes the running sum after any jump in bin i is at most
     P_i, the replication's total up to the end of the bin, and the bin's last
@@ -356,18 +410,13 @@ def _sup_bin_bounds(rep, t, size, n, cent, x_T, c):
     m nonnegative terms errs by at most m u times their sum; the bound errs
     by at most (N + B + 16) u s; tol = 8 (N + B) u s covers both.
     Non-finite sizes leave every replication open."""
-    B = SUP_BINS
-    key = (t * B).astype(np.int64)
-    np.minimum(key, B - 1, out=key)  # t = 1 closes the last bin
-    key += rep * B
-    sums = np.bincount(key, weights=size, minlength=n * B).reshape(n, B)
-    P = np.cumsum(sums, axis=1)
+    B = sums.shape[1]
     lo, hi = cent.bin_range(B)
     upper = (P - lo).max(axis=1) / x_T
     # a positive bin sum proves a jump in the bin
     lower = np.where(sums > 0.0, P - hi, -np.inf).max(axis=1) / x_T
     scale = (size.sum() + np.abs(cent.v).max()) / x_T
-    tol = 4.0 * (rep.size + B) * np.finfo(float).eps * scale
+    tol = 4.0 * (size.size + B) * np.finfo(float).eps * scale
     hit = lower > c + tol
     return hit, ~hit & ~(upper <= c - tol)
 

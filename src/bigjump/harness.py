@@ -21,7 +21,7 @@ from .clusters import (
     superset_probability,
 )
 from .errors import ConfigurationError
-from .events import InterpCurve, PathEvent, format_event, rep_time_order
+from .events import SUP_BINS, InterpCurve, PathEvent, bin_sums, format_event, rep_time_order
 from .laws import (
     COMONOTONE,
     INDEPENDENT_LIGHT_K,
@@ -248,8 +248,9 @@ def _flat_jumps(
     T: float, rep_of_cluster, gammas, events: list, n_lead: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat (rep, scaled time, mark) arrays of the events landing in [0, T],
-    from the replication and the arrival of each cluster and ``events``,
-    the list [cid, offset, mark] of the events' arrays.
+    from the replication (or any integer label) and the arrival of each
+    cluster and ``events``, the list [cid, offset, mark] of the events'
+    arrays.
 
     It consumes ``events``: the list is emptied, the arrival times are
     added into the offset array in place (offset + gamma, which is
@@ -281,14 +282,18 @@ def _eval_event_chunk(
     centering: CadlagPath,
     x_T: float,
     ends: np.ndarray | None = None,
+    bins: tuple | None = None,
 ) -> np.ndarray:
     """Event indicator per replication from flat jump arrays; with ``ends``,
-    one column per prefix [:e] of the arrays (`PathEvent.decide_strata`).
+    one column per prefix [:e] of the arrays (`PathEvent.decide_strata`);
+    ``bins``, the arrays' ``bin_sums``, go to ``SupExceed``.
 
     Semantics match deciding the event on the materialized centered scaled
     path: centering values interpolate the same grid curve.
     """
     cent = InterpCurve(centering.t, centering.right)
+    if bins is not None:
+        return event.decide_batch(rep, t, size, n, cent, x_T, bins)
     if ends is None:
         return event.decide_batch(rep, t, size, n, cent, x_T)
     return event.decide_strata(rep, t, size, ends, n, cent, x_T)
@@ -296,16 +301,33 @@ def _eval_event_chunk(
 
 def _simulate_jump_arrays(config: ExperimentConfig, n_reps: int, rng: np.random.Generator):
     """Flat (rep, scaled time, mark) arrays for n_reps independent
-    replications, then the draw's truncated-cluster count and the control
-    variates of each replication (`_crude_covariates`)."""
+    replications, then the draw's truncated-cluster count, the control
+    variates of each replication (`_crude_covariates`) and, for an event
+    with path-state weights, the jumps' ``bin_sums`` and the sums by
+    arrival bin that the weights multiply (`_arrival_sums`), else None."""
     counts, gammas, batch = draw_clusters(config, n_reps, rng)
     trunc = int(batch.truncated.sum())
     events = [batch.cid, batch.offset, batch.mark]
     del batch  # `_flat_jumps` frees each array of the batch as it goes
-    rep, t, size = _flat_jumps(config.T, _rep_of_cluster(counts), gammas, events, gammas.size)
-    del gammas  # the covariates' temporaries reuse its memory
-    covariates = _crude_covariates(rep, t, size, counts, config.spec.x_law, config.scaling().x_T)
-    return rep, t, size, (trunc, covariates)
+    label = _rep_of_cluster(counts)
+    if config.event.cv_scales:  # rep SUP_BINS + the bin `bin_sums` gives the immigrant
+        arrival_bin = np.empty(gammas.size, dtype=np.int64)
+        np.multiply(gammas / config.T, SUP_BINS, out=arrival_bin, casting="unsafe")
+        np.minimum(arrival_bin, SUP_BINS - 1, out=arrival_bin)
+        label *= SUP_BINS
+        label += arrival_bin
+        del arrival_bin
+    rep, t, size = _flat_jumps(config.T, label, gammas, events, gammas.size)
+    del gammas, label  # the covariates' temporaries reuse their memory
+    x_T, weighing = config.scaling().x_T, None
+    big = np.flatnonzero(size > _CRUDE_CV_MIN[0] * x_T)
+    if config.event.cv_scales:  # rep holds the labels until here
+        arrivals = _arrival_sums(rep, size, n_reps, big)
+        rep &= -SUP_BINS  # rep SUP_BINS, the base of `bin_sums`
+        weighing = bin_sums(rep, t, size, n_reps), arrivals
+        rep //= SUP_BINS
+    covariates = _crude_covariates(rep, t, size, counts, config.spec.x_law, x_T, big)
+    return rep, t, size, (trunc, covariates, weighing)
 
 
 # Control variates of the crude score, sums over a replication's events in
@@ -316,7 +338,7 @@ _CRUDE_CV_MIN = (0.25, 0.5, 1.0)
 _CRUDE_CV_COUNT = (0.5, 1.0, 2.0)
 
 
-def _crude_covariates(rep, t, mark, counts, law, x_T: float) -> np.ndarray:
+def _crude_covariates(rep, t, mark, counts, law, x_T: float, big) -> np.ndarray:
     """Control variates of each replication from the flat (rep, scaled time
     t, mark) arrays of its events in [0, T], one column each: sum min(X, c),
     then sum (1 - t) min(X, c), for c in _CRUDE_CV_MIN x_T, then sum
@@ -341,7 +363,8 @@ def _crude_covariates(rep, t, mark, counts, law, x_T: float) -> np.ndarray:
     replication: the immigrants' from their counts, the descendants' where
     the replication changes), then one bincount over the runs.  Each
     truncated sum is the whole sum less max(X - c, 0) over the few marks
-    above the lowest level, which alone go to bincount."""
+    above the lowest level, which alone go to bincount: ``big`` indexes
+    them."""
     n, n_imm = counts.size, int(counts.sum())
     if rep.size == 0:
         return np.zeros((n, 2 * len(_CRUDE_CV_MIN) + len(_CRUDE_CV_COUNT)))
@@ -358,7 +381,6 @@ def _crude_covariates(rep, t, mark, counts, law, x_T: float) -> np.ndarray:
     d_rep = run_rep[imm_starts.size :]
     d_count = np.bincount(d_rep, weights=np.diff(np.append(d_starts, desc.size)), minlength=n)
     d_weight = d_count - np.bincount(d_rep, weights=np.add.reduceat(t[n_imm:], d_starts), minlength=n)
-    big = np.flatnonzero(mark > _CRUDE_CV_MIN[0] * x_T)
     r, x, w = rep[big], mark[big], 1.0 - t[big]
     excess = [np.maximum(x - c * x_T, 0.0) for c in _CRUDE_CV_MIN]
     means = [law.truncated_mean(c * x_T) for c in _CRUDE_CV_MIN]
@@ -372,24 +394,76 @@ def _crude_covariates(rep, t, mark, counts, law, x_T: float) -> np.ndarray:
     )
 
 
+def _arrival_sums(key, mark, n: int, big) -> tuple:
+    """From each event's key r SUP_BINS + b, b the time bin of its cluster's
+    arrival: the (n SUP_BINS,) tables of the marks' sum and count by key,
+    then the keys and the marks of the events ``big`` indexes, those above
+    _CRUDE_CV_MIN[0] x_T."""
+    size = n * SUP_BINS
+    count = np.bincount(key, minlength=size).astype(float)  # einsum takes floats faster
+    return np.bincount(key, weights=mark, minlength=size), count, key[big], mark[big]
+
+
+def _weighted_covariates(weights, arrivals, law, x_T: float) -> np.ndarray:
+    """The path-weighted control variates of each replication, for c in
+    _CRUDE_CV_MIN x_T and then each weight scale s: sum over its events in
+    [0, T] of w_s(r, b) (min(X, c) - E[min(X, c)]), b the time bin of the
+    event's cluster's arrival and ``weights`` the (scales, n, SUP_BINS)
+    table w_s(r, b) (`SupExceed.path_weights`).
+
+    Every term has mean exactly 0, for every model, wait law and cap.
+    w_s(r, b) reads only the events in bins before b, and those belong to
+    clusters that arrived before the event's own, independent of it in the
+    Poisson process; given its cluster, the event's centred term has mean 0
+    (the argument of `_crude_covariates`, an immigrant included).  Weighing
+    at the event's own bin would read its cousins, whose existence under
+    the cap depends on its cluster's offspring counts.
+
+    Each sum is sum_b w_s(r, b) (S - N E[min(X, c)]) over the per-bin mark
+    sums S and counts N of ``arrivals`` (`_arrival_sums`), less the weighted
+    max(X - c, 0) over its few marks above the lowest level."""
+    mass, count, key, x = arrivals
+    n_s, n, B = weights.shape
+    w_mass = np.einsum("snb,nb->sn", weights, mass.reshape(n, B))
+    w_count = np.einsum("snb,nb->sn", weights, count.reshape(n, B))
+    levels = np.array(_CRUDE_CV_MIN)[:, None] * x_T
+    means = np.array([law.truncated_mean(c) for c in levels[:, 0]])
+    # weighted excess of each big mark at each (level, scale): one bincount
+    # over the replication of each of the (level, scale) columns
+    excess = np.maximum(x - levels, 0.0)[:, None, :] * weights.reshape(n_s, -1)[:, key]
+    column = np.arange(levels.size * n_s)[:, None] * n + key // SUP_BINS
+    over = np.bincount(column.ravel(), weights=excess.ravel(), minlength=column.shape[0] * n)
+    adjusted = w_mass - means[:, None, None] * w_count - over.reshape(levels.size, n_s, n)
+    return adjusted.reshape(-1, n).T
+
+
 def _crude_cv_means(config: ExperimentConfig) -> np.ndarray:
     """Exact means of `_crude_covariates`, which are the immigrants' own:
     the descendants' centred terms add mean 0.  The immigrant count is
     Poisson(lam T), the arrivals uniform on [0, T] and the marks free of
     both, and `cluster_cap` drops no immigrant; so lam T E[min(X, c)], half
-    of it with the weight 1 - gamma/T, and lam T P(X > c)."""
+    of it with the weight 1 - gamma/T, and lam T P(X > c).  The path-weighted
+    ones (`_weighted_covariates`) have mean 0."""
     law, x_T, lam_t = config.spec.x_law, config.scaling().x_T, config.lam * config.T
     truncated = [lam_t * law.truncated_mean(c * x_T) for c in _CRUDE_CV_MIN]
     counted = [lam_t * law.tail(c * x_T) for c in _CRUDE_CV_COUNT]
-    return np.array(truncated + [0.5 * m for m in truncated] + counted)
+    weighted = [0.0] * (len(_CRUDE_CV_MIN) * len(config.event.cv_scales))
+    return np.array(truncated + [0.5 * m for m in truncated] + counted + weighted)
 
 
 def _crude_chunk(config: ExperimentConfig, chunk_index: int, chunk_size: int, centering: CadlagPath):
     """Event indicators of chunk_size replications, their control variates
-    and the chunk's truncated-cluster count."""
+    and the chunk's truncated-cluster count.  For an event with path-state
+    weights one ``bin_sums`` table serves the decision and the weights."""
     rng = substream(config.seed, "crude", chunk_index)
-    rep, t, size, (trunc, covariates) = _simulate_jump_arrays(config, chunk_size, rng)
-    hits = _eval_event_chunk(rep, t, size, chunk_size, config.event, centering, config.scaling().x_T)
+    rep, t, size, (trunc, covariates, weighing) = _simulate_jump_arrays(config, chunk_size, rng)
+    x_T = config.scaling().x_T
+    bins, arrivals = (None, None) if weighing is None else weighing
+    hits = _eval_event_chunk(rep, t, size, chunk_size, config.event, centering, x_T, bins=bins)
+    del rep, t, size  # the weights' tables reuse their memory
+    if weighing is not None:
+        weights = config.event.path_weights(bins[1], InterpCurve(centering.t, centering.right), x_T)
+        covariates = np.hstack((covariates, _weighted_covariates(weights, arrivals, config.spec.x_law, x_T)))
     return hits, covariates, trunc
 
 
@@ -425,6 +499,8 @@ def crude_estimate(config: ExperimentConfig) -> Estimate:
 
     The covariates are nine sums over each replication's events in [0, T],
     each descendant's term centred by its own mean (`_crude_covariates`),
+    and for ``sup_exceed`` nine more weighted by the path's state when each
+    event's cluster arrived (`_weighted_covariates`), every term centred,
     with closed-form means (`_crude_cv_means`), fitted and applied by
     `_control_variates` with the rarer outcome, hits or misses, as the
     informative count.  Where they are off the estimate is the plain hit
@@ -444,6 +520,9 @@ def crude_estimate(config: ExperimentConfig) -> Estimate:
     n = config.n_reps
     x_T = config.scaling().x_T
     levels = {"truncated": [c * x_T for c in _CRUDE_CV_MIN], "count": [c * x_T for c in _CRUDE_CV_COUNT]}
+    if config.event.cv_scales:
+        scales = list(config.event.cv_scales)
+        levels["weighted"] = {"truncated": levels["truncated"], "scales": scales, "bins": SUP_BINS}
     cv, fit = _control_variates(y, covariates, _crude_cv_means(config), levels, min(n_hits, n - n_hits))
     if fit is None:
         p = n_hits / n

@@ -264,6 +264,53 @@ def sup_exceed_sorted(rep, t, size, n, cent, x_T) -> np.ndarray:
     return sup
 
 
+def sup_weighted_covariates_loop(rep, t, mark, arrival, n, cent, x_T, c, law, levels, scales, bins):
+    """The path-weighted crude control variates of ``sup_exceed:c``, one
+    replication at a time: its events sorted by time and binned one by one
+    (bin i holds i/bins <= t < (i + 1)/bins, the last bin closed), the
+    running total P(i) to the end of each bin, and for each bin b the
+    weight 1{P(i) - lo_i <= c x_T for all i < b} exp(-max(c - v(b), 0)/s),
+    lo_i the least centering value on the closed bin i (at its edges and
+    the nodes inside) and v(b) = (P(b - 1) - C(b/bins))/x_T, P(-1) = 0.
+    Column (level l, scale s), level-major, sums over the replication's
+    events w_s(b_e) (min(X_e, l x_T) - E[min(X, l x_T)]), b_e the bin of
+    the arrival of the event's cluster.  ``arrival`` is that scaled time per
+    event; t and arrival lie in [0, 1]."""
+
+    def bin_of(x):
+        i = 0
+        while i < bins - 1 and x >= (i + 1) / bins:
+            i += 1
+        return i
+
+    lo = []
+    for i in range(bins):
+        a, b = i / bins, (i + 1) / bins
+        inside = [v for tn, v in zip(cent.t, cent.v) if a <= tn <= b]
+        lo.append(min([float(cent(a)), float(cent(b))] + inside))
+    means = [law.truncated_mean(level * x_T) for level in levels]
+    out = np.zeros((n, len(levels) * len(scales)))
+    for r in range(n):
+        idx = sorted(np.flatnonzero(rep == r).tolist(), key=lambda e: t[e])
+        P, total, k = [], 0.0, 0
+        for i in range(bins):
+            while k < len(idx) and bin_of(t[idx[k]]) == i:
+                total += mark[idx[k]]
+                k += 1
+            P.append(total)
+        weights, live = [], True
+        for b in range(bins):
+            live = live and (b == 0 or P[b - 1] - lo[b - 1] <= c * x_T)
+            v = ((P[b - 1] if b else 0.0) - float(cent(b / bins))) / x_T
+            weights.append([live * np.exp(-max(c - v, 0.0) / s) for s in scales])
+        for e in idx:
+            w = weights[bin_of(arrival[e])]
+            for j, (level, mean) in enumerate(zip(levels, means)):
+                for q in range(len(scales)):
+                    out[r, j * len(scales) + q] += w[q] * (min(mark[e], level * x_T) - mean)
+    return out
+
+
 def big_pool_plain(spec, wait, u, n_accept, rng, chunk: int = 200_000):
     """Clusters conditioned on D > u by plain rejection straight on
     `simulate_batch`: whole MB chunks until n_accept clusters have D > u.
